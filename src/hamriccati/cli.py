@@ -11,8 +11,9 @@ seed, tool version); CSV artifacts written to ``--out`` get a sibling
 always produces byte-identical files.
 
 Exit codes: 0 = success, 2 = invalid input, 3 = analytic negative
-(no solution, certification refused, no boundary crossing, vertex walk
-blocked or out of budget).
+(no solution, certification refused, a certified storage without a
+port-Hamiltonian realization, no boundary crossing, vertex walk blocked
+or out of budget).
 
 Set ``HAMRICCATI_LOG`` to ``quiet`` (default), ``info`` or ``debug`` to
 control progress messages on stderr.
@@ -405,8 +406,15 @@ def _run_passivity(ns: argparse.Namespace) -> int:
         "lmi_margin": None if verdict.lmi_margin is None else float(verdict.lmi_margin),
     }
     if verdict.certified:
-        realization = ph_realization(ss, verdict.x, tol=tol)
         report["x"] = _matrix_to_json(verdict.x, "x")
+        try:
+            realization = ph_realization(ss, verdict.x, tol=tol)
+        except ValueError as exc:
+            # The certified storage fails the realization's own checks.
+            report["realization"] = None
+            report["realization_error"] = str(exc)
+            _emit_json(report, ns.out)
+            return EXIT_UNSOLVED
         report["realization"] = {
             "j": _matrix_to_json(realization.j, "j"),
             "r": _matrix_to_json(realization.r, "r"),

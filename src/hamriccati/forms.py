@@ -19,11 +19,12 @@ from .linalg import (
     LinalgError,
     OrderingBreakdown,
     SchurForm,
-    _order_by_flags,
+    _norm,
     as_matrix,
     definiteness,
     hermitian_part,
     is_hermitian,
+    order_schur,
     schur_decompose,
     solve_sylvester,
 )
@@ -68,10 +69,6 @@ class LagrangianConditionError(RuntimeError):
         super().__init__(message)
         self.defect = defect
         self.inertia_evidence = inertia_evidence or []
-
-
-def _norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a)) if a.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +534,7 @@ def _cluster_obstructions(h_arr: np.ndarray, s: SchurForm, imag_tol: float):
     for alpha, members in _axis_clusters(eigs, imag_tol, merge_tol=max(100 * imag_tol, 1e-6)):
         flags = [i in set(members) for i in range(len(eigs))]
         try:
-            ordered = _order_by_flags(s, flags)
+            ordered = order_schur(s, flags)
         except OrderingBreakdown:
             continue
         v = ordered.q[:, : len(members)]
@@ -617,7 +614,7 @@ def lagrangian_subspace(
     best_defect = np.inf
     for flags in candidates:
         try:
-            ordered = _order_by_flags(s, flags)
+            ordered = order_schur(s, flags)
         except OrderingBreakdown:
             continue
         w = ordered.q[:, :n]
@@ -774,7 +771,7 @@ def decouple_imaginary(
             f"(imag_tol={imag_tol:.3e}); clustering is ambiguous"
         )
     off_axis = abs_re >= gap_factor * imag_tol
-    ordered = _order_by_flags(s_form, [bool(b) for b in off_axis])
+    ordered = order_schur(s_form, off_axis)
     n_re = int(off_axis.sum())
     tq = ordered.t
     t1 = tq[:n_re, :n_re]

@@ -13,7 +13,6 @@ numerical contracts are enforced by raising, never by silently degrading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,7 +33,6 @@ __all__ = [
     "SchurForm",
     "schur_decompose",
     "order_schur",
-    "order_schur_smallest",
     "SylvesterSolution",
     "solve_sylvester",
     "solve_lyapunov",
@@ -97,6 +95,13 @@ def _norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a)) if a.size else 0.0
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Read-only contiguous array with the dtype of ``a``."""
+    out = np.ascontiguousarray(a)
+    out.setflags(write=False)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Schur decomposition and reordering
 
@@ -156,97 +161,72 @@ def schur_decompose(a, *, tol: float | None = None) -> SchurForm:
     return SchurForm(q=q, t=t)
 
 
-def _swap_adjacent(t: np.ndarray, q: np.ndarray, k: int) -> None:
-    """Exchange diagonal entries k and k+1 of triangular t, updating q."""
-    t11 = t[k, k]
-    t22 = t[k + 1, k + 1]
-    t12 = t[k, k + 1]
-    gap_tol = 1e-13 * (1.0 + abs(t11) + abs(t22) + abs(t12))
-    if abs(t22 - t11) <= gap_tol:
-        if abs(t12) <= gap_tol:
-            g = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        else:
+def _check_split(t: np.ndarray, select: np.ndarray) -> None:
+    """Raise ``OrderingBreakdown`` when ``select`` splits a defective cluster.
+
+    Moving the selected entry j in front of an unselected entry i < j
+    exchanges the two once.  For numerically identical eigenvalues that
+    exchange is only defined when the pair is uncoupled; its coupling is
+    t_ij plus what the distinct eigenvalues between them carry (the
+    residual of the back substitution for the eigenvector at j).
+    """
+    d = t.diagonal()
+    ad = np.abs(d)
+    tol = 1e-13 * (1.0 + ad[:, None] + ad + np.abs(t))
+    same = np.abs(d[:, None] - d) <= tol
+    for i, j in zip(*np.nonzero(same & ~select[:, None] & select)):
+        if i > j:  # the selected entry already leads
+            continue
+        mid = np.arange(i + 1, j)
+        mid = mid[~same[mid, j]]
+        v = sla.solve_triangular(d[j] * np.eye(mid.size) - t[np.ix_(mid, mid)], t[mid, j])
+        coupling = t[i, j] + t[i, mid] @ v
+        if abs(coupling) > tol[i, j]:
             raise OrderingBreakdown(
-                "cannot reorder numerically identical eigenvalues "
-                f"{t11} and {t22} coupled by t12={t12}; selection is ill conditioned"
+                f"cannot reorder numerically identical eigenvalues {d[i]} and {d[j]} "
+                f"coupled by {coupling}; selection is ill conditioned"
             )
-    else:
-        x = np.array([t12, t22 - t11], dtype=complex)
-        r = np.linalg.norm(x)
-        c, s = x[0] / r, x[1] / r
-        # Unitary with first column the eigenvector of [[t11,t12],[0,t22]] at t22.
-        g = np.array([[c, -np.conj(s)], [s, np.conj(c)]], dtype=complex)
-    t[:, k : k + 2] = t[:, k : k + 2] @ g
-    t[k : k + 2, :] = g.conj().T @ t[k : k + 2, :]
-    q[:, k : k + 2] = q[:, k : k + 2] @ g
-    t[k + 1, k] = 0.0
 
 
-def _order_by_flags(s: SchurForm, flags: list[bool]) -> SchurForm:
-    """Stable reorder moving flagged eigenvalues to the leading positions."""
-    t = s.t.copy()
-    q = s.q.copy()
-    flags = list(flags)
-    n = len(flags)
-    target = 0
-    for i in range(n):
-        if flags[i]:
-            j = i
-            while j > target:
-                _swap_adjacent(t, q, j - 1)
-                flags[j - 1], flags[j] = flags[j], flags[j - 1]
-                j -= 1
-            target += 1
-    q.setflags(write=False)
-    t.setflags(write=False)
-    return SchurForm(q=q, t=t)
-
-
-def order_schur(s: SchurForm, select: Callable[[complex], bool]) -> SchurForm:
+def order_schur(s: SchurForm, select) -> SchurForm:
     """Reorder a Schur form so selected eigenvalues occupy the leading block.
 
     Parameters
     ----------
     s : SchurForm
-    select : callable
-        Predicate on a single eigenvalue. Evaluated once per diagonal entry
-        of the incoming form; the flags then travel with the eigenvalues.
+    select : array_like of bool
+        One flag per diagonal entry of ``s.t``.
 
     Returns
     -------
     SchurForm
-        Same factorized matrix, with every eigenvalue satisfying ``select``
-        moved (stably) in front of the others.
+        Same factorized matrix, with every selected eigenvalue moved
+        (stably) in front of the others by LAPACK ``ztrsen``.
 
     Raises
     ------
+    ValueError
+        If ``select`` does not hold one flag per eigenvalue.
     OrderingBreakdown
         If the required exchanges would split a numerically identical,
         defectively coupled eigenvalue pair.
     """
-    flags = [bool(select(lam)) for lam in np.diag(s.t)]
+    select = np.asarray(select, dtype=bool)
+    if select.shape != (s.n,):
+        raise ValueError(f"select must hold {s.n} flags, got shape {select.shape}")
+    k = int(select.sum())
+    if select[:k].all():  # already ordered; this also covers n = 0
+        return s
+    _check_split(s.t, select)
+    t, q, _, _, _, _, info = sla.lapack.ztrsen(select, s.t, s.q, job="N")
+    if info != 0:
+        raise LinalgError(f"ztrsen failed with info={info}")
+    t = np.triu(t)
     before = np.sort_complex(np.diag(s.t))
-    out = _order_by_flags(s, flags)
-    after = np.sort_complex(np.diag(out.t))
-    scale = 1.0 + _norm(s.t)
-    if np.max(np.abs(before - after), initial=0.0) > 1e-10 * scale:
+    after = np.sort_complex(np.diag(t))
+    if np.max(np.abs(before - after)) > 1e-10 * (1.0 + _norm(s.t)):
         raise LinalgError("reordering failed to preserve the spectrum")
-    return out
-
-
-def order_schur_smallest(s: SchurForm, key: Callable[[complex], float], count: int) -> SchurForm:
-    """Reorder so the ``count`` eigenvalues with smallest ``key`` lead.
-
-    Ties are broken by original diagonal position, which keeps the
-    selection deterministic.
-    """
-    lams = np.diag(s.t)
-    if not 0 <= count <= len(lams):
-        raise ValueError(f"count={count} out of range for n={len(lams)}")
-    ranked = sorted(range(len(lams)), key=lambda i: (key(lams[i]), i))
-    chosen = set(ranked[:count])
-    flags = [i in chosen for i in range(len(lams))]
-    return _order_by_flags(s, flags)
+    return SchurForm(q=_frozen(q), t=_frozen(t))
 
 
 # ---------------------------------------------------------------------------

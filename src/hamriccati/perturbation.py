@@ -57,6 +57,8 @@ from .linalg import (
     LinalgError,
     OrderingBreakdown,
     SolvabilityError,
+    _frozen,
+    _norm,
     as_matrix,
     definiteness,
     hermitian_part,
@@ -104,16 +106,6 @@ DELTA11_ONLY = "delta11_only"
 
 class PerturbationError(RuntimeError):
     """A perturbation-analysis hypothesis failed numerically."""
-
-
-def _norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a)) if a.size else 0.0
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a)
-    out.setflags(write=False)
-    return out
 
 
 def _sorted_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -464,13 +456,13 @@ def split_by_spectrum(
         s = schur_decompose(full)
         dist1 = np.min(np.abs(s.eigenvalues[:, None] - eig1[None, :]), axis=1)
         dist2 = np.min(np.abs(s.eigenvalues[:, None] - eig2[None, :]), axis=1)
-        flags = (dist1 < dist2).tolist()
-        if sum(flags) != 2 * n1:
+        flags = dist1 < dist2
+        if flags.sum() != 2 * n1:
             raise PerturbationError(
                 "eigenvalues could not be assigned to the two clusters "
-                f"({sum(flags)} of {2 * n1} claimed by the first)"
+                f"({flags.sum()} of {2 * n1} claimed by the first)"
             )
-        ordered = order_schur(s, lambda lam: bool(flags.pop(0)))
+        ordered = order_schur(s, flags)
         w = ordered.q[:, : 2 * n1]
         u1, u2 = w[: 2 * n1, :], w[2 * n1 :, :]
         y = np.linalg.solve(u1.conj().T, u2.conj().T).conj().T
@@ -581,9 +573,8 @@ def _cluster_counts(
     s, members: np.ndarray, n: int, band: float
 ) -> tuple[int, int, int, bool]:
     m = int(np.sum(members))
-    flags = members.tolist()
     try:
-        ordered = order_schur(s, lambda lam: bool(flags.pop(0)))
+        ordered = order_schur(s, members)
     except LinalgError:
         # Includes exchanges through defectively coupled, numerically
         # identical pairs; the cluster's multiplicity is still known.
@@ -706,12 +697,12 @@ def first_order_slopes(
         raise ValueError("direction and Hamiltonian dimensions differ")
     s = schur_decompose(arr)
     diag = np.diag(s.t)
-    flags = (np.abs(diag - 1j * alpha) <= eps).tolist()
-    r = sum(flags)
+    flags = np.abs(diag - 1j * alpha) <= eps
+    r = int(flags.sum())
     if r == 0:
         raise PerturbationError(f"no eigenvalue within {eps:.3e} of i*{alpha:g}")
     try:
-        ordered = order_schur(s, lambda lam: bool(flags.pop(0)))
+        ordered = order_schur(s, flags)
     except LinalgError as exc:
         raise PerturbationError(
             f"could not separate the cluster at i*{alpha:g}: {exc}"
@@ -1455,7 +1446,8 @@ def vertex_path(
     Requires extremal solutions at the base point.  ``status`` is
     ``"vertex"`` on success, ``"budget_exhausted"`` when ``budget`` legs
     did not reach a vertex, and ``"blocked"`` when no admissible freezing
-    direction exists or a ray found no arrival (the blocking snapshot is
+    direction exists, the current point has no extremal pair to bound the
+    next ray's scan, or a ray found no arrival (the blocking snapshot is
     attached).
     """
     data = _as_data(h)
@@ -1466,6 +1458,15 @@ def vertex_path(
     legs: list[PathLeg] = []
     scale_k = 1.0 + _norm(data.k)
 
+    def blocked(snap: SpectrumSnapshot) -> PerturbationPath:
+        return PerturbationPath(
+            base=HamiltonianMatrix(data),
+            legs=tuple(legs),
+            terminal=None,
+            status="blocked",
+            blocking=snap,
+        )
+
     while True:
         cur = RiccatiData(data.f, data.g, hermitian_part(data.k + acc))
         arr = HamiltonianMatrix(cur).full
@@ -1474,23 +1475,11 @@ def vertex_path(
             try:
                 ext = solve_extremal(cur)
             except (SolvabilityError, LagrangianConditionError):
-                return PerturbationPath(
-                    base=HamiltonianMatrix(data),
-                    legs=tuple(legs),
-                    terminal=None,
-                    status="blocked",
-                    blocking=snap,
-                )
+                return blocked(snap)
             gap = float(np.linalg.norm(ext.x_plus - ext.x_minus, 2))
             x = hermitian_part(0.5 * (ext.x_minus + ext.x_plus))
             if gap > terminal_gap_rtol * (1.0 + float(np.linalg.norm(x, 2))):
-                return PerturbationPath(
-                    base=HamiltonianMatrix(data),
-                    legs=tuple(legs),
-                    terminal=None,
-                    status="blocked",
-                    blocking=snap,
-                )
+                return blocked(snap)
             return PerturbationPath(
                 base=HamiltonianMatrix(data),
                 legs=tuple(legs),
@@ -1509,19 +1498,15 @@ def vertex_path(
         if direction is None:
             direction = _freezing_direction(arr, n, snap, rng)
             if direction is None:
-                return PerturbationPath(
-                    base=HamiltonianMatrix(data),
-                    legs=tuple(legs),
-                    terminal=None,
-                    status="blocked",
-                    blocking=snap,
-                )
+                return blocked(snap)
         else:
             if direction.restriction != DELTA11_ONLY:
                 raise ValueError(
                     "vertex walks accumulate weight bumps; supplied "
                     "directions must be delta11_only"
                 )
+            if direction.n != n:
+                raise ValueError("direction and Hamiltonian dimensions differ")
             tops = _axis_eigenvector_tops(arr, n, snap)
             if tops.size and _norm(direction.delta11 @ tops) > freeze_tol * (
                 1.0 + _norm(direction.delta11)
@@ -1530,17 +1515,15 @@ def vertex_path(
                     "the supplied direction does not freeze the standing "
                     "axis eigenvalues"
                 )
-        ct = critical_time(
-            HamiltonianMatrix(cur), direction, imag_tol=imag_tol, allow_frozen=True
-        )
-        if ct.t0 is None or ct.t0 == 0.0:
-            return PerturbationPath(
-                base=HamiltonianMatrix(data),
-                legs=tuple(legs),
-                terminal=None,
-                status="blocked",
-                blocking=snap,
+        try:
+            ct = critical_time(
+                HamiltonianMatrix(cur), direction, imag_tol=imag_tol, allow_frozen=True
             )
+        except ValueError:
+            # No extremal pair at the current point bounds the scan.
+            return blocked(snap)
+        if ct.t0 is None or ct.t0 == 0.0:
+            return blocked(snap)
         t_leg = _refine_leg_end(cur, direction, ct)
         ts = np.linspace(0.0, t_leg, max(2, snapshots_per_leg))
         snaps = []
@@ -1571,13 +1554,7 @@ def vertex_path(
         )
         acc = acc + t_leg * direction.delta11
         if _norm(acc) > 1e12 * scale_k:
-            return PerturbationPath(
-                base=HamiltonianMatrix(data),
-                legs=tuple(legs),
-                terminal=None,
-                status="blocked",
-                blocking=snap,
-            )
+            return blocked(snap)
 
 
 # ---------------------------------------------------------------------------

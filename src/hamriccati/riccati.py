@@ -43,6 +43,8 @@ from .linalg import (
     DefinitenessVerdict,
     LinalgError,
     SolvabilityError,
+    _frozen,
+    _norm,
     as_matrix,
     definiteness,
     hermitian_part,
@@ -68,17 +70,9 @@ __all__ = [
     "passivity_verdict",
 ]
 
-_norm = np.linalg.norm
-
 SOLVED = "solved"
 NO_SOLUTION = "no_solution"
 REDUCED_ONLY = "reduced_only"
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=complex))
-    out.setflags(write=False)
-    return out
 
 
 def _equation_residual(f, g, k, x) -> np.ndarray:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from hamriccati.linalg import OrderingBreakdown, SchurForm
+
 # ---------------------------------------------------------------------------
 # deterministic randomness
 
@@ -149,3 +151,58 @@ def example3x3():
     g = np.diag([1.0, 0.0, 1.0]).astype(complex)
     k = np.array([[3.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
     return f, g, k
+
+
+# ---------------------------------------------------------------------------
+# reference Schur reordering by adjacent Givens swaps
+
+
+def _swap_adjacent(t: np.ndarray, q: np.ndarray, k: int) -> None:
+    """Exchange diagonal entries k and k+1 of triangular t, updating q."""
+    t11 = t[k, k]
+    t22 = t[k + 1, k + 1]
+    t12 = t[k, k + 1]
+    gap_tol = 1e-13 * (1.0 + abs(t11) + abs(t22) + abs(t12))
+    if abs(t22 - t11) <= gap_tol:
+        if abs(t12) <= gap_tol:
+            g = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        else:
+            raise OrderingBreakdown(
+                "cannot reorder numerically identical eigenvalues "
+                f"{t11} and {t22} coupled by t12={t12}; selection is ill conditioned"
+            )
+    else:
+        x = np.array([t12, t22 - t11], dtype=complex)
+        r = np.linalg.norm(x)
+        c, s = x[0] / r, x[1] / r
+        # Unitary with first column the eigenvector of [[t11,t12],[0,t22]] at t22.
+        g = np.array([[c, -np.conj(s)], [s, np.conj(c)]], dtype=complex)
+    t[:, k : k + 2] = t[:, k : k + 2] @ g
+    t[k : k + 2, :] = g.conj().T @ t[k : k + 2, :]
+    q[:, k : k + 2] = q[:, k : k + 2] @ g
+    t[k + 1, k] = 0.0
+
+
+def reference_order_schur(s: SchurForm, flags) -> SchurForm:
+    """Stable reorder moving flagged eigenvalues to the leading positions.
+
+    One adjacent Givens swap at a time, in Python: the oracle that LAPACK's
+    ``ztrsen`` reordering in ``hamriccati.linalg.order_schur`` is checked
+    against.
+    """
+    t = s.t.copy()
+    q = s.q.copy()
+    flags = list(flags)
+    n = len(flags)
+    target = 0
+    for i in range(n):
+        if flags[i]:
+            j = i
+            while j > target:
+                _swap_adjacent(t, q, j - 1)
+                flags[j - 1], flags[j] = flags[j], flags[j - 1]
+                j -= 1
+            target += 1
+    q.setflags(write=False)
+    t.setflags(write=False)
+    return SchurForm(q=q, t=t)

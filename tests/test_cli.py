@@ -15,7 +15,7 @@ import pytest
 from hamriccati import __version__, cli, solve_extremal
 from hamriccati.forms import RiccatiData
 
-from helpers import example3x3, lab2x2, make_rng, rand_complex
+from helpers import example3x3, lab2x2, make_rng, rand_complex, rand_solvable_triple
 
 EX1_CANDIDATE = [[3.0, 1.0, -1.0], [1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]
 
@@ -250,6 +250,30 @@ class TestPassivity:
         for key in ("j", "r", "b_hat", "p_hat", "s", "n_skew", "w"):
             assert key in report["realization"]
 
+    def test_rejected_realization_exits_three_with_the_reason(self, tmp_path, monkeypatch):
+        def reject(*args, **kwargs):
+            raise ValueError("residual has a positive eigenvalue")
+
+        monkeypatch.setattr(cli, "ph_realization", reject)
+        path = tmp_path / "trivial.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "A": mat_json(-np.eye(2), "A"),
+                    "B": mat_json(np.zeros((2, 2)), "B"),
+                    "C": mat_json(np.zeros((2, 2)), "C"),
+                    "D": mat_json(np.eye(2), "D"),
+                }
+            )
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["passivity", str(path), "--out", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert report["certified"] is True
+        assert report["realization"] is None
+        assert report["realization_error"] == "residual has a positive eigenvalue"
+        assert "x" in report
+
     def test_antistable_system_is_refused_with_diagnostics(self, tmp_path):
         path = tmp_path / "anti.json"
         path.write_text(
@@ -322,6 +346,19 @@ class TestPerturb:
         lo, hi = report["bracket"]
         assert lo <= report["t0"] <= hi
         assert report["bound"] >= report["t0"]
+
+    def test_vertex_walk_without_extremal_pair_is_blocked(self, tmp_path):
+        f, g, k, _ = rand_solvable_triple(make_rng(0), 10)
+        path = tmp_path / "n10.json"
+        path.write_text(
+            json.dumps({"F": mat_json(f, "F"), "G": mat_json(g, "G"), "K": mat_json(k, "K")})
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["perturb", str(path), "--vertex", "--out", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert report["status"] == "blocked"
+        assert report["blocking"]
+        assert report["terminal"] is None
 
     def test_zero_direction_reports_no_crossing(self, ex2_file, tmp_path):
         delta = write_direction(tmp_path, np.zeros((2, 2)))

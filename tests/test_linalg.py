@@ -14,8 +14,8 @@ from hamriccati.linalg import (
     SolvabilityError,
     definiteness,
     loewner_leq,
+    SchurForm,
     order_schur,
-    order_schur_smallest,
     principal_sqrt,
     schur_decompose,
     solve_lyapunov,
@@ -73,7 +73,7 @@ def test_schur_rejects_nonfinite():
 def test_order_schur_basic_swap():
     a = np.array([[1.0, 3.0], [0.0, 5.0]], dtype=complex)
     s = schur_decompose(a)
-    out = order_schur(s, lambda lam: lam.real > 4)
+    out = order_schur(s, np.diag(s.t).real > 4)
     assert abs(out.t[0, 0] - 5.0) < 1e-12
     assert abs(out.t[1, 1] - 1.0) < 1e-12
     assert np.linalg.norm(out.q @ out.t @ out.q.conj().T - a) < 1e-12 * 10
@@ -82,7 +82,7 @@ def test_order_schur_basic_swap():
 def test_order_schur_hamiltonian_stable_block(lab_fgk):
     h = assemble_hamiltonian_array(*lab_fgk)
     s = schur_decompose(h)
-    out = order_schur(s, lambda lam: lam.real < 0)
+    out = order_schur(s, np.diag(s.t).real < 0)
     lead = np.sort(np.diag(out.t)[:2].real)
     assert np.allclose(lead, [-3.0, -2.0], atol=1e-9)
     trail = np.sort(np.diag(out.t)[2:].real)
@@ -96,7 +96,7 @@ def test_order_schur_preserves_multiset(seed):
     a = helpers.rand_complex(rng, n)
     s = schur_decompose(a)
     flags = rng.random(n) < 0.5
-    out = order_schur(s, lambda lam: bool(flags[np.argmin(np.abs(np.diag(s.t) - lam))]))
+    out = order_schur(s, flags)
     before = np.sort_complex(np.diag(s.t))
     after = np.sort_complex(np.diag(out.t))
     assert np.max(np.abs(before - after)) <= 1e-10 * (1 + np.linalg.norm(a))
@@ -104,19 +104,99 @@ def test_order_schur_preserves_multiset(seed):
 
 
 def test_order_schur_breakdown_on_identical_pair():
-    from hamriccati.linalg import SchurForm
-
     t = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-15]], dtype=complex)
     s = SchurForm(q=np.eye(2, dtype=complex), t=t)
     with pytest.raises(OrderingBreakdown):
-        order_schur(s, lambda lam: lam.real > 1.0 + 5e-16)
+        order_schur(s, np.diag(t).real > 1.0 + 5e-16)
 
 
-def test_order_schur_smallest_by_real_part(lab_fgk):
-    h = assemble_hamiltonian_array(*lab_fgk)
-    s = schur_decompose(h)
-    out = order_schur_smallest(s, lambda lam: lam.real, 2)
-    assert np.allclose(np.sort(np.diag(out.t)[:2].real), [-3.0, -2.0], atol=1e-9)
+def test_order_schur_rejects_a_mask_of_the_wrong_length():
+    s = schur_decompose(np.diag([1.0, 2.0]).astype(complex))
+    with pytest.raises(ValueError):
+        order_schur(s, [True])
+
+
+def _cluster_form(kind, between, seed=0):
+    """Triangular form with a double eigenvalue 2i at the first and last
+    diagonal positions, optionally with the eigenvalue -1 between them.
+
+    ``kind="jordan"`` couples the pair into a Jordan block; ``"scalar"``
+    makes the pair's eigenspace two-dimensional (the pair is 2i * I on it).
+    The form is t = u j u^{-1} with u unit upper triangular, so t keeps the
+    diagonal of j and carries nonzero couplings even in the scalar case.
+    """
+    rng = helpers.make_rng(seed)
+    lam, mu = 2.0j, -1.0
+    diag = [lam, mu, lam] if between else [lam, lam]
+    j = np.diag(diag).astype(complex)
+    if kind == "jordan":
+        j[0, -1] = 1.0
+    u = np.eye(len(diag)) + np.triu(helpers.rand_complex(rng, len(diag)), 1)
+    t = np.triu(u @ j @ np.linalg.inv(u))
+    return SchurForm(q=helpers.rand_unitary(rng, len(diag)), t=t)
+
+
+def _split_mask(form):
+    """Select the last copy of the double eigenvalue, not the first."""
+    mask = np.zeros(form.n, dtype=bool)
+    mask[-1] = True
+    return mask
+
+
+@pytest.mark.parametrize("between", [False, True], ids=["adjacent", "distinct-between"])
+def test_order_schur_breakdown_splitting_a_jordan_pair(between):
+    form = _cluster_form("jordan", between)
+    with pytest.raises(OrderingBreakdown):
+        order_schur(form, _split_mask(form))
+
+
+@pytest.mark.parametrize("between", [False, True], ids=["adjacent", "distinct-between"])
+def test_order_schur_splits_a_scalar_pair(between):
+    form = _cluster_form("scalar", between)
+    if between:
+        # Coupled on paper, semisimple through the entry in between.
+        assert abs(form.t[0, -1]) > 1e-3
+    out = order_schur(form, _split_mask(form))
+    a = form.q @ form.t @ form.q.conj().T
+    assert abs(out.t[0, 0] - 2.0j) < 1e-12
+    assert np.linalg.norm(out.q @ out.t @ out.q.conj().T - a) < 1e-12 * (1 + np.linalg.norm(a))
+    v = out.q[:, :1]
+    assert np.linalg.norm(a @ v - 2.0j * v) < 1e-12 * (1 + np.linalg.norm(a))
+
+
+@pytest.mark.parametrize("n", [4, 20, 100])
+def test_order_schur_matches_the_python_reference(n):
+    rng = helpers.make_rng(100 + n)
+    for _ in range(3):
+        s = schur_decompose(helpers.rand_complex(rng, n))
+        mask = rng.random(n) < 0.5
+        k = int(mask.sum())
+        lapack = order_schur(s, mask)
+        reference = helpers.reference_order_schur(s, mask)
+        cosines = np.linalg.svd(
+            lapack.q[:, :k].conj().T @ reference.q[:, :k], compute_uv=False
+        )
+        assert cosines.min(initial=1.0) >= 1.0 - 1e-10
+        tol = 1e-10 * (1.0 + np.linalg.norm(s.t))
+        for part in (slice(None, k), slice(k, None)):
+            got = np.sort_complex(np.diag(lapack.t)[part])
+            want = np.sort_complex(np.diag(reference.t)[part])
+            assert np.max(np.abs(got - want), initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("kind", ["jordan", "scalar"])
+@pytest.mark.parametrize("between", [False, True], ids=["adjacent", "distinct-between"])
+def test_order_schur_breakdown_verdict_matches_the_python_reference(kind, between):
+    form = _cluster_form(kind, between)
+    mask = _split_mask(form)
+    verdicts = []
+    for reorder in (order_schur, helpers.reference_order_schur):
+        try:
+            reorder(form, mask)
+            verdicts.append("ordered")
+        except OrderingBreakdown:
+            verdicts.append("breakdown")
+    assert verdicts[0] == verdicts[1] == ("breakdown" if kind == "jordan" else "ordered")
 
 
 # ---------------------------------------------------------------------------

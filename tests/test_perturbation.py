@@ -852,6 +852,22 @@ class TestVertexPath:
         with pytest.raises(ValueError, match="delta11_only"):
             vertex_path(lab_base(), directions=[d])
 
+    def test_wrong_dimension_direction_is_rejected(self):
+        d = PerturbationDirection.delta11_only(np.eye(3))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            vertex_path(lab_base(), directions=[d])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_point_without_extremal_pair_blocks_the_walk(self, seed):
+        # After a leg or two the bumped problem has axis eigenvalues and no
+        # extremal pair, so the next ray's scan has no bound.
+        f, g, k, _ = rand_solvable_triple(make_rng(seed), 10)
+        path = vertex_path(RiccatiData(f, g, k))
+        assert path.status == "blocked"
+        assert path.legs
+        assert path.terminal is None
+        assert path.blocking is not None and path.blocking.n_axis > 0
+
     def test_random_weighting_still_reaches_the_vertex(self):
         path = vertex_path(lab_base(), rng=make_rng(30))
         assert path.status == "vertex"

@@ -30,7 +30,7 @@ from hamriccati import (
     solve_structured,
 )
 from hamriccati.forms import HamiltonianMatrix
-from hamriccati.linalg import OrderingBreakdown, _order_by_flags, schur_decompose
+from hamriccati.linalg import OrderingBreakdown, order_schur, schur_decompose
 
 X_MINUS = np.array([[1.0, 1.0], [1.0, 2.0]], dtype=complex)
 X_PLUS = np.array([[5.0, 1.0], [1.0, 8.0]], dtype=complex)
@@ -581,7 +581,7 @@ class TestReducedCoreUniqueness:
         for combo in itertools.combinations(range(4), 2):
             flags = [i in combo for i in range(4)]
             try:
-                ordered = _order_by_flags(s, flags)
+                ordered = order_schur(s, flags)
             except OrderingBreakdown:
                 # Splitting a defective eigenvalue pair across the selection
                 # boundary is not a realizable invariant subspace.
