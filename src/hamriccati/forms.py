@@ -555,6 +555,89 @@ def _cluster_obstructions(h_arr: np.ndarray, s: SchurForm, imag_tol: float):
     return evidence
 
 
+def _isotropic_selection(
+    s: SchurForm,
+    n: int,
+    select,
+    *,
+    iso_tol: float,
+    imag_tol: float,
+    max_enum: int,
+) -> tuple[LagrangianSubspace | None, float]:
+    """Try the candidate selections of ``select`` on one Schur form.
+
+    Returns the first isotropic subspace found with its defect, or
+    ``None`` with the smallest defect among the candidates tried.
+    """
+    eigs = np.diag(s.t)
+    if callable(select):
+        flags = [bool(select(lam)) for lam in eigs]
+        if sum(flags) != n:
+            raise ValueError(
+                f"selection must pick exactly n={n} of the 2n eigenvalues, got {sum(flags)}"
+            )
+        candidates: Iterator[list[bool]] = iter([flags])
+    elif select in ("stable", "antistable"):
+        candidates = _selection_flags(eigs, n, select, imag_tol, max_enum)
+    else:
+        raise ValueError("select must be callable, 'stable' or 'antistable'")
+
+    j = j_matrix(n)
+    best_defect = np.inf
+    for flags in candidates:
+        try:
+            ordered = order_schur(s, flags)
+        except OrderingBreakdown:
+            continue
+        w = ordered.q[:, :n]
+        defect = _norm(w.conj().T @ j @ w)
+        if defect <= iso_tol:
+            w1 = w[:n, :].copy()
+            w2 = w[n:, :].copy()
+            t11 = ordered.t[:n, :n].copy()
+            for arr in (w1, w2, t11):
+                arr.setflags(write=False)
+            sub = LagrangianSubspace(
+                w1=w1,
+                w2=w2,
+                t11=t11,
+                selected_spectrum=np.diag(t11).copy(),
+                defect=defect,
+            )
+            return sub, defect
+        best_defect = min(best_defect, defect)
+    return None, best_defect
+
+
+def _lagrangian_from_schur(
+    h_arr: np.ndarray,
+    s: SchurForm,
+    select,
+    *,
+    iso_tol: float,
+    imag_tol: float,
+    max_enum: int,
+) -> LagrangianSubspace:
+    """:func:`lagrangian_subspace` on an existing Schur form ``s`` of ``h_arr``."""
+    sub, best_defect = _isotropic_selection(
+        s, h_arr.shape[0] // 2, select, iso_tol=iso_tol, imag_tol=imag_tol, max_enum=max_enum
+    )
+    if sub is not None:
+        return sub
+    evidence = [] if callable(select) else _cluster_obstructions(h_arr, s, imag_tol)
+    definite = [e for e in evidence if e["definite"]]
+    msg = (
+        f"no isotropic invariant subspace found (best defect {best_defect:.3e})"
+    )
+    if definite:
+        msg += (
+            "; imaginary-axis cluster(s) at alpha="
+            + ", ".join(f"{e['alpha']:.6g}" for e in definite)
+            + " carry a definite form i v^H J v, so none exists"
+        )
+    raise LagrangianConditionError(msg, defect=best_defect, inertia_evidence=evidence)
+
+
 def lagrangian_subspace(
     h,
     select,
@@ -589,63 +672,17 @@ def lagrangian_subspace(
         carries a definite form i v^H J v, that obstruction is included as
         evidence (such a cluster admits no isotropic invariant subspace).
     """
-    h_arr, n = _ham_array(h)
-    scale = 1.0 + _norm(h_arr)
+    h_arr, _ = _ham_array(h)
     if imag_tol is None:
-        imag_tol = 1e-8 * scale
-    s = schur_decompose(h_arr)
-    eigs = np.diag(s.t)
-
-    if callable(select):
-        flags = [bool(select(lam)) for lam in eigs]
-        if sum(flags) != n:
-            raise ValueError(
-                f"selection must pick exactly n={n} of the 2n eigenvalues, got {sum(flags)}"
-            )
-        candidates: Iterator[list[bool]] = iter([flags])
-        mode = None
-    elif select in ("stable", "antistable"):
-        candidates = _selection_flags(eigs, n, select, imag_tol, max_enum)
-        mode = select
-    else:
-        raise ValueError("select must be callable, 'stable' or 'antistable'")
-
-    j = j_matrix(n)
-    best_defect = np.inf
-    for flags in candidates:
-        try:
-            ordered = order_schur(s, flags)
-        except OrderingBreakdown:
-            continue
-        w = ordered.q[:, :n]
-        defect = _norm(w.conj().T @ j @ w)
-        if defect <= iso_tol:
-            w1 = w[:n, :].copy()
-            w2 = w[n:, :].copy()
-            t11 = ordered.t[:n, :n].copy()
-            for arr in (w1, w2, t11):
-                arr.setflags(write=False)
-            return LagrangianSubspace(
-                w1=w1,
-                w2=w2,
-                t11=t11,
-                selected_spectrum=np.diag(t11).copy(),
-                defect=defect,
-            )
-        best_defect = min(best_defect, defect)
-
-    evidence = _cluster_obstructions(h_arr, s, imag_tol) if mode else []
-    definite = [e for e in evidence if e["definite"]]
-    msg = (
-        f"no isotropic invariant subspace found (best defect {best_defect:.3e})"
+        imag_tol = 1e-8 * (1.0 + _norm(h_arr))
+    return _lagrangian_from_schur(
+        h_arr,
+        schur_decompose(h_arr),
+        select,
+        iso_tol=iso_tol,
+        imag_tol=imag_tol,
+        max_enum=max_enum,
     )
-    if definite:
-        msg += (
-            "; imaginary-axis cluster(s) at alpha="
-            + ", ".join(f"{e['alpha']:.6g}" for e in definite)
-            + " carry a definite form i v^H J v, so none exists"
-        )
-    raise LagrangianConditionError(msg, defect=best_defect, inertia_evidence=evidence)
 
 
 @dataclass(frozen=True)

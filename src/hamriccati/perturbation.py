@@ -37,6 +37,7 @@ and exploit that migration:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,15 +48,15 @@ from .forms import (
     LagrangianConditionError,
     RiccatiData,
     _ham_array,
+    _isotropic_selection,
     _staircase_pair,
     j_matrix,
-    lagrangian_subspace,
 )
 from .linalg import (
     NEGATIVE_DEFINITE,
     POSITIVE_DEFINITE,
     LinalgError,
-    OrderingBreakdown,
+    SchurForm,
     SolvabilityError,
     _frozen,
     _norm,
@@ -546,17 +547,20 @@ class SpectrumSnapshot:
     ``imaginary_groups`` lists the axis clusters with their sign
     characteristics, and ``symmetry_defect`` measures how far the
     eigenvalue multiset is from exact invariance under
-    ``lambda -> -conj(lambda)``.
+    ``lambda -> -conj(lambda)`` (computed on first access).
     """
 
     t: float
     eigenvalues: np.ndarray
     imaginary_groups: tuple[AxisCluster, ...]
-    symmetry_defect: float
 
     @property
     def n_axis(self) -> int:
         return sum(c.multiplicity for c in self.imaginary_groups)
+
+    @cached_property
+    def symmetry_defect(self) -> float:
+        return _symmetry_defect(self.eigenvalues)
 
 
 def _symmetry_defect(eigs: np.ndarray) -> float:
@@ -587,28 +591,25 @@ def _cluster_counts(
     return n_minus, n_plus, m - n_plus - n_minus, True
 
 
-def spectrum_snapshot(
-    h,
+def _snapshot(
+    eigs: np.ndarray,
+    s: SchurForm | None,
+    scale: float,
     *,
-    t: float = 0.0,
-    axis_tol: float = 1e-8,
-    cluster_merge_tol: float = 1e-6,
-    form_band: float = 1e-8,
+    t: float,
+    axis_tol: float,
+    cluster_merge_tol: float,
+    form_band: float,
 ) -> SpectrumSnapshot:
-    """Eigenvalues, axis clusters and sign characteristics of one matrix.
+    """Snapshot from sorted eigenvalues and a Schur form of the same matrix.
 
-    ``t`` is a label recorded in the snapshot (the matrix itself is taken
-    as given).  Eigenvalues with ``|Re| <= axis_tol * (1 + |H|)`` count as
-    on the axis; axis eigenvalues are merged into clusters when their
-    heights differ by at most ``cluster_merge_tol * (1 + |H|)``.
+    ``scale`` is 1 + |H|; ``s`` is read only when some eigenvalue lies on
+    the axis, so it may be ``None`` otherwise.
     """
-    arr, n = _ham_array(h)
-    scale = 1.0 + _norm(arr)
-    eigs = _sorted_eigenvalues(arr)
+    n = eigs.size // 2
     axis_mask = np.abs(eigs.real) <= axis_tol * scale
     clusters: list[AxisCluster] = []
     if np.any(axis_mask):
-        s = schur_decompose(arr)
         diag = np.diag(s.t)
         heights = np.sort(eigs.imag[axis_mask])
         groups: list[list[float]] = [[heights[0]]]
@@ -633,7 +634,36 @@ def spectrum_snapshot(
         t=float(t),
         eigenvalues=_frozen(eigs),
         imaginary_groups=tuple(clusters),
-        symmetry_defect=_symmetry_defect(eigs),
+    )
+
+
+def spectrum_snapshot(
+    h,
+    *,
+    t: float = 0.0,
+    axis_tol: float = 1e-8,
+    cluster_merge_tol: float = 1e-6,
+    form_band: float = 1e-8,
+) -> SpectrumSnapshot:
+    """Eigenvalues, axis clusters and sign characteristics of one matrix.
+
+    ``t`` is a label recorded in the snapshot (the matrix itself is taken
+    as given).  Eigenvalues with ``|Re| <= axis_tol * (1 + |H|)`` count as
+    on the axis; axis eigenvalues are merged into clusters when their
+    heights differ by at most ``cluster_merge_tol * (1 + |H|)``.
+    """
+    arr, _ = _ham_array(h)
+    scale = 1.0 + _norm(arr)
+    eigs = _sorted_eigenvalues(arr)
+    on_axis = np.any(np.abs(eigs.real) <= axis_tol * scale)
+    return _snapshot(
+        eigs,
+        schur_decompose(arr) if on_axis else None,
+        scale,
+        t=t,
+        axis_tol=axis_tol,
+        cluster_merge_tol=cluster_merge_tol,
+        form_band=form_band,
     )
 
 
@@ -1568,7 +1598,10 @@ class RegionVerdict:
     ``membership`` is ``"interior"`` (valid direction, Hermitian solution
     exists, no axis eigenvalues), ``"boundary"`` (solution exists with
     axis eigenvalues present), or ``"exterior"`` (direction not positive
-    semidefinite, or no Hermitian solution).  ``margin`` is a signed
+    semidefinite, or no Hermitian solution).  ``solvable`` tells whether
+    the stable-selection solve found a solution ``x``; for a direction
+    that is not positive semidefinite the solve is not attempted, and
+    ``solvable`` and ``x`` are both ``None``.  ``margin`` is a signed
     indicator: the smallest eigenvalue of the direction when that is
     negative; otherwise +(min |Re lambda|)^2 in the interior, 0 on the
     boundary, and -(min |lambda| over axis eigenvalues)^2 in the
@@ -1578,10 +1611,37 @@ class RegionVerdict:
 
     membership: str
     snapshot: SpectrumSnapshot
-    solvable: bool
+    solvable: bool | None
     psd_margin: float
     margin: float
     x: np.ndarray | None
+
+
+def _stable_solution(
+    data: RiccatiData, d: PerturbationDirection, s: SchurForm, scale: float, solve_tol: float
+) -> np.ndarray | None:
+    """Solution of the bumped equation from the stable selection of ``s``, or None."""
+    # The tolerances are lagrangian_subspace's defaults.
+    sub, _ = _isotropic_selection(
+        s, data.n, "stable", iso_tol=1e-6, imag_tol=1e-8 * scale, max_enum=20
+    )
+    if sub is None:
+        return None
+    try:
+        cand = _graph_solution(sub.w1, sub.w2)
+    except SolvabilityError:
+        return None
+    f_t = data.f + d.delta21
+    g_t = hermitian_part(data.g + d.delta22)
+    res = (
+        f_t.conj().T @ cand
+        + cand @ f_t
+        + cand @ g_t @ cand
+        + hermitian_part(data.k + d.delta11)
+    )
+    if _norm(res) > solve_tol * scale * (1.0 + _norm(cand)) ** 2:
+        return None
+    return hermitian_part(cand)
 
 
 def region_membership(
@@ -1597,37 +1657,42 @@ def region_membership(
     The perturbed family member ``h + J delta`` is feasible when the
     bumped equation still has a Hermitian solution; the verdict is
     decided by attempting the stable-selection solve and inspecting the
-    axis spectrum (see :class:`RegionVerdict`).
+    axis spectrum (see :class:`RegionVerdict`).  One Schur factorization
+    of ``h + J delta`` serves both; the snapshot's eigenvalues are its
+    diagonal.
+
+    Every tolerance is relative to ``1 + |H|`` (``psd_tol`` to
+    ``1 + |delta|``), so below |H| of about 1 they act as absolute
+    thresholds and the verdicts are not invariant under scaling the
+    problem and the bump together: scaled by 1e-12, the lab problem's
+    interior bump (2, 2, 1) and its indefinite bump (1, 1, 2) both come
+    out ``"boundary"``.
     """
     data = _as_data(h)
     if d.n != data.n:
         raise ValueError("direction and Hamiltonian dimensions differ")
     arr = _perturbed_array(data, d, 1.0)
-    snap = spectrum_snapshot(arr, t=1.0, axis_tol=imag_tol)
-    axis_present = snap.n_axis > 0
     scale = 1.0 + _norm(arr)
-
-    x = None
-    solvable = False
-    try:
-        sub = lagrangian_subspace(arr, "stable")
-        cand = _graph_solution(sub.w1, sub.w2)
-        f_t = data.f + d.delta21
-        g_t = hermitian_part(data.g + d.delta22)
-        res = (
-            f_t.conj().T @ cand
-            + cand @ f_t
-            + cand @ g_t @ cand
-            + hermitian_part(data.k + d.delta11)
-        )
-        if _norm(res) <= solve_tol * scale * (1.0 + _norm(cand)) ** 2:
-            solvable = True
-            x = hermitian_part(cand)
-    except (LagrangianConditionError, SolvabilityError, OrderingBreakdown):
-        solvable = False
+    s = schur_decompose(arr)
+    eigs = np.diag(s.t)
+    snap = _snapshot(
+        eigs[np.lexsort((eigs.imag, eigs.real))],
+        s,
+        scale,
+        t=1.0,
+        axis_tol=imag_tol,
+        cluster_merge_tol=1e-6,
+        form_band=1e-8,
+    )
+    axis_present = snap.n_axis > 0
 
     bad_psd = d.psd_margin < -psd_tol * (1.0 + _norm(d.full))
-    if bad_psd or not solvable:
+    if bad_psd:
+        solvable, x = None, None
+    else:
+        x = _stable_solution(data, d, s, scale, solve_tol)
+        solvable = x is not None
+    if not solvable:
         membership = "exterior"
     elif axis_present:
         membership = "boundary"

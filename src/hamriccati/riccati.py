@@ -31,6 +31,7 @@ from .forms import (
     StateSpace,
     assemble_hamiltonian,
     from_state_space,
+    _lagrangian_from_schur,
     is_controllable,
     lagrangian_subspace,
     staircase,
@@ -49,6 +50,7 @@ from .linalg import (
     definiteness,
     hermitian_part,
     is_hermitian,
+    schur_decompose,
     solve_lyapunov,
     solve_sylvester,
 )
@@ -147,9 +149,9 @@ def solve_extremal(
     """Compute the extremal Hermitian solutions of the Riccati equation.
 
     The stable (respectively antistable) Lagrangian invariant subspace of
-    the Hamiltonian matrix is computed and read off as a graph
-    ``X = W2 W1^{-1}``, which yields the minimal (respectively maximal)
-    solution.  Eigenvalues on the imaginary axis are split between the two
+    the Hamiltonian matrix is computed, both from one Schur factorization,
+    and read off as a graph ``X = W2 W1^{-1}``, which yields the minimal
+    (respectively maximal) solution.  Eigenvalues on the imaginary axis are split between the two
     selections whenever an isotropic completion exists.
 
     Raises
@@ -161,9 +163,11 @@ def solve_extremal(
         If a selected subspace is not a graph, i.e. W1 is singular; the
         message reports the reciprocal condition number.
     """
-    h = assemble_hamiltonian(data)
-    sub_minus = lagrangian_subspace(h, "stable", iso_tol=iso_tol, max_enum=max_enum)
-    sub_plus = lagrangian_subspace(h, "antistable", iso_tol=iso_tol, max_enum=max_enum)
+    h_arr = assemble_hamiltonian(data).full
+    s = schur_decompose(h_arr)
+    opts = {"iso_tol": iso_tol, "imag_tol": 1e-8 * (1.0 + _norm(h_arr)), "max_enum": max_enum}
+    sub_minus = _lagrangian_from_schur(h_arr, s, "stable", **opts)
+    sub_plus = _lagrangian_from_schur(h_arr, s, "antistable", **opts)
     x_minus = _graph_solution(sub_minus.w1, sub_minus.w2)
     x_plus = _graph_solution(sub_plus.w1, sub_plus.w2)
     f, g, k = data.f, data.g, data.k

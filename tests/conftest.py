@@ -19,3 +19,20 @@ def reducible_fgk():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture
+def schur_calls(monkeypatch):
+    """A list that grows by one per ``schur_decompose`` call made from
+    ``forms``, ``perturbation`` or ``riccati``."""
+    from hamriccati import forms, linalg, perturbation, riccati
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return linalg.schur_decompose(*args, **kwargs)
+
+    for module in (forms, perturbation, riccati):
+        monkeypatch.setattr(module, "schur_decompose", counted)
+    return calls

@@ -5,7 +5,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from hamriccati.linalg import OrderingBreakdown, SchurForm
+from hamriccati.forms import LagrangianConditionError, assemble_hamiltonian, lagrangian_subspace
+from hamriccati.linalg import (
+    OrderingBreakdown,
+    SchurForm,
+    SolvabilityError,
+    _frozen,
+    _norm,
+    hermitian_part,
+)
+from hamriccati.perturbation import (
+    RegionVerdict,
+    _as_data,
+    _perturbed_array,
+    spectrum_snapshot,
+)
+from hamriccati.riccati import _graph_solution
 
 # ---------------------------------------------------------------------------
 # deterministic randomness
@@ -206,3 +221,91 @@ def reference_order_schur(s: SchurForm, flags) -> SchurForm:
     q.setflags(write=False)
     t.setflags(write=False)
     return SchurForm(q=q, t=t)
+
+
+# ---------------------------------------------------------------------------
+# reference compositions that factorize the same Hamiltonian more than once
+
+
+def reference_region_membership(
+    h,
+    d,
+    *,
+    imag_tol: float = 1e-7,
+    psd_tol: float = 1e-8,
+    solve_tol: float = 1e-8,
+) -> RegionVerdict:
+    """Region verdict from the public ``spectrum_snapshot`` and
+    ``lagrangian_subspace``, each with its own Schur factorization.
+
+    The oracle that ``hamriccati.perturbation.region_membership``, which
+    shares one factorization, is checked against.  It attempts the stable
+    solve for every direction, so ``solvable`` is False (not None) for a
+    direction that is not positive semidefinite.
+    """
+    data = _as_data(h)
+    if d.n != data.n:
+        raise ValueError("direction and Hamiltonian dimensions differ")
+    arr = _perturbed_array(data, d, 1.0)
+    snap = spectrum_snapshot(arr, t=1.0, axis_tol=imag_tol)
+    axis_present = snap.n_axis > 0
+    scale = 1.0 + _norm(arr)
+
+    x = None
+    solvable = False
+    try:
+        sub = lagrangian_subspace(arr, "stable")
+        cand = _graph_solution(sub.w1, sub.w2)
+        f_t = data.f + d.delta21
+        g_t = hermitian_part(data.g + d.delta22)
+        res = (
+            f_t.conj().T @ cand
+            + cand @ f_t
+            + cand @ g_t @ cand
+            + hermitian_part(data.k + d.delta11)
+        )
+        if _norm(res) <= solve_tol * scale * (1.0 + _norm(cand)) ** 2:
+            solvable = True
+            x = hermitian_part(cand)
+    except (LagrangianConditionError, SolvabilityError, OrderingBreakdown):
+        solvable = False
+
+    bad_psd = d.psd_margin < -psd_tol * (1.0 + _norm(d.full))
+    if bad_psd or not solvable:
+        membership = "exterior"
+    elif axis_present:
+        membership = "boundary"
+    else:
+        membership = "interior"
+
+    min_re = float(np.min(np.abs(snap.eigenvalues.real)))
+    if bad_psd:
+        margin = d.psd_margin
+    elif membership == "interior":
+        margin = min_re**2
+    elif membership == "boundary":
+        margin = 0.0
+    else:
+        band = imag_tol * scale
+        axis_eigs = snap.eigenvalues[np.abs(snap.eigenvalues.real) <= band]
+        margin = -float(np.min(np.abs(axis_eigs)) ** 2) if axis_eigs.size else -(min_re**2)
+    return RegionVerdict(
+        membership=membership,
+        snapshot=snap,
+        solvable=solvable,
+        psd_margin=d.psd_margin,
+        margin=margin,
+        x=None if x is None else _frozen(x),
+    )
+
+
+def reference_extremal_pair(data, *, iso_tol: float = 1e-6, max_enum: int = 20):
+    """(x_minus, x_plus) from two ``lagrangian_subspace`` calls, one Schur each.
+
+    The oracle for ``hamriccati.riccati.solve_extremal``, which reads both
+    selections off one factorization.
+    """
+    h = assemble_hamiltonian(data)
+    sub_minus = lagrangian_subspace(h, "stable", iso_tol=iso_tol, max_enum=max_enum)
+    sub_plus = lagrangian_subspace(h, "antistable", iso_tol=iso_tol, max_enum=max_enum)
+    return _graph_solution(sub_minus.w1, sub_minus.w2), _graph_solution(sub_plus.w1, sub_plus.w2)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -607,6 +608,29 @@ class TestHarness:
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+    def test_region_and_t_grid_leave_scipy_optimize_unimported(self, ex2_file, tmp_path):
+        # The snapshot's symmetry defect, the only user of scipy.optimize,
+        # is computed on first access, and neither command reads it.
+        delta = write_direction(tmp_path, np.eye(2))
+        region = ["region", ex2_file, "--grid", "0:5:3,0:10:3,-4:4:3", "--out", str(tmp_path / "r.csv")]
+        t_grid = ["perturb", ex2_file, delta, "--t-grid", "0:8:9", "--out", str(tmp_path / "t.csv")]
+        script = (
+            "import sys\n"
+            "from hamriccati import cli\n"
+            f"assert cli.main({region!r}) == 0\n"
+            f"assert cli.main({t_grid!r}) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_argparse_errors_use_exit_code_two(self):
         proc = subprocess.run(

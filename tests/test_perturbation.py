@@ -21,6 +21,7 @@ from hamriccati.perturbation import (
     FULL,
     PerturbationDirection,
     PerturbationError,
+    _perturbed_array,
     critical_time,
     first_order_slopes,
     fractional_split_verify,
@@ -44,9 +45,11 @@ from helpers import (
     make_rng,
     obs_rank,
     rand_complex,
+    rand_hermitian,
     rand_psd,
     rand_solvable_triple,
     rand_unitary,
+    reference_region_membership,
 )
 
 
@@ -396,6 +399,15 @@ class TestSnapshotsAndInertia:
 
     def test_snapshot_records_label(self):
         assert spectrum_snapshot(lab_base(), t=0.25).t == 0.25
+
+    def test_symmetry_defect_is_computed_on_first_access(self):
+        rng = make_rng(12)
+        f, g, k, _ = rand_solvable_triple(rng, 3)
+        snap = spectrum_snapshot(HamiltonianMatrix.from_triple(f, g, k))
+        assert "symmetry_defect" not in vars(snap)
+        ev = snap.eigenvalues
+        assert snap.symmetry_defect == spectrum_distance(ev, -ev.conj())
+        assert "symmetry_defect" in vars(snap)
 
 
 # ---------------------------------------------------------------------------
@@ -922,6 +934,13 @@ class TestRegionMembership:
         assert v.margin == pytest.approx(-1.0, abs=1e-9)
         assert v.snapshot.n_axis == 0  # the spectrum alone looks interior
 
+    def test_indefinite_direction_skips_the_stable_solve(self):
+        v = region_membership(lab_base(), dir_abc(1.0, 1.0, 2.0, validate=False))
+        assert v.membership == "exterior"
+        assert v.solvable is None
+        assert v.x is None
+        assert v.margin == v.psd_margin
+
     def test_origin_is_interior(self):
         v = region_membership(lab_base(), dir_abc(0.0, 0.0, 0.0, validate=False))
         assert v.membership == "interior"
@@ -944,3 +963,79 @@ class TestRegionMembership:
                 assert v.membership == "exterior", (a, b, c)
             checked += 1
         assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# one Schur factorization per region point, against the two-factorization
+# composition it replaced
+
+
+def rotated_lab_base(quarter_turns: int) -> HamiltonianMatrix:
+    """The lab problem congruent by a rotation of ``quarter_turns * pi / 4``."""
+    theta = quarter_turns * np.pi / 4
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    f, g, k = (rot @ m @ rot.T for m in lab2x2())
+    return HamiltonianMatrix.from_triple(f, g, k)
+
+
+def assert_same_verdict(base, d):
+    got = region_membership(base, d)
+    ref = reference_region_membership(base, d)
+    assert got.membership == ref.membership
+    scale = 1.0 + np.linalg.norm(_perturbed_array(base.data, d, 1.0))
+    assert abs(got.margin - ref.margin) <= 1e-10 * scale
+    # Schur diagonal against eigvals: equal up to the sqrt(eps) sensitivity
+    # of defective axis eigenvalues, with the same axis clusters.
+    ev, ref_ev = got.snapshot.eigenvalues, ref.snapshot.eigenvalues
+    assert spectrum_distance(ev, ref_ev) <= 1e-6 * scale
+    counts = [
+        [(c.multiplicity, c.n_minus, c.n_plus, c.n_zero) for c in snap.imaginary_groups]
+        for snap in (got.snapshot, ref.snapshot)
+    ]
+    assert counts[0] == counts[1]
+    if got.solvable is None:  # not attempted: the direction is not PSD
+        assert got.x is None and got.margin == got.psd_margin < 0
+    else:
+        assert got.solvable == ref.solvable
+    if got.x is not None:
+        np.testing.assert_allclose(got.x, ref.x, atol=1e-12)
+    return got.membership
+
+
+class TestOneFactorizationRegion:
+    @pytest.mark.parametrize("quarter_turns", [0, 1, 2, 3])
+    def test_region_grid_matches_the_reference(self, quarter_turns):
+        base = rotated_lab_base(quarter_turns)
+        seen = set()
+        for a in np.linspace(0.0, 5.0, 11):
+            for b in np.linspace(0.0, 10.0, 11):
+                for c in np.linspace(-4.0, 4.0, 7):
+                    seen.add(assert_same_verdict(base, dir_abc(a, b, c, validate=False)))
+        assert seen == {"interior", "boundary", "exterior"}
+
+    def test_random_problems_match_the_reference(self):
+        rng = make_rng(44)
+        seen = set()
+        for i in range(120):
+            n = 2 + i % 3
+            f, g, k, _ = rand_solvable_triple(rng, n)
+            base = HamiltonianMatrix.from_triple(f, g, k)
+            size = 10.0 ** rng.uniform(-2.0, 1.0)
+            # Half PSD bumps of every block, half indefinite weight bumps.
+            if i % 4 < 2:
+                d = PerturbationDirection.from_full(size * rand_psd(rng, 2 * n, rank=n) / n)
+            else:
+                d = PerturbationDirection.delta11_only(
+                    size * rand_hermitian(rng, n), validate=False
+                )
+            seen.add(assert_same_verdict(base, d))
+        assert seen == {"interior", "exterior"}
+
+    @pytest.mark.parametrize(
+        "abc",
+        [(2.0, 2.0, 1.0), (4.0, 9.0, 0.0), (13.0, 13.0, 0.0), (1.0, 1.0, 2.0)],
+        ids=["interior", "boundary", "exterior", "indefinite"],
+    )
+    def test_one_schur_per_region_point(self, schur_calls, abc):
+        region_membership(lab_base(), dir_abc(*abc, validate=False))
+        assert len(schur_calls) == 1

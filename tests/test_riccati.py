@@ -146,6 +146,45 @@ class TestSolveExtremal:
             solve_extremal(_data(np.zeros((1, 1), dtype=complex), one, one))
 
 
+def _extremal_cases():
+    """Triples for the one-Schur oracle: the lab problem, its Jordan
+    vertex (axis eigenvalues shared by both selections), and random
+    solvable triples up to n = 20."""
+    f, g, k = helpers.lab2x2()
+    cases = [(f, g, k), (f, g, k + np.diag([4.0, 9.0]))]
+    for n, seed in ((3, 7), (5, 8), (20, 9)):
+        cases.append(helpers.rand_solvable_triple(helpers.make_rng(seed), n)[:3])
+    return cases
+
+
+class TestSolveExtremalOneSchur:
+    @pytest.mark.parametrize("case", range(5))
+    def test_matches_the_two_schur_reference(self, case):
+        data = _data(*_extremal_cases()[case])
+        ext = solve_extremal(data)
+        x_minus, x_plus = helpers.reference_extremal_pair(data)
+        scale = 1.0 + _norm(x_minus) + _norm(x_plus)
+        assert _norm(ext.x_minus - x_minus) <= 1e-12 * scale
+        assert _norm(ext.x_plus - x_plus) <= 1e-12 * scale
+
+    def test_failure_message_matches_the_reference(self):
+        f, g, k = helpers.lab2x2()
+        data = _data(f, g, k + 13.0 * np.eye(2))
+        with pytest.raises(LagrangianConditionError) as ref:
+            helpers.reference_extremal_pair(data)
+        with pytest.raises(LagrangianConditionError) as got:
+            solve_extremal(data)
+        assert str(got.value) == str(ref.value)
+        assert "definite form" in str(got.value)
+        assert got.value.defect == ref.value.defect
+        assert len(got.value.inertia_evidence) == len(ref.value.inertia_evidence)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_one_schur_per_solve(self, schur_calls, case):
+        solve_extremal(_data(*_extremal_cases()[case]))
+        assert len(schur_calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # structured pipeline
 
