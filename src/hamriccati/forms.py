@@ -19,6 +19,7 @@ from .linalg import (
     LinalgError,
     OrderingBreakdown,
     SchurForm,
+    _block2x2,
     _norm,
     as_matrix,
     definiteness,
@@ -179,7 +180,7 @@ class HamiltonianMatrix:
     @property
     def full(self) -> np.ndarray:
         d = self.data
-        return np.block([[d.f, d.g], [-d.k, -d.f.conj().T]])
+        return _block2x2(d.f, d.g, -d.k, -d.f.conj().T)
 
 
 def assemble_hamiltonian(data: RiccatiData) -> HamiltonianMatrix:

@@ -58,6 +58,7 @@ from .linalg import (
     LinalgError,
     SchurForm,
     SolvabilityError,
+    _block2x2,
     _frozen,
     _norm,
     as_matrix,
@@ -165,14 +166,17 @@ class PerturbationDirection:
             raise ValueError(f"unknown restriction {restriction!r}")
         if restriction == DELTA11_ONLY and (np.any(d21 != 0) or np.any(d22 != 0)):
             raise ValueError("a delta11_only direction must have zero d21 and d22")
-        full = np.block([[d11, d21.conj().T], [d21, d22]])
+        full = _block2x2(d11, d21.conj().T, d21, d22)
         margin = float(np.min(np.linalg.eigvalsh(full))) if n else np.inf
         if validate and margin < -tol * (1.0 + _norm(full)):
             raise ValueError(
                 "direction is not positive semidefinite "
                 f"(smallest eigenvalue {margin:.3e})"
             )
-        return cls(_frozen(d11), _frozen(d21), _frozen(d22), restriction, margin)
+        direction = cls(_frozen(d11), _frozen(d21), _frozen(d22), restriction, margin)
+        # Seed the cached ``full`` with the form assembled above.
+        direction.__dict__["full"] = _frozen(full)
+        return direction
 
     @classmethod
     def delta11_only(cls, delta11, *, tol: float = 1e-8, validate: bool = True):
@@ -196,11 +200,11 @@ class PerturbationDirection:
     def n(self) -> int:
         return self.delta11.shape[0]
 
-    @property
+    @cached_property
     def full(self) -> np.ndarray:
-        """The assembled 2n x 2n Hermitian form."""
-        return np.block(
-            [[self.delta11, self.delta21.conj().T], [self.delta21, self.delta22]]
+        """The assembled 2n x 2n Hermitian form (read-only, built once)."""
+        return _frozen(
+            _block2x2(self.delta11, self.delta21.conj().T, self.delta21, self.delta22)
         )
 
     @property
@@ -242,7 +246,7 @@ def _perturbed_array(data: RiccatiData, d: PerturbationDirection, t: float):
     f = data.f + t * d.delta21
     g = hermitian_part(data.g + t * d.delta22)
     k = hermitian_part(data.k + t * d.delta11)
-    return np.block([[f, g], [-k, -f.conj().T]])
+    return _block2x2(f, g, -k, -f.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +286,7 @@ class UnobservableReduction:
         f = self.f_reduced + t * self.delta21_reduced
         g = hermitian_part(self.g_reduced + t * self.delta22_reduced)
         k = hermitian_part(t * self.delta11_reduced)
-        return np.block([[f, g], [-k, -f.conj().T]])
+        return _block2x2(f, g, -k, -f.conj().T)
 
 
 def remove_unobservable(
@@ -512,7 +516,7 @@ def split_by_spectrum(
 # axis diagnostics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class AxisCluster:
     """A cluster of imaginary-axis eigenvalues at height ``alpha``.
 
@@ -521,14 +525,40 @@ class AxisCluster:
     ``sign`` condenses them to -1 (negative definite), +1 (positive
     definite) or 0 (mixed or degenerate).  ``resolved`` is False when the
     invariant subspace could not be separated numerically.
+
+    ``alpha`` and ``multiplicity`` are fixed when the cluster is found.
+    The sign characteristics are computed on first access, from the Schur
+    form the cluster was found in: it is reordered so that the cluster's
+    diagonal entries lead, and eigenvalues of the form within a band of
+    zero count in ``n_zero``.  ``repr`` and ``==`` show and compare the
+    counts, so they compute them too.
     """
 
     alpha: float
     multiplicity: int
-    n_minus: int
-    n_plus: int
-    n_zero: int
-    resolved: bool = True
+    _schur: SchurForm
+    _members: np.ndarray
+    _band: float
+
+    @cached_property
+    def _counts(self) -> tuple[int, int, int, bool]:
+        return _cluster_counts(self._schur, self._members, self._band)
+
+    @property
+    def n_minus(self) -> int:
+        return self._counts[0]
+
+    @property
+    def n_plus(self) -> int:
+        return self._counts[1]
+
+    @property
+    def n_zero(self) -> int:
+        return self._counts[2]
+
+    @property
+    def resolved(self) -> bool:
+        return self._counts[3]
 
     @property
     def sign(self) -> int:
@@ -537,6 +567,23 @@ class AxisCluster:
         if self.multiplicity and self.n_plus == self.multiplicity:
             return 1
         return 0
+
+    def _key(self) -> tuple:
+        return (self.alpha, self.multiplicity, *self._counts)
+
+    def __repr__(self) -> str:
+        return (
+            "AxisCluster(alpha={!r}, multiplicity={!r}, n_minus={!r}, "
+            "n_plus={!r}, n_zero={!r}, resolved={!r})".format(*self._key())
+        )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -547,7 +594,9 @@ class SpectrumSnapshot:
     ``imaginary_groups`` lists the axis clusters with their sign
     characteristics, and ``symmetry_defect`` measures how far the
     eigenvalue multiset is from exact invariance under
-    ``lambda -> -conj(lambda)`` (computed on first access).
+    ``lambda -> -conj(lambda)``.  The symmetry defect and each cluster's
+    sign characteristics are computed on first access; ``n_axis`` and the
+    clusters' heights and multiplicities are not.
     """
 
     t: float
@@ -574,7 +623,7 @@ def _symmetry_defect(eigs: np.ndarray) -> float:
 
 
 def _cluster_counts(
-    s, members: np.ndarray, n: int, band: float
+    s: SchurForm, members: np.ndarray, band: float
 ) -> tuple[int, int, int, bool]:
     m = int(np.sum(members))
     try:
@@ -584,7 +633,7 @@ def _cluster_counts(
         # identical pairs; the cluster's multiplicity is still known.
         return 0, 0, m, False
     v = ordered.q[:, :m]
-    w = hermitian_part(1j * v.conj().T @ j_matrix(n) @ v)
+    w = hermitian_part(1j * v.conj().T @ j_matrix(s.n // 2) @ v)
     vals = np.linalg.eigvalsh(w)
     n_plus = int(np.sum(vals > band))
     n_minus = int(np.sum(vals < -band))
@@ -604,9 +653,9 @@ def _snapshot(
     """Snapshot from sorted eigenvalues and a Schur form of the same matrix.
 
     ``scale`` is 1 + |H|; ``s`` is read only when some eigenvalue lies on
-    the axis, so it may be ``None`` otherwise.
+    the axis, so it may be ``None`` otherwise.  The axis clusters keep
+    ``s`` and reorder it for their sign characteristics on first access.
     """
-    n = eigs.size // 2
     axis_mask = np.abs(eigs.real) <= axis_tol * scale
     clusters: list[AxisCluster] = []
     if np.any(axis_mask):
@@ -626,10 +675,7 @@ def _snapshot(
                 cluster_merge_tol * scale / 2,
             )
             members = np.abs(diag - 1j * alpha) <= radius
-            n_minus, n_plus, n_zero, ok = _cluster_counts(s, members, n, band)
-            clusters.append(
-                AxisCluster(alpha, int(np.sum(members)), n_minus, n_plus, n_zero, ok)
-            )
+            clusters.append(AxisCluster(alpha, int(np.sum(members)), s, members, band))
     return SpectrumSnapshot(
         t=float(t),
         eigenvalues=_frozen(eigs),
@@ -650,7 +696,8 @@ def spectrum_snapshot(
     ``t`` is a label recorded in the snapshot (the matrix itself is taken
     as given).  Eigenvalues with ``|Re| <= axis_tol * (1 + |H|)`` count as
     on the axis; axis eigenvalues are merged into clusters when their
-    heights differ by at most ``cluster_merge_tol * (1 + |H|)``.
+    heights differ by at most ``cluster_merge_tol * (1 + |H|)``.  Each
+    cluster computes its sign characteristics on first access.
     """
     arr, _ = _ham_array(h)
     scale = 1.0 + _norm(arr)
@@ -675,24 +722,21 @@ def inertia_indices(h, alpha: float, *, eps: float | None = None) -> AxisCluster
     counts the eigenvalue signs of the Hermitian form i V^H J V.  Returns
     a cluster with multiplicity 0 when no eigenvalue is nearby.
     """
-    arr, n = _ham_array(h)
+    arr, _ = _ham_array(h)
     scale = 1.0 + _norm(arr)
     if eps is None:
         eps = 1e-8 * scale
     s = schur_decompose(arr)
     diag = np.diag(s.t)
     members = np.abs(diag - 1j * alpha) <= eps
-    m = int(np.sum(members))
-    if m == 0:
-        return AxisCluster(float(alpha), 0, 0, 0, 0)
     band = 1e-8 * (1.0 + float(np.max(np.abs(diag))))
-    n_minus, n_plus, n_zero, ok = _cluster_counts(s, members, n, band)
-    if not ok:
+    cluster = AxisCluster(float(alpha), int(np.sum(members)), s, members, band)
+    if not cluster.resolved:
         raise PerturbationError(
             f"could not separate the cluster at i*{alpha:g}: the Schur "
             "reordering split a defectively coupled pair"
         )
-    return AxisCluster(float(alpha), m, n_minus, n_plus, n_zero, True)
+    return cluster
 
 
 def first_order_slopes(

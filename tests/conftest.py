@@ -36,3 +36,20 @@ def schur_calls(monkeypatch):
     for module in (forms, perturbation, riccati):
         monkeypatch.setattr(module, "schur_decompose", counted)
     return calls
+
+
+@pytest.fixture
+def order_schur_calls(monkeypatch):
+    """A list that grows by one per ``order_schur`` call made from ``forms``
+    or ``perturbation``."""
+    from hamriccati import forms, linalg, perturbation
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return linalg.order_schur(*args, **kwargs)
+
+    for module in (forms, perturbation):
+        monkeypatch.setattr(module, "order_schur", counted)
+    return calls

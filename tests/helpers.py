@@ -5,17 +5,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from hamriccati.forms import LagrangianConditionError, assemble_hamiltonian, lagrangian_subspace
+from dataclasses import dataclass
+
+from hamriccati.forms import (
+    LagrangianConditionError,
+    assemble_hamiltonian,
+    j_matrix,
+    lagrangian_subspace,
+)
 from hamriccati.linalg import (
+    LinalgError,
     OrderingBreakdown,
     SchurForm,
     SolvabilityError,
     _frozen,
     _norm,
     hermitian_part,
+    order_schur,
 )
 from hamriccati.perturbation import (
     RegionVerdict,
+    SpectrumSnapshot,
     _as_data,
     _perturbed_array,
     spectrum_snapshot,
@@ -309,3 +319,100 @@ def reference_extremal_pair(data, *, iso_tol: float = 1e-6, max_enum: int = 20):
     sub_minus = lagrangian_subspace(h, "stable", iso_tol=iso_tol, max_enum=max_enum)
     sub_plus = lagrangian_subspace(h, "antistable", iso_tol=iso_tol, max_enum=max_enum)
     return _graph_solution(sub_minus.w1, sub_minus.w2), _graph_solution(sub_plus.w1, sub_plus.w2)
+
+
+# ---------------------------------------------------------------------------
+# reference snapshot that computes every sign characteristic up front
+
+
+@dataclass(frozen=True)
+class AxisCluster:
+    """A cluster of imaginary-axis eigenvalues at height ``alpha``.
+
+    ``n_minus``/``n_plus``/``n_zero`` count the eigenvalues of the
+    Hermitian form i V^H J V on the cluster's invariant subspace;
+    ``sign`` condenses them to -1 (negative definite), +1 (positive
+    definite) or 0 (mixed or degenerate).  ``resolved`` is False when the
+    invariant subspace could not be separated numerically.
+    """
+
+    alpha: float
+    multiplicity: int
+    n_minus: int
+    n_plus: int
+    n_zero: int
+    resolved: bool = True
+
+    @property
+    def sign(self) -> int:
+        if self.multiplicity and self.n_minus == self.multiplicity:
+            return -1
+        if self.multiplicity and self.n_plus == self.multiplicity:
+            return 1
+        return 0
+
+
+def _cluster_counts(
+    s, members: np.ndarray, n: int, band: float
+) -> tuple[int, int, int, bool]:
+    m = int(np.sum(members))
+    try:
+        ordered = order_schur(s, members)
+    except LinalgError:
+        # Includes exchanges through defectively coupled, numerically
+        # identical pairs; the cluster's multiplicity is still known.
+        return 0, 0, m, False
+    v = ordered.q[:, :m]
+    w = hermitian_part(1j * v.conj().T @ j_matrix(n) @ v)
+    vals = np.linalg.eigvalsh(w)
+    n_plus = int(np.sum(vals > band))
+    n_minus = int(np.sum(vals < -band))
+    return n_minus, n_plus, m - n_plus - n_minus, True
+
+
+def reference_snapshot(
+    eigs: np.ndarray,
+    s: SchurForm | None,
+    scale: float,
+    *,
+    t: float,
+    axis_tol: float,
+    cluster_merge_tol: float,
+    form_band: float,
+) -> SpectrumSnapshot:
+    """Snapshot from sorted eigenvalues and a Schur form of the same matrix.
+
+    The eager builder: every cluster's sign characteristics are computed
+    when the snapshot is made, with the record type above.  The oracle for
+    ``hamriccati.perturbation._snapshot``, whose clusters compute them on
+    first access; the two must agree in ``repr``.
+    """
+    n = eigs.size // 2
+    axis_mask = np.abs(eigs.real) <= axis_tol * scale
+    clusters: list[AxisCluster] = []
+    if np.any(axis_mask):
+        diag = np.diag(s.t)
+        heights = np.sort(eigs.imag[axis_mask])
+        groups: list[list[float]] = [[heights[0]]]
+        for hgt in heights[1:]:
+            if hgt - groups[-1][-1] <= cluster_merge_tol * scale:
+                groups[-1].append(hgt)
+            else:
+                groups.append([hgt])
+        band = form_band * (1.0 + float(np.max(np.abs(diag))))
+        for grp in groups:
+            alpha = float(np.mean(grp))
+            radius = max(
+                max(abs(g - alpha) for g in grp) + axis_tol * scale,
+                cluster_merge_tol * scale / 2,
+            )
+            members = np.abs(diag - 1j * alpha) <= radius
+            n_minus, n_plus, n_zero, ok = _cluster_counts(s, members, n, band)
+            clusters.append(
+                AxisCluster(alpha, int(np.sum(members)), n_minus, n_plus, n_zero, ok)
+            )
+    return SpectrumSnapshot(
+        t=float(t),
+        eigenvalues=_frozen(eigs),
+        imaginary_groups=tuple(clusters),
+    )

@@ -12,6 +12,7 @@ from hamriccati.linalg import (
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE,
     SolvabilityError,
+    _block2x2,
     definiteness,
     loewner_leq,
     SchurForm,
@@ -25,6 +26,29 @@ from hamriccati.linalg import (
 
 def assemble_hamiltonian_array(f, g, k):
     return np.block([[f, g], [-k, -f.conj().T]])
+
+
+# ---------------------------------------------------------------------------
+# block assembly
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 20])
+@pytest.mark.parametrize(
+    "dtypes",
+    [(float,) * 4, (complex,) * 4, (float, complex, float, float)],
+    ids=["real", "complex", "mixed"],
+)
+def test_block2x2_matches_np_block_bit_for_bit(n, dtypes):
+    rng = helpers.make_rng(47 + n)
+    blocks = [
+        helpers.rand_complex(rng, n) if dt is complex else rng.standard_normal((n, n))
+        for dt in dtypes
+    ]
+    got = _block2x2(*blocks)
+    want = np.block([blocks[:2], blocks[2:]])
+    assert got.dtype == want.dtype and got.shape == want.shape == (2 * n, 2 * n)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

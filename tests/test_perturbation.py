@@ -15,13 +15,15 @@ import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
 from hamriccati.forms import HamiltonianMatrix, RiccatiData, j_matrix
-from hamriccati.linalg import loewner_leq
+from hamriccati.linalg import loewner_leq, schur_decompose
 from hamriccati.perturbation import (
     DELTA11_ONLY,
     FULL,
     PerturbationDirection,
     PerturbationError,
     _perturbed_array,
+    _sorted_eigenvalues,
+    _stable_solution,
     critical_time,
     first_order_slopes,
     fractional_split_verify,
@@ -50,6 +52,7 @@ from helpers import (
     rand_solvable_triple,
     rand_unitary,
     reference_region_membership,
+    reference_snapshot,
 )
 
 
@@ -1039,3 +1042,200 @@ class TestOneFactorizationRegion:
     def test_one_schur_per_region_point(self, schur_calls, abc):
         region_membership(lab_base(), dir_abc(*abc, validate=False))
         assert len(schur_calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# sign characteristics on first access, against the eager snapshot builder
+
+
+def eager_snapshot(arr, *, t, axis_tol, from_schur_diagonal=False):
+    """``reference_snapshot`` on the spectrum and Schur form that
+    ``spectrum_snapshot`` (eigvals) or ``region_membership`` (the Schur
+    diagonal) would use for ``arr``."""
+    scale = 1.0 + np.linalg.norm(arr)
+    s = schur_decompose(arr)
+    if from_schur_diagonal:
+        eigs = np.diag(s.t)
+        eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    else:
+        eigs = _sorted_eigenvalues(arr)
+    return reference_snapshot(
+        eigs, s, scale, t=t, axis_tol=axis_tol, cluster_merge_tol=1e-6, form_band=1e-8
+    )
+
+
+def cluster_record(c):
+    return (c.alpha, c.multiplicity, c.n_minus, c.n_plus, c.n_zero, c.resolved, c.sign)
+
+
+def assert_same_snapshot(got, ref):
+    """Same clusters, counts, ``resolved`` and ``repr``; returns the clusters."""
+    assert [cluster_record(c) for c in got.imaginary_groups] == [
+        cluster_record(c) for c in ref.imaginary_groups
+    ]
+    assert got.n_axis == ref.n_axis
+    assert repr(got) == repr(ref)
+    return got.imaginary_groups
+
+
+class TestLazySignCharacteristics:
+    def test_lab_t_grid_ray_matches_the_eager_builder(self):
+        # The perturb --t-grid ray of the lab problem: delta = I first
+        # reaches the axis at t = 4.
+        base = lab_base()
+        d = PerturbationDirection.delta11_only(np.eye(2))
+        n_clusters = 0
+        for t in np.linspace(0.0, 8.0, 201):
+            arr = perturbed_hamiltonian(base, d, float(t)).full
+            got = spectrum_snapshot(arr, t=float(t))
+            n_clusters += len(
+                assert_same_snapshot(got, eager_snapshot(arr, t=float(t), axis_tol=1e-8))
+            )
+        assert n_clusters > 100
+
+    def test_seeded_problems_match_the_eager_builder(self):
+        # h = -J s with s Hermitian and indefinite is Hamiltonian and has
+        # axis eigenvalues of both signs and of mixed sign characteristic.
+        rng = make_rng(45)
+        signs = set()
+        for i in range(60):
+            n = 2 + i % 3
+            arr = -j_matrix(n) @ rand_hermitian(rng, 2 * n)
+            got = spectrum_snapshot(arr, axis_tol=1e-6)
+            clusters = assert_same_snapshot(got, eager_snapshot(arr, t=0.0, axis_tol=1e-6))
+            signs.update(c.sign for c in clusters)
+        assert signs == {-1, 1}
+
+    def test_lab_jordan_vertex_matches_the_eager_builder(self):
+        f, g, k = lab2x2()
+        arr = HamiltonianMatrix.from_triple(f, g, k + np.diag([4.0, 9.0])).full
+        (cluster,) = assert_same_snapshot(
+            spectrum_snapshot(arr), eager_snapshot(arr, t=0.0, axis_tol=1e-8)
+        )
+        assert (cluster.multiplicity, cluster.sign, cluster.resolved) == (4, 0, True)
+
+    def test_region_snapshots_match_the_eager_builder(self):
+        base = lab_base()
+        n_clusters = 0
+        for a in np.linspace(0.0, 5.0, 11):
+            for b in np.linspace(0.0, 10.0, 11):
+                for c in np.linspace(-4.0, 4.0, 7):
+                    d = dir_abc(a, b, c, validate=False)
+                    got = region_membership(base, d).snapshot
+                    ref = eager_snapshot(
+                        _perturbed_array(base.data, d, 1.0),
+                        t=1.0,
+                        axis_tol=1e-7,
+                        from_schur_diagonal=True,
+                    )
+                    n_clusters += len(assert_same_snapshot(got, ref))
+        assert n_clusters > 100
+
+    def test_reorder_breakdown_is_unresolved_like_the_eager_builder(self):
+        # Eigenvalues 0 and 5e-11 i coupled by 1e3: numerically identical
+        # for the reorder, but kept apart by a zero merge tolerance, so
+        # moving the second cluster forward splits a coupled pair.
+        b = 2.5e-11
+        arr = HamiltonianMatrix.from_triple([[1j * b]], [[1e3]], [[b * b / 1e3]]).full
+        got = spectrum_snapshot(arr, axis_tol=1e-15, cluster_merge_tol=0.0)
+        s = schur_decompose(arr)
+        ref = reference_snapshot(
+            _sorted_eigenvalues(arr),
+            s,
+            1.0 + np.linalg.norm(arr),
+            t=0.0,
+            axis_tol=1e-15,
+            cluster_merge_tol=0.0,
+            form_band=1e-8,
+        )
+        clusters = assert_same_snapshot(got, ref)
+        assert [c.resolved for c in clusters].count(False) == 1
+        unresolved = next(c for c in clusters if not c.resolved)
+        assert (unresolved.n_minus, unresolved.n_plus, unresolved.n_zero) == (0, 0, 1)
+
+    def test_equality_and_hash_compare_the_counts(self):
+        f, g, k = lab2x2()
+        arr = HamiltonianMatrix.from_triple(f, g, k + np.diag([4.0, 9.0])).full
+        (first,) = spectrum_snapshot(arr).imaginary_groups
+        (second,) = spectrum_snapshot(arr).imaginary_groups
+        assert first == second and hash(first) == hash(second)
+        (other,) = spectrum_snapshot(arr, form_band=10.0).imaginary_groups
+        assert (other.alpha, other.multiplicity) == (first.alpha, first.multiplicity)
+        assert other.n_zero == 4 and other != first
+
+    @pytest.mark.parametrize(
+        "abc",
+        [(2.0, 2.0, 1.0), (4.0, 9.0, 0.0), (13.0, 13.0, 0.0), (1.0, 1.0, 2.0)],
+        ids=["interior", "boundary", "exterior", "indefinite"],
+    )
+    def test_region_reorders_only_for_the_stable_selection(self, order_schur_calls, abc):
+        base, d = lab_base(), dir_abc(*abc, validate=False)
+        verdict = region_membership(base, d)
+        made = len(order_schur_calls)
+        del order_schur_calls[:]
+        if verdict.solvable is None:
+            assert made == 0
+        else:
+            arr = _perturbed_array(base.data, d, 1.0)
+            _stable_solution(
+                base.data, d, schur_decompose(arr), 1.0 + np.linalg.norm(arr), 1e-8
+            )
+            assert made == len(order_schur_calls)
+
+    def test_counts_are_computed_once_on_first_access(self, order_schur_calls):
+        verdict = region_membership(lab_base(), dir_abc(13.0, 13.0, 0.0, validate=False))
+        clusters = verdict.snapshot.imaginary_groups
+        del order_schur_calls[:]
+        assert [c.sign for c in clusters] == [1, 1, -1, -1]
+        assert len(order_schur_calls) == len(clusters)
+        assert sum(c.n_minus + c.n_plus for c in clusters) == 4  # cached
+        assert len(order_schur_calls) == len(clusters)
+
+
+# ---------------------------------------------------------------------------
+# block assembly at every site, against np.block
+
+
+class TestBlockAssemblySites:
+    @pytest.mark.parametrize("n", [0, 1, 2, 20])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_assembly_matches_np_block_bit_for_bit(self, n, kind):
+        rng = make_rng(46 + n)
+
+        def draw(psd=False):
+            m = rand_psd(rng, n) if psd else rand_complex(rng, n)
+            return m.real.copy() if kind == "real" else m
+
+        def same(got, want):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+        f, g, k = draw(), draw(psd=True), draw(psd=True)
+        data = RiccatiData(f, g, k)
+        same(HamiltonianMatrix(data).full,
+             np.block([[data.f, data.g], [-data.k, -data.f.conj().T]]))
+
+        d11, d21, d22 = draw(psd=True), draw(), draw(psd=True)
+        d = PerturbationDirection.from_blocks(d11, d21, d22, validate=False)
+        want = np.block([[d.delta11, d.delta21.conj().T], [d.delta21, d.delta22]])
+        same(d.full, want)
+        assert d.psd_margin == (float(np.min(np.linalg.eigvalsh(want))) if n else np.inf)
+        rebuilt = PerturbationDirection(
+            d.delta11, d.delta21, d.delta22, d.restriction, d.psd_margin
+        )
+        same(rebuilt.full, want)
+        assert not d.full.flags.writeable and not rebuilt.full.flags.writeable
+
+        t = 0.75
+        ft = data.f + t * d.delta21
+        gt = 0.5 * ((data.g + t * d.delta22) + (data.g + t * d.delta22).conj().T)
+        kt = 0.5 * ((data.k + t * d.delta11) + (data.k + t * d.delta11).conj().T)
+        same(_perturbed_array(data, d, t), np.block([[ft, gt], [-kt, -ft.conj().T]]))
+
+        red = remove_unobservable(f, d11, g, d21, d22)
+        fr = red.f_reduced + t * red.delta21_reduced
+        gr = red.g_reduced + t * red.delta22_reduced
+        gr = 0.5 * (gr + gr.conj().T)
+        kr = t * red.delta11_reduced
+        kr = 0.5 * (kr + kr.conj().T)
+        same(red.perturbed_reduced(t), np.block([[fr, gr], [-kr, -fr.conj().T]]))
