@@ -5,87 +5,8 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .forms import (  # noqa: F401
-    CONTROL_FIRST,
-    OBSERVE_FIRST,
-    CondensedForm,
-    DecoupledForm,
-    HamiltonianMatrix,
-    HamiltonianSchurForm,
-    LagrangianConditionError,
-    LagrangianSubspace,
-    RiccatiData,
-    StateSpace,
-    assemble_hamiltonian,
-    decouple_imaginary,
-    from_state_space,
-    hamiltonian_schur,
-    is_controllable,
-    is_observable,
-    j_matrix,
-    lagrangian_subspace,
-    staircase,
-)
-from .linalg import (  # noqa: F401
-    BranchCutError,
-    DefinitenessVerdict,
-    LinalgError,
-    OrderingBreakdown,
-    SchurForm,
-    SolvabilityError,
-    SylvesterSolution,
-    definiteness,
-    loewner_leq,
-    order_schur,
-    principal_sqrt,
-    schur_decompose,
-    solve_lyapunov,
-    solve_sylvester,
-)
-from .perturbation import (  # noqa: F401
-    DELTA11_ONLY,
-    FULL,
-    AxisCluster,
-    BranchFit,
-    CriticalTime,
-    FractionalFitReport,
-    JordanTestCase,
-    PathLeg,
-    PerturbationDirection,
-    PerturbationError,
-    PerturbationPath,
-    RegionVerdict,
-    SpectralSplit,
-    SpectrumSnapshot,
-    UnobservableReduction,
-    VertexRecord,
-    critical_time,
-    first_order_slopes,
-    fractional_split_verify,
-    inertia_indices,
-    jordan_block_structure,
-    make_jordan_case,
-    perturbed_hamiltonian,
-    region_membership,
-    remove_unobservable,
-    schur_complement_gammas,
-    spectrum_snapshot,
-    split_by_spectrum,
-    vertex_path,
-)
-from .riccati import (  # noqa: F401
-    NO_SOLUTION,
-    REDUCED_ONLY,
-    SOLVED,
-    ExtremalSolutions,
-    PassivityVerdict,
-    PHRealization,
-    StructuredSolveReport,
-    ari_residual,
-    dual_riccati,
-    passivity_verdict,
-    ph_realization,
-    solution_from_subspace,
-    solve_extremal,
-    solve_structured,
-)
+# Each module's ``__all__`` is the one declaration of its public names.
+from .forms import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .perturbation import *  # noqa: F401,F403
+from .riccati import *  # noqa: F401,F403

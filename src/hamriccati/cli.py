@@ -6,7 +6,8 @@ Matrices travel as JSON objects ``{"name": ..., "rows": r, "cols": c,
 A problem file is a JSON object with either ``{"F":, "G":, "K":}`` or
 ``{"A":, "B":, "C":, "D":}`` entries in that format.  Every JSON report
 embeds a run manifest (command, input digests, tolerance overrides,
-seed, tool version); CSV artifacts written to ``--out`` get a sibling
+seed, tool version, and the numpy and scipy versions with the BLAS each
+links); CSV artifacts written to ``--out`` get a sibling
 ``<out>.manifest.json``.  Outputs are deterministic: the same manifest
 always produces byte-identical files.
 
@@ -31,6 +32,7 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .forms import HamiltonianMatrix, RiccatiData, StateSpace, from_state_space
@@ -222,6 +224,15 @@ def _load_direction(path: str) -> PerturbationDirection:
     )
 
 
+def _stack_entry(module) -> dict:
+    """A library's version and the BLAS it reports linking against."""
+    blas = module.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "version": module.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+    }
+
+
 def _manifest(
     command: list[str],
     inputs: dict[str, str],
@@ -234,6 +245,8 @@ def _manifest(
         "tolerances": tolerances,
         "seed": seed,
         "version": __version__,
+        "numpy": _stack_entry(np),
+        "scipy": _stack_entry(scipy),
     }
 
 

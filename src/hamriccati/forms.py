@@ -3,8 +3,7 @@
 Containers for Riccati coefficient triples, state-space systems and
 Hamiltonian matrices, plus the structure-revealing transformations:
 controllability/observability staircases, Lagrangian invariant subspaces,
-Hamiltonian Schur forms, and the transform that decouples the
-imaginary-axis part of a closed-loop spectrum.
+and Hamiltonian Schur forms.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .linalg import (
     is_hermitian,
     order_schur,
     schur_decompose,
-    solve_sylvester,
 )
 
 __all__ = [
@@ -48,8 +46,6 @@ __all__ = [
     "lagrangian_subspace",
     "HamiltonianSchurForm",
     "hamiltonian_schur",
-    "DecoupledForm",
-    "decouple_imaginary",
 ]
 
 CONTROL_FIRST = "control-first"
@@ -729,137 +725,3 @@ def hamiltonian_schur(h, select="stable", *, iso_tol: float = 1e-6) -> Hamiltoni
         symplectic_defect=sympl,
         lower_left_residual=lower,
     )
-
-
-# ---------------------------------------------------------------------------
-# decoupling of the imaginary-axis part
-
-
-@dataclass(frozen=True)
-class DecoupledForm:
-    """Similarity splitting a closed-loop Hamiltonian into axis/off-axis parts.
-
-    ``m`` block-diagonalizes the closed-loop matrix (t1 off-axis, t2 on
-    axis); ``z12`` removes the cross coupling of the transformed right-hand
-    block; ``s`` is the assembled symplectic transform of the doubled
-    matrix, with diagonal blocks [[t1, g11], [0, -t1^H]] and
-    [[t2, g22], [0, -t2^H]] after conjugation.
-    """
-
-    m: np.ndarray
-    z12: np.ndarray
-    t1: np.ndarray
-    g11: np.ndarray
-    t2: np.ndarray
-    g22: np.ndarray
-    s: np.ndarray
-
-    @property
-    def n_offaxis(self) -> int:
-        return self.t1.shape[0]
-
-    @property
-    def n_axis(self) -> int:
-        return self.t2.shape[0]
-
-
-def decouple_imaginary(
-    f_closed,
-    g,
-    *,
-    imag_tol: float | None = None,
-    gap_factor: float = 10.0,
-) -> DecoupledForm:
-    """Decouple the imaginary-axis spectrum of a closed-loop Hamiltonian.
-
-    Parameters
-    ----------
-    f_closed : array_like
-        Closed-loop matrix (for an extremal solution x0, f + g x0).
-    g : array_like
-        Hermitian positive-semidefinite right-hand block.
-    imag_tol : float, optional
-        Axis band, default 1e-8 * (1 + ||f_closed|| + ||g||).
-    gap_factor : float
-        Eigenvalues with |Re| in (imag_tol, gap_factor * imag_tol) straddle
-        the band boundary and raise, since the clustering is ambiguous.
-
-    Returns
-    -------
-    DecoupledForm
-    """
-    f_closed = as_matrix(f_closed, "f_closed", square=True)
-    g = as_matrix(g, "g", square=True)
-    n = f_closed.shape[0]
-    if g.shape[0] != n:
-        raise ValueError("f_closed and g must have equal sizes")
-    if not is_hermitian(g, 1e-8):
-        raise ValueError("g must be Hermitian")
-    scale = 1.0 + _norm(f_closed) + _norm(g)
-    if imag_tol is None:
-        imag_tol = 1e-8 * scale
-
-    s_form = schur_decompose(f_closed)
-    eigs = np.diag(s_form.t)
-    abs_re = np.abs(eigs.real)
-    straddle = (abs_re > imag_tol) & (abs_re < gap_factor * imag_tol)
-    if straddle.any():
-        raise LinalgError(
-            f"eigenvalues {eigs[straddle]} straddle the imaginary-axis band "
-            f"(imag_tol={imag_tol:.3e}); clustering is ambiguous"
-        )
-    off_axis = abs_re >= gap_factor * imag_tol
-    ordered = order_schur(s_form, off_axis)
-    n_re = int(off_axis.sum())
-    tq = ordered.t
-    t1 = tq[:n_re, :n_re]
-    t2 = tq[n_re:, n_re:]
-    cross = tq[:n_re, n_re:]
-
-    # Block-diagonalize: t1 y - y t2 + cross = 0, then m = q [[I, y], [0, I]].
-    ysol = solve_sylvester(t1, -t2, cross)
-    if ysol.kind != "unique":
-        raise LinalgError("cross-coupling elimination was not uniquely solvable")
-    corr = np.eye(n, dtype=complex)
-    corr[:n_re, n_re:] = ysol.x
-    m = ordered.q @ corr
-
-    m_inv = np.linalg.inv(m)
-    gm = hermitian_part(m_inv @ g @ m_inv.conj().T)
-    g11 = gm[:n_re, :n_re]
-    g21 = gm[n_re:, :n_re]
-    g22 = gm[n_re:, n_re:]
-
-    zsol = solve_sylvester(t1, t2.conj().T, g21.conj().T)
-    if zsol.kind != "unique":
-        raise LinalgError("axis/off-axis coupling elimination was not uniquely solvable")
-    z12 = zsol.x
-
-    # Assemble the doubled transform s = diag(m, m^-H) @ (I + E).
-    zmat = np.eye(2 * n, dtype=complex)
-    zmat[:n_re, n + n_re :] = z12
-    zmat[n_re:n, n : n + n_re] = z12.conj().T
-    s_full = sla.block_diag(m, m_inv.conj().T) @ zmat
-
-    # Validate: conjugating the doubled matrix must decouple the two parts.
-    h_cl = np.block([[f_closed, g], [np.zeros((n, n)), -f_closed.conj().T]])
-    transformed = np.linalg.solve(s_full, h_cl @ s_full)
-    perm = np.concatenate(
-        [
-            np.arange(0, n_re),
-            np.arange(n, n + n_re),
-            np.arange(n_re, n),
-            np.arange(n + n_re, 2 * n),
-        ]
-    )
-    reordered = transformed[np.ix_(perm, perm)]
-    two_nre = 2 * n_re
-    cross_norm = max(
-        _norm(reordered[two_nre:, :two_nre]), _norm(reordered[:two_nre, two_nre:])
-    )
-    if cross_norm > 1e-6 * scale * (1.0 + np.linalg.cond(m)):
-        raise LinalgError(f"decoupling residual {cross_norm:.3e} out of tolerance")
-
-    for arr in (m, z12, t1, g11, t2, g22, s_full):
-        arr.setflags(write=False)
-    return DecoupledForm(m=m, z12=z12, t1=t1, g11=g11, t2=t2, g22=g22, s=s_full)

@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernel.
 
 Schur decomposition and eigenvalue reordering, Sylvester/Lyapunov solvers
-with explicit solvability verdicts, principal matrix square roots, and
-Hermitian definiteness classification with dead-band tolerances.  Everything
-downstream (staircase forms, Riccati solvers, perturbation analysis) is built
-on these routines.
+with explicit solvability verdicts, and Hermitian definiteness
+classification with dead-band tolerances.  Everything downstream
+(staircase forms, Riccati solvers, perturbation analysis) is built on
+these routines.
 
 All matrices are complex numpy arrays.  Inputs are validated on entry and
 numerical contracts are enforced by raising, never by silently degrading.
@@ -21,22 +21,12 @@ __all__ = [
     "LinalgError",
     "OrderingBreakdown",
     "SolvabilityError",
-    "BranchCutError",
-    "POSITIVE_DEFINITE",
-    "POSITIVE_SEMIDEFINITE",
-    "INDEFINITE",
-    "NEGATIVE_SEMIDEFINITE",
-    "NEGATIVE_DEFINITE",
-    "as_matrix",
-    "hermitian_part",
-    "is_hermitian",
     "SchurForm",
     "schur_decompose",
     "order_schur",
     "SylvesterSolution",
     "solve_sylvester",
     "solve_lyapunov",
-    "principal_sqrt",
     "DefinitenessVerdict",
     "definiteness",
     "loewner_leq",
@@ -55,11 +45,6 @@ class SolvabilityError(LinalgError):
     """Spectral preconditions of a matrix equation are violated."""
 
 
-class BranchCutError(SolvabilityError):
-    """An eigenvalue lies on the closed negative real axis."""
-
-
-# Definiteness kinds.
 POSITIVE_DEFINITE = "positive-definite"
 POSITIVE_SEMIDEFINITE = "positive-semidefinite"
 INDEFINITE = "indefinite"
@@ -392,49 +377,6 @@ def solve_lyapunov(a, c, *, sep_tol: float | None = None) -> np.ndarray:
     x = hermitian_part(x)
     x.setflags(write=False)
     return x
-
-
-# ---------------------------------------------------------------------------
-# Principal square root
-
-
-def principal_sqrt(a, *, tol: float = 1e-10) -> np.ndarray:
-    """Principal matrix square root (spectrum in the open right half-plane).
-
-    Hermitian positive-definite inputs take an eigendecomposition fast
-    path; everything else goes through the dense Schur-based square root.
-
-    Raises
-    ------
-    BranchCutError
-        If some eigenvalue of ``a`` lies on the closed negative real axis.
-    """
-    a = as_matrix(a, "a", square=True)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), complex)
-    scale = 1.0 + _norm(a)
-    eig = np.linalg.eigvals(a)
-    cut = 1e-12 * scale
-    on_cut = (eig.real <= cut) & (np.abs(eig.imag) <= cut)
-    if on_cut.any():
-        raise BranchCutError(
-            f"eigenvalues {eig[on_cut]} lie on the closed negative real axis"
-        )
-    if is_hermitian(a, 1e-12):
-        w, u = np.linalg.eigh(hermitian_part(a))
-        if w.min() <= cut:
-            raise BranchCutError("Hermitian input is not positive definite")
-        s = (u * np.sqrt(w)) @ u.conj().T
-    else:
-        s = np.asarray(sla.sqrtm(a), dtype=complex)
-    res = _norm(s @ s - a)
-    if res > 1e-8 * scale:
-        raise LinalgError(f"square-root residual {res:.3e} exceeds tolerance")
-    if np.linalg.eigvals(s).real.min() < -tol * scale:
-        raise LinalgError("computed square root has spectrum outside the right half-plane")
-    s.setflags(write=False)
-    return s
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,9 @@ and exploit that migration:
 
 * perturbation directions and assembly (:class:`PerturbationDirection`,
   :func:`perturbed_hamiltonian`);
-* spectrum freezing and reduction when a direction cannot see part of the
-  state (:func:`remove_unobservable`), and structure-preserving two-block
-  decoupling of well-separated spectral clusters
-  (:func:`split_by_spectrum`);
 * axis diagnostics: spectrum snapshots with sign characteristics of the
-  indefinite form i v^H J v (:func:`spectrum_snapshot`,
-  :func:`inertia_indices`), and first-order motion of semisimple axis
-  eigenvalues (:func:`first_order_slopes`);
+  indefinite form i v^H J v (:func:`spectrum_snapshot`), and first-order
+  motion of semisimple axis eigenvalues (:func:`first_order_slopes`);
 * fractional splitting of defective axis eigenvalues: constructed
   test problems with known Jordan structure (:func:`make_jordan_case`),
   the Schur-complement chain producing the leading coefficients
@@ -38,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -49,7 +44,6 @@ from .forms import (
     RiccatiData,
     _ham_array,
     _isotropic_selection,
-    _staircase_pair,
     j_matrix,
 )
 from .linalg import (
@@ -66,7 +60,6 @@ from .linalg import (
     hermitian_part,
     order_schur,
     schur_decompose,
-    solve_sylvester,
 )
 from .riccati import _graph_solution, solve_extremal
 
@@ -76,18 +69,12 @@ __all__ = [
     "PerturbationError",
     "PerturbationDirection",
     "perturbed_hamiltonian",
-    "UnobservableReduction",
-    "remove_unobservable",
-    "SpectralSplit",
-    "split_by_spectrum",
     "AxisCluster",
     "SpectrumSnapshot",
     "spectrum_snapshot",
-    "inertia_indices",
     "first_order_slopes",
     "JordanTestCase",
     "make_jordan_case",
-    "jordan_block_structure",
     "schur_complement_gammas",
     "BranchFit",
     "FractionalFitReport",
@@ -247,269 +234,6 @@ def _perturbed_array(data: RiccatiData, d: PerturbationDirection, t: float):
     g = hermitian_part(data.g + t * d.delta22)
     k = hermitian_part(data.k + t * d.delta11)
     return _block2x2(f, g, -k, -f.conj().T)
-
-
-# ---------------------------------------------------------------------------
-# freezing by unobservability
-
-
-@dataclass(frozen=True)
-class UnobservableReduction:
-    """Split of a perturbation problem along unobservable directions of
-    ``(f, d11)``.
-
-    In the basis ``u`` (columns ordered unobservable block first), ``f``
-    is block upper triangular and ``d11 = diag(0, d11_reduced)`` with the
-    reduced pair observable.  The eigenvalues of the leading block and of
-    its negated adjoint -- ``frozen_eigenvalues`` -- do not move under the
-    perturbation, however large ``t`` becomes; the moving part is the
-    reduced Hamiltonian family built from the ``*_reduced`` blocks.
-    """
-
-    u: np.ndarray
-    n_frozen: int
-    frozen_eigenvalues: np.ndarray
-    f11: np.ndarray
-    f12: np.ndarray
-    f_reduced: np.ndarray
-    g_reduced: np.ndarray
-    delta11_reduced: np.ndarray
-    delta21_reduced: np.ndarray
-    delta22_reduced: np.ndarray
-
-    @property
-    def n_reduced(self) -> int:
-        return self.f_reduced.shape[0]
-
-    def perturbed_reduced(self, t: float) -> np.ndarray:
-        """The reduced Hamiltonian family at parameter ``t`` (2 n_reduced)."""
-        f = self.f_reduced + t * self.delta21_reduced
-        g = hermitian_part(self.g_reduced + t * self.delta22_reduced)
-        k = hermitian_part(t * self.delta11_reduced)
-        return _block2x2(f, g, -k, -f.conj().T)
-
-
-def remove_unobservable(
-    f,
-    delta11,
-    g=None,
-    delta21=None,
-    delta22=None,
-    *,
-    rank_rtol: float = 1e-10,
-) -> UnobservableReduction:
-    """Separate the part of the state space a perturbation cannot reach.
-
-    A simultaneous unitary change of basis puts ``f`` into block upper
-    triangular form with the unobservable subspace of ``(f, delta11)``
-    leading and ``delta11`` into ``diag(0, d_reduced)`` (positive
-    semidefiniteness of the assembled direction zeroes every block row
-    touching the kernel).  The eigenvalues of the leading block of ``f``
-    and of its negated adjoint are therefore frozen for every ``t``.
-    """
-    f = as_matrix(f, "f", square=True)
-    d11 = hermitian_part(as_matrix(delta11, "delta11", square=True))
-    n = f.shape[0]
-    if d11.shape != (n, n):
-        raise ValueError("f and delta11 must share one square dimension")
-    g = np.zeros((n, n), complex) if g is None else hermitian_part(as_matrix(g, "g", square=True))
-    d21 = np.zeros((n, n), complex) if delta21 is None else as_matrix(delta21, "delta21", square=True)
-    d22 = np.zeros((n, n), complex) if delta22 is None else hermitian_part(as_matrix(delta22, "delta22", square=True))
-
-    u_st, _, n_obs = _staircase_pair(f.conj().T, d11.conj().T, rank_rtol)
-    # Leading n_obs columns of u_st span the observable subspace; reversing
-    # the column order puts the unobservable block first and turns the
-    # lower block-triangular form of f into an upper one.
-    u = np.ascontiguousarray(u_st[:, ::-1])
-    nf = n - n_obs
-
-    def conj(m: np.ndarray) -> np.ndarray:
-        return u.conj().T @ m @ u
-
-    ft = conj(f)
-    d11t = hermitian_part(conj(d11))
-    f11 = ft[:nf, :nf]
-    frozen_f = np.linalg.eigvals(f11) if nf else np.zeros(0, complex)
-    frozen = np.concatenate([frozen_f, -frozen_f.conj()])
-    return UnobservableReduction(
-        u=_frozen(u),
-        n_frozen=nf,
-        frozen_eigenvalues=_frozen(frozen[np.lexsort((frozen.imag, frozen.real))]),
-        f11=_frozen(f11),
-        f12=_frozen(ft[:nf, nf:]),
-        f_reduced=_frozen(ft[nf:, nf:]),
-        g_reduced=_frozen(hermitian_part(conj(g))[nf:, nf:]),
-        delta11_reduced=_frozen(d11t[nf:, nf:]),
-        delta21_reduced=_frozen(conj(d21)[nf:, nf:]),
-        delta22_reduced=_frozen(hermitian_part(conj(d22))[nf:, nf:]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# structure-preserving two-block decoupling
-
-
-@dataclass(frozen=True)
-class SpectralSplit:
-    """Outcome of splitting ``h(t)`` into two Hamiltonian blocks.
-
-    ``h1``/``h2`` are the decoupled Hamiltonian matrices (sizes 2 n1 and
-    2 n2); the union of their spectra reproduces the spectrum of ``h(t)``.
-    ``y`` solves the quadratic coupling equation, ``s1``/``s2`` are the
-    principal square roots completing the structured similarity, and
-    ``structure_defect`` records how far the raw blocks were from exact
-    Hamiltonian structure before it was enforced.
-    """
-
-    h1: np.ndarray
-    h2: np.ndarray
-    y: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    separation: float
-    route: str
-    iterations: int
-    structure_defect: float
-
-
-def _permute_ham(arr: np.ndarray, n: int, n1: int) -> np.ndarray:
-    """Reorder coordinates (x1, x2, y1, y2) -> (x1, y1, x2, y2)."""
-    idx = np.r_[0:n1, n : n + n1, n1:n, n + n1 : 2 * n]
-    return arr[np.ix_(idx, idx)]
-
-
-def split_by_spectrum(
-    h0,
-    d: PerturbationDirection,
-    t: float,
-    *,
-    n1: int,
-    cluster_gap_tol: float = 1e-6,
-    block_tol: float = 1e-12,
-    fixed_point_tol: float = 1e-13,
-    max_iter: int = 60,
-) -> SpectralSplit:
-    """Decouple ``h(t)`` into two Hamiltonian blocks along a block split.
-
-    Requires the coefficient blocks of ``h0`` to be block diagonal at the
-    ``(n1, n - n1)`` partition and the spectra of the two unperturbed
-    sub-Hamiltonians to be disjoint.  The coupling is removed by solving
-
-        h2(t) y - y h1(t) - y c y + b = 0
-
-    (``b``/``c`` the off-diagonal coupling blocks) by a fixed-point
-    iteration seeded at ``y = 0``, falling back to an ordered-Schur graph
-    when the iteration stalls, and completing the transformation with the
-    principal square roots ``s1``, ``s2`` so both returned blocks are
-    Hamiltonian again.  ``|y|`` is O(t), so the blocks converge to the
-    unperturbed sub-Hamiltonians as ``t`` shrinks.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    data = _as_data(h0)
-    n = data.n
-    if not 0 < n1 < n:
-        raise ValueError("n1 must split the state dimension")
-    n2 = n - n1
-    scale = 1.0 + _norm(data.f) + _norm(data.g) + _norm(data.k)
-    for name, m in (("f", data.f), ("g", data.g), ("k", data.k)):
-        off = max(_norm(m[:n1, n1:]), _norm(m[n1:, :n1]))
-        if off > block_tol * scale:
-            raise ValueError(
-                f"{name} is not block diagonal at the requested split "
-                f"(off-diagonal norm {off:.3e})"
-            )
-    if d.n != n:
-        raise ValueError("direction and Hamiltonian dimensions differ")
-
-    j1 = j_matrix(n1)
-    j2 = j_matrix(n2)
-    base = _permute_ham(_perturbed_array(data, d, 0.0), n, n1)
-    eig1 = np.linalg.eigvals(base[: 2 * n1, : 2 * n1])
-    eig2 = np.linalg.eigvals(base[2 * n1 :, 2 * n1 :])
-    gap = float(np.min(np.abs(eig1[:, None] - eig2[None, :])))
-    if gap <= cluster_gap_tol * (1.0 + _norm(base)):
-        raise PerturbationError(
-            f"the unperturbed clusters are not separated (gap {gap:.3e})"
-        )
-
-    full = _permute_ham(_perturbed_array(data, d, t), n, n1)
-    h1t = full[: 2 * n1, : 2 * n1]
-    h2t = full[2 * n1 :, 2 * n1 :]
-    b_off = full[2 * n1 :, : 2 * n1]
-    c_off = full[: 2 * n1, 2 * n1 :]  # equals j1 b_off^H j2 by structure
-
-    y = np.zeros((2 * n2, 2 * n1), complex)
-    route = "fixed-point"
-    iterations = 0
-    converged = not np.any(b_off)
-    for iterations in range(1, max_iter + 1):
-        if converged:
-            break
-        res = solve_sylvester(h2t, -h1t, b_off - y @ c_off @ y)
-        if res.kind != "unique":
-            break
-        step = _norm(res.x - y)
-        y = res.x
-        if step <= fixed_point_tol * (1.0 + _norm(y)):
-            converged = True
-            break
-    if not converged and np.any(b_off):
-        # Ordered-Schur fallback: the graph of the invariant subspace
-        # continuing the first cluster solves the same quadratic equation.
-        route = "schur"
-        s = schur_decompose(full)
-        dist1 = np.min(np.abs(s.eigenvalues[:, None] - eig1[None, :]), axis=1)
-        dist2 = np.min(np.abs(s.eigenvalues[:, None] - eig2[None, :]), axis=1)
-        flags = dist1 < dist2
-        if flags.sum() != 2 * n1:
-            raise PerturbationError(
-                "eigenvalues could not be assigned to the two clusters "
-                f"({flags.sum()} of {2 * n1} claimed by the first)"
-            )
-        ordered = order_schur(s, flags)
-        w = ordered.q[:, : 2 * n1]
-        u1, u2 = w[: 2 * n1, :], w[2 * n1 :, :]
-        y = np.linalg.solve(u1.conj().T, u2.conj().T).conj().T
-
-    resid = _norm(h2t @ y - y @ h1t - y @ c_off @ y + b_off)
-    if resid > 1e-7 * (1.0 + _norm(full)) * (1.0 + _norm(y)) ** 2:
-        raise PerturbationError(
-            f"the coupling equation did not converge (residual {resid:.3e})"
-        )
-
-    a1 = np.eye(2 * n1) - j1 @ y.conj().T @ j2 @ y
-    a2 = np.eye(2 * n2) - y @ j1 @ y.conj().T @ j2
-    s1 = np.asarray(sla.sqrtm(a1), dtype=complex)
-    s2 = np.asarray(sla.sqrtm(a2), dtype=complex)
-    raw1 = s1 @ (h1t + c_off @ y) @ np.linalg.inv(s1)
-    raw2 = np.linalg.inv(s2) @ (h2t - y @ c_off) @ s2
-
-    def enforce(block: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, float]:
-        jh = j @ block
-        defect = _norm(jh - jh.conj().T) / (1.0 + _norm(block))
-        return -j @ hermitian_part(jh), defect
-
-    h1, def1 = enforce(raw1, j1)
-    h2, def2 = enforce(raw2, j2)
-    sep = float(
-        np.min(
-            np.abs(
-                np.linalg.eigvals(h1)[:, None] - np.linalg.eigvals(h2)[None, :]
-            )
-        )
-    )
-    return SpectralSplit(
-        h1=_frozen(h1),
-        h2=_frozen(h2),
-        y=_frozen(y),
-        s1=_frozen(s1),
-        s2=_frozen(s2),
-        separation=sep,
-        route=route,
-        iterations=iterations,
-        structure_defect=max(def1, def2),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -712,31 +436,6 @@ def spectrum_snapshot(
         cluster_merge_tol=cluster_merge_tol,
         form_band=form_band,
     )
-
-
-def inertia_indices(h, alpha: float, *, eps: float | None = None) -> AxisCluster:
-    """Multiplicity and sign characteristic of the cluster at ``i alpha``.
-
-    Collects the eigenvalues within ``eps`` of ``i alpha`` (default
-    ``1e-8 * (1 + |H|)``), extracts their invariant subspace basis V, and
-    counts the eigenvalue signs of the Hermitian form i V^H J V.  Returns
-    a cluster with multiplicity 0 when no eigenvalue is nearby.
-    """
-    arr, _ = _ham_array(h)
-    scale = 1.0 + _norm(arr)
-    if eps is None:
-        eps = 1e-8 * scale
-    s = schur_decompose(arr)
-    diag = np.diag(s.t)
-    members = np.abs(diag - 1j * alpha) <= eps
-    band = 1e-8 * (1.0 + float(np.max(np.abs(diag))))
-    cluster = AxisCluster(float(alpha), int(np.sum(members)), s, members, band)
-    if not cluster.resolved:
-        raise PerturbationError(
-            f"could not separate the cluster at i*{alpha:g}: the Schur "
-            "reordering split a defectively coupled pair"
-        )
-    return cluster
 
 
 def first_order_slopes(
@@ -974,44 +673,6 @@ def make_jordan_case(
         f11=_frozen(f11),
         g11=_frozen(g11),
     )
-
-
-def jordan_block_structure(
-    a, alpha: float = 0.0, *, rank_rtol: float = 1e-9
-) -> dict[int, int]:
-    """Counts of Jordan blocks per size at the eigenvalue ``i alpha``.
-
-    Computed from the rank sequence of powers of ``a - i alpha I``; only
-    meaningful when every eigenvalue of ``a`` equals ``i alpha`` (the rank
-    decisions treat all nonzero singular values as structural).
-    """
-    arr = as_matrix(a, "a", square=True)
-    n = arr.shape[0]
-    m0 = arr - 1j * alpha * np.eye(n)
-    s1 = float(np.linalg.norm(m0, 2))
-    if s1 == 0.0:
-        return {1: n} if n else {}
-    # Normalize once and keep an absolute cutoff: relative-to-sigma_1
-    # thresholds on the powers themselves would promote pure roundoff to
-    # full rank as soon as a power vanishes, because sigma_1 is then noise
-    # too.
-    m0 = m0 / s1
-    ranks = [n]
-    p = np.eye(n, dtype=complex)
-    for _ in range(n):
-        p = p @ m0
-        sv = np.linalg.svd(p, compute_uv=False)
-        r = int(np.sum(sv > rank_rtol * n))
-        ranks.append(r)
-        if r == 0 or r == ranks[-2]:
-            break
-    blocks_ge = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
-    blocks_ge.append(0)
-    return {
-        size: blocks_ge[size - 1] - blocks_ge[size]
-        for size in range(1, len(blocks_ge))
-        if blocks_ge[size - 1] - blocks_ge[size] > 0
-    }
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,9 @@ together with the companion inequality ``F^H X + X F + X G X + K <= 0``.
 This module computes the extremal Hermitian solutions through Lagrangian
 invariant subspaces of the Hamiltonian matrix [[F, G], [-K, -F^H]], runs a
 block-structured pipeline for reducible coefficient triples that certifies
-existence or non-existence of positive definite solutions, parametrizes
-further solutions from invariant subspaces of a decoupled closed loop, and
-derives port-Hamiltonian realizations and passivity certificates for
-state-space systems.
+existence or non-existence of positive definite solutions, and derives
+port-Hamiltonian realizations and passivity certificates for state-space
+systems.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 from .forms import (
     OBSERVE_FIRST,
     CondensedForm,
-    DecoupledForm,
     HamiltonianMatrix,
     LagrangianConditionError,
     RiccatiData,
@@ -67,7 +65,6 @@ __all__ = [
     "solve_structured",
     "ari_residual",
     "dual_riccati",
-    "solution_from_subspace",
     "ph_realization",
     "passivity_verdict",
 ]
@@ -603,71 +600,6 @@ def dual_riccati(data: RiccatiData) -> RiccatiData:
     minimal solution is the inverse of the original maximal one.
     """
     return RiccatiData(data.f.conj().T, data.k, data.g)
-
-
-# ---------------------------------------------------------------------------
-# solution parametrization from invariant subspaces
-
-
-def solution_from_subspace(
-    x0,
-    dec: DecoupledForm,
-    u11,
-    u21,
-    *,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Produce a further solution from a base solution and a subspace.
-
-    Given a Hermitian base solution ``x0`` whose closed loop was decoupled
-    into off-axis and axis parts (``dec``), every Lagrangian invariant
-    subspace ``span [[U11], [U21]]`` of the off-axis block
-    ``[[T1, G11], [0, -T1^H]]`` with invertible ``U11`` yields the
-    solution ``x0 + M^{-H} diag(U21 U11^{-1}, 0) M^{-1}``.  With no
-    off-axis eigenvalues the blocks are empty and ``x0`` itself is
-    returned (it is then the unique solution).
-
-    Raises
-    ------
-    ValueError
-        If the blocks have wrong shapes, the span is not invariant, or it
-        is not isotropic.
-    SolvabilityError
-        If ``U11`` is singular.
-    """
-    x0 = as_matrix(x0, "x0", square=True)
-    if not is_hermitian(x0, 1e-8):
-        raise ValueError("x0 must be Hermitian")
-    n = dec.m.shape[0]
-    if x0.shape[0] != n:
-        raise ValueError("x0 must match the decoupled form's dimension")
-    p = dec.n_offaxis
-    u11 = as_matrix(u11, "u11", square=True)
-    u21 = as_matrix(u21, "u21", square=True)
-    if u11.shape != (p, p) or u21.shape != (p, p):
-        raise ValueError("u11 and u21 must be square blocks of the off-axis size")
-    if p:
-        basis = np.vstack([u11, u21])
-        hsmall = np.block(
-            [[dec.t1, dec.g11], [np.zeros((p, p), dtype=complex), -dec.t1.conj().T]]
-        )
-        q, _ = np.linalg.qr(basis)
-        image = hsmall @ basis
-        defect = _norm(image - q @ (q.conj().T @ image))
-        if defect > tol * (1.0 + _norm(hsmall)) * (1.0 + _norm(basis)):
-            raise ValueError(
-                f"the span of [[u11], [u21]] is not invariant (defect {defect:.3e})"
-            )
-        iso = _norm(u11.conj().T @ u21 - u21.conj().T @ u11)
-        if iso > tol * (1.0 + _norm(basis)) ** 2:
-            raise ValueError(f"the subspace is not isotropic (defect {iso:.3e})")
-        y = _graph_solution(u11, u21)
-    else:
-        y = np.zeros((0, 0), dtype=complex)
-    minv = np.linalg.inv(dec.m)
-    bump = np.zeros((n, n), dtype=complex)
-    bump[:p, :p] = y
-    return _frozen(hermitian_part(x0 + minv.conj().T @ bump @ minv))
 
 
 # ---------------------------------------------------------------------------

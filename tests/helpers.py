@@ -148,6 +148,48 @@ def riccati_residual(f, g, k, x):
     return f.conj().T @ x + x @ f + x @ g @ x + k
 
 
+def hermitian_sqrt(a):
+    """Square root of a Hermitian positive-definite matrix, via ``eigh``."""
+    w, u = np.linalg.eigh(hermitian_part(np.asarray(a, dtype=complex)))
+    return (u * np.sqrt(w)) @ u.conj().T
+
+
+def jordan_block_structure(a, alpha: float = 0.0, *, rank_rtol: float = 1e-9) -> dict[int, int]:
+    """Counts of Jordan blocks per size at the eigenvalue ``i alpha``.
+
+    Computed from the rank sequence of powers of ``a - i alpha I``; only
+    meaningful when every eigenvalue of ``a`` equals ``i alpha`` (the rank
+    decisions treat all nonzero singular values as structural).
+    """
+    arr = np.asarray(a, dtype=complex)
+    n = arr.shape[0]
+    m0 = arr - 1j * alpha * np.eye(n)
+    s1 = float(np.linalg.norm(m0, 2))
+    if s1 == 0.0:
+        return {1: n} if n else {}
+    # Normalize once and keep an absolute cutoff: relative-to-sigma_1
+    # thresholds on the powers themselves would promote pure roundoff to
+    # full rank as soon as a power vanishes, because sigma_1 is then noise
+    # too.
+    m0 = m0 / s1
+    ranks = [n]
+    p = np.eye(n, dtype=complex)
+    for _ in range(n):
+        p = p @ m0
+        sv = np.linalg.svd(p, compute_uv=False)
+        r = int(np.sum(sv > rank_rtol * n))
+        ranks.append(r)
+        if r == 0 or r == ranks[-2]:
+            break
+    blocks_ge = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
+    blocks_ge.append(0)
+    return {
+        size: blocks_ge[size - 1] - blocks_ge[size]
+        for size in range(1, len(blocks_ge))
+        if blocks_ge[size - 1] - blocks_ge[size] > 0
+    }
+
+
 # ---------------------------------------------------------------------------
 # worked 2x2 example with closed-form feasible region
 

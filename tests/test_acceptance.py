@@ -20,6 +20,7 @@ from hamriccati import (
     SOLVED,
     SolvabilityError,
     ari_residual,
+    dual_riccati,
     first_order_slopes,
     fractional_split_verify,
     hamiltonian_schur,
@@ -47,6 +48,7 @@ from helpers import (
     rand_psd,
     rand_solvable_triple,
     rand_unitary,
+    riccati_residual,
 )
 
 SOLVE_ERRORS = (SolvabilityError, LagrangianConditionError, LinalgError)
@@ -438,3 +440,46 @@ def test_09_solvers_match_their_dense_oracles():
         assert float(
             np.linalg.norm(structured.x - x_minus)
         ) <= 1e-7 * scale
+
+
+def test_10_dual_riccati_is_an_involution_that_inverts_the_extremal_pair():
+    """The dual map (F, G, K) -> (F^H, K, G) is exact and its own inverse,
+    and X -> X^-1 carries the extremal pair onto the dual one with the
+    order reversed: the dual minimal solution is the inverse of the
+    maximal one and the dual maximal solution the inverse of the minimal
+    one, on the lab problem and on 20 seeded random triples."""
+    rng = make_rng(1000)
+    problems = [lab2x2()]
+    for _ in range(20):
+        f, g, k, _ = rand_solvable_triple(rng, int(rng.integers(1, 6)))
+        problems.append((f, g, k))
+
+    for index, (f, g, k) in enumerate(problems):
+        data = RiccatiData(f, g, k)
+        dual = dual_riccati(data)
+        for got, want in ((dual.f, data.f.conj().T), (dual.g, data.k), (dual.k, data.g)):
+            np.testing.assert_array_equal(got, want)
+        twice = dual_riccati(dual)
+        for got, want in ((twice.f, data.f), (twice.g, data.g), (twice.k, data.k)):
+            np.testing.assert_array_equal(got, want)
+
+        extremal = solve_extremal(data)
+        dual_extremal = solve_extremal(dual)
+        for dual_x, x in ((dual_extremal.x_minus, extremal.x_plus),
+                          (dual_extremal.x_plus, extremal.x_minus)):
+            inverse = np.linalg.inv(x)
+            size = float(np.linalg.norm(inverse))
+            assert float(np.abs(dual_x - inverse).max()) <= 1e-8 * (1.0 + size), (
+                f"problem {index}: a dual extremal solution is not the inverse"
+            )
+            # The residual is measured against its ingredients' magnitude.
+            residual = riccati_residual(dual.f, dual.g, dual.k, inverse)
+            magnitude = (
+                1.0
+                + float(np.linalg.norm(dual.k))
+                + 2.0 * float(np.linalg.norm(dual.f)) * size
+                + float(np.linalg.norm(dual.g)) * size**2
+            )
+            assert float(np.linalg.norm(residual)) <= 1e-10 * magnitude, (
+                f"problem {index}: the inverse does not solve the dual equation"
+            )

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from hamriccati import __version__, cli, solve_extremal
 from hamriccati.forms import RiccatiData
@@ -194,6 +195,14 @@ class TestSolve:
         assert manifest["command"][0] == "solve"
         assert len(manifest["inputs"]["problem"]) == 64
         assert manifest["tolerances"] == {"tol": None}
+        for module in (np, scipy):
+            entry = manifest[module.__name__]
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert entry == {
+                "version": module.__version__,
+                "blas": {"name": blas["name"], "version": blas["version"]},
+            }
+            assert entry["blas"]["name"] and entry["blas"]["version"]
 
     def test_missing_file_is_invalid_input(self, tmp_path):
         assert cli.main(["solve", str(tmp_path / "nope.json"), "--extremal"]) == 2

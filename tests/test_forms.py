@@ -1,5 +1,5 @@
 """Tests for structured forms: data containers, staircases, Lagrangian
-subspaces, Hamiltonian Schur forms, and imaginary-axis decoupling."""
+subspaces and Hamiltonian Schur forms."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from hamriccati import (
     OBSERVE_FIRST,
     HamiltonianMatrix,
     LagrangianConditionError,
-    LinalgError,
     RiccatiData,
     StateSpace,
     assemble_hamiltonian,
-    decouple_imaginary,
     from_state_space,
     hamiltonian_schur,
     is_controllable,
@@ -428,57 +426,3 @@ class TestHamiltonianSchur:
         assert hs.symplectic_defect < 1e-10
         assert hs.lower_left_residual < 1e-10
         assert np.all(np.linalg.eigvals(hs.t11).real < 0)
-
-
-# ---------------------------------------------------------------------------
-# imaginary-axis decoupling
-
-
-class TestDecoupleImaginary:
-    def test_all_off_axis(self):
-        f_closed = np.diag([-2.0, -3.0])
-        dec = decouple_imaginary(f_closed, np.eye(2))
-        assert dec.n_offaxis == 2 and dec.n_axis == 0
-        j = j_matrix(2)
-        np.testing.assert_allclose(
-            dec.s.conj().T @ j @ dec.s, j, atol=1e-10
-        )
-
-    def test_mixed_spectrum_split(self):
-        f_closed = np.zeros((3, 3))
-        f_closed[0, 0] = -2.0
-        f_closed[1, 2] = 1.0
-        f_closed[2, 1] = -1.0
-        g = np.eye(3)
-        dec = decouple_imaginary(f_closed, g)
-        assert dec.n_offaxis == 1 and dec.n_axis == 2
-        np.testing.assert_allclose(np.linalg.eigvals(dec.t1), [-2.0], atol=1e-10)
-        np.testing.assert_allclose(
-            np.sort(np.linalg.eigvals(dec.t2).imag), [-1.0, 1.0], atol=1e-10
-        )
-        # the doubled transform is symplectic and block-decouples
-        n = 3
-        j = j_matrix(n)
-        np.testing.assert_allclose(dec.s.conj().T @ j @ dec.s, j, atol=1e-10)
-        h_cl = np.block(
-            [[f_closed, g], [np.zeros((n, n)), -f_closed.conj().T]]
-        )
-        t = np.linalg.solve(dec.s, h_cl @ dec.s)
-        n_re = dec.n_offaxis
-        perm = np.r_[0:n_re, n : n + n_re, n_re:n, n + n_re : 2 * n]
-        t = t[np.ix_(perm, perm)]
-        k = 2 * n_re
-        assert _norm(t[k:, :k]) < 1e-9
-        assert _norm(t[:k, k:]) < 1e-9
-        # diagonal sub-blocks carry (t1, g11) and (t2, g22)
-        np.testing.assert_allclose(t[:n_re, :n_re], dec.t1, atol=1e-9)
-        np.testing.assert_allclose(t[:n_re, n_re:k], dec.g11, atol=1e-9)
-        np.testing.assert_allclose(t[k : k + dec.n_axis, k : k + dec.n_axis], dec.t2, atol=1e-9)
-
-    def test_straddling_eigenvalue_rejected(self):
-        with pytest.raises(LinalgError, match="straddle"):
-            decouple_imaginary(np.array([[5e-8]]), np.array([[1.0]]))
-
-    def test_non_hermitian_g_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            decouple_imaginary(-np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -5,7 +5,6 @@ import pytest
 
 import helpers
 from hamriccati.linalg import (
-    BranchCutError,
     INDEFINITE,
     NEGATIVE_SEMIDEFINITE,
     OrderingBreakdown,
@@ -17,7 +16,6 @@ from hamriccati.linalg import (
     loewner_leq,
     SchurForm,
     order_schur,
-    principal_sqrt,
     schur_decompose,
     solve_lyapunov,
     solve_sylvester,
@@ -337,47 +335,6 @@ def test_lyapunov_matches_dense_oracle(seed):
     x_o, res_o, consistent = helpers.kron_sylvester_solve(a.conj().T, a, c)
     assert consistent
     assert np.linalg.norm(x - x_o) <= 1e-8 * (1 + np.linalg.norm(x_o))
-
-
-# ---------------------------------------------------------------------------
-# principal_sqrt
-
-
-def test_sqrt_diagonal():
-    s = principal_sqrt(np.diag([4.0, 9.0]))
-    assert np.allclose(s, np.diag([2.0, 3.0]), atol=1e-12)
-
-
-def test_sqrt_identity_plus_nilpotent():
-    a = np.eye(3) + np.diag([1e-3, 1e-3], k=1)
-    s = principal_sqrt(a)
-    assert np.linalg.norm(s @ s - a) < 1e-12
-    assert np.all(np.linalg.eigvals(s).real > 0)
-
-
-def test_sqrt_branch_cut_rejected():
-    with pytest.raises(BranchCutError):
-        principal_sqrt(np.diag([-1.0, 1.0]))
-    with pytest.raises(BranchCutError):
-        principal_sqrt(np.zeros((1, 1)))
-
-
-@pytest.mark.parametrize("seed", [31, 32, 33])
-def test_sqrt_hermitian_pd(seed):
-    rng = helpers.make_rng(seed)
-    n = int(rng.integers(2, 7))
-    a = helpers.rand_psd(rng, n) + 0.1 * np.eye(n)
-    s = principal_sqrt(a)
-    assert np.allclose(s, s.conj().T, atol=1e-10)
-    assert np.linalg.norm(s @ s - a) < 1e-10 * (1 + np.linalg.norm(a))
-    assert np.min(np.linalg.eigvalsh(0.5 * (s + s.conj().T))) > 0
-
-
-def test_sqrt_general_right_half_plane(rng):
-    a = -helpers.rand_stable(rng, 5)  # spectrum in the open right half-plane
-    s = principal_sqrt(a)
-    assert np.linalg.norm(s @ s - a) < 1e-8 * (1 + np.linalg.norm(a))
-    assert np.all(np.linalg.eigvals(s).real > -1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Tests for the perturbation laboratory: directions, freezing, spectral
-splitting, axis diagnostics, fractional eigenvalue splitting, boundary
-location, vertex walks, and region classification.
+"""Tests for the perturbation laboratory: directions, axis diagnostics,
+fractional eigenvalue splitting, boundary location, vertex walks, and
+region classification.
 
 Oracles: closed forms of the 2x2 lab family (helpers.lab2x2*), dense
 finite-difference eigenvalue derivatives, assignment-based spectrum
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
 from hamriccati.forms import HamiltonianMatrix, RiccatiData, j_matrix
@@ -27,25 +26,21 @@ from hamriccati.perturbation import (
     critical_time,
     first_order_slopes,
     fractional_split_verify,
-    inertia_indices,
-    jordan_block_structure,
     make_jordan_case,
     perturbed_hamiltonian,
     region_membership,
-    remove_unobservable,
     schur_complement_gammas,
     spectrum_snapshot,
-    split_by_spectrum,
     vertex_path,
 )
 from hamriccati.riccati import solve_extremal
 
 from helpers import (
+    jordan_block_structure,
     lab2x2,
     lab2x2_lambda_squared,
     lab2x2_region_margin,
     make_rng,
-    obs_rank,
     rand_complex,
     rand_hermitian,
     rand_psd,
@@ -187,184 +182,14 @@ class TestPerturbedHamiltonian:
 
 
 # ---------------------------------------------------------------------------
-# freezing by unobservability
-
-
-def invariant_kernel_case(rng, n=5, n_unobs=2, rank_obs=3):
-    """(f, d11, g) where d11's kernel contains an f-invariant subspace of
-    dimension n_unobs, expressed in a random unitary basis."""
-    q, _ = np.linalg.qr(rand_complex(rng, n))
-    fb = rand_complex(rng, n)
-    fb[n_unobs:, :n_unobs] = 0  # span(e_1..e_unobs) invariant
-    f = q @ fb @ q.conj().T
-    c = rand_complex(rng, rank_obs, n)
-    c[:, :n_unobs] = 0  # kills the invariant subspace
-    d11 = q @ (c.conj().T @ c) @ q.conj().T
-    d11 = 0.5 * (d11 + d11.conj().T)
-    g = rand_psd(rng, n)
-    return f, d11, g, fb[:n_unobs, :n_unobs]
-
-
-class TestRemoveUnobservable:
-    def test_frozen_spectrum_is_reproduced_at_all_parameters(self):
-        rng = make_rng(5)
-        f, d11, g, f_unobs = invariant_kernel_case(rng)
-        red = remove_unobservable(f, d11, g)
-        assert red.n_frozen == 2
-        ev_u = np.linalg.eigvals(f_unobs)
-        expected_frozen = np.concatenate([ev_u, -ev_u.conj()])
-        assert spectrum_distance(red.frozen_eigenvalues, expected_frozen) < 1e-9
-        for t in (0.0, 0.3, 2.5):
-            full = np.block(
-                [[f, g], [-t * d11, -f.conj().T]]
-            )
-            union = np.concatenate(
-                [
-                    red.frozen_eigenvalues,
-                    np.linalg.eigvals(red.perturbed_reduced(t)),
-                ]
-            )
-            assert spectrum_distance(np.linalg.eigvals(full), union) < 1e-9
-
-    def test_reduced_pair_is_observable(self):
-        rng = make_rng(6)
-        f, d11, g, _ = invariant_kernel_case(rng)
-        red = remove_unobservable(f, d11, g)
-        assert obs_rank(red.f_reduced, red.delta11_reduced) == red.n_reduced
-
-    def test_observable_pair_freezes_nothing(self):
-        rng = make_rng(7)
-        f = rand_complex(rng, 4)
-        d11 = rand_psd(rng, 4) + np.eye(4)
-        red = remove_unobservable(f, d11)
-        assert red.n_frozen == 0
-        assert red.frozen_eigenvalues.size == 0
-
-    def test_zero_direction_freezes_everything(self):
-        rng = make_rng(8)
-        f = rand_complex(rng, 3)
-        red = remove_unobservable(f, np.zeros((3, 3)))
-        assert red.n_frozen == 3
-        ev = np.linalg.eigvals(f)
-        assert spectrum_distance(
-            red.frozen_eigenvalues, np.concatenate([ev, -ev.conj()])
-        ) < 1e-10
-
-    def test_basis_is_unitary_and_blocks_consistent(self):
-        rng = make_rng(9)
-        f, d11, g, _ = invariant_kernel_case(rng)
-        red = remove_unobservable(f, d11, g)
-        u = red.u
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
-        ft = u.conj().T @ f @ u
-        np.testing.assert_allclose(ft[:2, :2], red.f11, atol=1e-12)
-        np.testing.assert_allclose(ft[2:, 2:], red.f_reduced, atol=1e-12)
-        # unobservable block column of the transformed direction vanishes
-        d11t = u.conj().T @ d11 @ u
-        assert np.abs(d11t[:, :2]).max() < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# structure-preserving two-block decoupling
-
-
-def split_base() -> HamiltonianMatrix:
-    """Block-diagonal base with well-separated sub-spectra {+-2} and {+-3}."""
-    return HamiltonianMatrix.from_triple(
-        np.diag([-2.0, -3.0]), np.eye(2), np.zeros((2, 2))
-    )
-
-
-class TestSplitBySpectrum:
-    def test_zero_parameter_is_exact(self):
-        d = dir_abc(2.0, 3.0, 1.5)
-        sp = split_by_spectrum(split_base(), d, 0.0, n1=1)
-        assert sp.route == "fixed-point"
-        assert np.abs(sp.y).max() == 0.0
-        np.testing.assert_allclose(sp.s1, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(
-            sp.h1, np.array([[-2.0, 1.0], [0.0, 2.0]]), atol=1e-14
-        )
-        np.testing.assert_allclose(
-            sp.h2, np.array([[-3.0, 1.0], [0.0, 3.0]]), atol=1e-14
-        )
-
-    @pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-2])
-    def test_spectrum_union_is_preserved(self, t):
-        d = dir_abc(2.0, 3.0, 1.5)
-        base = split_base()
-        sp = split_by_spectrum(base, d, t, n1=1)
-        full = perturbed_hamiltonian(base, d, t).full
-        union = np.concatenate(
-            [np.linalg.eigvals(sp.h1), np.linalg.eigvals(sp.h2)]
-        )
-        assert spectrum_distance(np.linalg.eigvals(full), union) < 1e-9
-
-    def test_blocks_are_hamiltonian(self):
-        d = dir_abc(2.0, 3.0, 1.5)
-        sp = split_by_spectrum(split_base(), d, 1e-3, n1=1)
-        j1 = j_matrix(1)
-        for block in (sp.h1, sp.h2):
-            jh = j1 @ block
-            assert np.abs(jh - jh.conj().T).max() < 1e-12
-        assert sp.structure_defect < 1e-10
-
-    def test_decoupled_block_matches_closed_form(self):
-        # With coupling removed, the first block's squared eigenvalue obeys
-        # lambda^2 = 4 - t*a + O(t^2).
-        a = 2.0
-        t = 1e-4
-        sp = split_by_spectrum(split_base(), dir_abc(a, 3.0, 1.5), t, n1=1)
-        lam = np.linalg.eigvals(sp.h1)
-        assert abs(np.max(lam.real) ** 2 - (4.0 - t * a)) < 5e-8
-
-    def test_coupling_solution_is_linear_in_t(self):
-        d = dir_abc(2.0, 3.0, 1.5)
-        ratios = [
-            np.linalg.norm(split_by_spectrum(split_base(), d, t, n1=1).y) / t
-            for t in (1e-6, 1e-5, 1e-4, 1e-3)
-        ]
-        assert max(ratios) / min(ratios) < 1.01
-
-    def test_overlapping_clusters_are_rejected(self):
-        base = HamiltonianMatrix.from_triple(
-            np.diag([-2.0, -2.0]), np.eye(2), np.zeros((2, 2))
-        )
-        with pytest.raises(PerturbationError, match="not separated"):
-            split_by_spectrum(base, dir_abc(1.0, 1.0, 0.0), 1e-3, n1=1)
-
-    def test_coupled_base_is_rejected(self):
-        with pytest.raises(ValueError, match="block diagonal"):
-            split_by_spectrum(lab_base(), dir_abc(1.0, 1.0, 0.0), 1e-3, n1=1)
-
-    def test_larger_blocks_split(self):
-        rng = make_rng(10)
-        f1, g1, k1, _ = rand_solvable_triple(rng, 2)
-        f2, g2, k2, _ = rand_solvable_triple(rng, 2)
-        f2 = f2 - 4.0 * np.eye(2)  # push the second spectrum away
-        base = HamiltonianMatrix.from_triple(
-            sla.block_diag(f1, f2), sla.block_diag(g1, g2), sla.block_diag(k1, k2)
-        )
-        d = PerturbationDirection.from_full(rand_psd(rng, 8))
-        t = 1e-3
-        sp = split_by_spectrum(base, d, t, n1=2)
-        full = perturbed_hamiltonian(base, d, t).full
-        union = np.concatenate(
-            [np.linalg.eigvals(sp.h1), np.linalg.eigvals(sp.h2)]
-        )
-        assert spectrum_distance(np.linalg.eigvals(full), union) < 1e-8
-        assert sp.separation > 0.5
-
-
-# ---------------------------------------------------------------------------
 # snapshots and inertia
 
 
 class TestSnapshotsAndInertia:
     def test_rotation_clusters_have_definite_signs(self):
         h = HamiltonianMatrix.from_triple([[0.0]], [[1.0]], [[1.0]])
-        up = inertia_indices(h, 1.0)
-        down = inertia_indices(h, -1.0)
+        down, up = spectrum_snapshot(h).imaginary_groups
+        np.testing.assert_allclose([down.alpha, up.alpha], [-1.0, 1.0], atol=1e-12)
         assert (up.multiplicity, up.n_minus, up.n_plus) == (1, 1, 0)
         assert up.sign == -1
         assert (down.multiplicity, down.n_minus, down.n_plus) == (1, 0, 1)
@@ -372,7 +197,8 @@ class TestSnapshotsAndInertia:
 
     def test_missing_cluster_has_zero_multiplicity(self):
         h = HamiltonianMatrix.from_triple([[0.0]], [[1.0]], [[1.0]])
-        assert inertia_indices(h, 5.0).multiplicity == 0
+        groups = spectrum_snapshot(h).imaginary_groups
+        assert sum(c.multiplicity for c in groups if abs(c.alpha - 5.0) < 1e-6) == 0
 
     def test_vertex_cluster_is_mixed(self):
         f, g, k = lab2x2()
@@ -1232,10 +1058,3 @@ class TestBlockAssemblySites:
         kt = 0.5 * ((data.k + t * d.delta11) + (data.k + t * d.delta11).conj().T)
         same(_perturbed_array(data, d, t), np.block([[ft, gt], [-kt, -ft.conj().T]]))
 
-        red = remove_unobservable(f, d11, g, d21, d22)
-        fr = red.f_reduced + t * red.delta21_reduced
-        gr = red.g_reduced + t * red.delta22_reduced
-        gr = 0.5 * (gr + gr.conj().T)
-        kr = t * red.delta11_reduced
-        kr = 0.5 * (kr + kr.conj().T)
-        same(red.perturbed_reduced(t), np.block([[fr, gr], [-kr, -fr.conj().T]]))

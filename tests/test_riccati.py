@@ -1,6 +1,5 @@
 """Tests for Riccati solvers: extremal solutions, the structured pipeline,
-inequality verification, duality, subspace parametrization, and the
-port-Hamiltonian / passivity layer."""
+inequality verification, and the port-Hamiltonian / passivity layer."""
 
 import itertools
 
@@ -16,16 +15,12 @@ from hamriccati import (
     SolvabilityError,
     StateSpace,
     ari_residual,
-    decouple_imaginary,
     definiteness,
     dual_riccati,
     from_state_space,
-    lagrangian_subspace,
     loewner_leq,
     passivity_verdict,
     ph_realization,
-    principal_sqrt,
-    solution_from_subspace,
     solve_extremal,
     solve_structured,
 )
@@ -49,7 +44,7 @@ def _lab_state_space():
     """A state-space system whose Riccati reduction is the 2x2 lab triple."""
     f, g, k = helpers.lab2x2()
     b = np.sqrt(2.0) * np.eye(2, dtype=complex)
-    c = np.sqrt(2.0) * principal_sqrt(k)
+    c = np.sqrt(2.0) * helpers.hermitian_sqrt(k)
     s = 2.0 * np.eye(2, dtype=complex)
     a = f + b @ np.linalg.solve(s, c)
     return StateSpace(a, b, c, np.eye(2, dtype=complex))
@@ -372,7 +367,7 @@ class TestAriResidual:
 
 
 # ---------------------------------------------------------------------------
-# duality
+# dual Riccati problem
 
 
 class TestDualRiccati:
@@ -403,76 +398,6 @@ class TestDualRiccati:
         np.testing.assert_array_equal(dual.f, data.f.conj().T)
         np.testing.assert_array_equal(dual.g, data.g)
         np.testing.assert_array_equal(dual.k, data.k)
-
-
-# ---------------------------------------------------------------------------
-# parametrization from invariant subspaces
-
-
-class TestSolutionFromSubspace:
-    def _lab_parts(self, lab_fgk):
-        f, g, k = lab_fgk
-        ext = solve_extremal(_data(f, g, k))
-        dec = decouple_imaginary(f + g @ ext.x_minus, g)
-        return f, g, k, ext, dec
-
-    def test_identity_block_returns_base(self, lab_fgk):
-        _, _, _, ext, dec = self._lab_parts(lab_fgk)
-        p = dec.n_offaxis
-        x = solution_from_subspace(
-            ext.x_minus, dec, np.eye(p, dtype=complex), np.zeros((p, p), dtype=complex)
-        )
-        np.testing.assert_allclose(x, ext.x_minus, atol=1e-12)
-
-    def test_recovers_maximal_solution(self, lab_fgk):
-        f, g, k, ext, dec = self._lab_parts(lab_fgk)
-        hsmall = np.block(
-            [
-                [dec.t1, dec.g11],
-                [np.zeros((dec.n_offaxis,) * 2, dtype=complex), -dec.t1.conj().T],
-            ]
-        )
-        sub = lagrangian_subspace(hsmall, "antistable")
-        x = solution_from_subspace(ext.x_minus, dec, sub.w1, sub.w2)
-        np.testing.assert_allclose(x, ext.x_plus, atol=1e-7)
-        assert _norm(helpers.riccati_residual(f, g, k, x)) <= 1e-8
-
-    def test_offset_from_minimal_base_is_psd(self, lab_fgk):
-        _, _, _, ext, dec = self._lab_parts(lab_fgk)
-        hsmall = np.block(
-            [
-                [dec.t1, dec.g11],
-                [np.zeros((dec.n_offaxis,) * 2, dtype=complex), -dec.t1.conj().T],
-            ]
-        )
-        sub = lagrangian_subspace(hsmall, "antistable")
-        y = sub.w2 @ np.linalg.inv(sub.w1)
-        assert definiteness(0.5 * (y + y.conj().T)).is_psd
-
-    def test_empty_offaxis_returns_base(self):
-        f_closed = np.array([[0.0, 2.0], [-2.0, 0.0]], dtype=complex)
-        dec = decouple_imaginary(f_closed, np.eye(2, dtype=complex))
-        assert dec.n_offaxis == 0
-        x0 = np.array([[2.0, 1.0], [1.0, 4.0]], dtype=complex)
-        empty = np.zeros((0, 0), dtype=complex)
-        x = solution_from_subspace(x0, dec, empty, empty)
-        np.testing.assert_allclose(x, x0, atol=1e-12)
-
-    def test_rejects_non_invariant_span(self, lab_fgk):
-        _, _, _, ext, dec = self._lab_parts(lab_fgk)
-        eye = np.eye(dec.n_offaxis, dtype=complex)
-        with pytest.raises(ValueError, match="invariant"):
-            solution_from_subspace(ext.x_minus, dec, eye, eye)
-
-    def test_singular_upper_block(self):
-        dec = decouple_imaginary(
-            np.diag([-1.0, -2.0]).astype(complex), np.zeros((2, 2), dtype=complex)
-        )
-        x0 = np.eye(2, dtype=complex)
-        with pytest.raises(SolvabilityError, match="singular"):
-            solution_from_subspace(
-                x0, dec, np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex)
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +433,7 @@ class TestPhRealization:
         ext = solve_extremal(from_state_space(ss))
         x = np.asarray(ext.x_minus)
         ph = ph_realization(ss, x)
-        sqrt_x = principal_sqrt(x)
+        sqrt_x = helpers.hermitian_sqrt(x)
         m = sqrt_x @ ss.a @ np.linalg.inv(sqrt_x)
         np.testing.assert_allclose(ph.j - ph.r, m, atol=1e-9 * (1.0 + _norm(m)))
         np.testing.assert_allclose(
