@@ -209,8 +209,6 @@ def _load_direction(path: str) -> PerturbationDirection:
                 if "delta22" in obj
                 else None
             )
-            if d21 is None and d22 is None:
-                return PerturbationDirection.delta11_only(d11)
             return PerturbationDirection.from_blocks(d11, d21, d22)
         if "rows" in obj:
             return PerturbationDirection.delta11_only(
@@ -276,6 +274,28 @@ def _emit_csv(header: list[str], rows: list[list[str]], manifest: dict, out: str
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of ``--tol`` and ``--t-max``: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} must be finite and positive")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type of ``--budget``: an integer of at least zero."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} must be at least 0")
+    return value
 
 
 def _parse_axis(segment: str, what: str) -> np.ndarray:
@@ -669,7 +689,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="interpret the problem file as A, B, C, D and reduce it first",
     )
     solve.add_argument(
-        "--tol", type=float, default=None,
+        "--tol", type=_positive_float, default=None,
         help="tolerance override (extremal: isotropy 1e-6; structured: "
         "acceptance 1e-8; verify: residual band 1e-10)",
     )
@@ -681,7 +701,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     passivity.add_argument("problem", help="state-space JSON file (A, B, C, D)")
     passivity.add_argument(
-        "--tol", type=float, default=None,
+        "--tol", type=_positive_float, default=None,
         help="semidefiniteness band for the certificate (default 1e-8)",
     )
     passivity.add_argument("--out", default=None, help="report path (default: stdout)")
@@ -709,18 +729,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="walk from vertex to vertex until the solution is unique",
     )
     perturb.add_argument(
-        "--t-max", type=float, default=None,
+        "--t-max", type=_positive_float, default=None,
         help="scan limit for --critical when no certified bound exists",
     )
     perturb.add_argument(
-        "--budget", type=int, default=8, help="maximum legs for --vertex (default 8)"
+        "--budget", type=_nonnegative_int, default=8,
+        help="maximum legs for --vertex (default 8)",
     )
     perturb.add_argument(
         "--seed", type=int, default=None,
         help="seed for randomized synthesized directions (default: deterministic projector)",
     )
     perturb.add_argument(
-        "--tol", type=float, default=None,
+        "--tol", type=_positive_float, default=None,
         help="axis detection tolerance (default: t-grid 1e-8, critical/vertex 1e-7)",
     )
     perturb.add_argument("--out", default=None, help="artifact path (default: stdout)")
@@ -735,7 +756,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"per-axis start:stop:steps (default {_DEFAULT_GRID})",
     )
     region.add_argument(
-        "--tol", type=float, default=None,
+        "--tol", type=_positive_float, default=None,
         help="axis detection tolerance for membership (default 1e-7)",
     )
     region.add_argument("--out", default=None, help="CSV path (default: stdout)")

@@ -29,8 +29,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "CONTROL_FIRST",
-    "OBSERVE_FIRST",
     "LagrangianConditionError",
     "RiccatiData",
     "StateSpace",
@@ -48,10 +46,15 @@ __all__ = [
     "hamiltonian_schur",
 ]
 
-CONTROL_FIRST = "control-first"
-OBSERVE_FIRST = "observe-first"
-
 _PSD_TOL = 1e-8
+# Rank threshold of the staircase compressions, relative to the pair's scale.
+_RANK_RTOL = 1e-10
+# Relative tolerance of the staircase zero-pattern checks.
+_PATTERN_TOL = 1e-10
+# Lagrangian subspaces: isotropy acceptance threshold, and the bound on
+# alternative axis splits tried before giving up.
+_ISO_TOL = 1e-6
+_MAX_ENUM = 20
 
 
 class LagrangianConditionError(RuntimeError):
@@ -232,13 +235,13 @@ def from_state_space(ss: StateSpace) -> RiccatiData:
 # staircase condensed forms
 
 
-def _staircase_pair(a: np.ndarray, b: np.ndarray, rank_rtol: float = 1e-10):
+def _staircase_pair(a: np.ndarray, b: np.ndarray):
     """Controllability staircase of the pair (a, b).
 
     Returns (u, sizes, nc): a unitary u whose leading ``nc`` columns span
     the controllable subspace, with the stage ranks in ``sizes``. Rank
     decisions compare singular values against
-    rank_rtol * max(dims) * (||a|| + ||b||).
+    1e-10 * max(dims) * (||a|| + ||b||).
     """
     n = a.shape[0]
     u = np.eye(n, dtype=complex)
@@ -253,7 +256,7 @@ def _staircase_pair(a: np.ndarray, b: np.ndarray, rank_rtol: float = 1e-10):
         uu, ss, _ = np.linalg.svd(b_work)
         if ss.size == 0 or scale == 0.0:
             break
-        r = int(np.sum(ss > rank_rtol * max(n, b_work.shape[1]) * scale))
+        r = int(np.sum(ss > _RANK_RTOL * max(n, b_work.shape[1]) * scale))
         if r == 0:
             break
         a_work[pos:, :] = uu.conj().T @ a_work[pos:, :]
@@ -265,19 +268,19 @@ def _staircase_pair(a: np.ndarray, b: np.ndarray, rank_rtol: float = 1e-10):
     return u, sizes, pos
 
 
-def is_controllable(f, g, *, rank_rtol: float = 1e-10) -> bool:
+def is_controllable(f, g) -> bool:
     """Controllability of (f, g), decided by staircase partition size."""
     f = as_matrix(f, "f", square=True)
     g = as_matrix(g, "g")
-    _, _, nc = _staircase_pair(f, g, rank_rtol)
+    _, _, nc = _staircase_pair(f, g)
     return nc == f.shape[0]
 
 
-def is_observable(f, k, *, rank_rtol: float = 1e-10) -> bool:
+def is_observable(f, k) -> bool:
     """Observability of (f, k), via the staircase of the adjoint pair."""
     f = as_matrix(f, "f", square=True)
     k = as_matrix(k, "k")
-    _, _, no = _staircase_pair(f.conj().T, k.conj().T, rank_rtol)
+    _, _, no = _staircase_pair(f.conj().T, k.conj().T)
     return no == f.shape[0]
 
 
@@ -285,16 +288,9 @@ def is_observable(f, k, *, rank_rtol: float = 1e-10) -> bool:
 class CondensedForm:
     """Unitarily condensed triple with a three-block partition.
 
-    ``variant`` selects which structure leads:
-
-    * ``control-first``: block 1+2 is the controllable part (g vanishes
-      outside it), block 1 is the observable part inside it (k vanishes on
-      block 2).
-    * ``observe-first``: block 1+2 is the observable part (k vanishes
-      outside it), block 1 is the controllable part inside it (g vanishes
-      on block 2).
-
-    ``u`` satisfies f_t = u^H f u (and likewise for g, k).
+    Block 1+2 is the observable part (k vanishes outside it) and block 1
+    the controllable part inside it (g vanishes on block 2).  ``u``
+    satisfies f_t = u^H f u (and likewise for g, k).
     """
 
     u: np.ndarray
@@ -304,7 +300,6 @@ class CondensedForm:
     n1: int
     n2: int
     n3: int
-    variant: str
 
     @property
     def n(self) -> int:
@@ -319,19 +314,10 @@ class CondensedForm:
         return mat[bounds[i - 1] : bounds[i], bounds[j - 1] : bounds[j]]
 
 
-def _pattern_blocks(variant: str, n1: int, n2: int, n3: int):
+def _pattern_blocks(n1: int, n2: int, n3: int):
     """Index ranges (matrix_name, rows, cols) required to vanish."""
     n12 = n1 + n2
     n = n12 + n3
-    if variant == CONTROL_FIRST:
-        return [
-            ("f", slice(n12, n), slice(0, n12)),
-            ("f", slice(0, n1), slice(n1, n12)),
-            ("g", slice(n12, n), slice(0, n)),
-            ("g", slice(0, n), slice(n12, n)),
-            ("k", slice(n1, n12), slice(0, n)),
-            ("k", slice(0, n), slice(n1, n12)),
-        ]
     return [
         ("f", slice(0, n12), slice(n12, n)),
         ("f", slice(n1, n12), slice(0, n1)),
@@ -342,50 +328,32 @@ def _pattern_blocks(variant: str, n1: int, n2: int, n3: int):
     ]
 
 
-def _patterns_hold(f, g, k, sizes, variant, tol) -> bool:
+def _patterns_hold(f, g, k, sizes, tol) -> bool:
     mats = {"f": f, "g": g, "k": k}
-    for name, rows, cols in _pattern_blocks(variant, *sizes):
+    for name, rows, cols in _pattern_blocks(*sizes):
         m = mats[name]
         if _norm(m[rows, cols]) > tol * (1.0 + _norm(m)):
             return False
     return True
 
 
-def _subpairs_hold(f, g, k, sizes, variant, rank_rtol) -> bool:
+def _subpairs_hold(f, g, k, sizes) -> bool:
     n1, n2, n3 = sizes
     n12 = n1 + n2
-    if variant == CONTROL_FIRST:
-        return (
-            is_controllable(f[:n12, :n12], g[:n12, :n12], rank_rtol=rank_rtol)
-            and is_controllable(f[:n1, :n1], g[:n1, :n1], rank_rtol=rank_rtol)
-            and is_observable(f[:n1, :n1], k[:n1, :n1], rank_rtol=rank_rtol)
-        )
     return (
-        is_observable(f[:n12, :n12], k[:n12, :n12], rank_rtol=rank_rtol)
-        and is_controllable(f[:n1, :n1], g[:n1, :n1], rank_rtol=rank_rtol)
-        and is_observable(f[:n1, :n1], k[:n1, :n1], rank_rtol=rank_rtol)
+        is_observable(f[:n12, :n12], k[:n12, :n12])
+        and is_controllable(f[:n1, :n1], g[:n1, :n1])
+        and is_observable(f[:n1, :n1], k[:n1, :n1])
     )
 
 
-def staircase(
-    data: RiccatiData,
-    variant: str = OBSERVE_FIRST,
-    *,
-    rank_rtol: float = 1e-10,
-    pattern_tol: float = 1e-10,
-) -> CondensedForm:
+def staircase(data: RiccatiData) -> CondensedForm:
     """Condense a coefficient triple to a three-block staircase form.
 
-    Parameters
-    ----------
-    data : RiccatiData
-    variant : str
-        ``control-first`` groups the controllable part in front and splits
-        it by observability; ``observe-first`` groups the observable part
-        in front and splits it by controllability.
-    rank_rtol, pattern_tol : float
-        Rank threshold for the staircase compressions and the relative
-        tolerance for the zero-pattern checks.
+    The observable part is grouped in front and split by controllability
+    (see :class:`CondensedForm`).  For the control-first layout, with the
+    controllable part in front and split by observability, condense the
+    dual triple (F^H, K, G) instead.
 
     Returns
     -------
@@ -393,50 +361,35 @@ def staircase(
 
     Notes
     -----
-    If the input already satisfies the requested variant's zero patterns at
-    the detected partition sizes (and the sub-pair rank conditions), the
-    transform is the identity and the blocks are returned verbatim, so
-    problems given in condensed coordinates keep their entries.
+    If the input already satisfies the zero patterns at the detected
+    partition sizes (and the sub-pair rank conditions), the transform is
+    the identity and the blocks are returned verbatim, so problems given
+    in condensed coordinates keep their entries.
     """
-    if variant not in (CONTROL_FIRST, OBSERVE_FIRST):
-        raise ValueError(f"unknown variant {variant!r}")
     f, g, k = data.f, data.g, data.k
     n = data.n
 
-    if variant == CONTROL_FIRST:
-        u1, _, nc = _staircase_pair(f, g, rank_rtol)
-        f1 = u1.conj().T @ f @ u1
-        k1 = u1.conj().T @ k @ u1
-        uo, _, n1 = _staircase_pair(
-            f1[:nc, :nc].conj().T, k1[:nc, :nc].conj().T, rank_rtol
-        )
-        v = sla.block_diag(uo, np.eye(n - nc, dtype=complex))
-        u = u1 @ v
-        sizes = (n1, nc - n1, n - nc)
-    else:
-        u1, _, no = _staircase_pair(f.conj().T, k.conj().T, rank_rtol)
-        f1 = u1.conj().T @ f @ u1
-        g1 = u1.conj().T @ g @ u1
-        uc, _, n1 = _staircase_pair(f1[:no, :no], g1[:no, :no], rank_rtol)
-        v = sla.block_diag(uc, np.eye(n - no, dtype=complex))
-        u = u1 @ v
-        sizes = (n1, no - n1, n - no)
+    u1, _, no = _staircase_pair(f.conj().T, k.conj().T)
+    f1 = u1.conj().T @ f @ u1
+    g1 = u1.conj().T @ g @ u1
+    uc, _, n1 = _staircase_pair(f1[:no, :no], g1[:no, :no])
+    v = sla.block_diag(uc, np.eye(n - no, dtype=complex))
+    u = u1 @ v
+    sizes = (n1, no - n1, n - no)
 
-    if _patterns_hold(f, g, k, sizes, variant, pattern_tol) and _subpairs_hold(
-        f, g, k, sizes, variant, rank_rtol
-    ):
+    if _patterns_hold(f, g, k, sizes, _PATTERN_TOL) and _subpairs_hold(f, g, k, sizes):
         u = np.eye(n, dtype=complex)
         ft, gt, kt = f, g, k
     else:
         ft = u.conj().T @ f @ u
         gt = hermitian_part(u.conj().T @ g @ u)
         kt = hermitian_part(u.conj().T @ k @ u)
-        if not _patterns_hold(ft, gt, kt, sizes, variant, 100 * pattern_tol):
+        if not _patterns_hold(ft, gt, kt, sizes, 100 * _PATTERN_TOL):
             raise LinalgError("staircase failed to produce the expected zero patterns")
 
     for arr in (u, ft, gt, kt):
         arr.setflags(write=False)
-    return CondensedForm(u=u, f=ft, g=gt, k=kt, n1=sizes[0], n2=sizes[1], n3=sizes[2], variant=variant)
+    return CondensedForm(u=u, f=ft, g=gt, k=kt, n1=sizes[0], n2=sizes[1], n3=sizes[2])
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +431,7 @@ def _axis_clusters(eigs: np.ndarray, imag_tol: float, merge_tol: float):
     return [(float(np.mean(eigs[c].imag)), c) for c in clusters]
 
 
-def _selection_flags(eigs: np.ndarray, n: int, mode: str, imag_tol: float, max_enum: int) -> Iterator[list[bool]]:
+def _selection_flags(eigs: np.ndarray, n: int, mode: str, imag_tol: float) -> Iterator[list[bool]]:
     """Yield candidate selections of n eigenvalues for a closed half-plane."""
     from itertools import combinations, product
 
@@ -504,7 +457,7 @@ def _selection_flags(eigs: np.ndarray, n: int, mode: str, imag_tol: float, max_e
     if need == 0 or not axis_idx:
         return
     clusters = _axis_clusters(eigs, imag_tol, merge_tol=max(100 * imag_tol, 1e-6))
-    # Enumerate per-cluster subsets, bounded by max_enum total candidates.
+    # Enumerate per-cluster subsets, bounded by _MAX_ENUM total candidates.
     per_cluster = [
         [set(c) for r in range(len(members) + 1) for c in combinations(members, r)]
         for _, members in clusters
@@ -518,7 +471,7 @@ def _selection_flags(eigs: np.ndarray, n: int, mode: str, imag_tol: float, max_e
             continue
         yield [bool(base[i]) or i in pick for i in range(len(eigs))]
         seen += 1
-        if seen >= max_enum:
+        if seen >= _MAX_ENUM:
             return
 
 
@@ -555,33 +508,21 @@ def _cluster_obstructions(h_arr: np.ndarray, s: SchurForm, imag_tol: float):
 def _isotropic_selection(
     s: SchurForm,
     n: int,
-    select,
+    select: str,
     *,
     iso_tol: float,
     imag_tol: float,
-    max_enum: int,
 ) -> tuple[LagrangianSubspace | None, float]:
     """Try the candidate selections of ``select`` on one Schur form.
 
     Returns the first isotropic subspace found with its defect, or
     ``None`` with the smallest defect among the candidates tried.
     """
-    eigs = np.diag(s.t)
-    if callable(select):
-        flags = [bool(select(lam)) for lam in eigs]
-        if sum(flags) != n:
-            raise ValueError(
-                f"selection must pick exactly n={n} of the 2n eigenvalues, got {sum(flags)}"
-            )
-        candidates: Iterator[list[bool]] = iter([flags])
-    elif select in ("stable", "antistable"):
-        candidates = _selection_flags(eigs, n, select, imag_tol, max_enum)
-    else:
-        raise ValueError("select must be callable, 'stable' or 'antistable'")
-
+    if select not in ("stable", "antistable"):
+        raise ValueError("select must be 'stable' or 'antistable'")
     j = j_matrix(n)
     best_defect = np.inf
-    for flags in candidates:
+    for flags in _selection_flags(np.diag(s.t), n, select, imag_tol):
         try:
             ordered = order_schur(s, flags)
         except OrderingBreakdown:
@@ -609,19 +550,18 @@ def _isotropic_selection(
 def _lagrangian_from_schur(
     h_arr: np.ndarray,
     s: SchurForm,
-    select,
+    select: str,
     *,
     iso_tol: float,
     imag_tol: float,
-    max_enum: int,
 ) -> LagrangianSubspace:
     """:func:`lagrangian_subspace` on an existing Schur form ``s`` of ``h_arr``."""
     sub, best_defect = _isotropic_selection(
-        s, h_arr.shape[0] // 2, select, iso_tol=iso_tol, imag_tol=imag_tol, max_enum=max_enum
+        s, h_arr.shape[0] // 2, select, iso_tol=iso_tol, imag_tol=imag_tol
     )
     if sub is not None:
         return sub
-    evidence = [] if callable(select) else _cluster_obstructions(h_arr, s, imag_tol)
+    evidence = _cluster_obstructions(h_arr, s, imag_tol)
     definite = [e for e in evidence if e["definite"]]
     msg = (
         f"no isotropic invariant subspace found (best defect {best_defect:.3e})"
@@ -635,32 +575,20 @@ def _lagrangian_from_schur(
     raise LagrangianConditionError(msg, defect=best_defect, inertia_evidence=evidence)
 
 
-def lagrangian_subspace(
-    h,
-    select,
-    *,
-    iso_tol: float = 1e-6,
-    imag_tol: float | None = None,
-    max_enum: int = 20,
-) -> LagrangianSubspace:
+def lagrangian_subspace(h, select: str) -> LagrangianSubspace:
     """Compute an n-dimensional isotropic invariant subspace of a Hamiltonian.
 
     Parameters
     ----------
     h : HamiltonianMatrix or (2n, 2n) array_like
-    select : callable or {"stable", "antistable"}
-        A predicate on eigenvalues (which must select exactly n of the 2n),
-        or a closed-half-plane mode. The half-plane modes select all
-        eigenvalues strictly inside the half-plane and complete the count
-        from the imaginary axis, trying alternative half-splits of axis
-        clusters when the first choice is not isotropic.
-    iso_tol : float
-        Acceptance threshold on the isotropy defect ||w1^H w2 - w2^H w1||
-        (dimensionless, since the basis is orthonormal).
-    imag_tol : float, optional
-        Axis band; defaults to 1e-8 * (1 + ||H||).
-    max_enum : int
-        Bound on alternative axis splits tried before giving up.
+    select : {"stable", "antistable"}
+        The closed half-plane to select. All eigenvalues strictly inside
+        it are selected and the count is completed from the imaginary
+        axis (the band 1e-8 * (1 + ||H||)), trying up to 20 alternative
+        half-splits of axis clusters when the first choice is not
+        isotropic.  A choice is accepted when its isotropy defect
+        ||w1^H w2 - w2^H w1|| is at most 1e-6 (dimensionless, since the
+        basis is orthonormal).
 
     Raises
     ------
@@ -670,15 +598,12 @@ def lagrangian_subspace(
         evidence (such a cluster admits no isotropic invariant subspace).
     """
     h_arr, _ = _ham_array(h)
-    if imag_tol is None:
-        imag_tol = 1e-8 * (1.0 + _norm(h_arr))
     return _lagrangian_from_schur(
         h_arr,
         schur_decompose(h_arr),
         select,
-        iso_tol=iso_tol,
-        imag_tol=imag_tol,
-        max_enum=max_enum,
+        iso_tol=_ISO_TOL,
+        imag_tol=1e-8 * (1.0 + _norm(h_arr)),
     )
 
 
@@ -695,7 +620,7 @@ class HamiltonianSchurForm:
     lower_left_residual: float
 
 
-def hamiltonian_schur(h, select="stable", *, iso_tol: float = 1e-6) -> HamiltonianSchurForm:
+def hamiltonian_schur(h, select: str = "stable") -> HamiltonianSchurForm:
     """Hamiltonian Schur form built from a Lagrangian invariant subspace.
 
     The unitary q = [[w1, -w2], [w2, w1]] is symplectic; its quality
@@ -705,7 +630,7 @@ def hamiltonian_schur(h, select="stable", *, iso_tol: float = 1e-6) -> Hamiltoni
     selections.
     """
     h_arr, n = _ham_array(h)
-    ls = lagrangian_subspace(h, select, iso_tol=iso_tol)
+    ls = lagrangian_subspace(h, select)
     q = np.block([[ls.w1, -ls.w2], [ls.w2, ls.w1]])
     j = j_matrix(n)
     orth = _norm(q.conj().T @ q - np.eye(2 * n))

@@ -123,22 +123,21 @@ class SchurForm:
         return self.t.shape[0]
 
 
-def schur_decompose(a, *, tol: float | None = None) -> SchurForm:
+def schur_decompose(a) -> SchurForm:
     """Complex Schur decomposition a = q t q^H.
 
     Parameters
     ----------
     a : array_like
         Square complex matrix.
-    tol : float, optional
-        Acceptance tolerance for the unitarity and factorization residuals,
-        scaled by the dimension. Defaults to ``1e-12 * n``.
 
     Returns
     -------
     SchurForm
-        With ``t`` exactly upper triangular (strict lower part zeroed) and
-        ``q`` unitary to working precision.
+        With ``t`` upper triangular (LAPACK ``zgees`` writes exact zeros
+        below the diagonal) and ``q`` unitary to working precision: the
+        unitarity and factorization residuals are checked against
+        ``1e-11 * n``.
     """
     a = as_matrix(a, "a", square=True)
     n = a.shape[0]
@@ -148,18 +147,14 @@ def schur_decompose(a, *, tol: float | None = None) -> SchurForm:
         t, q = sla.schur(a, output="complex")
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure is rare
         raise LinalgError(f"Schur iteration did not converge: {exc}") from exc
-    t = np.triu(t)
-    tol = 1e-12 * n if tol is None else tol
+    tol = 1e-12 * n
     orth = np.linalg.norm(q.conj().T @ q - np.eye(n))
     fact = np.linalg.norm(q @ t @ q.conj().T - a)
     if orth > tol * 10.0 or fact > tol * 10.0 * (1.0 + _norm(a)):
         raise LinalgError(
             f"Schur residuals out of tolerance: orth={orth:.3e}, fact={fact:.3e}"
         )
-    q = q.copy()
-    q.setflags(write=False)
-    t.setflags(write=False)
-    return SchurForm(q=q, t=t)
+    return SchurForm(q=_frozen(q), t=_frozen(t))
 
 
 def _check_split(t: np.ndarray, select: np.ndarray) -> None:
@@ -202,7 +197,8 @@ def order_schur(s: SchurForm, select) -> SchurForm:
     -------
     SchurForm
         Same factorized matrix, with every selected eigenvalue moved
-        (stably) in front of the others by LAPACK ``ztrsen``.
+        (stably) in front of the others by LAPACK ``ztrsen``, which keeps
+        ``t`` upper triangular.
 
     Raises
     ------
@@ -222,7 +218,6 @@ def order_schur(s: SchurForm, select) -> SchurForm:
     t, q, _, _, _, _, info = sla.lapack.ztrsen(select, s.t, s.q, job="N")
     if info != 0:
         raise LinalgError(f"ztrsen failed with info={info}")
-    t = np.triu(t)
     before = np.sort_complex(np.diag(s.t))
     after = np.sort_complex(np.diag(t))
     if np.max(np.abs(before - after)) > 1e-10 * (1.0 + _norm(s.t)):
@@ -242,8 +237,9 @@ class SylvesterSolution:
     representative of an affine solution set) or ``"inconsistent"`` (``x`` is
     then the least-squares minimizer, kept for diagnostics).
     ``residual_norm`` is the Frobenius norm of a x + x b + c at the returned
-    ``x``. ``spectral_gap`` is min |lambda_i(a) + mu_j(b)| and the two
-    thresholds record the decisions taken, so a caller can audit the branch.
+    ``x``. ``spectral_gap`` is min |lambda_i(a) + mu_j(b)| and
+    ``gap_threshold`` records the branch decision taken, so a caller can
+    audit it.
     """
 
     kind: str
@@ -251,35 +247,19 @@ class SylvesterSolution:
     residual_norm: float
     spectral_gap: float
     gap_threshold: float
-    consistency_threshold: float
 
 
 def _sylvester_residual(a, b, c, x) -> float:
     return _norm(a @ x + x @ b + c)
 
 
-def solve_sylvester(
-    a,
-    b,
-    c,
-    *,
-    sep_tol: float | None = None,
-    consist_tol: float = 1e-8,
-) -> SylvesterSolution:
+def solve_sylvester(a, b, c) -> SylvesterSolution:
     """Solve a x + x b + c = 0 with an explicit solvability verdict.
 
     Parameters
     ----------
     a, b, c : array_like
         ``a`` is m x m, ``b`` is k x k, ``c`` is m x k.
-    sep_tol : float, optional
-        Spectral-gap threshold separating the unique branch from the
-        overlapping-spectrum branch. Defaults to ``1e-8 * (||a|| + ||b||)``
-        in the spectral norm.
-    consist_tol : float
-        Relative residual threshold deciding consistency on the
-        overlapping branch. Recorded in the result so the (heuristic)
-        decision is auditable.
 
     Returns
     -------
@@ -287,12 +267,14 @@ def solve_sylvester(
 
     Notes
     -----
-    When the spectra of ``a`` and ``-b`` are separated by more than
-    ``sep_tol`` the equation has a unique solution and a triangular
+    When the spectra of ``a`` and ``-b`` are separated by more than the
+    gap threshold ``1e-8 * (||a|| + ||b||)`` (spectral norms) the equation
+    has a unique solution and a triangular
     (Schur-based) solver is used. Otherwise the equation is solved as a
     dense least-squares problem on the vectorized system, which yields the
     minimum-norm solution when the system is consistent and a residual
-    certificate when it is not. The dense branch is intended for the
+    certificate when it is not; consistency is a (heuristic) relative
+    residual of at most ``1e-8``. The dense branch is intended for the
     modest sizes this package targets.
     """
     a = as_matrix(a, "a", square=True)
@@ -303,11 +285,11 @@ def solve_sylvester(
         raise ValueError(f"c must have shape {(m, k)}, got {c.shape}")
     norm_a = float(np.linalg.norm(a, 2)) if m else 0.0
     norm_b = float(np.linalg.norm(b, 2)) if k else 0.0
-    gap_threshold = 1e-8 * (norm_a + norm_b) if sep_tol is None else sep_tol
+    gap_threshold = 1e-8 * (norm_a + norm_b)
 
     if m == 0 or k == 0:
         x = np.zeros((m, k), complex)
-        return SylvesterSolution("unique", x, 0.0, np.inf, gap_threshold, consist_tol)
+        return SylvesterSolution("unique", x, 0.0, np.inf, gap_threshold)
 
     eig_a = np.linalg.eigvals(a)
     eig_b = np.linalg.eigvals(b)
@@ -317,7 +299,7 @@ def solve_sylvester(
         x = sla.solve_sylvester(a, b, -c)
         res = _sylvester_residual(a, b, c, x)
         x.setflags(write=False)
-        return SylvesterSolution("unique", x, res, gap, gap_threshold, consist_tol)
+        return SylvesterSolution("unique", x, res, gap, gap_threshold)
 
     # Overlapping spectra: minimum-norm least squares on the Kronecker form.
     # Singular values of the vectorized operator at or below the spectral-gap
@@ -333,12 +315,12 @@ def solve_sylvester(
     x = z.reshape((m, k), order="F")
     res = _sylvester_residual(a, b, c, x)
     scale = _norm(c) + (norm_a + norm_b) * _norm(x) + 1e-300
-    kind = "consistent" if res <= consist_tol * scale else "inconsistent"
+    kind = "consistent" if res <= 1e-8 * scale else "inconsistent"
     x.setflags(write=False)
-    return SylvesterSolution(kind, x, res, gap, gap_threshold, consist_tol)
+    return SylvesterSolution(kind, x, res, gap, gap_threshold)
 
 
-def solve_lyapunov(a, c, *, sep_tol: float | None = None) -> np.ndarray:
+def solve_lyapunov(a, c) -> np.ndarray:
     """Solve a^H x + x a + c = 0 for Hermitian ``c``.
 
     The result is Hermitian by construction (the computed solution is
@@ -347,8 +329,9 @@ def solve_lyapunov(a, c, *, sep_tol: float | None = None) -> np.ndarray:
     Raises
     ------
     SolvabilityError
-        If some eigenvalue pair of ``a`` satisfies conj(lambda_i) ~= -lambda_j,
-        in which case the equation is singular.
+        If some eigenvalue pair of ``a`` satisfies conj(lambda_i) ~= -lambda_j
+        within ``2e-8 * ||a||`` (spectral norm), in which case the equation
+        is singular.
     ValueError
         If ``c`` is not Hermitian.
     """
@@ -362,7 +345,7 @@ def solve_lyapunov(a, c, *, sep_tol: float | None = None) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), complex)
     norm_a = float(np.linalg.norm(a, 2))
-    threshold = 2e-8 * norm_a if sep_tol is None else sep_tol
+    threshold = 2e-8 * norm_a
     eig = np.linalg.eigvals(a)
     gap = float(np.min(np.abs(eig.conj()[:, None] + eig[None, :])))
     if gap <= threshold:

@@ -39,6 +39,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .forms import (
+    _ISO_TOL,
     HamiltonianMatrix,
     LagrangianConditionError,
     RiccatiData,
@@ -64,8 +65,6 @@ from .linalg import (
 from .riccati import _graph_solution, solve_extremal
 
 __all__ = [
-    "FULL",
-    "DELTA11_ONLY",
     "PerturbationError",
     "PerturbationDirection",
     "perturbed_hamiltonian",
@@ -89,8 +88,14 @@ __all__ = [
     "region_membership",
 ]
 
-FULL = "full"
-DELTA11_ONLY = "delta11_only"
+# A direction is not positive semidefinite when its smallest eigenvalue
+# is below -_PSD_TOL * (1 + |delta|).
+_PSD_TOL = 1e-8
+# Axis clusters: heights within _CLUSTER_MERGE_TOL * (1 + |H|) merge, and
+# eigenvalues of the form i V^H J V within _FORM_BAND * (1 + max |lambda|)
+# of zero count in n_zero.
+_CLUSTER_MERGE_TOL = 1e-6
+_FORM_BAND = 1e-8
 
 
 class PerturbationError(RuntimeError):
@@ -112,31 +117,28 @@ class PerturbationDirection:
 
     The assembled 2n x 2n form is ``[[d11, d21^H], [d21, d22]]``; applied
     through ``J`` it bumps the coefficient triple to
-    ``(f + t d21, g + t d22, k + t d11)``.  ``restriction`` is ``"full"``
-    or ``"delta11_only"`` (only the weight ``k`` moves; the boundedness
-    certificate used by :func:`critical_time` requires this form).
-    ``psd_margin`` is the smallest eigenvalue of the assembled form; it is
-    negative for invalid directions kept for scanning purposes
-    (``validate=False``).
+    ``(f + t d21, g + t d22, k + t d11)``.  When ``d21`` and ``d22`` are
+    zero only the weight ``k`` moves (:attr:`is_weight_only`); the
+    boundedness certificate of :func:`critical_time` and the walks of
+    :func:`vertex_path` require this.  ``psd_margin`` is the smallest
+    eigenvalue of the assembled form; it is negative for invalid
+    directions kept for scanning purposes (``validate=False``).
     """
 
     delta11: np.ndarray
     delta21: np.ndarray
     delta22: np.ndarray
-    restriction: str
     psd_margin: float
 
     @classmethod
     def from_blocks(
-        cls,
-        delta11,
-        delta21=None,
-        delta22=None,
-        *,
-        restriction: str = FULL,
-        tol: float = 1e-8,
-        validate: bool = True,
+        cls, delta11, delta21=None, delta22=None, *, validate: bool = True
     ) -> "PerturbationDirection":
+        """Direction from its blocks; missing ``delta21``/``delta22`` are zero.
+
+        With ``validate`` a form whose smallest eigenvalue is below
+        ``-1e-8 * (1 + |delta|)`` is rejected as not positive semidefinite.
+        """
         d11 = hermitian_part(as_matrix(delta11, "delta11", square=True))
         n = d11.shape[0]
         if delta21 is None:
@@ -149,39 +151,31 @@ class PerturbationDirection:
             d22 = hermitian_part(as_matrix(delta22, "delta22", square=True))
         if d21.shape != (n, n) or d22.shape != (n, n):
             raise ValueError("all direction blocks must share one square dimension")
-        if restriction not in (FULL, DELTA11_ONLY):
-            raise ValueError(f"unknown restriction {restriction!r}")
-        if restriction == DELTA11_ONLY and (np.any(d21 != 0) or np.any(d22 != 0)):
-            raise ValueError("a delta11_only direction must have zero d21 and d22")
         full = _block2x2(d11, d21.conj().T, d21, d22)
         margin = float(np.min(np.linalg.eigvalsh(full))) if n else np.inf
-        if validate and margin < -tol * (1.0 + _norm(full)):
+        if validate and margin < -_PSD_TOL * (1.0 + _norm(full)):
             raise ValueError(
                 "direction is not positive semidefinite "
                 f"(smallest eigenvalue {margin:.3e})"
             )
-        direction = cls(_frozen(d11), _frozen(d21), _frozen(d22), restriction, margin)
+        direction = cls(_frozen(d11), _frozen(d21), _frozen(d22), margin)
         # Seed the cached ``full`` with the form assembled above.
         direction.__dict__["full"] = _frozen(full)
         return direction
 
     @classmethod
-    def delta11_only(cls, delta11, *, tol: float = 1e-8, validate: bool = True):
+    def delta11_only(cls, delta11, *, validate: bool = True):
         """Direction bumping only the weight ``k``."""
-        return cls.from_blocks(
-            delta11, restriction=DELTA11_ONLY, tol=tol, validate=validate
-        )
+        return cls.from_blocks(delta11, validate=validate)
 
     @classmethod
-    def from_full(cls, delta, *, tol: float = 1e-8, validate: bool = True):
-        """Split an assembled 2n x 2n Hermitian form into blocks."""
+    def from_full(cls, delta):
+        """Split an assembled 2n x 2n Hermitian form into validated blocks."""
         d = hermitian_part(as_matrix(delta, "delta", square=True))
         if d.shape[0] % 2:
             raise ValueError("an assembled direction must have even dimension")
         n = d.shape[0] // 2
-        return cls.from_blocks(
-            d[:n, :n], d[n:, :n], d[n:, n:], tol=tol, validate=validate
-        )
+        return cls.from_blocks(d[:n, :n], d[n:, :n], d[n:, n:])
 
     @property
     def n(self) -> int:
@@ -199,6 +193,11 @@ class PerturbationDirection:
         return not (
             np.any(self.delta11) or np.any(self.delta21) or np.any(self.delta22)
         )
+
+    @property
+    def is_weight_only(self) -> bool:
+        """Whether only the weight ``k`` moves: ``delta21`` and ``delta22`` are zero."""
+        return not (np.any(self.delta21) or np.any(self.delta22))
 
 
 def _as_data(h) -> RiccatiData:
@@ -365,14 +364,7 @@ def _cluster_counts(
 
 
 def _snapshot(
-    eigs: np.ndarray,
-    s: SchurForm | None,
-    scale: float,
-    *,
-    t: float,
-    axis_tol: float,
-    cluster_merge_tol: float,
-    form_band: float,
+    eigs: np.ndarray, s: SchurForm | None, scale: float, *, t: float, axis_tol: float
 ) -> SpectrumSnapshot:
     """Snapshot from sorted eigenvalues and a Schur form of the same matrix.
 
@@ -387,16 +379,16 @@ def _snapshot(
         heights = np.sort(eigs.imag[axis_mask])
         groups: list[list[float]] = [[heights[0]]]
         for hgt in heights[1:]:
-            if hgt - groups[-1][-1] <= cluster_merge_tol * scale:
+            if hgt - groups[-1][-1] <= _CLUSTER_MERGE_TOL * scale:
                 groups[-1].append(hgt)
             else:
                 groups.append([hgt])
-        band = form_band * (1.0 + float(np.max(np.abs(diag))))
+        band = _FORM_BAND * (1.0 + float(np.max(np.abs(diag))))
         for grp in groups:
             alpha = float(np.mean(grp))
             radius = max(
                 max(abs(g - alpha) for g in grp) + axis_tol * scale,
-                cluster_merge_tol * scale / 2,
+                _CLUSTER_MERGE_TOL * scale / 2,
             )
             members = np.abs(diag - 1j * alpha) <= radius
             clusters.append(AxisCluster(alpha, int(np.sum(members)), s, members, band))
@@ -407,45 +399,26 @@ def _snapshot(
     )
 
 
-def spectrum_snapshot(
-    h,
-    *,
-    t: float = 0.0,
-    axis_tol: float = 1e-8,
-    cluster_merge_tol: float = 1e-6,
-    form_band: float = 1e-8,
-) -> SpectrumSnapshot:
+def spectrum_snapshot(h, *, t: float = 0.0, axis_tol: float = 1e-8) -> SpectrumSnapshot:
     """Eigenvalues, axis clusters and sign characteristics of one matrix.
 
     ``t`` is a label recorded in the snapshot (the matrix itself is taken
     as given).  Eigenvalues with ``|Re| <= axis_tol * (1 + |H|)`` count as
     on the axis; axis eigenvalues are merged into clusters when their
-    heights differ by at most ``cluster_merge_tol * (1 + |H|)``.  Each
-    cluster computes its sign characteristics on first access.
+    heights differ by at most ``1e-6 * (1 + |H|)``.  Each cluster computes
+    its sign characteristics on first access; eigenvalues of its form
+    within ``1e-8 * (1 + max |lambda|)`` of zero count in ``n_zero``.
     """
     arr, _ = _ham_array(h)
     scale = 1.0 + _norm(arr)
     eigs = _sorted_eigenvalues(arr)
     on_axis = np.any(np.abs(eigs.real) <= axis_tol * scale)
     return _snapshot(
-        eigs,
-        schur_decompose(arr) if on_axis else None,
-        scale,
-        t=t,
-        axis_tol=axis_tol,
-        cluster_merge_tol=cluster_merge_tol,
-        form_band=form_band,
+        eigs, schur_decompose(arr) if on_axis else None, scale, t=t, axis_tol=axis_tol
     )
 
 
-def first_order_slopes(
-    h,
-    d: PerturbationDirection,
-    alpha: float,
-    *,
-    eps: float | None = None,
-    semisimple_tol: float = 1e-8,
-) -> np.ndarray:
+def first_order_slopes(h, d: PerturbationDirection, alpha: float) -> np.ndarray:
     """First-order axis motion of a semisimple cluster at ``i alpha``.
 
     For a semisimple axis eigenvalue with definite form ``w = i V^H J V``,
@@ -454,6 +427,10 @@ def first_order_slopes(
     eigenvalues of the pencil ``lambda w + V^H delta V``.  Returned in
     ascending order; all nonnegative when ``w < 0`` and all nonpositive
     when ``w > 0``.
+
+    The cluster is every eigenvalue within ``1e-8 * (1 + |H|)`` of
+    ``i alpha``; it is numerically semisimple when its Schur block is that
+    close to ``i alpha I``.
 
     Raises
     ------
@@ -464,8 +441,7 @@ def first_order_slopes(
     """
     arr, n = _ham_array(h)
     scale = 1.0 + _norm(arr)
-    if eps is None:
-        eps = 1e-8 * scale
+    eps = 1e-8 * scale
     if d.n != n:
         raise ValueError("direction and Hamiltonian dimensions differ")
     s = schur_decompose(arr)
@@ -482,7 +458,7 @@ def first_order_slopes(
         ) from exc
     tblock = ordered.t[:r, :r]
     defect = _norm(tblock - 1j * alpha * np.eye(r))
-    if defect > semisimple_tol * scale:
+    if defect > 1e-8 * scale:
         raise PerturbationError(
             f"the cluster at i*{alpha:g} is not semisimple "
             f"(block defect {defect:.3e}); use the fractional analysis"
@@ -588,8 +564,8 @@ class JordanTestCase:
     """A constructed Hamiltonian family with known defective axis structure.
 
     The canonical coordinates hold ``f11`` (nilpotent, ``s`` Jordan blocks
-    of each listed order shifted to the eigenvalue ``i alpha``), the
-    controllability weight ``g11``, and the Hermitian bump ``delta11``.
+    of each listed order at the eigenvalue 0), the controllability weight
+    ``g11``, and the Hermitian bump ``delta11``.
     The case is *presented* through the invertible ``scramble`` T via the
     structure-preserving similarity diag(T, T^-H), so consumers see a
     dense family while ``expected_gammas`` stay those of the canonical
@@ -597,7 +573,6 @@ class JordanTestCase:
     """
 
     sizes: tuple[tuple[int, int], ...]
-    alpha: float
     delta11: np.ndarray
     scramble: np.ndarray
     expected_gammas: Mapping[int, np.ndarray]
@@ -612,7 +587,7 @@ class JordanTestCase:
     def presented_triple(self) -> tuple[np.ndarray, np.ndarray]:
         t = self.scramble
         tinv = np.linalg.inv(t)
-        f = tinv @ (1j * self.alpha * np.eye(self.n) + self.f11) @ t
+        f = tinv @ self.f11 @ t
         g = hermitian_part(tinv @ self.g11 @ tinv.conj().T)
         return f, g
 
@@ -620,30 +595,21 @@ class JordanTestCase:
     def presented_delta11(self) -> np.ndarray:
         return hermitian_part(self.scramble.conj().T @ self.delta11 @ self.scramble)
 
-    def hamiltonian(self, t: float, direction: PerturbationDirection | None = None):
+    def hamiltonian(self, t: float):
         """The presented family member at parameter ``t``."""
         f, g = self.presented_triple
-        if direction is None:
-            direction = PerturbationDirection.delta11_only(self.presented_delta11)
+        direction = PerturbationDirection.delta11_only(self.presented_delta11)
         base = RiccatiData(f, g, np.zeros((self.n, self.n)))
         return perturbed_hamiltonian(HamiltonianMatrix(base), direction, t)
 
 
-def make_jordan_case(
-    sizes,
-    *,
-    alpha: float = 0.0,
-    delta11=None,
-    scramble=None,
-    rng=None,
-    scramble_cond: float = 4.0,
-) -> JordanTestCase:
+def make_jordan_case(sizes, *, delta11=None, scramble=None, rng=None) -> JordanTestCase:
     """Build a :class:`JordanTestCase` with the requested block structure.
 
     ``delta11`` defaults to a random positive definite matrix (so the
     chain-head block is automatically positive definite) and ``scramble``
-    to a random transform with condition number ``scramble_cond`` (kept
-    modest so finite-parameter fits are not polluted by conditioning).
+    to a random transform with condition number 4 (kept modest so
+    finite-parameter fits are not polluted by conditioning).
     """
     sizes = _normalize_sizes(sizes)
     f11, g11, _ = _nilpotent_stack(sizes)
@@ -655,18 +621,15 @@ def make_jordan_case(
         delta11 = np.eye(m) + a @ a.conj().T / m
     delta11 = hermitian_part(as_matrix(delta11, "delta11", square=True))
     if scramble is None:
-        if scramble_cond < 1.0:
-            raise ValueError("scramble_cond must be at least 1")
         u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
         v, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-        sv = np.geomspace(1.0, scramble_cond, m) if m > 1 else np.ones(1)
+        sv = np.geomspace(1.0, 4.0, m) if m > 1 else np.ones(1)
         scramble = u @ np.diag(sv) @ v.conj().T
     scramble = as_matrix(scramble, "scramble", square=True)
     if scramble.shape[0] != m:
         raise ValueError(f"scramble must have dimension {m}")
     return JordanTestCase(
         sizes=sizes,
-        alpha=float(alpha),
         delta11=_frozen(delta11),
         scramble=_frozen(np.array(scramble, complex)),
         expected_gammas=schur_complement_gammas(delta11, sizes),
@@ -703,7 +666,6 @@ class BranchFit:
 class FractionalFitReport:
     """Empirical verification of the fractional splitting pattern."""
 
-    alpha: float
     sizes: tuple[tuple[int, int], ...]
     t_grid: np.ndarray
     stationary: bool
@@ -717,28 +679,20 @@ class FractionalFitReport:
         return up, down
 
 
-def fractional_split_verify(
-    case: JordanTestCase,
-    *,
-    direction: PerturbationDirection | None = None,
-    t_grid=None,
-    axis_ratio: float = 0.5,
-    group_gap: float = 2.0,
-    stationary_tol: float = 1e-11,
-) -> FractionalFitReport:
+def fractional_split_verify(case: JordanTestCase, *, t_grid=None) -> FractionalFitReport:
     """Fit the fractional eigenvalue splitting of a constructed case.
 
-    At each grid parameter, the eigenvalue deviations from ``i alpha`` are
-    grouped by magnitude into the per-order families (2 rho s_rho branches
-    each, order ascending = magnitude ascending), classified as on-axis
-    (|Re| <= axis_ratio |dev|) or off-axis, and keyed by (order, side,
-    magnitude rank) so each branch accumulates samples across the grid.
-    Each branch is then fit by log-log regression: the exponent should
-    approach ``1/(2 rho)`` and the coefficient ``gamma^(1/(2 rho))`` with
-    the gammas from :func:`schur_complement_gammas`.  Parameters where the
-    magnitude groups overlap (ratio below ``group_gap``) or the axis
-    counts disagree with the construction are recorded in
-    ``degenerate_t`` and skipped.
+    At each grid parameter, the eigenvalues (their deviations from the
+    defective eigenvalue 0) are grouped by magnitude into the per-order
+    families (2 rho s_rho branches each, order ascending = magnitude
+    ascending), classified as on-axis (|Re| <= |dev| / 2) or off-axis, and
+    keyed by (order, side, magnitude rank) so each branch accumulates
+    samples across the grid.  Each branch is then fit by log-log
+    regression: the exponent should approach ``1/(2 rho)`` and the
+    coefficient ``gamma^(1/(2 rho))`` with the gammas from
+    :func:`schur_complement_gammas`.  Parameters where the magnitude
+    groups overlap (ratio below 2) or the axis counts disagree with the
+    construction are recorded in ``degenerate_t`` and skipped.
 
     The default grid is ``geomspace(1e-10, 1e-4, 13)``; pass a lower grid
     for high orders where the next-order correction decays slowly.
@@ -746,8 +700,7 @@ def fractional_split_verify(
     When the largest deviation over the whole grid stays below the
     eigenvalue noise floor of the unperturbed defective matrix (order
     ``eps^(1/(2 rho_max))``), the spectrum is reported as ``stationary``
-    and no branches are fit — that is the signature of a direction the
-    cluster cannot see.
+    and no branches are fit: the grid is too fine to see the splitting.
     """
     if t_grid is None:
         t_grid = np.geomspace(1e-10, 1e-4, 13)
@@ -772,9 +725,8 @@ def fractional_split_verify(
     degenerate: list[float] = []
     max_dev = 0.0
     for t in t_grid:
-        arr = case.hamiltonian(t, direction).full
-        vals, vecs = np.linalg.eig(arr)
-        dev = vals - 1j * case.alpha
+        arr = case.hamiltonian(t).full
+        dev, vecs = np.linalg.eig(arr)
         max_dev = max(max_dev, float(np.max(np.abs(dev))))
         order = np.argsort(np.abs(dev))
         dev = dev[order]
@@ -788,14 +740,14 @@ def fractional_split_verify(
         for gi in range(len(groups) - 1):
             hi = np.max(np.abs(groups[gi][1]))
             lo = np.min(np.abs(groups[gi + 1][1]))
-            if hi == 0 or lo / hi < group_gap:
+            if hi == 0 or lo / hi < 2.0:
                 ok = False
         staged: list[tuple[tuple, tuple]] = []
         for rho, gdev, gvec in groups:
             if not ok:
                 break
             mags = np.abs(gdev)
-            axis = np.abs(gdev.real) <= axis_ratio * mags
+            axis = np.abs(gdev.real) <= 0.5 * mags
             s_rho = counts[rho]
             up = axis & (gdev.imag > 0)
             down = axis & (gdev.imag < 0)
@@ -830,9 +782,8 @@ def fractional_split_verify(
         for key, row in staged:
             samples.setdefault(key, []).append(row)
 
-    if max_dev <= max(noise_floor, stationary_tol * (1.0 + abs(case.alpha))):
+    if max_dev <= max(noise_floor, 1e-11):
         return FractionalFitReport(
-            alpha=case.alpha,
             sizes=case.sizes,
             t_grid=_frozen(t_grid),
             stationary=True,
@@ -866,7 +817,6 @@ def fractional_split_verify(
             )
         )
     return FractionalFitReport(
-        alpha=case.alpha,
         sizes=case.sizes,
         t_grid=_frozen(t_grid),
         stationary=False,
@@ -887,7 +837,7 @@ class CriticalTime:
     ``t0`` is None when no arrival was found below the scan limit; the
     ``profile`` then holds the scanned ``(t, min |Re lambda|)`` pairs.
     ``bound`` is the certified ray length beyond which no Hermitian
-    solution can exist (available for delta11_only directions with
+    solution can exist (available for weight-only directions with
     extremal solutions at the base point).
     """
 
@@ -912,22 +862,21 @@ def critical_time(
     *,
     t_max: float | None = None,
     imag_tol: float = 1e-7,
-    bisect_rtol: float = 1e-10,
-    scan_points: int = 96,
-    safety: float = 2.0,
     allow_frozen: bool = False,
 ) -> CriticalTime:
     """First parameter at which new eigenvalues reach the imaginary axis.
 
-    Scans ``h(t) = h0 + t J delta`` for the first increase of the number
-    of axis eigenvalues (|Re| within ``imag_tol`` relative band), then
-    bisects the bracketing interval to relative width ``bisect_rtol``.
+    Scans ``h(t) = h0 + t J delta`` at 96 equal steps for the first
+    increase of the number of axis eigenvalues (|Re| within ``imag_tol``
+    relative band), then bisects the bracketing interval to relative
+    width ``1e-10``.
 
-    The scan range is ``[0, min(t_max, safety * bound)]`` where ``bound``
+    The scan range is ``[0, min(t_max, 2 * bound)]`` where ``bound``
     is the certified no-solution threshold
     ``(2 |f| beta + |g| beta^2) / |d11|`` with
     ``beta = |x_plus| + |x_plus - x_minus|`` from the extremal solutions
-    at the base point (delta11_only directions only; every Hermitian
+    at the base point (weight-only directions only, see
+    :attr:`PerturbationDirection.is_weight_only`; every Hermitian
     solution of the bumped equation is squeezed between the extremal
     pair, so beyond the bound the residual norm identity is violated).
     With neither a bound nor ``t_max`` available a range cannot be chosen
@@ -964,7 +913,7 @@ def critical_time(
         )
 
     bound = None
-    if d.restriction == DELTA11_ONLY and np.any(d.delta11):
+    if d.is_weight_only and np.any(d.delta11):
         try:
             ext = solve_extremal(data)
             beta = float(
@@ -980,11 +929,11 @@ def critical_time(
 
     hi = min(
         t_max if t_max is not None else np.inf,
-        safety * bound if bound is not None else np.inf,
+        2.0 * bound if bound is not None else np.inf,
     )
     if not np.isfinite(hi):
         raise ValueError(
-            "no scan range: pass t_max or use a delta11_only direction with "
+            "no scan range: pass t_max or use a weight-only direction with "
             "extremal solutions at the base point"
         )
 
@@ -992,7 +941,7 @@ def critical_time(
         count, min_re = _axis_count(_perturbed_array(data, d, t), imag_tol)
         return count > n_axis0, min_re
 
-    ts = np.linspace(0.0, hi, scan_points + 1)
+    ts = np.linspace(0.0, hi, 97)
     profile = [(0.0, min_re0)]
     lo = 0.0
     hit = None
@@ -1013,7 +962,7 @@ def critical_time(
             profile=_frozen(np.array(profile)),
         )
     hi_b = hit
-    while hi_b - lo > bisect_rtol * max(1.0, hi_b):
+    while hi_b - lo > 1e-10 * max(1.0, hi_b):
         mid = 0.5 * (lo + hi_b)
         if crossed(mid)[0]:
             hi_b = mid
@@ -1042,7 +991,6 @@ class PathLeg:
     t_start: float
     t_end: float
     snapshots: tuple[SpectrumSnapshot, ...]
-    extremal_gaps: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -1162,11 +1110,7 @@ def vertex_path(
     directions: Iterable[PerturbationDirection] | None = None,
     budget: int = 8,
     imag_tol: float = 1e-7,
-    snapshots_per_leg: int = 5,
-    track_gaps: bool = True,
     rng=None,
-    terminal_gap_rtol: float = 1e-6,
-    freeze_tol: float = 1e-8,
 ) -> PerturbationPath:
     """Walk the feasibility boundary until the solution becomes unique.
 
@@ -1174,8 +1118,9 @@ def vertex_path(
     axis eigenvalues (leading directions may be supplied; further ones
     are synthesized as projectors onto the complement of the axis
     eigenvector span, optionally randomly weighted via ``rng``) up to its
-    first new axis arrival.  The walk terminates when every eigenvalue
-    sits on the axis; the extremal solutions have then collapsed and
+    first new axis arrival, with five spectrum snapshots along it.  The
+    walk terminates when every eigenvalue sits on the axis; the extremal
+    solutions have then collapsed (to within ``1e-6 * (1 + |x|)``) and
     their average is returned as the unique solution.
 
     Requires extremal solutions at the base point.  ``status`` is
@@ -1213,7 +1158,7 @@ def vertex_path(
                 return blocked(snap)
             gap = float(np.linalg.norm(ext.x_plus - ext.x_minus, 2))
             x = hermitian_part(0.5 * (ext.x_minus + ext.x_plus))
-            if gap > terminal_gap_rtol * (1.0 + float(np.linalg.norm(x, 2))):
+            if gap > 1e-6 * (1.0 + float(np.linalg.norm(x, 2))):
                 return blocked(snap)
             return PerturbationPath(
                 base=HamiltonianMatrix(data),
@@ -1235,15 +1180,15 @@ def vertex_path(
             if direction is None:
                 return blocked(snap)
         else:
-            if direction.restriction != DELTA11_ONLY:
+            if not direction.is_weight_only:
                 raise ValueError(
                     "vertex walks accumulate weight bumps; supplied "
-                    "directions must be delta11_only"
+                    "directions must be delta11_only (zero delta21 and delta22)"
                 )
             if direction.n != n:
                 raise ValueError("direction and Hamiltonian dimensions differ")
             tops = _axis_eigenvector_tops(arr, n, snap)
-            if tops.size and _norm(direction.delta11 @ tops) > freeze_tol * (
+            if tops.size and _norm(direction.delta11 @ tops) > 1e-8 * (
                 1.0 + _norm(direction.delta11)
             ):
                 raise PerturbationError(
@@ -1260,33 +1205,13 @@ def vertex_path(
         if ct.t0 is None or ct.t0 == 0.0:
             return blocked(snap)
         t_leg = _refine_leg_end(cur, direction, ct)
-        ts = np.linspace(0.0, t_leg, max(2, snapshots_per_leg))
-        snaps = []
-        gaps = []
-        for ti in ts:
-            arr_t = _perturbed_array(cur, direction, float(ti))
-            snaps.append(spectrum_snapshot(arr_t, t=float(ti), axis_tol=imag_tol))
-            if track_gaps:
-                try:
-                    ext = solve_extremal(
-                        RiccatiData(
-                            cur.f,
-                            cur.g,
-                            hermitian_part(cur.k + ti * direction.delta11),
-                        )
-                    )
-                    gaps.append(float(np.linalg.norm(ext.x_plus - ext.x_minus, 2)))
-                except (SolvabilityError, LagrangianConditionError, ValueError):
-                    gaps.append(float("nan"))
-        legs.append(
-            PathLeg(
-                direction=direction,
-                t_start=0.0,
-                t_end=t_leg,
-                snapshots=tuple(snaps),
-                extremal_gaps=tuple(gaps),
+        snaps = tuple(
+            spectrum_snapshot(
+                _perturbed_array(cur, direction, float(ti)), t=float(ti), axis_tol=imag_tol
             )
+            for ti in np.linspace(0.0, t_leg, 5)
         )
+        legs.append(PathLeg(direction=direction, t_start=0.0, t_end=t_leg, snapshots=snaps))
         acc = acc + t_leg * direction.delta11
         if _norm(acc) > 1e12 * scale_k:
             return blocked(snap)
@@ -1323,13 +1248,15 @@ class RegionVerdict:
 
 
 def _stable_solution(
-    data: RiccatiData, d: PerturbationDirection, s: SchurForm, scale: float, solve_tol: float
+    data: RiccatiData, d: PerturbationDirection, s: SchurForm, scale: float
 ) -> np.ndarray | None:
-    """Solution of the bumped equation from the stable selection of ``s``, or None."""
-    # The tolerances are lagrangian_subspace's defaults.
-    sub, _ = _isotropic_selection(
-        s, data.n, "stable", iso_tol=1e-6, imag_tol=1e-8 * scale, max_enum=20
-    )
+    """Solution of the bumped equation from the stable selection of ``s``, or None.
+
+    A candidate is accepted when its residual is at most
+    ``1e-8 * scale * (1 + |x|)^2``.
+    """
+    # The selection tolerances are lagrangian_subspace's.
+    sub, _ = _isotropic_selection(s, data.n, "stable", iso_tol=_ISO_TOL, imag_tol=1e-8 * scale)
     if sub is None:
         return None
     try:
@@ -1344,19 +1271,12 @@ def _stable_solution(
         + cand @ g_t @ cand
         + hermitian_part(data.k + d.delta11)
     )
-    if _norm(res) > solve_tol * scale * (1.0 + _norm(cand)) ** 2:
+    if _norm(res) > 1e-8 * scale * (1.0 + _norm(cand)) ** 2:
         return None
     return hermitian_part(cand)
 
 
-def region_membership(
-    h,
-    d: PerturbationDirection,
-    *,
-    imag_tol: float = 1e-7,
-    psd_tol: float = 1e-8,
-    solve_tol: float = 1e-8,
-) -> RegionVerdict:
+def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) -> RegionVerdict:
     """Classify a perturbation against the feasibility region.
 
     The perturbed family member ``h + J delta`` is feasible when the
@@ -1366,8 +1286,8 @@ def region_membership(
     of ``h + J delta`` serves both; the snapshot's eigenvalues are its
     diagonal.
 
-    Every tolerance is relative to ``1 + |H|`` (``psd_tol`` to
-    ``1 + |delta|``), so below |H| of about 1 they act as absolute
+    Every tolerance is relative to ``1 + |H|`` (the direction's PSD test,
+    at ``1e-8``, to ``1 + |delta|``), so below |H| of about 1 they act as absolute
     thresholds and the verdicts are not invariant under scaling the
     problem and the bump together: scaled by 1e-12, the lab problem's
     interior bump (2, 2, 1) and its indefinite bump (1, 1, 2) both come
@@ -1380,22 +1300,14 @@ def region_membership(
     scale = 1.0 + _norm(arr)
     s = schur_decompose(arr)
     eigs = np.diag(s.t)
-    snap = _snapshot(
-        eigs[np.lexsort((eigs.imag, eigs.real))],
-        s,
-        scale,
-        t=1.0,
-        axis_tol=imag_tol,
-        cluster_merge_tol=1e-6,
-        form_band=1e-8,
-    )
+    snap = _snapshot(eigs[np.lexsort((eigs.imag, eigs.real))], s, scale, t=1.0, axis_tol=imag_tol)
     axis_present = snap.n_axis > 0
 
-    bad_psd = d.psd_margin < -psd_tol * (1.0 + _norm(d.full))
+    bad_psd = d.psd_margin < -_PSD_TOL * (1.0 + _norm(d.full))
     if bad_psd:
         solvable, x = None, None
     else:
-        x = _stable_solution(data, d, s, scale, solve_tol)
+        x = _stable_solution(data, d, s, scale)
         solvable = x is not None
     if not solvable:
         membership = "exterior"

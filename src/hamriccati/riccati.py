@@ -21,7 +21,6 @@ from typing import Any
 import numpy as np
 
 from .forms import (
-    OBSERVE_FIRST,
     CondensedForm,
     HamiltonianMatrix,
     LagrangianConditionError,
@@ -137,19 +136,16 @@ class ExtremalSolutions:
     residual_plus: float
 
 
-def solve_extremal(
-    data: RiccatiData,
-    *,
-    iso_tol: float = 1e-6,
-    max_enum: int = 20,
-) -> ExtremalSolutions:
+def solve_extremal(data: RiccatiData, *, iso_tol: float = 1e-6) -> ExtremalSolutions:
     """Compute the extremal Hermitian solutions of the Riccati equation.
 
     The stable (respectively antistable) Lagrangian invariant subspace of
     the Hamiltonian matrix is computed, both from one Schur factorization,
     and read off as a graph ``X = W2 W1^{-1}``, which yields the minimal
-    (respectively maximal) solution.  Eigenvalues on the imaginary axis are split between the two
-    selections whenever an isotropic completion exists.
+    (respectively maximal) solution.  Eigenvalues on the imaginary axis
+    are split between the two selections whenever an isotropic completion
+    exists; ``iso_tol`` is the acceptance threshold on the isotropy
+    defect, as in :func:`~hamriccati.forms.lagrangian_subspace`.
 
     Raises
     ------
@@ -162,7 +158,7 @@ def solve_extremal(
     """
     h_arr = assemble_hamiltonian(data).full
     s = schur_decompose(h_arr)
-    opts = {"iso_tol": iso_tol, "imag_tol": 1e-8 * (1.0 + _norm(h_arr)), "max_enum": max_enum}
+    opts = {"iso_tol": iso_tol, "imag_tol": 1e-8 * (1.0 + _norm(h_arr))}
     sub_minus = _lagrangian_from_schur(h_arr, s, "stable", **opts)
     sub_plus = _lagrangian_from_schur(h_arr, s, "antistable", **opts)
     x_minus = _graph_solution(sub_minus.w1, sub_minus.w2)
@@ -237,11 +233,7 @@ def _coincident_spectra(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[compl
 
 
 def _structured_attempt(
-    form: CondensedForm,
-    mode: str,
-    *,
-    tol: float,
-    rank_rtol: float,
+    form: CondensedForm, mode: str, *, tol: float
 ) -> tuple[bool, dict[str, Any]]:
     """Run the staged solve for one core selection; never raises."""
     n1, n2, n3 = form.n1, form.n2, form.n3
@@ -364,7 +356,7 @@ def _structured_attempt(
         ghat = hermitian_part(v.conj().T @ form.g @ v)
         y22 = hermitian_part(solve_lyapunov(f22.conj().T, ghat))
         stages["y22"] = _frozen(y22)
-        controllable = is_controllable(f22, ghat, rank_rtol=rank_rtol)
+        controllable = is_controllable(f22, ghat)
         y_verdict = definiteness(y22)
         if controllable and y_verdict.kind == POSITIVE_DEFINITE:
             out["x22"] = hermitian_part(np.linalg.inv(y22))
@@ -389,12 +381,7 @@ def _padded_solution(form: CondensedForm, x11: np.ndarray) -> np.ndarray:
     return hermitian_part(form.u @ padded @ form.u.conj().T)
 
 
-def solve_structured(
-    data: RiccatiData,
-    *,
-    rank_rtol: float = 1e-10,
-    tol: float = 1e-8,
-) -> StructuredSolveReport:
+def solve_structured(data: RiccatiData, *, tol: float = 1e-8) -> StructuredSolveReport:
     """Solve a Riccati equation with stable F through its condensed form.
 
     The triple is rotated into the observe-first condensed layout and the
@@ -406,7 +393,8 @@ def solve_structured(
     solution that pads ``x11`` with zeros.  When the bridge equation is
     inconsistent and the relevant diagonal blocks share eigenvalues, the
     report certifies that no positive definite solution exists.  Up to two
-    half-plane selections for the core are attempted.
+    half-plane selections for the core are attempted.  ``tol`` is the
+    relative residual every stage must meet.
 
     Raises
     ------
@@ -422,11 +410,11 @@ def solve_structured(
             f"its spectral abscissa is {abscissa:.3e}"
         )
 
-    form = staircase(data, variant=OBSERVE_FIRST, rank_rtol=rank_rtol)
+    form = staircase(data)
     failures: list[tuple[str, str]] = []
     last: dict[str, Any] | None = None
     for mode in ("stable", "antistable"):
-        ok, out = _structured_attempt(form, mode, tol=tol, rank_rtol=rank_rtol)
+        ok, out = _structured_attempt(form, mode, tol=tol)
         last = out
         if ok:
             return _assemble_structured_report(data, form, out, tol, tuple(failures))

@@ -351,15 +351,15 @@ def reference_region_membership(
     )
 
 
-def reference_extremal_pair(data, *, iso_tol: float = 1e-6, max_enum: int = 20):
+def reference_extremal_pair(data):
     """(x_minus, x_plus) from two ``lagrangian_subspace`` calls, one Schur each.
 
     The oracle for ``hamriccati.riccati.solve_extremal``, which reads both
     selections off one factorization.
     """
     h = assemble_hamiltonian(data)
-    sub_minus = lagrangian_subspace(h, "stable", iso_tol=iso_tol, max_enum=max_enum)
-    sub_plus = lagrangian_subspace(h, "antistable", iso_tol=iso_tol, max_enum=max_enum)
+    sub_minus = lagrangian_subspace(h, "stable")
+    sub_plus = lagrangian_subspace(h, "antistable")
     return _graph_solution(sub_minus.w1, sub_minus.w2), _graph_solution(sub_plus.w1, sub_plus.w2)
 
 

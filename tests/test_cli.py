@@ -469,6 +469,52 @@ class TestPerturb:
             ["perturb", ex2_file, str(path), "--t-grid", "0:0.1:2", "--out", str(out)]
         ) == 0
 
+    @pytest.mark.parametrize("mode", ["critical", "vertex"])
+    def test_explicit_zero_blocks_count_as_a_weight_only_bump(self, ex2_file, tmp_path, mode):
+        # delta21 given as a zero matrix, delta22 left out: the same bump as
+        # the bare weight matrix, with the same report.
+        path = tmp_path / "zero_blocks.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "delta11": mat_json(np.eye(2), "delta11"),
+                    "delta21": mat_json(np.zeros((2, 2)), "delta21"),
+                }
+            )
+        )
+        bare = write_direction(tmp_path, np.eye(2))
+        reports = []
+        for delta in (str(path), bare):
+            out = tmp_path / f"{mode}.json"
+            assert cli.main(["perturb", ex2_file, delta, f"--{mode}", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            del report["manifest"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        if mode == "critical":
+            assert abs(reports[0]["t0"] - 4.0) < 1e-7
+            assert reports[0]["bound"] >= reports[0]["t0"]
+        else:
+            assert reports[0]["status"] == "vertex"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--t-grid", "0:8:3", "--tol", "nan"],
+            ["--critical", "--tol", "nan"],
+            ["--critical", "--tol", "-1"],
+            ["--critical", "--tol", "inf"],
+            ["--critical", "--t-max", "-1"],
+            ["--critical", "--t-max", "0"],
+            ["--vertex", "--budget", "-3"],
+        ],
+    )
+    def test_invalid_numeric_flags_exit_two(self, ex2_file, tmp_path, flags):
+        delta = write_direction(tmp_path, np.eye(2))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["perturb", ex2_file, delta, *flags])
+        assert exc.value.code == 2
+
     def test_mode_is_required(self, ex2_file, tmp_path):
         delta = write_direction(tmp_path, np.eye(2))
         assert cli.main(["perturb", ex2_file, delta]) == 2
@@ -572,6 +618,16 @@ class TestRegion:
         assert cli.main(["region", ex2_file, "--grid", grid, "--out", str(out1)]) == 0
         assert cli.main(["region", ex2_file, "--grid", grid, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_invalid_tolerance_exits_two(self, ex2_file, tol):
+        for argv in (
+            ["region", ex2_file, "--grid", "0:1:2,0:1:2,0:1:2", "--tol", tol],
+            ["solve", ex2_file, "--extremal", "--tol", tol],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
 
     def test_wrong_dimension_is_invalid_input(self, ex1_file):
         assert cli.main(["region", ex1_file, "--grid", "0:1:2,0:1:2,0:0:1"]) == 2

@@ -6,13 +6,12 @@ import pytest
 
 import helpers
 from hamriccati import (
-    CONTROL_FIRST,
-    OBSERVE_FIRST,
     HamiltonianMatrix,
     LagrangianConditionError,
     RiccatiData,
     StateSpace,
     assemble_hamiltonian,
+    dual_riccati,
     from_state_space,
     hamiltonian_schur,
     is_controllable,
@@ -203,19 +202,31 @@ class TestControllabilityObservability:
         assert is_observable(f, k) == (helpers.obs_rank(f, k) == n)
 
 
+def _control_first(data):
+    """The control-first layout of ``data``: the staircase of its dual triple.
+
+    In the dual roles (F^H, K, G) the staircase groups the controllable
+    part of (F, G) in front and splits it by observability.  Returns the
+    form and its blocks in the roles of ``data``: (F^H, K, G) read back as
+    f_t = form.f^H, g_t = form.k, k_t = form.g.
+    """
+    form = staircase(dual_riccati(data))
+    return form, form.f.conj().T, form.k, form.g
+
+
 class TestStaircase:
     def test_control_first_identity_fast_path(self):
         f, g, k = _control_first_example()
-        form = staircase(RiccatiData(f, g, k), CONTROL_FIRST)
+        form, ft, gt, kt = _control_first(RiccatiData(f, g, k))
         assert (form.n1, form.n2, form.n3) == (1, 1, 1)
         np.testing.assert_array_equal(form.u, np.eye(3))
-        np.testing.assert_array_equal(form.f, f.astype(complex))
-        np.testing.assert_array_equal(form.g, g.astype(complex))
-        np.testing.assert_array_equal(form.k, k.astype(complex))
+        np.testing.assert_array_equal(ft, f.astype(complex))
+        np.testing.assert_array_equal(gt, g.astype(complex))
+        np.testing.assert_array_equal(kt, k.astype(complex))
 
     def test_observe_first_identity_fast_path(self, reducible_fgk):
         f, g, k = reducible_fgk
-        form = staircase(RiccatiData(f, g, k), OBSERVE_FIRST)
+        form = staircase(RiccatiData(f, g, k))
         assert (form.n1, form.n2, form.n3) == (1, 1, 1)
         np.testing.assert_array_equal(form.u, np.eye(3))
         np.testing.assert_array_equal(form.f, f.astype(complex))
@@ -227,7 +238,7 @@ class TestStaircase:
         f, g, k = _control_first_example()
         v = helpers.rand_unitary(rng, 3)
         data = RiccatiData(v @ f @ v.conj().T, v @ g @ v.conj().T, v @ k @ v.conj().T)
-        form = staircase(data, CONTROL_FIRST)
+        form, ft, _, _ = _control_first(data)
         assert (form.n1, form.n2, form.n3) == (1, 1, 1)
         # not the identity transform, but a consistent one
         scale = 1 + _norm(data.f)
@@ -235,14 +246,14 @@ class TestStaircase:
             form.u.conj().T @ form.u, np.eye(3), atol=1e-12
         )
         np.testing.assert_allclose(
-            form.u.conj().T @ data.f @ form.u, form.f, atol=1e-10 * scale
+            form.u.conj().T @ data.f @ form.u, ft, atol=1e-10 * scale
         )
         # spectrum preserved
-        got = np.sort_complex(np.linalg.eigvals(form.f))
+        got = np.sort_complex(np.linalg.eigvals(ft))
         want = np.sort_complex(np.linalg.eigvals(f))
         np.testing.assert_allclose(got, want, atol=1e-8)
 
-    @pytest.mark.parametrize("variant", [CONTROL_FIRST, OBSERVE_FIRST])
+    @pytest.mark.parametrize("variant", ["control-first", "observe-first"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_patterns_and_idempotence(self, variant, seed):
         rng = helpers.make_rng(100 + seed)
@@ -250,51 +261,52 @@ class TestStaircase:
         f = helpers.rand_complex(rng, n, n)
         g = helpers.rand_psd(rng, n, rank=2)
         k = helpers.rand_psd(rng, n, rank=2)
-        form = staircase(RiccatiData(f, g, k), variant)
+        data = RiccatiData(f, g, k)
+        if variant == "control-first":
+            form, ft, gt, kt = _control_first(data)
+        else:
+            form = staircase(data)
+            ft, gt, kt = form.f, form.g, form.k
         n1, n12 = form.n1, form.n12
         scale_g = 1 + _norm(g)
         scale_k = 1 + _norm(k)
         scale_f = 1 + _norm(f)
-        if variant == CONTROL_FIRST:
+        if variant == "control-first":
             assert n12 == helpers.krylov_rank(f, g)
-            assert _norm(form.f[n12:, :n12]) < 1e-9 * scale_f
-            assert _norm(form.f[:n1, n1:n12]) < 1e-9 * scale_f
-            assert _norm(form.g[n12:, :]) < 1e-9 * scale_g
-            assert _norm(form.k[n1:n12, :]) < 1e-9 * scale_k
+            assert _norm(ft[n12:, :n12]) < 1e-9 * scale_f
+            assert _norm(ft[:n1, n1:n12]) < 1e-9 * scale_f
+            assert _norm(gt[n12:, :]) < 1e-9 * scale_g
+            assert _norm(kt[n1:n12, :]) < 1e-9 * scale_k
         else:
             assert n12 == helpers.obs_rank(f, k)
-            assert _norm(form.f[:n12, n12:]) < 1e-9 * scale_f
-            assert _norm(form.f[n1:n12, :n1]) < 1e-9 * scale_f
-            assert _norm(form.g[n1:n12, :]) < 1e-9 * scale_g
-            assert _norm(form.k[n12:, :]) < 1e-9 * scale_k
+            assert _norm(ft[:n12, n12:]) < 1e-9 * scale_f
+            assert _norm(ft[n1:n12, :n1]) < 1e-9 * scale_f
+            assert _norm(gt[n1:n12, :]) < 1e-9 * scale_g
+            assert _norm(kt[n12:, :]) < 1e-9 * scale_k
         # core block is minimal: controllable and observable
-        core_f = form.f[:n1, :n1]
-        assert is_controllable(core_f, form.g[:n1, :n1])
-        assert is_observable(core_f, form.k[:n1, :n1])
+        core_f = ft[:n1, :n1]
+        assert is_controllable(core_f, gt[:n1, :n1])
+        assert is_observable(core_f, kt[:n1, :n1])
         # applying the staircase to its own output is the identity
-        again = staircase(RiccatiData(form.f, form.g, form.k), variant)
+        again = staircase(RiccatiData(form.f, form.g, form.k))
         np.testing.assert_allclose(again.u, np.eye(n), atol=1e-14)
         assert (again.n1, again.n2, again.n3) == (form.n1, form.n2, form.n3)
 
     def test_fully_minimal_triple(self, rng):
         f, g, k = helpers.rand_stable_triple(rng, 3)
-        for variant in (CONTROL_FIRST, OBSERVE_FIRST):
-            form = staircase(RiccatiData(f, g, k), variant)
+        data = RiccatiData(f, g, k)
+        for form in (staircase(data), _control_first(data)[0]):
             assert (form.n1, form.n2, form.n3) == (3, 0, 0)
             np.testing.assert_array_equal(form.u, np.eye(3))
 
     def test_zero_g_zero_k(self):
         f = np.array([[-1.0, 2.0], [0.0, -4.0]])
         z = np.zeros((2, 2))
-        form_c = staircase(RiccatiData(f, z, z), CONTROL_FIRST)
+        form_c, _, _, _ = _control_first(RiccatiData(f, z, z))
         assert (form_c.n1, form_c.n2, form_c.n3) == (0, 0, 2)
-        form_o = staircase(RiccatiData(f, z, z), OBSERVE_FIRST)
+        form_o = staircase(RiccatiData(f, z, z))
         assert (form_o.n1, form_o.n2, form_o.n3) == (0, 0, 2)
         np.testing.assert_array_equal(form_o.u, np.eye(2))
-
-    def test_unknown_variant_rejected(self, lab_fgk):
-        with pytest.raises(ValueError, match="variant"):
-            staircase(RiccatiData(*lab_fgk), "sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +345,11 @@ class TestLagrangianSubspace:
         x = ls.w2 @ np.linalg.inv(ls.w1)
         np.testing.assert_allclose(x, [[5.0, 1.0], [1.0, 8.0]], atol=1e-8)
 
-    def test_predicate_matches_mode(self, lab_fgk):
+    def test_unknown_selection_rejected(self, lab_fgk):
         h = HamiltonianMatrix.from_triple(*lab_fgk)
-        by_mode = lagrangian_subspace(h, "antistable")
-        by_pred = lagrangian_subspace(h, lambda lam: lam.real > 0)
-        p1 = by_mode.w @ by_mode.w.conj().T
-        p2 = by_pred.w @ by_pred.w.conj().T
-        np.testing.assert_allclose(p1, p2, atol=1e-10)
-
-    def test_predicate_wrong_count_rejected(self, lab_fgk):
-        h = HamiltonianMatrix.from_triple(*lab_fgk)
-        with pytest.raises(ValueError, match="exactly"):
-            lagrangian_subspace(h, lambda lam: True)
+        for select in ("sideways", lambda lam: lam.real > 0):
+            with pytest.raises(ValueError, match="'stable' or 'antistable'"):
+                lagrangian_subspace(h, select)
 
     def test_raw_array_accepted(self, lab_fgk):
         h = HamiltonianMatrix.from_triple(*lab_fgk)

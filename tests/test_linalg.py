@@ -206,6 +206,29 @@ def test_order_schur_matches_the_python_reference(n):
             assert np.max(np.abs(got - want), initial=0.0) <= tol
 
 
+def test_lapack_leaves_exact_zeros_below_the_diagonal(lab_fgk):
+    # zgees and ztrsen promise triangular output, and neither
+    # schur_decompose nor order_schur zeroes the lower part again: the
+    # reorder-oracle matrices and the lab Hamiltonians (among them the
+    # defective vertex) must come back exactly triangular.
+    forms = []
+    for n in (4, 20, 100):
+        rng = helpers.make_rng(100 + n)
+        for _ in range(3):
+            s = schur_decompose(helpers.rand_complex(rng, n))
+            forms += [s, order_schur(s, rng.random(n) < 0.5)]
+    f, g, k = lab_fgk
+    for bump in ([0.0, 0.0], [1.0, 0.0], [4.0, 9.0], [13.0, 13.0]):
+        s = schur_decompose(assemble_hamiltonian_array(f, g, k + np.diag(bump)))
+        forms.append(s)
+        try:
+            forms.append(order_schur(s, np.diag(s.t).real < 0))
+        except OrderingBreakdown:
+            pass  # the selection splits the vertex's defective cluster
+    for s in forms:
+        assert np.array_equal(s.t, np.triu(s.t))
+
+
 @pytest.mark.parametrize("kind", ["jordan", "scalar"])
 @pytest.mark.parametrize("between", [False, True], ids=["adjacent", "distinct-between"])
 def test_order_schur_breakdown_verdict_matches_the_python_reference(kind, between):

@@ -1,4 +1,4 @@
-"""Every public name has a user.
+"""Every public name and every public option has a user.
 
 A name in a module's ``__all__`` stays only if the CLI, a demo, the
 acceptance suite or another part of the library refers to it.  The check
@@ -6,12 +6,20 @@ reads the sources with ``ast``: a reference is a name or an attribute in
 code, so docstrings, comments, import lines and the ``__all__`` strings
 themselves do not count, and neither does the name's own ``def`` or
 ``class`` statement.
+
+An optional parameter of a public function or public method stays only
+if the CLI, a demo or the acceptance suite sets it, or if the calls in
+those files and in the library pass it at least two different values
+(leaving it out passes the default).  Constructors are not counted: a
+dataclass field or an exception attribute is set by whoever builds it.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import types
+from collections import defaultdict
 from pathlib import Path
 
 import hamriccati
@@ -22,12 +30,16 @@ PACKAGE = ROOT / "src" / "hamriccati"
 MODULES = (forms, linalg, perturbation, riccati)
 
 
-def _consumers() -> list[Path]:
+def _users() -> list[Path]:
     return [
-        *sorted(PACKAGE.glob("*.py")),
+        PACKAGE / "cli.py",
         *sorted((ROOT / "demos").glob("*.py")),
         ROOT / "tests" / "test_acceptance.py",
     ]
+
+
+def _consumers() -> list[Path]:
+    return sorted({*PACKAGE.glob("*.py"), *_users()})
 
 
 def _referenced_names(paths) -> set[str]:
@@ -62,3 +74,131 @@ def test_the_package_exports_exactly_the_modules_public_names():
         and name != "annotations"
     }
     assert exported == declared
+
+
+def _optional_parameters():
+    """(owner, callable name, position among the call arguments or None,
+    parameter name) of every optional parameter of a public function or
+    public method."""
+    for module in MODULES:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                members = [
+                    (attr, getattr(obj, attr), isinstance(raw, staticmethod))
+                    for attr, raw in vars(obj).items()
+                    if not attr.startswith("_")
+                    and isinstance(raw, (types.FunctionType, classmethod, staticmethod))
+                ]
+            elif inspect.isfunction(obj):
+                members = [(name, obj, True)]
+            else:
+                continue
+            for fname, fn, unbound in members:
+                params = list(inspect.signature(fn).parameters.values())
+                if inspect.isfunction(fn) and not unbound:
+                    params = params[1:]  # self
+                for position, p in enumerate(params):
+                    if p.default is not inspect.Parameter.empty:
+                        index = position if p.kind is p.POSITIONAL_OR_KEYWORD else None
+                        yield f"{module.__name__}.{name}", fname, index, p.name
+
+
+def _dict_keys(tree) -> dict[str, set[str]]:
+    """Keys each name is given as a ``name = {...}`` literal or by
+    ``name[key] = ...``: what a ``**name`` argument can pass."""
+    keys: dict[str, set[str]] = defaultdict(set)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                # Also ``name = {} if ... else {...}``.
+                for literal in ast.walk(node.value):
+                    if isinstance(literal, ast.Dict):
+                        keys[target.id].update(
+                            k.value for k in literal.keys if isinstance(k, ast.Constant)
+                        )
+            elif (
+                isinstance(target, ast.Subscript)
+                and isinstance(target.value, ast.Name)
+                and isinstance(target.slice, ast.Constant)
+            ):
+                keys[target.value.id].add(target.slice.value)
+    return keys
+
+
+def _calls(path: Path):
+    """(enclosing function, its parameters, called name, {parameter or
+    position: argument source}) for every call in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    keys = _dict_keys(tree)
+    scopes = [(None, set(), tree)]
+    scopes += [
+        (node.name, {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}, node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    owner = {}
+    for scope in scopes:  # innermost scope last, so it wins
+        for node in ast.walk(scope[2]):
+            if isinstance(node, ast.Call):
+                owner[node] = scope
+    for node, (enclosing, params, _) in owner.items():
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        passed: dict[object, str] = {}
+        for position, arg in enumerate(node.args):
+            if isinstance(arg, ast.Starred):
+                break
+            passed[position] = ast.unparse(arg)
+        for kw in node.keywords:
+            if kw.arg is not None:
+                passed[kw.arg] = ast.unparse(kw.value)
+            elif isinstance(kw.value, ast.Name):
+                for key in keys.get(kw.value.id, ()):
+                    passed.setdefault(key, f"**{kw.value.id}")
+        yield enclosing, params, called, passed
+
+
+def test_every_option_has_a_consumer():
+    options = {
+        (fname, pname): (owner, index)
+        for owner, fname, index, pname in _optional_parameters()
+    }
+    users = set(_users())
+    set_by_user = set()
+    # Per option: the argument sources passed to it, and the options of
+    # enclosing functions whose values it is passed along.
+    literal: dict[tuple, set[str]] = defaultdict(set)
+    forwarded: dict[tuple, set[tuple]] = defaultdict(set)
+    for path in _consumers():
+        for enclosing, params, called, passed in _calls(path):
+            for (fname, pname), (_, index) in options.items():
+                if fname != called:
+                    continue
+                value = passed.get(pname, passed.get(index, "<default>"))
+                if value in params and (enclosing, value) in options:
+                    forwarded[fname, pname].add((enclosing, value))
+                    continue
+                literal[fname, pname].add(value)
+                if path in users and value != "<default>":
+                    set_by_user.add((fname, pname))
+    values = {key: set(literal[key]) for key in options}
+    changed = True
+    while changed:
+        changed = False
+        for key, sources in forwarded.items():
+            for source in sources:
+                if not values[source] <= values[key]:
+                    values[key] |= values[source]
+                    changed = True
+    unused = sorted(
+        f"{options[key][0]}: {key[0]}({key[1]}=...)"
+        for key in options
+        if key not in set_by_user and len(values[key]) < 2
+    )
+    assert not unused, (
+        "optional parameters that no CLI flag, demo or guarantee sets and that "
+        f"are passed at most one value: {unused}"
+    )
