@@ -49,6 +49,7 @@ from .perturbation import (
 from .riccati import (
     SOLVED,
     LagrangianConditionError,
+    _satisfies_inequality,
     ari_residual,
     passivity_verdict,
     ph_realization,
@@ -341,10 +342,9 @@ def _run_solve(ns: argparse.Namespace) -> int:
             residual, verdict, delta_k = ari_residual(x, data, tol=tol)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        accepted = verdict.kind in (
-            "negative-definite",
-            "negative-semidefinite",
-        ) or bool(np.max(verdict.eigenvalues) <= tol * (1.0 + np.linalg.norm(residual)))
+        accepted = _satisfies_inequality(
+            verdict, band=tol * (1.0 + np.linalg.norm(residual))
+        )
         report.update(
             {
                 "verdict": "accepted" if accepted else "rejected",
@@ -584,7 +584,7 @@ def _run_perturb(ns: argparse.Namespace) -> int:
                 "direction_delta11": _matrix_to_json(
                     leg.direction.delta11, "direction_delta11"
                 ),
-                "n_axis_end": int(leg.snapshots[-1].n_axis) if leg.snapshots else None,
+                "n_axis_end": int(leg.n_axis_end),
             }
             for leg in path.legs
         ],

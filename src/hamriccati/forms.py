@@ -19,6 +19,7 @@ from .linalg import (
     OrderingBreakdown,
     SchurForm,
     _block2x2,
+    _frozen,
     _norm,
     as_matrix,
     definiteness,
@@ -42,7 +43,6 @@ __all__ = [
     "assemble_hamiltonian",
     "LagrangianSubspace",
     "lagrangian_subspace",
-    "HamiltonianSchurForm",
     "hamiltonian_schur",
 ]
 
@@ -60,15 +60,10 @@ _MAX_ENUM = 20
 class LagrangianConditionError(RuntimeError):
     """No isotropic invariant subspace found for the requested selection.
 
-    ``defect`` carries the smallest isotropy defect ||w1^H w2 - w2^H w1||
-    among the attempted selections; ``inertia_evidence`` (optional) lists
-    per-cluster obstruction data (alpha, multiplicity, form eigenvalues).
+    The message names the smallest isotropy defect ||w1^H w2 - w2^H w1||
+    among the attempted selections and the heights of the imaginary-axis
+    clusters whose definite form rules every selection out.
     """
-
-    def __init__(self, message, defect=None, inertia_evidence=None):
-        super().__init__(message)
-        self.defect = defect
-        self.inertia_evidence = inertia_evidence or []
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +142,6 @@ class StateSpace:
     @property
     def n(self) -> int:
         return self.a.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.d.shape[0]
 
 
 def j_matrix(n: int) -> np.ndarray:
@@ -305,14 +296,6 @@ class CondensedForm:
     def n(self) -> int:
         return self.f.shape[0]
 
-    @property
-    def n12(self) -> int:
-        return self.n1 + self.n2
-
-    def block(self, mat: np.ndarray, i: int, j: int) -> np.ndarray:
-        bounds = [0, self.n1, self.n1 + self.n2, self.n]
-        return mat[bounds[i - 1] : bounds[i], bounds[j - 1] : bounds[j]]
-
 
 def _pattern_blocks(n1: int, n2: int, n3: int):
     """Index ranges (matrix_name, rows, cols) required to vanish."""
@@ -398,22 +381,10 @@ def staircase(data: RiccatiData) -> CondensedForm:
 
 @dataclass(frozen=True)
 class LagrangianSubspace:
-    """Orthonormal basis [[w1], [w2]] of an isotropic invariant subspace.
-
-    ``t11`` is the restriction of the Hamiltonian to the subspace
-    (H W = W t11), ``selected_spectrum`` its eigenvalues, and ``defect``
-    the achieved isotropy defect ||w1^H w2 - w2^H w1||.
-    """
+    """Orthonormal basis [[w1], [w2]] of an isotropic invariant subspace."""
 
     w1: np.ndarray
     w2: np.ndarray
-    t11: np.ndarray
-    selected_spectrum: np.ndarray
-    defect: float
-
-    @property
-    def w(self) -> np.ndarray:
-        return np.vstack([self.w1, self.w2])
 
 
 def _axis_clusters(eigs: np.ndarray, imag_tol: float, merge_tol: float):
@@ -475,12 +446,14 @@ def _selection_flags(eigs: np.ndarray, n: int, mode: str, imag_tol: float) -> It
             return
 
 
-def _cluster_obstructions(h_arr: np.ndarray, s: SchurForm, imag_tol: float):
-    """Per-axis-cluster inertia of i w^H J w; definite clusters obstruct."""
-    n = h_arr.shape[0] // 2
-    j = j_matrix(n)
+def _cluster_obstructions(s: SchurForm, imag_tol: float) -> list[float]:
+    """Heights of the axis clusters whose form i w^H J w is definite.
+
+    No isotropic invariant subspace contains half of such a cluster.
+    """
+    j = j_matrix(s.n // 2)
     eigs = np.diag(s.t)
-    evidence = []
+    heights = []
     for alpha, members in _axis_clusters(eigs, imag_tol, merge_tol=max(100 * imag_tol, 1e-6)):
         flags = [i in set(members) for i in range(len(eigs))]
         try:
@@ -493,16 +466,9 @@ def _cluster_obstructions(h_arr: np.ndarray, s: SchurForm, imag_tol: float):
         band = 1e-8 * (1.0 + float(np.abs(w_eigs).max(initial=0.0)))
         pos = int(np.sum(w_eigs > band))
         neg = int(np.sum(w_eigs < -band))
-        definite = pos == len(members) or neg == len(members)
-        evidence.append(
-            {
-                "alpha": alpha,
-                "multiplicity": len(members),
-                "form_eigenvalues": w_eigs,
-                "definite": definite,
-            }
-        )
-    return evidence
+        if pos == len(members) or neg == len(members):
+            heights.append(alpha)
+    return heights
 
 
 def _isotropic_selection(
@@ -532,47 +498,37 @@ def _isotropic_selection(
         if defect <= iso_tol:
             w1 = w[:n, :].copy()
             w2 = w[n:, :].copy()
-            t11 = ordered.t[:n, :n].copy()
-            for arr in (w1, w2, t11):
+            for arr in (w1, w2):
                 arr.setflags(write=False)
-            sub = LagrangianSubspace(
-                w1=w1,
-                w2=w2,
-                t11=t11,
-                selected_spectrum=np.diag(t11).copy(),
-                defect=defect,
-            )
-            return sub, defect
+            return LagrangianSubspace(w1=w1, w2=w2), defect
         best_defect = min(best_defect, defect)
     return None, best_defect
 
 
 def _lagrangian_from_schur(
-    h_arr: np.ndarray,
     s: SchurForm,
     select: str,
     *,
     iso_tol: float,
     imag_tol: float,
 ) -> LagrangianSubspace:
-    """:func:`lagrangian_subspace` on an existing Schur form ``s`` of ``h_arr``."""
+    """:func:`lagrangian_subspace` on an existing Schur form ``s`` of a Hamiltonian."""
     sub, best_defect = _isotropic_selection(
-        s, h_arr.shape[0] // 2, select, iso_tol=iso_tol, imag_tol=imag_tol
+        s, s.n // 2, select, iso_tol=iso_tol, imag_tol=imag_tol
     )
     if sub is not None:
         return sub
-    evidence = _cluster_obstructions(h_arr, s, imag_tol)
-    definite = [e for e in evidence if e["definite"]]
+    definite = _cluster_obstructions(s, imag_tol)
     msg = (
         f"no isotropic invariant subspace found (best defect {best_defect:.3e})"
     )
     if definite:
         msg += (
             "; imaginary-axis cluster(s) at alpha="
-            + ", ".join(f"{e['alpha']:.6g}" for e in definite)
+            + ", ".join(f"{alpha:.6g}" for alpha in definite)
             + " carry a definite form i v^H J v, so none exists"
         )
-    raise LagrangianConditionError(msg, defect=best_defect, inertia_evidence=evidence)
+    raise LagrangianConditionError(msg)
 
 
 def lagrangian_subspace(h, select: str) -> LagrangianSubspace:
@@ -594,12 +550,11 @@ def lagrangian_subspace(h, select: str) -> LagrangianSubspace:
     ------
     LagrangianConditionError
         If no attempted selection is isotropic. When an axis cluster
-        carries a definite form i v^H J v, that obstruction is included as
-        evidence (such a cluster admits no isotropic invariant subspace).
+        carries a definite form i v^H J v, the message names its height
+        (such a cluster admits no isotropic invariant subspace).
     """
     h_arr, _ = _ham_array(h)
     return _lagrangian_from_schur(
-        h_arr,
         schur_decompose(h_arr),
         select,
         iso_tol=_ISO_TOL,
@@ -607,46 +562,15 @@ def lagrangian_subspace(h, select: str) -> LagrangianSubspace:
     )
 
 
-@dataclass(frozen=True)
-class HamiltonianSchurForm:
-    """Symplectic-unitary similarity q^H H q = [[t11, t12], [0, -t11^H]]."""
+def hamiltonian_schur(h, select: str = "stable") -> np.ndarray:
+    """Unitary-symplectic factor of a Hamiltonian Schur form.
 
-    q: np.ndarray
-    t11: np.ndarray
-    t12: np.ndarray
-    subspace: LagrangianSubspace
-    orth_defect: float
-    symplectic_defect: float
-    lower_left_residual: float
-
-
-def hamiltonian_schur(h, select: str = "stable") -> HamiltonianSchurForm:
-    """Hamiltonian Schur form built from a Lagrangian invariant subspace.
-
-    The unitary q = [[w1, -w2], [w2, w1]] is symplectic; its quality
-    (orthonormality, symplecticity, and the lower-left block of q^H H q)
-    is measured and returned. Residuals degrade gracefully with the
-    isotropy defect of the subspace, so callers can judge borderline
-    selections.
+    With [[w1], [w2]] the Lagrangian invariant subspace of ``select`` (see
+    :func:`lagrangian_subspace`), q = [[w1, -w2], [w2, w1]] is unitary and
+    symplectic, and q^H H q = [[t11, t12], [0, -t11^H]] with the spectrum
+    of t11 in the selected closed half-plane.  How far q is from unitary,
+    symplectic and block triangularizing grows with the isotropy defect of
+    the subspace, which is at most 1e-6.
     """
-    h_arr, n = _ham_array(h)
     ls = lagrangian_subspace(h, select)
-    q = np.block([[ls.w1, -ls.w2], [ls.w2, ls.w1]])
-    j = j_matrix(n)
-    orth = _norm(q.conj().T @ q - np.eye(2 * n))
-    sympl = _norm(q.conj().T @ j @ q - j)
-    t_full = q.conj().T @ h_arr @ q
-    lower = _norm(t_full[n:, :n]) / (1.0 + _norm(h_arr))
-    t11 = t_full[:n, :n].copy()
-    t12 = t_full[:n, n:].copy()
-    for arr in (q, t11, t12):
-        arr.setflags(write=False)
-    return HamiltonianSchurForm(
-        q=q,
-        t11=t11,
-        t12=t12,
-        subspace=ls,
-        orth_defect=orth,
-        symplectic_defect=sympl,
-        lower_left_residual=lower,
-    )
+    return _frozen(_block2x2(ls.w1, -ls.w2, ls.w2, ls.w1))

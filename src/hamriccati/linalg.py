@@ -115,10 +115,6 @@ class SchurForm:
     t: np.ndarray
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.diag(self.t).copy()
-
-    @property
     def n(self) -> int:
         return self.t.shape[0]
 
@@ -237,16 +233,12 @@ class SylvesterSolution:
     representative of an affine solution set) or ``"inconsistent"`` (``x`` is
     then the least-squares minimizer, kept for diagnostics).
     ``residual_norm`` is the Frobenius norm of a x + x b + c at the returned
-    ``x``. ``spectral_gap`` is min |lambda_i(a) + mu_j(b)| and
-    ``gap_threshold`` records the branch decision taken, so a caller can
-    audit it.
+    ``x``.
     """
 
     kind: str
     x: np.ndarray | None
     residual_norm: float
-    spectral_gap: float
-    gap_threshold: float
 
 
 def _sylvester_residual(a, b, c, x) -> float:
@@ -283,13 +275,11 @@ def solve_sylvester(a, b, c) -> SylvesterSolution:
     m, k = a.shape[0], b.shape[0]
     if c.shape != (m, k):
         raise ValueError(f"c must have shape {(m, k)}, got {c.shape}")
-    norm_a = float(np.linalg.norm(a, 2)) if m else 0.0
-    norm_b = float(np.linalg.norm(b, 2)) if k else 0.0
-    gap_threshold = 1e-8 * (norm_a + norm_b)
-
     if m == 0 or k == 0:
-        x = np.zeros((m, k), complex)
-        return SylvesterSolution("unique", x, 0.0, np.inf, gap_threshold)
+        return SylvesterSolution("unique", np.zeros((m, k), complex), 0.0)
+    norm_a = float(np.linalg.norm(a, 2))
+    norm_b = float(np.linalg.norm(b, 2))
+    gap_threshold = 1e-8 * (norm_a + norm_b)
 
     eig_a = np.linalg.eigvals(a)
     eig_b = np.linalg.eigvals(b)
@@ -299,7 +289,7 @@ def solve_sylvester(a, b, c) -> SylvesterSolution:
         x = sla.solve_sylvester(a, b, -c)
         res = _sylvester_residual(a, b, c, x)
         x.setflags(write=False)
-        return SylvesterSolution("unique", x, res, gap, gap_threshold)
+        return SylvesterSolution("unique", x, res)
 
     # Overlapping spectra: minimum-norm least squares on the Kronecker form.
     # Singular values of the vectorized operator at or below the spectral-gap
@@ -317,7 +307,7 @@ def solve_sylvester(a, b, c) -> SylvesterSolution:
     scale = _norm(c) + (norm_a + norm_b) * _norm(x) + 1e-300
     kind = "consistent" if res <= 1e-8 * scale else "inconsistent"
     x.setflags(write=False)
-    return SylvesterSolution(kind, x, res, gap, gap_threshold)
+    return SylvesterSolution(kind, x, res)
 
 
 def solve_lyapunov(a, c) -> np.ndarray:
@@ -383,10 +373,6 @@ class DefinitenessVerdict:
     @property
     def is_psd(self) -> bool:
         return self.kind in (POSITIVE_DEFINITE, POSITIVE_SEMIDEFINITE)
-
-    @property
-    def is_nsd(self) -> bool:
-        return self.kind in (NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE)
 
 
 def definiteness(a, *, tol: float = 1e-10) -> DefinitenessVerdict:

@@ -244,10 +244,9 @@ class AxisCluster:
     """A cluster of imaginary-axis eigenvalues at height ``alpha``.
 
     ``n_minus``/``n_plus``/``n_zero`` count the eigenvalues of the
-    Hermitian form i V^H J V on the cluster's invariant subspace;
-    ``sign`` condenses them to -1 (negative definite), +1 (positive
-    definite) or 0 (mixed or degenerate).  ``resolved`` is False when the
-    invariant subspace could not be separated numerically.
+    Hermitian form i V^H J V on the cluster's invariant subspace.
+    ``resolved`` is False when the invariant subspace could not be
+    separated numerically.
 
     ``alpha`` and ``multiplicity`` are fixed when the cluster is found.
     The sign characteristics are computed on first access, from the Schur
@@ -282,14 +281,6 @@ class AxisCluster:
     @property
     def resolved(self) -> bool:
         return self._counts[3]
-
-    @property
-    def sign(self) -> int:
-        if self.multiplicity and self.n_minus == self.multiplicity:
-            return -1
-        if self.multiplicity and self.n_plus == self.multiplicity:
-            return 1
-        return 0
 
     def _key(self) -> tuple:
         return (self.alpha, self.multiplicity, *self._counts)
@@ -643,8 +634,7 @@ class BranchFit:
     """Fit of one eigenvalue branch across the parameter grid.
 
     ``side`` is +1 for branches moving up the axis, -1 for down, 0 for
-    branches leaving along an off-axis ray (``angle`` then records the ray
-    direction at the smallest parameter).  ``exponent``/``coefficient``
+    branches leaving along an off-axis ray.  ``exponent``/``coefficient``
     come from a log-log regression of ``|deviation|`` against ``t``;
     ``gamma_estimate`` is the median of ``|deviation|^(2 rho) / t``.
     ``inertia_consistent`` is True when every sampled axis eigenvector had
@@ -652,25 +642,19 @@ class BranchFit:
     """
 
     rho: int
-    rank: int
     side: int
-    angle: float
     exponent: float
     coefficient: float
     gamma_estimate: float
     inertia_consistent: bool | None
-    deviations: np.ndarray
 
 
 @dataclass(frozen=True)
 class FractionalFitReport:
     """Empirical verification of the fractional splitting pattern."""
 
-    sizes: tuple[tuple[int, int], ...]
-    t_grid: np.ndarray
     stationary: bool
     branches: tuple[BranchFit, ...]
-    degenerate_t: tuple[float, ...]
     expected_gammas: Mapping[int, np.ndarray]
 
     def axis_counts(self, rho: int) -> tuple[int, int]:
@@ -692,7 +676,7 @@ def fractional_split_verify(case: JordanTestCase, *, t_grid=None) -> FractionalF
     coefficient ``gamma^(1/(2 rho))`` with the gammas from
     :func:`schur_complement_gammas`.  Parameters where the magnitude
     groups overlap (ratio below 2) or the axis counts disagree with the
-    construction are recorded in ``degenerate_t`` and skipped.
+    construction are skipped.
 
     The default grid is ``geomspace(1e-10, 1e-4, 13)``; pass a lower grid
     for high orders where the next-order correction decays slowly.
@@ -722,7 +706,6 @@ def fractional_split_verify(case: JordanTestCase, *, t_grid=None) -> FractionalF
     )
 
     samples: dict[tuple, list] = {}
-    degenerate: list[float] = []
     max_dev = 0.0
     for t in t_grid:
         arr = case.hamiltonian(t).full
@@ -777,23 +760,17 @@ def fractional_split_verify(case: JordanTestCase, *, t_grid=None) -> FractionalF
                         ((rho, 0, rank, int(slot)), (float(t), gdev[idx], None))
                     )
         if not ok:
-            degenerate.append(float(t))
             continue
         for key, row in staged:
             samples.setdefault(key, []).append(row)
 
     if max_dev <= max(noise_floor, 1e-11):
         return FractionalFitReport(
-            sizes=case.sizes,
-            t_grid=_frozen(t_grid),
-            stationary=True,
-            branches=(),
-            degenerate_t=tuple(degenerate),
-            expected_gammas=case.expected_gammas,
+            stationary=True, branches=(), expected_gammas=case.expected_gammas
         )
 
     branches = []
-    for (rho, side, rank, slot), rows in sorted(samples.items()):
+    for (rho, side, _, _), rows in sorted(samples.items()):
         if len(rows) < 3:
             continue
         ts = np.array([r[0] for r in rows])
@@ -806,23 +783,15 @@ def fractional_split_verify(case: JordanTestCase, *, t_grid=None) -> FractionalF
         branches.append(
             BranchFit(
                 rho=rho,
-                rank=rank,
                 side=side,
-                angle=float(np.angle(devs[0])),
                 exponent=float(slope),
                 coefficient=float(np.exp(intercept)),
                 gamma_estimate=gamma_est,
                 inertia_consistent=inertia,
-                deviations=_frozen(devs),
             )
         )
     return FractionalFitReport(
-        sizes=case.sizes,
-        t_grid=_frozen(t_grid),
-        stationary=False,
-        branches=tuple(branches),
-        degenerate_t=tuple(sorted(set(degenerate))),
-        expected_gammas=case.expected_gammas,
+        stationary=False, branches=tuple(branches), expected_gammas=case.expected_gammas
     )
 
 
@@ -834,8 +803,7 @@ def fractional_split_verify(case: JordanTestCase, *, t_grid=None) -> FractionalF
 class CriticalTime:
     """Result of locating the first axis arrival along a ray.
 
-    ``t0`` is None when no arrival was found below the scan limit; the
-    ``profile`` then holds the scanned ``(t, min |Re lambda|)`` pairs.
+    ``t0`` is None when no arrival was found below the scan limit.
     ``bound`` is the certified ray length beyond which no Hermitian
     solution can exist (available for weight-only directions with
     extremal solutions at the base point).
@@ -846,14 +814,12 @@ class CriticalTime:
     bound: float | None
     status: str
     n_axis_start: int
-    profile: np.ndarray
 
 
-def _axis_count(arr: np.ndarray, imag_tol: float) -> tuple[int, float]:
+def _axis_count(arr: np.ndarray, imag_tol: float) -> int:
     eigs = np.linalg.eigvals(arr)
     band = imag_tol * (1.0 + _norm(arr))
-    min_re = float(np.min(np.abs(eigs.real))) if eigs.size else np.inf
-    return int(np.sum(np.abs(eigs.real) <= band)), min_re
+    return int(np.sum(np.abs(eigs.real) <= band))
 
 
 def critical_time(
@@ -897,19 +863,13 @@ def critical_time(
             bracket=None,
             bound=None,
             status="none_below_t_max",
-            n_axis_start=_axis_count(_perturbed_array(data, d, 0.0), imag_tol)[0],
-            profile=_frozen(np.zeros((0, 2))),
+            n_axis_start=_axis_count(_perturbed_array(data, d, 0.0), imag_tol),
         )
 
-    n_axis0, min_re0 = _axis_count(_perturbed_array(data, d, 0.0), imag_tol)
+    n_axis0 = _axis_count(_perturbed_array(data, d, 0.0), imag_tol)
     if n_axis0 and not allow_frozen:
         return CriticalTime(
-            t0=0.0,
-            bracket=(0.0, 0.0),
-            bound=None,
-            status="crossed",
-            n_axis_start=n_axis0,
-            profile=_frozen(np.array([[0.0, min_re0]])),
+            t0=0.0, bracket=(0.0, 0.0), bound=None, status="crossed", n_axis_start=n_axis0
         )
 
     bound = None
@@ -937,18 +897,14 @@ def critical_time(
             "extremal solutions at the base point"
         )
 
-    def crossed(t: float) -> tuple[bool, float]:
-        count, min_re = _axis_count(_perturbed_array(data, d, t), imag_tol)
-        return count > n_axis0, min_re
+    def crossed(t: float) -> bool:
+        return _axis_count(_perturbed_array(data, d, t), imag_tol) > n_axis0
 
     ts = np.linspace(0.0, hi, 97)
-    profile = [(0.0, min_re0)]
     lo = 0.0
     hit = None
     for t in ts[1:]:
-        flag, min_re = crossed(float(t))
-        profile.append((float(t), min_re))
-        if flag:
+        if crossed(float(t)):
             hit = float(t)
             break
         lo = float(t)
@@ -959,12 +915,11 @@ def critical_time(
             bound=bound,
             status="none_below_t_max",
             n_axis_start=n_axis0,
-            profile=_frozen(np.array(profile)),
         )
     hi_b = hit
     while hi_b - lo > 1e-10 * max(1.0, hi_b):
         mid = 0.5 * (lo + hi_b)
-        if crossed(mid)[0]:
+        if crossed(mid):
             hi_b = mid
         else:
             lo = mid
@@ -974,7 +929,6 @@ def critical_time(
         bound=bound,
         status="crossed",
         n_axis_start=n_axis0,
-        profile=_frozen(np.array(profile)),
     )
 
 
@@ -985,12 +939,12 @@ def critical_time(
 @dataclass(frozen=True)
 class PathLeg:
     """One ray of a boundary walk: a freezing direction followed to its
-    first new axis arrival, with spectrum snapshots along the way."""
+    first new axis arrival, with the number of axis eigenvalues there."""
 
     direction: PerturbationDirection
     t_start: float
     t_end: float
-    snapshots: tuple[SpectrumSnapshot, ...]
+    n_axis_end: int
 
 
 @dataclass(frozen=True)
@@ -1005,7 +959,6 @@ class VertexRecord:
 
 @dataclass(frozen=True)
 class PerturbationPath:
-    base: HamiltonianMatrix
     legs: tuple[PathLeg, ...]
     terminal: VertexRecord | None
     status: str
@@ -1118,7 +1071,7 @@ def vertex_path(
     axis eigenvalues (leading directions may be supplied; further ones
     are synthesized as projectors onto the complement of the axis
     eigenvector span, optionally randomly weighted via ``rng``) up to its
-    first new axis arrival, with five spectrum snapshots along it.  The
+    first new axis arrival, where it counts the axis eigenvalues.  The
     walk terminates when every eigenvalue sits on the axis; the extremal
     solutions have then collapsed (to within ``1e-6 * (1 + |x|)``) and
     their average is returned as the unique solution.
@@ -1140,11 +1093,7 @@ def vertex_path(
 
     def blocked(snap: SpectrumSnapshot) -> PerturbationPath:
         return PerturbationPath(
-            base=HamiltonianMatrix(data),
-            legs=tuple(legs),
-            terminal=None,
-            status="blocked",
-            blocking=snap,
+            legs=tuple(legs), terminal=None, status="blocked", blocking=snap
         )
 
     while True:
@@ -1161,17 +1110,13 @@ def vertex_path(
             if gap > 1e-6 * (1.0 + float(np.linalg.norm(x, 2))):
                 return blocked(snap)
             return PerturbationPath(
-                base=HamiltonianMatrix(data),
                 legs=tuple(legs),
                 terminal=VertexRecord(_frozen(hermitian_part(acc)), _frozen(x), gap),
                 status="vertex",
             )
         if len(legs) >= budget:
             return PerturbationPath(
-                base=HamiltonianMatrix(data),
-                legs=tuple(legs),
-                terminal=None,
-                status="budget_exhausted",
+                legs=tuple(legs), terminal=None, status="budget_exhausted"
             )
 
         direction = next(supplied, None)
@@ -1205,13 +1150,12 @@ def vertex_path(
         if ct.t0 is None or ct.t0 == 0.0:
             return blocked(snap)
         t_leg = _refine_leg_end(cur, direction, ct)
-        snaps = tuple(
-            spectrum_snapshot(
-                _perturbed_array(cur, direction, float(ti)), t=float(ti), axis_tol=imag_tol
-            )
-            for ti in np.linspace(0.0, t_leg, 5)
+        end = spectrum_snapshot(
+            _perturbed_array(cur, direction, t_leg), t=t_leg, axis_tol=imag_tol
         )
-        legs.append(PathLeg(direction=direction, t_start=0.0, t_end=t_leg, snapshots=snaps))
+        legs.append(
+            PathLeg(direction=direction, t_start=0.0, t_end=t_leg, n_axis_end=end.n_axis)
+        )
         acc = acc + t_leg * direction.delta11
         if _norm(acc) > 1e12 * scale_k:
             return blocked(snap)
@@ -1228,10 +1172,8 @@ class RegionVerdict:
     ``membership`` is ``"interior"`` (valid direction, Hermitian solution
     exists, no axis eigenvalues), ``"boundary"`` (solution exists with
     axis eigenvalues present), or ``"exterior"`` (direction not positive
-    semidefinite, or no Hermitian solution).  ``solvable`` tells whether
-    the stable-selection solve found a solution ``x``; for a direction
-    that is not positive semidefinite the solve is not attempted, and
-    ``solvable`` and ``x`` are both ``None``.  ``margin`` is a signed
+    semidefinite, or no Hermitian solution; for a direction that is not
+    positive semidefinite the solve is not attempted).  ``margin`` is a signed
     indicator: the smallest eigenvalue of the direction when that is
     negative; otherwise +(min |Re lambda|)^2 in the interior, 0 on the
     boundary, and -(min |lambda| over axis eigenvalues)^2 in the
@@ -1241,16 +1183,13 @@ class RegionVerdict:
 
     membership: str
     snapshot: SpectrumSnapshot
-    solvable: bool | None
-    psd_margin: float
     margin: float
-    x: np.ndarray | None
 
 
-def _stable_solution(
+def _has_stable_solution(
     data: RiccatiData, d: PerturbationDirection, s: SchurForm, scale: float
-) -> np.ndarray | None:
-    """Solution of the bumped equation from the stable selection of ``s``, or None.
+) -> bool:
+    """Whether the stable selection of ``s`` gives a solution of the bumped equation.
 
     A candidate is accepted when its residual is at most
     ``1e-8 * scale * (1 + |x|)^2``.
@@ -1258,11 +1197,11 @@ def _stable_solution(
     # The selection tolerances are lagrangian_subspace's.
     sub, _ = _isotropic_selection(s, data.n, "stable", iso_tol=_ISO_TOL, imag_tol=1e-8 * scale)
     if sub is None:
-        return None
+        return False
     try:
         cand = _graph_solution(sub.w1, sub.w2)
     except SolvabilityError:
-        return None
+        return False
     f_t = data.f + d.delta21
     g_t = hermitian_part(data.g + d.delta22)
     res = (
@@ -1272,8 +1211,8 @@ def _stable_solution(
         + hermitian_part(data.k + d.delta11)
     )
     if _norm(res) > 1e-8 * scale * (1.0 + _norm(cand)) ** 2:
-        return None
-    return hermitian_part(cand)
+        return False
+    return True
 
 
 def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) -> RegionVerdict:
@@ -1304,12 +1243,7 @@ def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) ->
     axis_present = snap.n_axis > 0
 
     bad_psd = d.psd_margin < -_PSD_TOL * (1.0 + _norm(d.full))
-    if bad_psd:
-        solvable, x = None, None
-    else:
-        x = _stable_solution(data, d, s, scale)
-        solvable = x is not None
-    if not solvable:
+    if bad_psd or not _has_stable_solution(data, d, s, scale):
         membership = "exterior"
     elif axis_present:
         membership = "boundary"
@@ -1327,11 +1261,4 @@ def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) ->
         band = imag_tol * scale
         axis_eigs = snap.eigenvalues[np.abs(snap.eigenvalues.real) <= band]
         margin = -float(np.min(np.abs(axis_eigs)) ** 2) if axis_eigs.size else -(min_re**2)
-    return RegionVerdict(
-        membership=membership,
-        snapshot=snap,
-        solvable=solvable,
-        psd_margin=d.psd_margin,
-        margin=margin,
-        x=None if x is None else _frozen(x),
-    )
+    return RegionVerdict(membership=membership, snapshot=snap, margin=margin)

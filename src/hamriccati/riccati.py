@@ -15,7 +15,7 @@ systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -113,6 +113,12 @@ def _satisfies_inequality(verdict: DefinitenessVerdict, *, band: float) -> bool:
     return float(np.max(verdict.eigenvalues)) <= band
 
 
+def _spectral_abscissa(a: np.ndarray) -> float:
+    """Largest real part of the eigenvalues of ``a``; -inf when ``a`` is empty."""
+    eig = np.linalg.eigvals(a)
+    return float(np.max(eig.real)) if eig.size else -np.inf
+
+
 # ---------------------------------------------------------------------------
 # extremal solutions
 
@@ -159,8 +165,8 @@ def solve_extremal(data: RiccatiData, *, iso_tol: float = 1e-6) -> ExtremalSolut
     h_arr = assemble_hamiltonian(data).full
     s = schur_decompose(h_arr)
     opts = {"iso_tol": iso_tol, "imag_tol": 1e-8 * (1.0 + _norm(h_arr))}
-    sub_minus = _lagrangian_from_schur(h_arr, s, "stable", **opts)
-    sub_plus = _lagrangian_from_schur(h_arr, s, "antistable", **opts)
+    sub_minus = _lagrangian_from_schur(s, "stable", **opts)
+    sub_plus = _lagrangian_from_schur(s, "antistable", **opts)
     x_minus = _graph_solution(sub_minus.w1, sub_minus.w2)
     x_plus = _graph_solution(sub_plus.w1, sub_plus.w2)
     f, g, k = data.f, data.g, data.k
@@ -187,20 +193,20 @@ class StructuredSolveReport:
     ``verdict`` is one of
 
     * ``"solved"`` — ``x`` holds a certified exact solution (residual
-      within tolerance).  ``positive_definite`` tells whether it is the
-      positive definite bordered solution or the padded
-      positive-semidefinite one returned when the trailing block admits
-      no invertible completion.
+      within tolerance): the positive definite bordered solution, or the
+      padded positive-semidefinite one returned when the trailing block
+      admits no invertible completion.
     * ``"no_solution"`` — certified: no positive definite solution exists.
       The bridge equation that couples the observable and unobservable
       states is inconsistent (``inconsistency_evidence`` holds its
       least-squares residual) while the observable core and the
-      unobservable diagonal block share eigenvalues
-      (``coincident_eigenvalues``), which forces the same inconsistency
-      for every admissible core solution.
+      unobservable diagonal block share eigenvalues, which forces the
+      same inconsistency for every admissible core solution.
     * ``"reduced_only"`` — the pipeline could not complete and nothing is
-      certified; ``failures`` records the reason for each attempted core
-      selection.
+      certified.
+
+    ``failures`` records, in order, the reason each core selection that
+    was tried and abandoned failed.
 
     ``stages`` holds the intermediate matrices keyed by name
     (``x11_tilde``, ``x21_tilde_h``, ``x22_tilde``, ``x11``, ``z``,
@@ -215,21 +221,15 @@ class StructuredSolveReport:
     x: np.ndarray | None
     stages: dict[str, Any]
     inconsistency_evidence: float | None
-    condensed: CondensedForm
-    core_selection: str | None
-    positive_definite: bool
-    coincident_eigenvalues: tuple[complex, ...]
-    obstruction: str | None
-    failures: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    failures: tuple[tuple[str, str], ...]
 
 
-def _coincident_spectra(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[complex, ...]:
-    """Eigenvalues shared (within ``tol``) by two square matrices."""
+def _spectra_meet(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """Whether two square matrices share an eigenvalue (within ``tol``)."""
     if a.shape[0] == 0 or b.shape[0] == 0:
-        return ()
+        return False
     la, lb = np.linalg.eigvals(a), np.linalg.eigvals(b)
-    shared = [complex(v) for v in la if np.min(np.abs(lb - v)) <= tol]
-    return tuple(shared)
+    return any(np.min(np.abs(lb - v)) <= tol for v in la)
 
 
 def _structured_attempt(
@@ -255,13 +255,11 @@ def _structured_attempt(
     stages: dict[str, Any] = {}
     residuals: dict[str, float] = {}
     out: dict[str, Any] = {
-        "mode": mode,
         "stages": stages,
         "residuals": residuals,
         "reason": None,
         "evidence": None,
-        "coincident": (),
-        "obstruction": None,
+        "coincident": False,
         "x22": None,
     }
 
@@ -319,7 +317,6 @@ def _structured_attempt(
         out["reason"] = f"observable-block residual {residuals['x11']:.3e} exceeds tolerance"
         return False, out
     v11 = definiteness(x11)
-    out["x11_verdict"] = v11
     if v11.kind != POSITIVE_DEFINITE:
         out["reason"] = f"observable-block solution is not positive definite ({v11.kind})"
         return False, out
@@ -339,7 +336,7 @@ def _structured_attempt(
         if bridge.kind == "inconsistent":
             scale = 1.0 + max(_norm(ft22), _norm(f22))
             out["evidence"] = float(bridge.residual_norm)
-            out["coincident"] = _coincident_spectra(ft22, f22, 1e-6 * scale)
+            out["coincident"] = _spectra_meet(ft22, f22, 1e-6 * scale)
             out["reason"] = (
                 "bridge equation to the unobservable block is inconsistent "
                 f"(residual {bridge.residual_norm:.3e})"
@@ -356,18 +353,11 @@ def _structured_attempt(
         ghat = hermitian_part(v.conj().T @ form.g @ v)
         y22 = hermitian_part(solve_lyapunov(f22.conj().T, ghat))
         stages["y22"] = _frozen(y22)
-        controllable = is_controllable(f22, ghat)
-        y_verdict = definiteness(y22)
-        if controllable and y_verdict.kind == POSITIVE_DEFINITE:
+        # x22 stays None when the trailing block has no invertible
+        # completion; the padded positive-semidefinite solution is then
+        # returned.
+        if is_controllable(f22, ghat) and definiteness(y22).kind == POSITIVE_DEFINITE:
             out["x22"] = hermitian_part(np.linalg.inv(y22))
-        else:
-            out["obstruction"] = (
-                "the unobservable block admits no invertible completion: the "
-                "pair (F22, Ghat) is "
-                + ("controllable" if controllable else "uncontrollable")
-                + f" and the Gramian verdict is {y_verdict.kind}; returning the "
-                "padded positive-semidefinite solution"
-            )
     else:
         out["x22"] = np.zeros((0, 0), dtype=complex)
     stages["x22"] = None if out["x22"] is None else _frozen(out["x22"])
@@ -401,10 +391,8 @@ def solve_structured(data: RiccatiData, *, tol: float = 1e-8) -> StructuredSolve
     SolvabilityError
         If F is not asymptotically stable (spectral abscissa reported).
     """
-    f, g, k = data.f, data.g, data.k
-    eig_f = np.linalg.eigvals(f)
-    abscissa = float(np.max(eig_f.real)) if eig_f.size else -np.inf
-    if abscissa >= -1e-10 * (1.0 + _norm(f)):
+    abscissa = _spectral_abscissa(data.f)
+    if abscissa >= -1e-10 * (1.0 + _norm(data.f)):
         raise SolvabilityError(
             "the structured solve requires an asymptotically stable F; "
             f"its spectral abscissa is {abscissa:.3e}"
@@ -412,27 +400,24 @@ def solve_structured(data: RiccatiData, *, tol: float = 1e-8) -> StructuredSolve
 
     form = staircase(data)
     failures: list[tuple[str, str]] = []
-    last: dict[str, Any] | None = None
     for mode in ("stable", "antistable"):
         ok, out = _structured_attempt(form, mode, tol=tol)
-        last = out
         if ok:
             return _assemble_structured_report(data, form, out, tol, tuple(failures))
         failures.append((mode, out["reason"]))
         if out["evidence"] is not None and out["coincident"]:
-            return _certified_no_solution(data, form, out, tuple(failures))
-    assert last is not None
-    stages = _with_padding(data, form, last)
+            return StructuredSolveReport(
+                verdict=NO_SOLUTION,
+                x=None,
+                stages=_with_padding(data, form, out),
+                inconsistency_evidence=out["evidence"],
+                failures=tuple(failures),
+            )
     return StructuredSolveReport(
         verdict=REDUCED_ONLY,
         x=None,
-        stages=stages,
-        inconsistency_evidence=last["evidence"],
-        condensed=form,
-        core_selection=None,
-        positive_definite=False,
-        coincident_eigenvalues=last["coincident"],
-        obstruction=None,
+        stages=_with_padding(data, form, out),
+        inconsistency_evidence=out["evidence"],
         failures=tuple(failures),
     )
 
@@ -449,26 +434,6 @@ def _with_padding(data: RiccatiData, form: CondensedForm, out: dict[str, Any]) -
             _norm(_equation_residual(data.f, data.g, data.k, x_padded))
         )
     return stages
-
-
-def _certified_no_solution(
-    data: RiccatiData,
-    form: CondensedForm,
-    out: dict[str, Any],
-    failures: tuple[tuple[str, str], ...],
-) -> StructuredSolveReport:
-    return StructuredSolveReport(
-        verdict=NO_SOLUTION,
-        x=None,
-        stages=_with_padding(data, form, out),
-        inconsistency_evidence=out["evidence"],
-        condensed=form,
-        core_selection=out["mode"],
-        positive_definite=False,
-        coincident_eigenvalues=out["coincident"],
-        obstruction=None,
-        failures=failures,
-    )
 
 
 def _assemble_structured_report(
@@ -495,57 +460,17 @@ def _assemble_structured_report(
         x_cond[no:, no:] = x22
         x = hermitian_part(form.u @ x_cond @ form.u.conj().T)
         residuals["full"] = float(_norm(_equation_residual(f, g, k, x)))
-        if residuals["full"] > tol * _residual_scale(f, g, k, x):
-            return StructuredSolveReport(
-                verdict=REDUCED_ONLY,
-                x=None,
-                stages=stages,
-                inconsistency_evidence=None,
-                condensed=form,
-                core_selection=out["mode"],
-                positive_definite=False,
-                coincident_eigenvalues=(),
-                obstruction=f"assembled residual {residuals['full']:.3e} exceeds tolerance",
-                failures=failures,
-            )
-        return StructuredSolveReport(
-            verdict=SOLVED,
-            x=_frozen(x),
-            stages=stages,
-            inconsistency_evidence=None,
-            condensed=form,
-            core_selection=out["mode"],
-            positive_definite=True,
-            coincident_eigenvalues=(),
-            obstruction=None,
-            failures=failures,
-        )
-
+        x = None if residuals["full"] > tol * _residual_scale(f, g, k, x) else _frozen(x)
     # Padded fallback: exact, positive-semidefinite, never positive definite.
-    x_padded = stages.get("x_padded_psd")
-    if x_padded is None or residuals.get("padded", np.inf) > tol * _residual_scale(f, g, k, x11):
-        return StructuredSolveReport(
-            verdict=REDUCED_ONLY,
-            x=None,
-            stages=stages,
-            inconsistency_evidence=None,
-            condensed=form,
-            core_selection=out["mode"],
-            positive_definite=False,
-            coincident_eigenvalues=(),
-            obstruction=out["obstruction"],
-            failures=failures,
-        )
+    elif residuals.get("padded", np.inf) > tol * _residual_scale(f, g, k, x11):
+        x = None
+    else:
+        x = stages["x_padded_psd"]
     return StructuredSolveReport(
-        verdict=SOLVED,
-        x=x_padded,
+        verdict=REDUCED_ONLY if x is None else SOLVED,
+        x=x,
         stages=stages,
         inconsistency_evidence=None,
-        condensed=form,
-        core_selection=out["mode"],
-        positive_definite=False,
-        coincident_eigenvalues=(),
-        obstruction=out["obstruction"],
         failures=failures,
     )
 
@@ -738,7 +663,7 @@ def passivity_verdict(ss: StateSpace, *, tol: float = 1e-8) -> PassivityVerdict:
         except (LinalgError, LagrangianConditionError, ValueError) as exc:
             attempts.append(f"structured solve failed: {exc}")
 
-    if float(np.max(np.linalg.eigvals(data.f).real)) < 0.0:
+    if _spectral_abscissa(data.f) < 0.0:
         try:
             x_lyap = solve_lyapunov(
                 data.f, (1.0 + _norm(data.k)) * np.eye(data.n)

@@ -292,8 +292,7 @@ def reference_region_membership(
 
     The oracle that ``hamriccati.perturbation.region_membership``, which
     shares one factorization, is checked against.  It attempts the stable
-    solve for every direction, so ``solvable`` is False (not None) for a
-    direction that is not positive semidefinite.
+    solve for every direction, also one that is not positive semidefinite.
     """
     data = _as_data(h)
     if d.n != data.n:
@@ -303,7 +302,6 @@ def reference_region_membership(
     axis_present = snap.n_axis > 0
     scale = 1.0 + _norm(arr)
 
-    x = None
     solvable = False
     try:
         sub = lagrangian_subspace(arr, "stable")
@@ -316,9 +314,7 @@ def reference_region_membership(
             + cand @ g_t @ cand
             + hermitian_part(data.k + d.delta11)
         )
-        if _norm(res) <= solve_tol * scale * (1.0 + _norm(cand)) ** 2:
-            solvable = True
-            x = hermitian_part(cand)
+        solvable = _norm(res) <= solve_tol * scale * (1.0 + _norm(cand)) ** 2
     except (LagrangianConditionError, SolvabilityError, OrderingBreakdown):
         solvable = False
 
@@ -341,14 +337,7 @@ def reference_region_membership(
         band = imag_tol * scale
         axis_eigs = snap.eigenvalues[np.abs(snap.eigenvalues.real) <= band]
         margin = -float(np.min(np.abs(axis_eigs)) ** 2) if axis_eigs.size else -(min_re**2)
-    return RegionVerdict(
-        membership=membership,
-        snapshot=snap,
-        solvable=solvable,
-        psd_margin=d.psd_margin,
-        margin=margin,
-        x=None if x is None else _frozen(x),
-    )
+    return RegionVerdict(membership=membership, snapshot=snap, margin=margin)
 
 
 def reference_extremal_pair(data):

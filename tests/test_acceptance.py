@@ -390,8 +390,7 @@ def test_08_structural_invariants_of_assembly_and_factorizations():
         n = h.full.shape[0] // 2
         j = j_matrix(n)
         for select in ("stable", "antistable"):
-            form = hamiltonian_schur(h, select=select)
-            q = form.q
+            q = hamiltonian_schur(h, select=select)
             assert float(
                 np.abs(q.conj().T @ q - np.eye(2 * n)).max()
             ) <= 1e-10

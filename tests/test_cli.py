@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 import scipy
 
-from hamriccati import __version__, cli, solve_extremal
+from hamriccati import (
+    HamiltonianMatrix,
+    PerturbationDirection,
+    __version__,
+    cli,
+    perturbed_hamiltonian,
+    solve_extremal,
+    spectrum_snapshot,
+)
 from hamriccati.forms import RiccatiData
 
 from helpers import example3x3, lab2x2, make_rng, rand_complex, rand_solvable_triple
@@ -149,6 +157,20 @@ class TestSolve:
         report = json.loads(out.read_text())
         assert report["verdict"] == "rejected"
         assert min(report["residual_eigenvalues"]) > 0
+
+    def test_verify_accepts_a_candidate_of_state_dimension_zero(self, tmp_path):
+        empty = mat_json(np.zeros((0, 0)))
+        problem = tmp_path / "zero.json"
+        problem.write_text(json.dumps({"F": empty, "G": empty, "K": empty}))
+        x_file = tmp_path / "x.json"
+        x_file.write_text(json.dumps(mat_json(np.zeros((0, 0)), "x")))
+        out = tmp_path / "report.json"
+        assert cli.main(
+            ["solve", str(problem), "--verify", str(x_file), "--out", str(out)]
+        ) == 0
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "accepted"
+        assert report["residual_eigenvalues"] == []
 
     def test_state_space_reduction_matches_direct_solve(self, tmp_path):
         f, g, k = lab2x2()
@@ -302,6 +324,27 @@ class TestPassivity:
         assert report["certified"] is False
         assert report["diagnostics"]["attempts"]
 
+    def test_static_system_is_certified(self, tmp_path):
+        # No states: the dissipation block is -(D + D^H) alone.
+        path = tmp_path / "static.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "A": mat_json(np.zeros((0, 0)), "A"),
+                    "B": mat_json(np.zeros((0, 1)), "B"),
+                    "C": mat_json(np.zeros((1, 0)), "C"),
+                    "D": mat_json([[1.0]], "D"),
+                }
+            )
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["passivity", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["certified"] is True
+        assert report["route"] == "extremal stable selection"
+        assert report["lmi_margin"] == -2.0
+        assert parse_matrix(report["x"]).shape == (0, 0)
+
     def test_example_system_is_certified_via_extremal_route(self, tmp_path):
         f, g, k = lab2x2()
         chol = np.linalg.cholesky(k)
@@ -435,6 +478,28 @@ class TestPerturb:
         report = json.loads(out.read_text())
         assert len(report["legs"]) == 1
         assert abs(report["legs"][0]["t_end"] - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_vertex_legs_count_the_axis_eigenvalues_at_their_end(
+        self, ex2_file, tmp_path, seed
+    ):
+        out = tmp_path / "walk.json"
+        args = ["perturb", ex2_file, "--vertex", "--out", str(out)]
+        if seed is not None:
+            args += ["--seed", str(seed)]
+        assert cli.main(args) == 0
+        legs = json.loads(out.read_text())["legs"]
+        assert legs
+        # Rebuild each leg's end point from the report, as the walk builds it.
+        f, g, k = lab2x2()
+        acc = np.zeros((2, 2), dtype=complex)
+        for leg in legs:
+            d11 = parse_matrix(leg["direction_delta11"])
+            start = HamiltonianMatrix(RiccatiData(f, g, k + acc))
+            direction = PerturbationDirection.delta11_only(d11)
+            end = perturbed_hamiltonian(start, direction, leg["t_end"]).full
+            assert leg["n_axis_end"] == spectrum_snapshot(end, axis_tol=1e-7).n_axis
+            acc = acc + leg["t_end"] * d11
 
     def test_vertex_walk_is_deterministic_with_a_seed(self, ex2_file, tmp_path):
         out1 = tmp_path / "w1.json"

@@ -1,32 +1,48 @@
-"""Every public name and every public option has a user.
+"""Every public name, every public option and every result field has a user.
 
-A name in a module's ``__all__`` stays only if the CLI, a demo, the
-acceptance suite or another part of the library refers to it.  The check
-reads the sources with ``ast``: a reference is a name or an attribute in
-code, so docstrings, comments, import lines and the ``__all__`` strings
+The users are the CLI, the demos, the acceptance suite and the benchmark
+(``perfbench/*.py``).  A name in a module's ``__all__`` stays only if a
+user or another part of the library refers to it.  The check reads the
+sources with ``ast``: a reference is a name or an attribute in code, so
+docstrings, comments, import lines and the ``__all__`` strings
 themselves do not count, and neither does the name's own ``def`` or
-``class`` statement.
+``class`` statement.  The benchmark's tracer looks functions up by the
+strings in ``perfbench/tracing.LAYERS``; those count as references too.
 
 An optional parameter of a public function or public method stays only
-if the CLI, a demo or the acceptance suite sets it, or if the calls in
-those files and in the library pass it at least two different values
-(leaving it out passes the default).  Constructors are not counted: a
-dataclass field or an exception attribute is set by whoever builds it.
+if a user sets it, or if the calls in the users' files and in the
+library pass it at least two different values (leaving it out passes the
+default).  Constructors are not counted: a dataclass field or an
+exception attribute is set by whoever builds it.
+
+A public member of a public class (a dataclass field, a property or
+method, or an attribute an exception's ``__init__`` sets) stays only if a
+user or the library reads it as an attribute, or if the CLI prints it
+through ``repr``.  Alternate constructors (class and static methods) are
+not members.  The match is by attribute name alone, so a member whose
+name another type also reads (``x``, ``t``, ``sign``) passes unread.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import functools
 import inspect
+import re
+import textwrap
 import types
 from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
 
 import hamriccati
 from hamriccati import forms, linalg, perturbation, riccati
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hamriccati"
+PERFBENCH = ROOT / "perfbench"
 MODULES = (forms, linalg, perturbation, riccati)
 
 
@@ -35,6 +51,7 @@ def _users() -> list[Path]:
         PACKAGE / "cli.py",
         *sorted((ROOT / "demos").glob("*.py")),
         ROOT / "tests" / "test_acceptance.py",
+        *sorted(PERFBENCH.glob("*.py")),
     ]
 
 
@@ -53,8 +70,19 @@ def _referenced_names(paths) -> set[str]:
     return names
 
 
+def _traced_names() -> set[str]:
+    """Function names the benchmark's tracer looks up with ``getattr``."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "LAYERS" for target in node.targets
+        ):
+            return set().union(*ast.literal_eval(node.value).values())
+    raise AssertionError("perfbench/tracing.py defines no LAYERS")
+
+
 def test_every_exported_name_has_a_consumer():
-    referenced = _referenced_names(_consumers())
+    referenced = _referenced_names(_consumers()) | _traced_names()
     unused = sorted(
         f"{module.__name__}.{name}"
         for module in MODULES
@@ -202,3 +230,55 @@ def test_every_option_has_a_consumer():
         "optional parameters that no CLI flag, demo or guarantee sets and that "
         f"are passed at most one value: {unused}"
     )
+
+
+def _public_members(cls) -> list[str]:
+    """Public dataclass fields, properties and methods of ``cls``, and the
+    public attributes its own ``__init__`` sets on ``self``."""
+    members = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+    members += [
+        name
+        for name, value in vars(cls).items()
+        if isinstance(value, (property, functools.cached_property, types.FunctionType))
+    ]
+    if "__init__" in vars(cls) and not dataclasses.is_dataclass(cls):
+        init = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+        members += [
+            node.attr
+            for node in ast.walk(init)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ]
+    return [name for name in dict.fromkeys(members) if not name.startswith("_")]
+
+
+def _attribute_reads(paths) -> set[str]:
+    reads: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return reads
+
+
+def _printed_by_the_cli() -> set[str]:
+    """Members shown by the ``repr`` that ``perturb --vertex`` writes for
+    ``str(path.blocking)``: a ``SpectrumSnapshot`` with its axis clusters."""
+    snap = perturbation.spectrum_snapshot(np.zeros((2, 2)))
+    assert snap.imaginary_groups  # the clusters' repr shows too
+    return set(re.findall(r"(\w+)=", repr(snap)))
+
+
+def test_every_result_field_has_a_reader():
+    reads = _attribute_reads(_consumers()) | _printed_by_the_cli()
+    unread = sorted(
+        f"{module.__name__}.{name}.{member}"
+        for module in MODULES
+        for name in module.__all__
+        if inspect.isclass(getattr(module, name))
+        for member in _public_members(getattr(module, name))
+        if member not in reads
+    )
+    assert not unread, f"result members read by no CLI, demo, guarantee or benchmark: {unread}"
