@@ -90,7 +90,7 @@ rng = np.random.default_rng(7)
 path = vertex_path(base, rng=rng)
 print("status:", path.status)
 for i, leg in enumerate(path.legs, start=1):
-    print(f"leg {i}: t in [{leg.t_start:.6f}, {leg.t_end:.6f}]")
+    print(f"leg {i}: t_end = {leg.t_end:.6f}")
     print("  direction delta11 =")
     print(np.asarray(leg.direction.delta11).real)
 print()

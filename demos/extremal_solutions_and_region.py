@@ -84,7 +84,7 @@ verdict = region_membership(base, d)
 print("membership:", verdict.membership, " margin:", f"{verdict.margin:.2e}")
 print(
     "Hamiltonian eigenvalues:",
-    np.round(np.sort_complex(verdict.snapshot.eigenvalues), 8),
+    np.round(np.sort_complex(verdict.eigenvalues), 8),
 )
 ex = solve_extremal(RiccatiData(f, g, k0 + np.diag([4.0, 9.0])))
 print("x_minus =\n", ex.x_minus.real)

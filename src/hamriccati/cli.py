@@ -579,7 +579,6 @@ def _run_perturb(ns: argparse.Namespace) -> int:
         "status": path.status,
         "legs": [
             {
-                "t_start": float(leg.t_start),
                 "t_end": float(leg.t_end),
                 "direction_delta11": _matrix_to_json(
                     leg.direction.delta11, "direction_delta11"
@@ -639,7 +638,7 @@ def _run_region(ns: argparse.Namespace) -> int:
                     [[a, c], [c, b]], validate=False
                 )
                 verdict = region_membership(base, d, **tol_kwargs)
-                min_re = float(np.min(np.abs(verdict.snapshot.eigenvalues.real)))
+                min_re = float(np.min(np.abs(verdict.eigenvalues.real)))
                 rows.append(
                     [
                         _fmt(a),

@@ -40,7 +40,6 @@ __all__ = [
     "staircase",
     "is_controllable",
     "is_observable",
-    "assemble_hamiltonian",
     "LagrangianSubspace",
     "lagrangian_subspace",
     "hamiltonian_schur",
@@ -155,7 +154,11 @@ def j_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Hamiltonian matrix [[f, g], [-k, -f^H]], stored in block form."""
+    """Hamiltonian matrix [[f, g], [-k, -f^H]], stored in block form.
+
+    The block structure makes (J H)^H = J H hold exactly, hence the
+    spectrum is symmetric under lambda -> -conj(lambda).
+    """
 
     data: RiccatiData
 
@@ -171,15 +174,6 @@ class HamiltonianMatrix:
     def full(self) -> np.ndarray:
         d = self.data
         return _block2x2(d.f, d.g, -d.k, -d.f.conj().T)
-
-
-def assemble_hamiltonian(data: RiccatiData) -> HamiltonianMatrix:
-    """Wrap a coefficient triple as a structured Hamiltonian matrix.
-
-    The block structure makes (J H)^H = J H hold exactly, hence the
-    spectrum is symmetric under lambda -> -conj(lambda).
-    """
-    return HamiltonianMatrix(data)
 
 
 def _ham_array(h) -> tuple[np.ndarray, int]:
@@ -388,7 +382,12 @@ class LagrangianSubspace:
 
 
 def _axis_clusters(eigs: np.ndarray, imag_tol: float, merge_tol: float):
-    """Group eigenvalues near the imaginary axis into (alpha, indices) clusters."""
+    """Group eigenvalues near the imaginary axis into (alpha, indices) clusters.
+
+    Eigenvalues with |Re| <= ``imag_tol`` are sorted by height and split
+    wherever two neighbours differ by more than ``merge_tol``; ``alpha`` is
+    the mean height of a cluster.
+    """
     idx = np.where(np.abs(eigs.real) <= imag_tol)[0]
     if idx.size == 0:
         return []
@@ -400,6 +399,19 @@ def _axis_clusters(eigs: np.ndarray, imag_tol: float, merge_tol: float):
         else:
             clusters.append([int(i)])
     return [(float(np.mean(eigs[c].imag)), c) for c in clusters]
+
+
+def _cluster_form(s: SchurForm, members) -> tuple[SchurForm, np.ndarray]:
+    """Reorder ``s`` so the ``members`` diagonal entries lead; form i V^H J V.
+
+    V holds the leading reordered Schur vectors, one per member, and spans
+    the members' invariant subspace.  Returns the reordered form and the
+    Hermitian form.  A ``LinalgError`` of the reorder, ``OrderingBreakdown``
+    included, propagates: each caller handles it its own way.
+    """
+    ordered = order_schur(s, members)
+    v = ordered.q[:, : int(np.sum(members))]
+    return ordered, hermitian_part(1j * v.conj().T @ j_matrix(s.n // 2) @ v)
 
 
 def _selection_flags(eigs: np.ndarray, n: int, mode: str, imag_tol: float) -> Iterator[list[bool]]:
@@ -451,18 +463,15 @@ def _cluster_obstructions(s: SchurForm, imag_tol: float) -> list[float]:
 
     No isotropic invariant subspace contains half of such a cluster.
     """
-    j = j_matrix(s.n // 2)
     eigs = np.diag(s.t)
     heights = []
     for alpha, members in _axis_clusters(eigs, imag_tol, merge_tol=max(100 * imag_tol, 1e-6)):
         flags = [i in set(members) for i in range(len(eigs))]
         try:
-            ordered = order_schur(s, flags)
+            _, w_form = _cluster_form(s, flags)
         except OrderingBreakdown:
             continue
-        v = ordered.q[:, : len(members)]
-        w_form = 1j * (v.conj().T @ j @ v)
-        w_eigs = np.linalg.eigvalsh(hermitian_part(w_form))
+        w_eigs = np.linalg.eigvalsh(w_form)
         band = 1e-8 * (1.0 + float(np.abs(w_eigs).max(initial=0.0)))
         pos = int(np.sum(w_eigs > band))
         neg = int(np.sum(w_eigs < -band))

@@ -43,6 +43,8 @@ from .forms import (
     HamiltonianMatrix,
     LagrangianConditionError,
     RiccatiData,
+    _axis_clusters,
+    _cluster_form,
     _ham_array,
     _isotropic_selection,
     j_matrix,
@@ -59,7 +61,6 @@ from .linalg import (
     as_matrix,
     definiteness,
     hermitian_part,
-    order_schur,
     schur_decompose,
 )
 from .riccati import _graph_solution, solve_extremal
@@ -239,65 +240,24 @@ def _perturbed_array(data: RiccatiData, d: PerturbationDirection, t: float):
 # axis diagnostics
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class AxisCluster:
     """A cluster of imaginary-axis eigenvalues at height ``alpha``.
 
     ``n_minus``/``n_plus``/``n_zero`` count the eigenvalues of the
-    Hermitian form i V^H J V on the cluster's invariant subspace.
+    Hermitian form i V^H J V on the cluster's invariant subspace, found by
+    reordering the Schur form so that the cluster's diagonal entries lead;
+    eigenvalues of the form within a band of zero count in ``n_zero``.
     ``resolved`` is False when the invariant subspace could not be
-    separated numerically.
-
-    ``alpha`` and ``multiplicity`` are fixed when the cluster is found.
-    The sign characteristics are computed on first access, from the Schur
-    form the cluster was found in: it is reordered so that the cluster's
-    diagonal entries lead, and eigenvalues of the form within a band of
-    zero count in ``n_zero``.  ``repr`` and ``==`` show and compare the
-    counts, so they compute them too.
+    separated numerically (the counts are then 0, 0, ``multiplicity``).
     """
 
     alpha: float
     multiplicity: int
-    _schur: SchurForm
-    _members: np.ndarray
-    _band: float
-
-    @cached_property
-    def _counts(self) -> tuple[int, int, int, bool]:
-        return _cluster_counts(self._schur, self._members, self._band)
-
-    @property
-    def n_minus(self) -> int:
-        return self._counts[0]
-
-    @property
-    def n_plus(self) -> int:
-        return self._counts[1]
-
-    @property
-    def n_zero(self) -> int:
-        return self._counts[2]
-
-    @property
-    def resolved(self) -> bool:
-        return self._counts[3]
-
-    def _key(self) -> tuple:
-        return (self.alpha, self.multiplicity, *self._counts)
-
-    def __repr__(self) -> str:
-        return (
-            "AxisCluster(alpha={!r}, multiplicity={!r}, n_minus={!r}, "
-            "n_plus={!r}, n_zero={!r}, resolved={!r})".format(*self._key())
-        )
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    n_minus: int
+    n_plus: int
+    n_zero: int
+    resolved: bool
 
 
 @dataclass(frozen=True)
@@ -308,9 +268,8 @@ class SpectrumSnapshot:
     ``imaginary_groups`` lists the axis clusters with their sign
     characteristics, and ``symmetry_defect`` measures how far the
     eigenvalue multiset is from exact invariance under
-    ``lambda -> -conj(lambda)``.  The symmetry defect and each cluster's
-    sign characteristics are computed on first access; ``n_axis`` and the
-    clusters' heights and multiplicities are not.
+    ``lambda -> -conj(lambda)``.  The symmetry defect is computed on first
+    access.
     """
 
     t: float
@@ -339,55 +298,18 @@ def _symmetry_defect(eigs: np.ndarray) -> float:
 def _cluster_counts(
     s: SchurForm, members: np.ndarray, band: float
 ) -> tuple[int, int, int, bool]:
+    """(n_minus, n_plus, n_zero, resolved) of the flagged cluster of ``s``."""
     m = int(np.sum(members))
     try:
-        ordered = order_schur(s, members)
+        _, w = _cluster_form(s, members)
     except LinalgError:
         # Includes exchanges through defectively coupled, numerically
         # identical pairs; the cluster's multiplicity is still known.
         return 0, 0, m, False
-    v = ordered.q[:, :m]
-    w = hermitian_part(1j * v.conj().T @ j_matrix(s.n // 2) @ v)
     vals = np.linalg.eigvalsh(w)
     n_plus = int(np.sum(vals > band))
     n_minus = int(np.sum(vals < -band))
     return n_minus, n_plus, m - n_plus - n_minus, True
-
-
-def _snapshot(
-    eigs: np.ndarray, s: SchurForm | None, scale: float, *, t: float, axis_tol: float
-) -> SpectrumSnapshot:
-    """Snapshot from sorted eigenvalues and a Schur form of the same matrix.
-
-    ``scale`` is 1 + |H|; ``s`` is read only when some eigenvalue lies on
-    the axis, so it may be ``None`` otherwise.  The axis clusters keep
-    ``s`` and reorder it for their sign characteristics on first access.
-    """
-    axis_mask = np.abs(eigs.real) <= axis_tol * scale
-    clusters: list[AxisCluster] = []
-    if np.any(axis_mask):
-        diag = np.diag(s.t)
-        heights = np.sort(eigs.imag[axis_mask])
-        groups: list[list[float]] = [[heights[0]]]
-        for hgt in heights[1:]:
-            if hgt - groups[-1][-1] <= _CLUSTER_MERGE_TOL * scale:
-                groups[-1].append(hgt)
-            else:
-                groups.append([hgt])
-        band = _FORM_BAND * (1.0 + float(np.max(np.abs(diag))))
-        for grp in groups:
-            alpha = float(np.mean(grp))
-            radius = max(
-                max(abs(g - alpha) for g in grp) + axis_tol * scale,
-                _CLUSTER_MERGE_TOL * scale / 2,
-            )
-            members = np.abs(diag - 1j * alpha) <= radius
-            clusters.append(AxisCluster(alpha, int(np.sum(members)), s, members, band))
-    return SpectrumSnapshot(
-        t=float(t),
-        eigenvalues=_frozen(eigs),
-        imaginary_groups=tuple(clusters),
-    )
 
 
 def spectrum_snapshot(h, *, t: float = 0.0, axis_tol: float = 1e-8) -> SpectrumSnapshot:
@@ -396,16 +318,34 @@ def spectrum_snapshot(h, *, t: float = 0.0, axis_tol: float = 1e-8) -> SpectrumS
     ``t`` is a label recorded in the snapshot (the matrix itself is taken
     as given).  Eigenvalues with ``|Re| <= axis_tol * (1 + |H|)`` count as
     on the axis; axis eigenvalues are merged into clusters when their
-    heights differ by at most ``1e-6 * (1 + |H|)``.  Each cluster computes
-    its sign characteristics on first access; eigenvalues of its form
-    within ``1e-8 * (1 + max |lambda|)`` of zero count in ``n_zero``.
+    heights differ by at most ``1e-6 * (1 + |H|)``.  When some eigenvalue
+    is on the axis, one Schur form of the matrix gives every cluster's
+    members (its diagonal entries near ``i alpha``) and sign
+    characteristics, computed here; eigenvalues of a cluster's form within
+    ``1e-8 * (1 + max |lambda|)`` of zero count in ``n_zero``.
     """
     arr, _ = _ham_array(h)
     scale = 1.0 + _norm(arr)
     eigs = _sorted_eigenvalues(arr)
-    on_axis = np.any(np.abs(eigs.real) <= axis_tol * scale)
-    return _snapshot(
-        eigs, schur_decompose(arr) if on_axis else None, scale, t=t, axis_tol=axis_tol
+    groups = _axis_clusters(eigs, axis_tol * scale, _CLUSTER_MERGE_TOL * scale)
+    clusters: list[AxisCluster] = []
+    if groups:
+        s = schur_decompose(arr)
+        diag = np.diag(s.t)
+        band = _FORM_BAND * (1.0 + float(np.max(np.abs(diag))))
+        for alpha, idx in groups:
+            radius = max(
+                np.max(np.abs(eigs[idx].imag - alpha)) + axis_tol * scale,
+                _CLUSTER_MERGE_TOL * scale / 2,
+            )
+            members = np.abs(diag - 1j * alpha) <= radius
+            clusters.append(
+                AxisCluster(alpha, int(np.sum(members)), *_cluster_counts(s, members, band))
+            )
+    return SpectrumSnapshot(
+        t=float(t),
+        eigenvalues=_frozen(eigs),
+        imaginary_groups=tuple(clusters),
     )
 
 
@@ -442,7 +382,7 @@ def first_order_slopes(h, d: PerturbationDirection, alpha: float) -> np.ndarray:
     if r == 0:
         raise PerturbationError(f"no eigenvalue within {eps:.3e} of i*{alpha:g}")
     try:
-        ordered = order_schur(s, flags)
+        ordered, w = _cluster_form(s, flags)
     except LinalgError as exc:
         raise PerturbationError(
             f"could not separate the cluster at i*{alpha:g}: {exc}"
@@ -455,7 +395,6 @@ def first_order_slopes(h, d: PerturbationDirection, alpha: float) -> np.ndarray:
             f"(block defect {defect:.3e}); use the fractional analysis"
         )
     v = ordered.q[:, :r]
-    w = hermitian_part(1j * v.conj().T @ j_matrix(n) @ v)
     p = hermitian_part(v.conj().T @ d.full @ v)
     verdict = definiteness(w)
     if verdict.kind == NEGATIVE_DEFINITE:
@@ -942,7 +881,6 @@ class PathLeg:
     first new axis arrival, with the number of axis eigenvalues there."""
 
     direction: PerturbationDirection
-    t_start: float
     t_end: float
     n_axis_end: int
 
@@ -1076,16 +1014,14 @@ def vertex_path(
     solutions have then collapsed (to within ``1e-6 * (1 + |x|)``) and
     their average is returned as the unique solution.
 
-    Requires extremal solutions at the base point.  ``status`` is
-    ``"vertex"`` on success, ``"budget_exhausted"`` when ``budget`` legs
-    did not reach a vertex, and ``"blocked"`` when no admissible freezing
-    direction exists, the current point has no extremal pair to bound the
-    next ray's scan, or a ray found no arrival (the blocking snapshot is
-    attached).
+    ``status`` is ``"vertex"`` on success, ``"budget_exhausted"`` when
+    ``budget`` legs did not reach a vertex, and ``"blocked"`` when no
+    admissible freezing direction exists, the current point (the base
+    point included) has no extremal pair to bound the next ray's scan, or
+    a ray found no arrival (the blocking snapshot is attached).
     """
     data = _as_data(h)
     n = data.n
-    solve_extremal(data)  # the walk needs extremal solutions to start from
     supplied = iter(directions) if directions is not None else iter(())
     acc = np.zeros((n, n), dtype=complex)
     legs: list[PathLeg] = []
@@ -1154,7 +1090,7 @@ def vertex_path(
             _perturbed_array(cur, direction, t_leg), t=t_leg, axis_tol=imag_tol
         )
         legs.append(
-            PathLeg(direction=direction, t_start=0.0, t_end=t_leg, n_axis_end=end.n_axis)
+            PathLeg(direction=direction, t_end=t_leg, n_axis_end=end.n_axis)
         )
         acc = acc + t_leg * direction.delta11
         if _norm(acc) > 1e12 * scale_k:
@@ -1178,11 +1114,13 @@ class RegionVerdict:
     negative; otherwise +(min |Re lambda|)^2 in the interior, 0 on the
     boundary, and -(min |lambda| over axis eigenvalues)^2 in the
     exterior (squared values because eigenvalues leave a collision like
-    the square root of the parameter distance).
+    the square root of the parameter distance).  ``eigenvalues`` is the
+    spectrum of the bumped Hamiltonian, the diagonal of its Schur form
+    sorted by (real, imaginary) part.
     """
 
     membership: str
-    snapshot: SpectrumSnapshot
+    eigenvalues: np.ndarray
     margin: float
 
 
@@ -1222,8 +1160,10 @@ def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) ->
     bumped equation still has a Hermitian solution; the verdict is
     decided by attempting the stable-selection solve and inspecting the
     axis spectrum (see :class:`RegionVerdict`).  One Schur factorization
-    of ``h + J delta`` serves both; the snapshot's eigenvalues are its
-    diagonal.
+    of ``h + J delta`` serves both: the stable selection reorders it, and
+    its sorted diagonal is the spectrum, from which the verdict reads
+    whether eigenvalues with ``|Re| <= imag_tol * (1 + |H|)`` are present
+    and the margin.  No sign characteristics are computed.
 
     Every tolerance is relative to ``1 + |H|`` (the direction's PSD test,
     at ``1e-8``, to ``1 + |delta|``), so below |H| of about 1 they act as absolute
@@ -1239,18 +1179,18 @@ def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) ->
     scale = 1.0 + _norm(arr)
     s = schur_decompose(arr)
     eigs = np.diag(s.t)
-    snap = _snapshot(eigs[np.lexsort((eigs.imag, eigs.real))], s, scale, t=1.0, axis_tol=imag_tol)
-    axis_present = snap.n_axis > 0
+    eigs = _frozen(eigs[np.lexsort((eigs.imag, eigs.real))])
+    on_axis = np.abs(eigs.real) <= imag_tol * scale
 
     bad_psd = d.psd_margin < -_PSD_TOL * (1.0 + _norm(d.full))
     if bad_psd or not _has_stable_solution(data, d, s, scale):
         membership = "exterior"
-    elif axis_present:
+    elif np.any(on_axis):
         membership = "boundary"
     else:
         membership = "interior"
 
-    min_re = float(np.min(np.abs(snap.eigenvalues.real)))
+    min_re = float(np.min(np.abs(eigs.real)))
     if bad_psd:
         margin = d.psd_margin
     elif membership == "interior":
@@ -1258,7 +1198,6 @@ def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) ->
     elif membership == "boundary":
         margin = 0.0
     else:
-        band = imag_tol * scale
-        axis_eigs = snap.eigenvalues[np.abs(snap.eigenvalues.real) <= band]
+        axis_eigs = eigs[on_axis]
         margin = -float(np.min(np.abs(axis_eigs)) ** 2) if axis_eigs.size else -(min_re**2)
-    return RegionVerdict(membership=membership, snapshot=snap, margin=margin)
+    return RegionVerdict(membership=membership, eigenvalues=eigs, margin=margin)

@@ -26,7 +26,6 @@ from .forms import (
     LagrangianConditionError,
     RiccatiData,
     StateSpace,
-    assemble_hamiltonian,
     from_state_space,
     _lagrangian_from_schur,
     is_controllable,
@@ -162,7 +161,7 @@ def solve_extremal(data: RiccatiData, *, iso_tol: float = 1e-6) -> ExtremalSolut
         If a selected subspace is not a graph, i.e. W1 is singular; the
         message reports the reciprocal condition number.
     """
-    h_arr = assemble_hamiltonian(data).full
+    h_arr = HamiltonianMatrix(data).full
     s = schur_decompose(h_arr)
     opts = {"iso_tol": iso_tol, "imag_tol": 1e-8 * (1.0 + _norm(h_arr))}
     sub_minus = _lagrangian_from_schur(s, "stable", **opts)
@@ -711,7 +710,7 @@ def passivity_verdict(ss: StateSpace, *, tol: float = 1e-8) -> PassivityVerdict:
             f"(largest eigenvalue {margin:.3e})"
         )
 
-    h_arr = assemble_hamiltonian(data).full
+    h_arr = HamiltonianMatrix(data).full
     eigs = np.linalg.eigvals(h_arr)
     axis = eigs[np.abs(eigs.real) <= 1e-8 * (1.0 + _norm(h_arr))]
     return PassivityVerdict(

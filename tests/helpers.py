@@ -8,8 +8,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from hamriccati.forms import (
+    HamiltonianMatrix,
     LagrangianConditionError,
-    assemble_hamiltonian,
     j_matrix,
     lagrangian_subspace,
 )
@@ -337,7 +337,7 @@ def reference_region_membership(
         band = imag_tol * scale
         axis_eigs = snap.eigenvalues[np.abs(snap.eigenvalues.real) <= band]
         margin = -float(np.min(np.abs(axis_eigs)) ** 2) if axis_eigs.size else -(min_re**2)
-    return RegionVerdict(membership=membership, snapshot=snap, margin=margin)
+    return RegionVerdict(membership=membership, eigenvalues=snap.eigenvalues, margin=margin)
 
 
 def reference_extremal_pair(data):
@@ -346,7 +346,7 @@ def reference_extremal_pair(data):
     The oracle for ``hamriccati.riccati.solve_extremal``, which reads both
     selections off one factorization.
     """
-    h = assemble_hamiltonian(data)
+    h = HamiltonianMatrix(data)
     sub_minus = lagrangian_subspace(h, "stable")
     sub_plus = lagrangian_subspace(h, "antistable")
     return _graph_solution(sub_minus.w1, sub_minus.w2), _graph_solution(sub_plus.w1, sub_plus.w2)
@@ -413,10 +413,11 @@ def reference_snapshot(
 ) -> SpectrumSnapshot:
     """Snapshot from sorted eigenvalues and a Schur form of the same matrix.
 
-    The eager builder: every cluster's sign characteristics are computed
-    when the snapshot is made, with the record type above.  The oracle for
-    ``hamriccati.perturbation._snapshot``, whose clusters compute them on
-    first access; the two must agree in ``repr``.
+    Every cluster's sign characteristics are computed when the snapshot
+    is made, with the record type above and a reorder of its own.  The
+    oracle for ``hamriccati.perturbation.spectrum_snapshot``, which groups
+    the axis eigenvalues and forms i V^H J V through the helpers it shares
+    with ``hamriccati.forms``; the two must agree in ``repr``.
     """
     n = eigs.size // 2
     axis_mask = np.abs(eigs.real) <= axis_tol * scale

@@ -413,6 +413,22 @@ class TestPerturb:
         assert report["blocking"]
         assert report["terminal"] is None
 
+    def test_vertex_walk_from_a_base_point_without_extremal_pair_is_blocked(self, tmp_path):
+        # H = [[0, 1], [-1, 0]] has the eigenvalues +-i, each with a definite
+        # form i v^H J v, so no Lagrangian subspace exists at the start.
+        path = tmp_path / "rotation.json"
+        path.write_text(
+            json.dumps({"F": mat_json([[0.0]], "F"), "G": mat_json([[1.0]], "G"),
+                        "K": mat_json([[1.0]], "K")})
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["perturb", str(path), "--vertex", "--out", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert report["status"] == "blocked"
+        assert report["legs"] == []
+        assert report["blocking"]
+        assert report["terminal"] is None
+
     def test_zero_direction_reports_no_crossing(self, ex2_file, tmp_path):
         delta = write_direction(tmp_path, np.zeros((2, 2)))
         out = tmp_path / "report.json"

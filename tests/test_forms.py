@@ -12,7 +12,6 @@ from hamriccati import (
     LagrangianConditionError,
     RiccatiData,
     StateSpace,
-    assemble_hamiltonian,
     dual_riccati,
     from_state_space,
     hamiltonian_schur,
@@ -98,7 +97,7 @@ class TestHamiltonian:
 
     def test_block_layout(self, lab_fgk):
         f, g, k = lab_fgk
-        h = assemble_hamiltonian(RiccatiData(f, g, k))
+        h = HamiltonianMatrix(RiccatiData(f, g, k))
         full = h.full
         np.testing.assert_allclose(full[:2, :2], f)
         np.testing.assert_allclose(full[:2, 2:], g)

@@ -9,16 +9,18 @@ comparison, and rank sequences of matrix powers.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from hamriccati.forms import HamiltonianMatrix, RiccatiData, j_matrix
-from hamriccati.linalg import loewner_leq, schur_decompose
+from hamriccati.forms import HamiltonianMatrix, RiccatiData, _cluster_form, j_matrix
+from hamriccati.linalg import OrderingBreakdown, loewner_leq, schur_decompose
 from hamriccati.perturbation import (
-    AxisCluster,
     PerturbationDirection,
     PerturbationError,
+    _cluster_counts,
     _perturbed_array,
     _sorted_eigenvalues,
     _has_stable_solution,
@@ -694,6 +696,11 @@ class TestVertexPath:
 # region classification
 
 
+def n_axis(verdict):
+    """Number of the verdict's eigenvalues within 1e-6 of the imaginary axis."""
+    return int(np.sum(np.abs(verdict.eigenvalues.real) <= 1e-6))
+
+
 class TestRegionMembership:
     def test_interior_point(self):
         v = region_membership(lab_base(), dir_abc(2.0, 2.0, 1.0, validate=False))
@@ -716,7 +723,7 @@ class TestRegionMembership:
         v = region_membership(lab_base(), dir_abc(13.0, 13.0, 0.0, validate=False))
         assert v.membership == "exterior"
         assert v.margin == pytest.approx(-4.0, rel=1e-6)
-        assert v.snapshot.n_axis == 4
+        assert n_axis(v) == 4
 
     def test_indefinite_direction_is_exterior_despite_clean_spectrum(self):
         d = dir_abc(1.0, 1.0, 2.0, validate=False)
@@ -724,7 +731,7 @@ class TestRegionMembership:
         assert v.membership == "exterior"
         assert d.psd_margin == pytest.approx(-1.0, abs=1e-9)
         assert v.margin == pytest.approx(-1.0, abs=1e-9)
-        assert v.snapshot.n_axis == 0  # the spectrum alone looks interior
+        assert n_axis(v) == 0  # the spectrum alone looks interior
 
     def test_indefinite_direction_skips_the_stable_solve(self, order_schur_calls):
         d = dir_abc(1.0, 1.0, 2.0, validate=False)
@@ -782,14 +789,8 @@ def assert_same_verdict(base, d):
     scale = 1.0 + np.linalg.norm(_perturbed_array(base.data, d, 1.0))
     assert abs(got.margin - ref.margin) <= 1e-10 * scale
     # Schur diagonal against eigvals: equal up to the sqrt(eps) sensitivity
-    # of defective axis eigenvalues, with the same axis clusters.
-    ev, ref_ev = got.snapshot.eigenvalues, ref.snapshot.eigenvalues
-    assert spectrum_distance(ev, ref_ev) <= 1e-6 * scale
-    counts = [
-        [(c.multiplicity, c.n_minus, c.n_plus, c.n_zero) for c in snap.imaginary_groups]
-        for snap in (got.snapshot, ref.snapshot)
-    ]
-    assert counts[0] == counts[1]
+    # of defective axis eigenvalues.
+    assert spectrum_distance(got.eigenvalues, ref.eigenvalues) <= 1e-6 * scale
     if not_psd(d):  # the verdict reports the direction's margin
         assert got.membership == "exterior" and got.margin == d.psd_margin
     return got.membership
@@ -835,7 +836,7 @@ class TestOneFactorizationRegion:
 
 
 # ---------------------------------------------------------------------------
-# sign characteristics on first access, against the eager snapshot builder
+# sign characteristics, against the reference snapshot builder
 
 
 def eager_snapshot(arr, *, t, axis_tol, from_schur_diagonal=False):
@@ -879,6 +880,9 @@ def assert_same_snapshot(got, ref):
 
 
 class TestLazySignCharacteristics:
+    """``spectrum_snapshot`` and the region verdict's spectrum against
+    ``helpers.reference_snapshot``, which clusters and reorders on its own."""
+
     def test_lab_t_grid_ray_matches_the_eager_builder(self):
         # The perturb --t-grid ray of the lab problem: delta = I first
         # reaches the axis at t = 4.
@@ -915,42 +919,47 @@ class TestLazySignCharacteristics:
         assert (cluster.multiplicity, definite_sign(cluster), cluster.resolved) == (4, 0, True)
 
     def test_region_snapshots_match_the_eager_builder(self):
+        # The verdict carries the reference's spectrum bit for bit, and it
+        # is "boundary" exactly when a solvable point has axis clusters.
         base = lab_base()
         n_clusters = 0
         for a in np.linspace(0.0, 5.0, 11):
             for b in np.linspace(0.0, 10.0, 11):
                 for c in np.linspace(-4.0, 4.0, 7):
                     d = dir_abc(a, b, c, validate=False)
-                    got = region_membership(base, d).snapshot
+                    got = region_membership(base, d)
                     ref = eager_snapshot(
                         _perturbed_array(base.data, d, 1.0),
                         t=1.0,
                         axis_tol=1e-7,
                         from_schur_diagonal=True,
                     )
-                    n_clusters += len(assert_same_snapshot(got, ref))
+                    assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+                    if got.membership != "exterior":
+                        assert (got.membership == "boundary") == (ref.n_axis > 0)
+                    n_clusters += len(ref.imaginary_groups)
         assert n_clusters > 100
 
     def test_reorder_breakdown_is_unresolved_like_the_eager_builder(self):
         # Eigenvalues 0 and 5e-11 i coupled by 1e3: numerically identical
         # for the reorder, so moving the second one forward alone splits a
         # coupled pair.  The snapshot's merge tolerance puts both in one
-        # cluster, so each one-eigenvalue cluster is built directly.
+        # cluster, so each one-eigenvalue cluster is counted directly.
         b = 2.5e-11
         arr = HamiltonianMatrix.from_triple([[1j * b]], [[1e3]], [[b * b / 1e3]]).full
         s = schur_decompose(arr)
-        diag = np.diag(s.t)
-        band = 1e-8 * (1.0 + float(np.max(np.abs(diag))))
-        clusters = []
+        band = 1e-8 * (1.0 + float(np.max(np.abs(np.diag(s.t)))))
+        unresolved = []
         for i in range(s.n):
             members = np.arange(s.n) == i
-            cluster = AxisCluster(float(diag[i].imag), 1, s, members, band)
-            counts = (cluster.n_minus, cluster.n_plus, cluster.n_zero, cluster.resolved)
+            counts = _cluster_counts(s, members, band)
             assert counts == reference_cluster_counts(s, members, 1, band)
-            clusters.append(cluster)
-        assert [c.resolved for c in clusters].count(False) == 1
-        unresolved = next(c for c in clusters if not c.resolved)
-        assert (unresolved.n_minus, unresolved.n_plus, unresolved.n_zero) == (0, 0, 1)
+            if not counts[3]:
+                unresolved.append(counts)
+                # The shared helper is where the reorder breaks down.
+                with pytest.raises(OrderingBreakdown):
+                    _cluster_form(s, members)
+        assert unresolved == [(0, 0, 1, False)]
 
     def test_equality_and_hash_compare_the_counts(self):
         f, g, k = lab2x2()
@@ -958,11 +967,9 @@ class TestLazySignCharacteristics:
         (first,) = spectrum_snapshot(arr).imaginary_groups
         (second,) = spectrum_snapshot(arr).imaginary_groups
         assert first == second and hash(first) == hash(second)
-        # The same cluster with a form band of 10 counts every form
-        # eigenvalue as zero.
-        band = 10.0 * (1.0 + float(np.max(np.abs(np.diag(first._schur.t)))))
-        other = AxisCluster(first.alpha, first.multiplicity, first._schur, first._members, band)
-        assert other.n_zero == 4 and other != first
+        # The same cluster with every form eigenvalue counted as zero.
+        other = dataclasses.replace(first, n_minus=0, n_plus=0, n_zero=4)
+        assert other != first
 
     @pytest.mark.parametrize(
         "abc",
@@ -983,14 +990,13 @@ class TestLazySignCharacteristics:
             )
             assert made == len(order_schur_calls)
 
-    def test_counts_are_computed_once_on_first_access(self, order_schur_calls):
-        verdict = region_membership(lab_base(), dir_abc(13.0, 13.0, 0.0, validate=False))
-        clusters = verdict.snapshot.imaginary_groups
-        del order_schur_calls[:]
+    def test_snapshot_reorders_once_per_cluster(self, order_schur_calls):
+        d = dir_abc(13.0, 13.0, 0.0, validate=False)
+        snap = spectrum_snapshot(_perturbed_array(lab_base().data, d, 1.0), axis_tol=1e-7)
+        clusters = snap.imaginary_groups
+        assert len(order_schur_calls) == len(clusters)
         assert [definite_sign(c) for c in clusters] == [1, 1, -1, -1]
-        assert len(order_schur_calls) == len(clusters)
-        assert sum(c.n_minus + c.n_plus for c in clusters) == 4  # cached
-        assert len(order_schur_calls) == len(clusters)
+        assert len(order_schur_calls) == len(clusters)  # reading counts reorders nothing
 
 
 # ---------------------------------------------------------------------------
