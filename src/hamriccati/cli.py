@@ -42,7 +42,7 @@ from .perturbation import (
     PerturbationError,
     critical_time,
     perturbed_hamiltonian,
-    region_membership,
+    region_grid,
     spectrum_snapshot,
     vertex_path,
 )
@@ -62,6 +62,8 @@ EXIT_INVALID = 2
 EXIT_UNSOLVED = 3
 
 _DEFAULT_GRID = "0:5:21,0:10:21,-4:4:21"
+# Bumps classified per region_grid call: bounds the stacked arrays' memory.
+_REGION_BLOCK = 4096
 
 log = logging.getLogger("hamriccati")
 
@@ -625,30 +627,31 @@ def _run_region(ns: argparse.Namespace) -> int:
     manifest = _manifest(
         ["region", f"--grid={ns.grid}"], {"problem": ns.problem}, {"tol": ns.tol}, None
     )
-    log.info(
-        "region grid %dx%dx%d = %d points",
-        a_axis.size, b_axis.size, c_axis.size, a_axis.size * b_axis.size * c_axis.size,
-    )
+    shape = (a_axis.size, b_axis.size, c_axis.size)
+    total = a_axis.size * b_axis.size * c_axis.size
+    log.info("region grid %dx%dx%d = %d points", *shape, total)
     header = ["a", "b", "c", "membership", "min_abs_re_lambda", "margin"]
     rows = []
-    for a in a_axis:
-        for b in b_axis:
-            for c in c_axis:
-                d = PerturbationDirection.delta11_only(
-                    [[a, c], [c, b]], validate=False
-                )
-                verdict = region_membership(base, d, **tol_kwargs)
-                min_re = float(np.min(np.abs(verdict.eigenvalues.real)))
-                rows.append(
-                    [
-                        _fmt(a),
-                        _fmt(b),
-                        _fmt(c),
-                        verdict.membership,
-                        _fmt(min_re),
-                        _fmt(verdict.margin),
-                    ]
-                )
+    for start in range(0, total, _REGION_BLOCK):
+        ia, ib, ic = np.unravel_index(np.arange(start, min(start + _REGION_BLOCK, total)), shape)
+        a, b, c = a_axis[ia], b_axis[ib], c_axis[ic]
+        # Each bump is [[d11, 0], [0, 0]] with d11 = [[a, c], [c, b]].
+        deltas = np.zeros((a.size, 4, 4), dtype=complex)
+        deltas[:, 0, 0], deltas[:, 1, 1] = a, b
+        deltas[:, 0, 1] = deltas[:, 1, 0] = c
+        grid = region_grid(base, deltas, **tol_kwargs)
+        min_re = np.min(np.abs(grid.eigenvalues.real), axis=1)
+        for j in range(a.size):
+            rows.append(
+                [
+                    _fmt(a[j]),
+                    _fmt(b[j]),
+                    _fmt(c[j]),
+                    str(grid.membership[j]),
+                    _fmt(min_re[j]),
+                    _fmt(grid.margin[j]),
+                ]
+            )
     _emit_csv(header, rows, manifest, ns.out)
     return EXIT_OK
 

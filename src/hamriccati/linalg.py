@@ -66,7 +66,8 @@ def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    """(a + a^H) / 2, of a matrix or of every matrix of a stack."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:

@@ -25,8 +25,8 @@ and exploit that migration:
   (:func:`fractional_split_verify`);
 * boundary location along a ray (:func:`critical_time`), greedy walks
   along the feasibility boundary terminating at a unique-solution vertex
-  (:func:`vertex_path`), and pointwise feasibility classification
-  (:func:`region_membership`).
+  (:func:`vertex_path`), and feasibility classification of one bump
+  (:func:`region_membership`) or a stack of them (:func:`region_grid`).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .linalg import (
     hermitian_part,
     schur_decompose,
 )
-from .riccati import _graph_solution, solve_extremal
+from .riccati import _GRAPH_RCOND, _graph_solution, solve_extremal
 
 __all__ = [
     "PerturbationError",
@@ -86,7 +86,9 @@ __all__ = [
     "PerturbationPath",
     "vertex_path",
     "RegionVerdict",
+    "RegionGrid",
     "region_membership",
+    "region_grid",
 ]
 
 # A direction is not positive semidefinite when its smallest eigenvalue
@@ -97,6 +99,13 @@ _PSD_TOL = 1e-8
 # of zero count in n_zero.
 _CLUSTER_MERGE_TOL = 1e-6
 _FORM_BAND = 1e-8
+# The stable solve of a region verdict: its selection's axis band and its
+# residual tolerance, relative to 1 + |H| (lagrangian_subspace's).
+_SELECT_BAND = 1e-8
+_RESIDUAL_TOL = 1e-8
+# A batched region rule decides a point only when every quantity it reads
+# clears the single-Schur path's threshold by this factor.
+_BATCH_MARGIN = 100.0
 
 
 class PerturbationError(RuntimeError):
@@ -1115,13 +1124,23 @@ class RegionVerdict:
     boundary, and -(min |lambda| over axis eigenvalues)^2 in the
     exterior (squared values because eigenvalues leave a collision like
     the square root of the parameter distance).  ``eigenvalues`` is the
-    spectrum of the bumped Hamiltonian, the diagonal of its Schur form
-    sorted by (real, imaginary) part.
+    spectrum of the bumped Hamiltonian, ``np.linalg.eigvals``'s bit for
+    bit, sorted by (real, imaginary) part; ``margin`` is read off it.
     """
 
     membership: str
     eigenvalues: np.ndarray
     margin: float
+
+
+@dataclass(frozen=True)
+class RegionGrid:
+    """The :class:`RegionVerdict` fields of m bumps, one row per bump:
+    ``membership`` (m,), ``eigenvalues`` (m, 2n) and ``margin`` (m,)."""
+
+    membership: np.ndarray
+    eigenvalues: np.ndarray
+    margin: np.ndarray
 
 
 def _has_stable_solution(
@@ -1133,7 +1152,9 @@ def _has_stable_solution(
     ``1e-8 * scale * (1 + |x|)^2``.
     """
     # The selection tolerances are lagrangian_subspace's.
-    sub, _ = _isotropic_selection(s, data.n, "stable", iso_tol=_ISO_TOL, imag_tol=1e-8 * scale)
+    sub, _ = _isotropic_selection(
+        s, data.n, "stable", iso_tol=_ISO_TOL, imag_tol=_SELECT_BAND * scale
+    )
     if sub is None:
         return False
     try:
@@ -1148,22 +1169,157 @@ def _has_stable_solution(
         + cand @ g_t @ cand
         + hermitian_part(data.k + d.delta11)
     )
-    if _norm(res) > 1e-8 * scale * (1.0 + _norm(cand)) ** 2:
+    if _norm(res) > _RESIDUAL_TOL * scale * (1.0 + _norm(cand)) ** 2:
         return False
     return True
+
+
+def _stable_graph_passes(f_t, g_t, k_t, v, scale) -> np.ndarray:
+    """Whether each point's stable eigenvectors ``v`` (m, 2n, n) pass the
+    isotropy, graph-conditioning and residual checks of the stable solve,
+    each by the factor ``_BATCH_MARGIN``."""
+    n = v.shape[2]
+    q, _ = np.linalg.qr(v)
+    w1, w2 = q[:, :n], q[:, n:]
+    w1h, w2h = w1.conj().swapaxes(1, 2), w2.conj().swapaxes(1, 2)
+    # w^H J w = w1^H w2 - w2^H w1 for the orthonormal basis w = [w1; w2].
+    defect = np.linalg.norm(w1h @ w2 - w2h @ w1, axis=(1, 2))
+    sv = np.linalg.svd(w1, compute_uv=False)
+    ok = (defect <= _ISO_TOL / _BATCH_MARGIN) & (
+        sv[:, -1] >= _BATCH_MARGIN * _GRAPH_RCOND * sv[:, 0]
+    )
+    idx = np.flatnonzero(ok)
+    x = hermitian_part(np.linalg.solve(w1h[idx], w2h[idx]).conj().swapaxes(1, 2))
+    f, g, k = f_t[idx], g_t[idx], k_t[idx]
+    res = f.conj().swapaxes(1, 2) @ x + x @ f + x @ g @ x + k
+    bound = _RESIDUAL_TOL * scale[idx] * (1.0 + np.linalg.norm(x, axis=(1, 2))) ** 2
+    ok[idx] = np.linalg.norm(res, axis=(1, 2)) <= bound / _BATCH_MARGIN
+    return ok
+
+
+@dataclass
+class _RegionBatch:
+    """Batched region rules over a stack of m bumps.
+
+    ``membership`` is ``""`` where the rules leave a point open, and
+    ``on_axis`` flags the eigenvalues with ``|Re| <= imag_tol * scale``.
+    """
+
+    arr: np.ndarray
+    eigenvalues: np.ndarray
+    scale: np.ndarray
+    on_axis: np.ndarray
+    psd_margin: np.ndarray
+    bad_psd: np.ndarray
+    membership: np.ndarray
+
+    def margins(self) -> np.ndarray:
+        """:class:`RegionVerdict`'s ``margin`` of every point."""
+        abs_re = np.abs(self.eigenvalues.real)
+        min_re = abs_re.min(axis=1)
+        axis_abs = np.where(self.on_axis, np.abs(self.eigenvalues), np.inf).min(axis=1)
+        return np.select(
+            [self.bad_psd, self.membership == "interior", self.membership == "boundary"],
+            [self.psd_margin, min_re**2, 0.0],
+            -np.where(self.on_axis.any(axis=1), axis_abs, min_re) ** 2,
+        )
+
+
+def _region_batch(data: RiccatiData, deltas: np.ndarray, imag_tol: float) -> _RegionBatch:
+    """Decide every point of the stack ``deltas`` that a batched rule settles.
+
+    A rule decides a point only where the Schur path of
+    :func:`region_membership` is certain to agree: each quantity it reads
+    clears that path's threshold by ``_BATCH_MARGIN`` (G).
+
+    * Not positive semidefinite: ``exterior``.
+    * No eigenvalue within G * imag_tol * (1 + |H|) of the axis, n of them
+      stable, and the stable eigenvectors span a graph subspace passing the
+      stable solve's checks by G: ``interior``.
+    * Every eigenvalue either that far off the axis or within
+      imag_tol * (1 + |H|) / G of it, as many off-axis eigenvalues on each
+      side, and every axis eigenvalue further than G * 1e-6 * (1 + |H|)
+      from the others, with an eigenvector v where
+      |v^H J v| / |v|^2 >= G * 1e-6: ``exterior``.  Every selection of n
+      eigenvalues contains an axis eigenvalue, and |v^H J v| / |v|^2
+      bounds the isotropy defect of every subspace that contains v from
+      below, so no stable selection passes.
+
+    The off-axis guard is also at least G times the stable selection's
+    axis band, so the selection sees the spectrum split the same way.
+    """
+    n = data.n
+    m = deltas.shape[0]
+    d11, d21, d22 = deltas[:, :n, :n], deltas[:, n:, :n], deltas[:, n:, n:]
+    f_t = data.f + d21
+    g_t = hermitian_part(data.g + d22)
+    k_t = hermitian_part(data.k + d11)
+    # The bits of _perturbed_array(data, d, 1.0), point by point.
+    arr = np.empty((m, 2 * n, 2 * n), dtype=complex)
+    arr[:, :n, :n] = f_t
+    arr[:, :n, n:] = g_t
+    arr[:, n:, :n] = -k_t
+    arr[:, n:, n:] = -f_t.conj().swapaxes(1, 2)
+    scale = 1.0 + np.linalg.norm(arr, axis=(1, 2))
+    psd_margin = np.linalg.eigvalsh(deltas)[:, 0]
+    bad_psd = psd_margin < -_PSD_TOL * (1.0 + np.linalg.norm(deltas, axis=(1, 2)))
+
+    vals, vecs = np.linalg.eig(arr)
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    eigs = np.take_along_axis(vals, order, axis=1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    re = eigs.real
+    guard = _BATCH_MARGIN * max(imag_tol, _SELECT_BAND) * scale[:, None]
+    off_axis = np.abs(re) >= guard
+    near_axis = np.abs(re) <= imag_tol * scale[:, None] / _BATCH_MARGIN
+
+    membership = np.full(m, "", dtype="<U8")
+    membership[bad_psd] = "exterior"
+
+    # Sorted by real part, so the first n eigenvalues are the stable ones.
+    cand = np.flatnonzero(~bad_psd & off_axis.all(axis=1) & (np.sum(re < 0, axis=1) == n))
+    if cand.size:
+        ok = _stable_graph_passes(
+            f_t[cand], g_t[cand], k_t[cand], vecs[cand, :, :n], scale[cand]
+        )
+        membership[cand[ok]] = "interior"
+
+    gaps = np.abs(eigs[:, :, None] - eigs[:, None, :])
+    gaps[:, np.arange(2 * n), np.arange(2 * n)] = np.inf
+    top, bottom = vecs[:, :n, :], vecs[:, n:, :]
+    form = np.abs(np.sum(top.conj() * bottom - bottom.conj() * top, axis=1))
+    definite = (gaps.min(axis=2) > _BATCH_MARGIN * _CLUSTER_MERGE_TOL * scale[:, None]) & (
+        form >= _BATCH_MARGIN * _ISO_TOL * np.sum(np.abs(vecs) ** 2, axis=1)
+    )
+    balanced = np.sum(off_axis & (re < 0), axis=1) == np.sum(off_axis & (re > 0), axis=1)
+    blocked = (
+        (membership == "")
+        & balanced
+        & near_axis.any(axis=1)
+        & np.all(off_axis | (near_axis & definite), axis=1)
+    )
+    membership[blocked] = "exterior"
+    on_axis = np.abs(re) <= imag_tol * scale[:, None]
+    return _RegionBatch(arr, eigs, scale, on_axis, psd_margin, bad_psd, membership)
 
 
 def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) -> RegionVerdict:
     """Classify a perturbation against the feasibility region.
 
     The perturbed family member ``h + J delta`` is feasible when the
-    bumped equation still has a Hermitian solution; the verdict is
-    decided by attempting the stable-selection solve and inspecting the
-    axis spectrum (see :class:`RegionVerdict`).  One Schur factorization
-    of ``h + J delta`` serves both: the stable selection reorders it, and
-    its sorted diagonal is the spectrum, from which the verdict reads
-    whether eigenvalues with ``|Re| <= imag_tol * (1 + |H|)`` are present
-    and the margin.  No sign characteristics are computed.
+    bumped equation still has a Hermitian solution (see
+    :class:`RegionVerdict`).  This is :func:`region_grid` for one bump.
+    Batched rules decide the point from the eigenvalues and eigenvectors
+    of ``h + J delta`` when they are certain to: a bump that is not
+    positive semidefinite, a spectrum clear of the axis whose stable
+    eigenvectors pass the stable solve's checks by a wide margin
+    (``interior``), or simple axis eigenvalues with a clearly nonzero
+    sign characteristic, which no Lagrangian subspace can half-select
+    (``exterior``).  Any other point takes one Schur factorization: its
+    stable selection is solved and checked, and a solvable point is
+    ``boundary`` when it has eigenvalues with
+    ``|Re| <= imag_tol * (1 + |H|)``.  No sign characteristics are
+    computed.
 
     Every tolerance is relative to ``1 + |H|`` (the direction's PSD test,
     at ``1e-8``, to ``1 + |delta|``), so below |H| of about 1 they act as absolute
@@ -1175,29 +1331,49 @@ def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) ->
     data = _as_data(h)
     if d.n != data.n:
         raise ValueError("direction and Hamiltonian dimensions differ")
-    arr = _perturbed_array(data, d, 1.0)
-    scale = 1.0 + _norm(arr)
-    s = schur_decompose(arr)
-    eigs = np.diag(s.t)
-    eigs = _frozen(eigs[np.lexsort((eigs.imag, eigs.real))])
-    on_axis = np.abs(eigs.real) <= imag_tol * scale
+    batch = _region_batch(data, d.full[None], imag_tol)
+    if not batch.membership[0]:
+        s = schur_decompose(batch.arr[0])
+        if not _has_stable_solution(data, d, s, float(batch.scale[0])):
+            batch.membership[0] = "exterior"
+        elif batch.on_axis[0].any():
+            batch.membership[0] = "boundary"
+        else:
+            batch.membership[0] = "interior"
+    return RegionVerdict(
+        membership=str(batch.membership[0]),
+        eigenvalues=_frozen(batch.eigenvalues[0]),
+        margin=float(batch.margins()[0]),
+    )
 
-    bad_psd = d.psd_margin < -_PSD_TOL * (1.0 + _norm(d.full))
-    if bad_psd or not _has_stable_solution(data, d, s, scale):
-        membership = "exterior"
-    elif np.any(on_axis):
-        membership = "boundary"
-    else:
-        membership = "interior"
 
-    min_re = float(np.min(np.abs(eigs.real)))
-    if bad_psd:
-        margin = d.psd_margin
-    elif membership == "interior":
-        margin = min_re**2
-    elif membership == "boundary":
-        margin = 0.0
-    else:
-        axis_eigs = eigs[on_axis]
-        margin = -float(np.min(np.abs(axis_eigs)) ** 2) if axis_eigs.size else -(min_re**2)
-    return RegionVerdict(membership=membership, eigenvalues=eigs, margin=margin)
+def region_grid(h, deltas, *, imag_tol: float = 1e-7) -> RegionGrid:
+    """:func:`region_membership` for a stack of m assembled bumps.
+
+    ``deltas`` has shape (m, 2n, 2n), each a Hermitian form
+    ``[[d11, d21^H], [d21, d22]]``; its lower-left and diagonal blocks are
+    read, as :meth:`PerturbationDirection.from_blocks` takes them.  One
+    batched ``eigvalsh``, ``eig``, QR, SVD and solve decide every point
+    that the batched rules settle; each remaining point (near the
+    boundary, near a merge of eigenvalues or a defective one, or passing
+    a check by less than the margin) goes to :func:`region_membership`
+    alone, which takes its Schur factorization.
+    """
+    data = _as_data(h)
+    n = data.n
+    deltas = np.asarray(deltas, dtype=complex)
+    if deltas.ndim != 3 or deltas.shape[1:] != (2 * n, 2 * n):
+        raise ValueError(f"deltas must have shape (m, {2 * n}, {2 * n}), got {deltas.shape}")
+    if not np.isfinite(deltas).all():
+        raise ValueError("deltas has non-finite entries")
+    batch = _region_batch(data, deltas, imag_tol)
+    for i in np.flatnonzero(batch.membership == ""):
+        d = PerturbationDirection.from_blocks(
+            deltas[i, :n, :n], deltas[i, n:, :n], deltas[i, n:, n:], validate=False
+        )
+        batch.membership[i] = region_membership(data, d, imag_tol=imag_tol).membership
+    return RegionGrid(
+        membership=_frozen(batch.membership),
+        eigenvalues=_frozen(batch.eigenvalues),
+        margin=_frozen(batch.margins()),
+    )

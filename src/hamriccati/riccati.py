@@ -71,6 +71,9 @@ SOLVED = "solved"
 NO_SOLUTION = "no_solution"
 REDUCED_ONLY = "reduced_only"
 
+# A graph basis [[W1], [W2]] with rcond(W1) at or below this has no graph.
+_GRAPH_RCOND = 1e-10
+
 
 def _equation_residual(f, g, k, x) -> np.ndarray:
     """Residual F^H X + X F + X G X + K of a candidate solution."""
@@ -83,13 +86,13 @@ def _residual_scale(f, g, k, x) -> float:
     return 1.0 + _norm(k) + 2.0 * _norm(f) * nx + _norm(g) * nx * nx
 
 
-def _graph_solution(w1, w2, *, rcond_tol: float = 1e-10) -> np.ndarray:
+def _graph_solution(w1, w2) -> np.ndarray:
     """Recover X = W2 W1^{-1} from a graph-subspace basis [[W1], [W2]]."""
     if w1.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex)
     sv = np.linalg.svd(w1, compute_uv=False)
     rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if rcond <= rcond_tol:
+    if rcond <= _GRAPH_RCOND:
         raise SolvabilityError(
             "the subspace has no graph representation: its upper block is "
             f"singular (reciprocal condition number {rcond:.3e})"
@@ -491,7 +494,9 @@ def ari_residual(
     and ``delta_k = -r``.  The candidate satisfies the Riccati inequality
     exactly when ``r`` is negative semidefinite; then ``K + delta_k`` is a
     positive-semidefinite increase of ``K`` for which ``x`` solves the
-    equation exactly.
+    equation exactly.  With no states the inequality holds vacuously and
+    the verdict is negative definite (``definiteness`` calls an empty
+    matrix positive definite).
     """
     x = as_matrix(x, "x", square=True)
     if x.shape[0] != data.n:
@@ -499,7 +504,10 @@ def ari_residual(
     if not is_hermitian(x, 1e-8):
         raise ValueError("x must be Hermitian")
     r = hermitian_part(_equation_residual(data.f, data.g, data.k, x))
-    verdict = definiteness(r, tol=tol)
+    if r.size:
+        verdict = definiteness(r, tol=tol)
+    else:
+        verdict = DefinitenessVerdict(NEGATIVE_DEFINITE, -np.inf, np.zeros(0))
     return _frozen(r), verdict, _frozen(-r)
 
 

@@ -171,6 +171,9 @@ class TestSolve:
         report = json.loads(out.read_text())
         assert report["verdict"] == "accepted"
         assert report["residual_eigenvalues"] == []
+        # The empty residual satisfies the inequality vacuously; its kind
+        # agrees with the verdict.
+        assert report["residual_kind"] == "negative-definite"
 
     def test_state_space_reduction_matches_direct_solve(self, tmp_path):
         f, g, k = lab2x2()
@@ -281,6 +284,25 @@ class TestPassivity:
         assert report["lmi_margin"] <= 1e-10
         for key in ("j", "r", "b_hat", "p_hat", "s", "n_skew", "w"):
             assert key in report["realization"]
+
+    def test_system_without_states_is_certified(self, tmp_path):
+        path = tmp_path / "no_states.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "A": mat_json(np.zeros((0, 0)), "A"),
+                    "B": mat_json(np.zeros((0, 2)), "B"),
+                    "C": mat_json(np.zeros((2, 0)), "C"),
+                    "D": mat_json(np.eye(2), "D"),
+                }
+            )
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["passivity", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["certified"] is True
+        assert parse_matrix(report["x"]).shape == (0, 0)
+        assert report["realization"] is not None
 
     def test_rejected_realization_exits_three_with_the_reason(self, tmp_path, monkeypatch):
         def reject(*args, **kwargs):
@@ -666,6 +688,26 @@ class TestRegion:
             ("1.0", "1.0", "-1.0"),
             ("1.0", "1.0", "1.0"),
         ]
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-9])
+    def test_tol_reaches_the_batched_rules(self, ex2_file, tmp_path, schur_calls, tol):
+        from helpers import reference_region_membership
+
+        out = tmp_path / "region.csv"
+        grid = "0:5:11,0:10:11,-4:4:7"
+        assert cli.main(
+            ["region", ex2_file, "--grid", grid, "--tol", repr(tol), "--out", str(out)]
+        ) == 0
+        rows = read_csv(out.read_text())[1:]
+        # The batched rules decide all but a few of the 847 points.
+        assert len(schur_calls) <= 40
+        f, g, k = lab2x2()
+        base = HamiltonianMatrix.from_triple(f, g, k)
+        for a, b, c, membership, _, _ in rows:
+            a, b, c = float(a), float(b), float(c)
+            d = PerturbationDirection.delta11_only([[a, c], [c, b]], validate=False)
+            ref = reference_region_membership(base, d, imag_tol=tol)
+            assert membership == ref.membership, (a, b, c)
 
     def test_memberships_match_the_closed_form_region(self, ex2_file, tmp_path):
         from helpers import lab2x2_region_margin

@@ -29,6 +29,7 @@ from hamriccati.perturbation import (
     fractional_split_verify,
     make_jordan_case,
     perturbed_hamiltonian,
+    region_grid,
     region_membership,
     schur_complement_gammas,
     spectrum_snapshot,
@@ -788,23 +789,47 @@ def assert_same_verdict(base, d):
     assert got.membership == ref.membership
     scale = 1.0 + np.linalg.norm(_perturbed_array(base.data, d, 1.0))
     assert abs(got.margin - ref.margin) <= 1e-10 * scale
-    # Schur diagonal against eigvals: equal up to the sqrt(eps) sensitivity
-    # of defective axis eigenvalues.
-    assert spectrum_distance(got.eigenvalues, ref.eigenvalues) <= 1e-6 * scale
+    # Both spectra are eigvals's.
+    assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
     if not_psd(d):  # the verdict reports the direction's margin
         assert got.membership == "exterior" and got.margin == d.psd_margin
+    # region_membership is region_grid for a stack of one.
+    assert_same_row(region_grid(base, d.full[None]), 0, got)
     return got.membership
+
+
+def assert_same_row(grid, i, verdict):
+    """Row ``i`` of a region grid holds ``verdict`` bit for bit."""
+    assert grid.membership[i] == verdict.membership
+    assert grid.eigenvalues[i].tobytes() == verdict.eigenvalues.tobytes()
+    assert grid.margin[i] == verdict.margin
+
+
+def lab_stack(a, b, c) -> np.ndarray:
+    """The assembled bumps of ``dir_abc`` over equal-length arrays a, b, c."""
+    deltas = np.zeros((len(a), 4, 4), dtype=complex)
+    deltas[:, 0, 0], deltas[:, 1, 1] = a, b
+    deltas[:, 0, 1] = deltas[:, 1, 0] = c
+    return deltas
+
+
+def lab_grid(na, nb, nc):
+    """Flat a, b, c of the lab grid over [0, 5] x [0, 10] x [-4, 4], c fastest."""
+    axes = np.linspace(0.0, 5.0, na), np.linspace(0.0, 10.0, nb), np.linspace(-4.0, 4.0, nc)
+    return [x.ravel() for x in np.meshgrid(*axes, indexing="ij")]
 
 
 class TestOneFactorizationRegion:
     @pytest.mark.parametrize("quarter_turns", [0, 1, 2, 3])
     def test_region_grid_matches_the_reference(self, quarter_turns):
         base = rotated_lab_base(quarter_turns)
+        a, b, c = lab_grid(11, 11, 7)
+        grid = region_grid(base, lab_stack(a, b, c))
         seen = set()
-        for a in np.linspace(0.0, 5.0, 11):
-            for b in np.linspace(0.0, 10.0, 11):
-                for c in np.linspace(-4.0, 4.0, 7):
-                    seen.add(assert_same_verdict(base, dir_abc(a, b, c, validate=False)))
+        for i in range(a.size):
+            d = dir_abc(a[i], b[i], c[i], validate=False)
+            seen.add(assert_same_verdict(base, d))
+            assert_same_row(grid, i, region_membership(base, d))
         assert seen == {"interior", "boundary", "exterior"}
 
     def test_random_problems_match_the_reference(self):
@@ -826,32 +851,100 @@ class TestOneFactorizationRegion:
         assert seen == {"interior", "exterior"}
 
     @pytest.mark.parametrize(
-        "abc",
-        [(2.0, 2.0, 1.0), (4.0, 9.0, 0.0), (13.0, 13.0, 0.0), (1.0, 1.0, 2.0)],
+        "abc, factorizations",
+        [((2.0, 2.0, 1.0), 0), ((4.0, 9.0, 0.0), 1), ((13.0, 13.0, 0.0), 0), ((1.0, 1.0, 2.0), 0)],
         ids=["interior", "boundary", "exterior", "indefinite"],
     )
-    def test_one_schur_per_region_point(self, schur_calls, abc):
+    def test_one_schur_per_region_point(self, schur_calls, abc, factorizations):
+        # The batched rules decide all but the boundary point, which falls
+        # back to one Schur factorization.
         region_membership(lab_base(), dir_abc(*abc, validate=False))
-        assert len(schur_calls) == 1
+        assert len(schur_calls) == factorizations
+
+
+class TestRegionGrid:
+    """``region_grid`` against the reference oracle, and the share of
+    points that fall back to a Schur factorization."""
+
+    def test_default_grid_matches_the_reference(self):
+        base = lab_base()
+        a, b, c = lab_grid(21, 21, 21)
+        grid = region_grid(base, lab_stack(a, b, c))
+        assert grid.eigenvalues.shape == (a.size, 4)
+        for i in range(a.size):
+            d = dir_abc(a[i], b[i], c[i], validate=False)
+            ref = reference_region_membership(base, d)
+            assert grid.membership[i] == ref.membership, (a[i], b[i], c[i])
+            arr = _perturbed_array(base.data, d, 1.0)
+            assert abs(grid.margin[i] - ref.margin) <= 1e-10 * (1.0 + np.linalg.norm(arr))
+            assert grid.eigenvalues[i].tobytes() == _sorted_eigenvalues(arr).tobytes()
+
+    def test_default_grid_factorizes_only_the_fallback_points(self, schur_calls, monkeypatch):
+        from hamriccati import perturbation
+
+        fallbacks = []
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args)
+            return region_membership(*args, **kwargs)
+
+        monkeypatch.setattr(perturbation, "region_membership", counted)
+        grid = region_grid(lab_base(), lab_stack(*lab_grid(21, 21, 21)))
+        assert len(schur_calls) == len(fallbacks)
+        assert 0 < len(fallbacks) <= 100
+        # Every boundary verdict needs the Schur form.
+        assert np.sum(grid.membership == "boundary") <= len(fallbacks)
+
+    @pytest.mark.parametrize("band, factorizations", [(0.1, 1), (0.001, 0)])
+    def test_a_spectrum_near_the_axis_band_goes_to_the_schur_path(
+        self, schur_calls, band, factorizations
+    ):
+        # The origin is interior.  With an axis band of 0.1 times its
+        # smallest |Re lambda| that eigenvalue is within 100 bands of the
+        # axis, so only the Schur path may decide the point; at 0.001 times
+        # it clears the batched rule's guard.
+        base, d = lab_base(), dir_abc(0.0, 0.0, 0.0)
+        arr = _perturbed_array(base.data, d, 1.0)
+        min_re = float(np.min(np.abs(_sorted_eigenvalues(arr).real)))
+        imag_tol = band * min_re / (1.0 + np.linalg.norm(arr))
+        assert region_membership(base, d, imag_tol=imag_tol).membership == "interior"
+        assert len(schur_calls) == factorizations
+
+    def test_empty_and_single_stacks(self):
+        base = lab_base()
+        empty = region_grid(base, np.zeros((0, 4, 4)))
+        assert empty.membership.shape == (0,) and empty.margin.shape == (0,)
+        assert empty.eigenvalues.shape == (0, 4)
+        d = dir_abc(2.0, 2.0, 1.0)
+        assert_same_row(region_grid(base, d.full[None]), 0, region_membership(base, d))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 2, 2), (1, 4, 3)])
+    def test_stack_shape_must_match_the_problem(self, shape):
+        with pytest.raises(ValueError, match="deltas must have shape"):
+            region_grid(lab_base(), np.zeros(shape))
+
+    def test_stack_must_be_finite(self):
+        deltas = lab_stack([1.0, np.nan], [1.0, 1.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            region_grid(lab_base(), deltas)
 
 
 # ---------------------------------------------------------------------------
 # sign characteristics, against the reference snapshot builder
 
 
-def eager_snapshot(arr, *, t, axis_tol, from_schur_diagonal=False):
-    """``reference_snapshot`` on the spectrum and Schur form that
-    ``spectrum_snapshot`` (eigvals) or ``region_membership`` (the Schur
-    diagonal) would use for ``arr``."""
+def eager_snapshot(arr, *, t, axis_tol):
+    """``reference_snapshot`` on the spectrum (eigvals) and Schur form that
+    ``spectrum_snapshot`` would use for ``arr``."""
     scale = 1.0 + np.linalg.norm(arr)
-    s = schur_decompose(arr)
-    if from_schur_diagonal:
-        eigs = np.diag(s.t)
-        eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-    else:
-        eigs = _sorted_eigenvalues(arr)
     return reference_snapshot(
-        eigs, s, scale, t=t, axis_tol=axis_tol, cluster_merge_tol=1e-6, form_band=1e-8
+        _sorted_eigenvalues(arr),
+        schur_decompose(arr),
+        scale,
+        t=t,
+        axis_tol=axis_tol,
+        cluster_merge_tol=1e-6,
+        form_band=1e-8,
     )
 
 
@@ -919,8 +1012,8 @@ class TestLazySignCharacteristics:
         assert (cluster.multiplicity, definite_sign(cluster), cluster.resolved) == (4, 0, True)
 
     def test_region_snapshots_match_the_eager_builder(self):
-        # The verdict carries the reference's spectrum bit for bit, and it
-        # is "boundary" exactly when a solvable point has axis clusters.
+        # The verdict carries eigvals's spectrum bit for bit, and it is
+        # "boundary" exactly when a solvable point has axis clusters.
         base = lab_base()
         n_clusters = 0
         for a in np.linspace(0.0, 5.0, 11):
@@ -929,10 +1022,7 @@ class TestLazySignCharacteristics:
                     d = dir_abc(a, b, c, validate=False)
                     got = region_membership(base, d)
                     ref = eager_snapshot(
-                        _perturbed_array(base.data, d, 1.0),
-                        t=1.0,
-                        axis_tol=1e-7,
-                        from_schur_diagonal=True,
+                        _perturbed_array(base.data, d, 1.0), t=1.0, axis_tol=1e-7
                     )
                     assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
                     if got.membership != "exterior":
@@ -972,16 +1062,21 @@ class TestLazySignCharacteristics:
         assert other != first
 
     @pytest.mark.parametrize(
-        "abc",
-        [(2.0, 2.0, 1.0), (4.0, 9.0, 0.0), (13.0, 13.0, 0.0), (1.0, 1.0, 2.0)],
+        "abc, fallback",
+        [((2.0, 2.0, 1.0), False), ((4.0, 9.0, 0.0), True), ((13.0, 13.0, 0.0), False),
+         ((1.0, 1.0, 2.0), False)],
         ids=["interior", "boundary", "exterior", "indefinite"],
     )
-    def test_region_reorders_only_for_the_stable_selection(self, order_schur_calls, abc):
+    def test_region_reorders_only_for_the_stable_selection(
+        self, order_schur_calls, abc, fallback
+    ):
+        # A point the batched rules decide reorders nothing; the boundary
+        # point reorders exactly as the stable selection on its Schur form.
         base, d = lab_base(), dir_abc(*abc, validate=False)
         region_membership(base, d)
         made = len(order_schur_calls)
         del order_schur_calls[:]
-        if not_psd(d):
+        if not fallback:
             assert made == 0
         else:
             arr = _perturbed_array(base.data, d, 1.0)
