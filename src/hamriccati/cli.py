@@ -9,7 +9,10 @@ embeds a run manifest (command, input digests, tolerance overrides,
 seed, tool version, and the numpy and scipy versions with the BLAS each
 links); CSV artifacts written to ``--out`` get a sibling
 ``<out>.manifest.json``.  Outputs are deterministic: the same manifest
-always produces byte-identical files.
+always produces byte-identical files.  Every JSON report and manifest is
+written by one serializer, ``_dumps``, whose bytes equal those of
+``json.dumps(obj, sort_keys=True, indent=2)``; it formats each matrix's
+data with json's C encoder in one call.
 
 Exit codes: 0 = success, 2 = invalid input, 3 = analytic negative
 (no solution, certification refused, a certified storage without a
@@ -102,7 +105,7 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"matrix {name!r} needs integer rows/cols and data") from exc
     if rows < 0 or cols < 0:
         raise InputError(f"matrix {name!r} has negative dimensions")
@@ -111,6 +114,14 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
             f"matrix {name!r} data length {len(data) if isinstance(data, list) else '?'}"
             f" does not match rows*cols = {rows * cols}"
         )
+    try:
+        pairs = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    # NumPy turns null into NaN, so only a finite parse of the right shape
+    # is taken; anything else goes through the loop for its exact message.
+    if pairs is not None and pairs.shape == (rows * cols, 2) and np.isfinite(pairs).all():
+        return pairs.view(complex).reshape(rows, cols)
     out = np.empty(rows * cols, dtype=complex)
     for i, entry in enumerate(data):
         if not (isinstance(entry, list) and len(entry) == 2):
@@ -120,9 +131,23 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
             out[i] = complex(float(re_part), float(im_part))
         except (TypeError, ValueError) as exc:
             raise InputError(f"matrix {name!r} entry {i} is not numeric") from exc
+        except OverflowError as exc:
+            # A JSON integer beyond the float range; a float literal such as
+            # 1e400 already parses to inf.
+            raise InputError(f"matrix {name!r} contains non-finite entries") from exc
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise InputError(f"matrix {name!r} contains non-finite entries")
     return out.reshape(rows, cols)
+
+
+class _Pairs(list):
+    """Matrix data: ``[re, im]`` lists of Python floats, which :func:`_dumps`
+    writes in one batch."""
+
+
+def _complex_list(values) -> _Pairs:
+    flat = np.asarray(values, dtype=complex).ravel().view(float)
+    return _Pairs(flat.reshape(-1, 2).tolist())
 
 
 def _matrix_to_json(m, name: str) -> dict:
@@ -133,12 +158,57 @@ def _matrix_to_json(m, name: str) -> dict:
         "name": name,
         "rows": int(arr.shape[0]),
         "cols": int(arr.shape[1]),
-        "data": [[float(v.real), float(v.imag)] for v in arr.ravel()],
+        "data": _complex_list(arr),
     }
 
 
-def _complex_list(values) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values, dtype=complex)]
+# json's C encoder: compact, ", " between items, floats as json writes them
+# (Infinity, -Infinity and NaN included).
+_ENCODE_COMPACT = json.JSONEncoder().encode
+
+
+def _append_json(obj, newline: str, parts: list[str]) -> None:
+    """Append the ``indent=2`` text of ``obj``; ``newline`` opens its own lines."""
+    if isinstance(obj, (str, int, float)) or obj is None:
+        parts.append(_ENCODE_COMPACT(obj))
+    elif isinstance(obj, _Pairs) and obj:
+        # "[[a, b], [c, d]]" becomes the indented text by two replacements:
+        # no float token holds "]", "[", "," or a space.
+        item = newline + "  "
+        value = item + "  "
+        body = _ENCODE_COMPACT(obj)[2:-2]
+        body = body.replace("], [", f"{item}],{item}[{value}").replace(", ", "," + value)
+        parts.append(f"[{item}[{value}{body}{item}]{newline}]")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        item = newline + "  "
+        for i, value in enumerate(obj):
+            parts.append("," + item if i else "[" + item)
+            _append_json(value, item, parts)
+        parts.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        item = newline + "  "
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            parts.append(("," if i else "{") + item + _ENCODE_COMPACT(key) + ": ")
+            _append_json(value, item, parts)
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(report) -> str:
+    """The text of ``json.dumps(report, sort_keys=True, indent=2)``, byte for
+    byte, with each matrix's data formatted by the C encoder in one call."""
+    parts: list[str] = []
+    _append_json(report, "\n", parts)
+    return "".join(parts)
 
 
 def _load_json(path: str):
@@ -261,7 +331,7 @@ def _emit_text(text: str, out: str | None) -> None:
 
 
 def _emit_json(report: dict, out: str | None) -> None:
-    _emit_text(json.dumps(report, sort_keys=True, indent=2) + "\n", out)
+    _emit_text(_dumps(report) + "\n", out)
 
 
 def _emit_csv(header: list[str], rows: list[list[str]], manifest: dict, out: str | None) -> None:
@@ -272,7 +342,7 @@ def _emit_csv(header: list[str], rows: list[list[str]], manifest: dict, out: str
     _emit_text(buf.getvalue(), out)
     if out is not None:
         with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+            fh.write(_dumps(manifest) + "\n")
 
 
 def _fmt(value: float) -> str:
@@ -388,7 +458,10 @@ def _run_solve(ns: argparse.Namespace) -> int:
         return EXIT_OK
 
     kwargs = {} if ns.tol is None else {"tol": ns.tol}
-    structured = solve_structured(data, **kwargs)
+    try:
+        structured = solve_structured(data, **kwargs)
+    except SolvabilityError as exc:
+        raise InputError(str(exc)) from exc
     report.update(
         {
             "verdict": structured.verdict,

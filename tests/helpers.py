@@ -98,6 +98,20 @@ def rand_solvable_triple(rng, n, *, g_rank=None):
     return f, g, k, x_hat
 
 
+def rand_passive_system(rng, n, m=2):
+    """Passive state space ``(A, B, C, D) = ((J - R) Q, B, B^H Q, I)``.
+
+    Q is positive definite, J skew-Hermitian and R positive definite, so
+    Q is a storage function: it satisfies the dissipation inequality.
+    """
+    q = np.eye(n) + rand_psd(rng, n) / n
+    j = rand_complex(rng, n, n)
+    j = 0.5 * (j - j.conj().T)
+    r = 0.1 * np.eye(n) + rand_psd(rng, n) / n
+    b = rand_complex(rng, n, m)
+    return (j - r) @ q, b, b.conj().T @ q, np.eye(m, dtype=complex)
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 

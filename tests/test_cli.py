@@ -25,7 +25,15 @@ from hamriccati import (
 )
 from hamriccati.forms import RiccatiData
 
-from helpers import example3x3, lab2x2, make_rng, rand_complex, rand_solvable_triple
+from helpers import (
+    example3x3,
+    lab2x2,
+    make_rng,
+    rand_complex,
+    rand_passive_system,
+    rand_psd,
+    rand_solvable_triple,
+)
 
 EX1_CANDIDATE = [[3.0, 1.0, -1.0], [1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]
 
@@ -99,6 +107,178 @@ class TestMatrixFormat:
         bad = {"rows": 1, "cols": 1, "data": [[1.0, 0.0, 2.0]]}
         with pytest.raises(cli.InputError, match="pair"):
             parse_matrix(bad)
+
+    def test_negative_zero_and_transposed_inputs_round_trip(self):
+        m = (rand_complex(make_rng(41), 4, 3) * np.array([1.0, -0.0, 2.0])).T[:, ::2]
+        m[0, 0] = complex(-0.0, -0.0)
+        got = parse_matrix(json.loads(json.dumps(cli._matrix_to_json(m, "m"))))
+        np.testing.assert_array_equal(got, m)
+        assert np.array_equal(np.signbit(got.real), np.signbit(m.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(m.imag))
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ('{"rows": 1, "cols": 1, "data": [[null, 0.0]]}', "entry 0 is not numeric"),
+            ('{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 399), "non-finite"),
+            ('{"rows": 1e400, "cols": 1, "data": [[1.0, 0.0]]}', "integer rows/cols"),
+        ],
+        ids=["null-entry", "400-digit-integer", "infinite-rows"],
+    )
+    def test_unreadable_entries_exit_two(self, tmp_path, capsys, matrix, message):
+        path = tmp_path / "x.json"
+        path.write_text(matrix)
+        problem = tmp_path / "problem.json"
+        problem.write_text(
+            json.dumps({"F": mat_json(-np.eye(1)), "G": mat_json(np.eye(1)), "K": mat_json(np.eye(1))})
+        )
+        assert cli.main(["solve", str(problem), "--verify", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+# Values at the edges of the float format, and the non-finite ones json spells
+# Infinity, -Infinity and NaN.
+_EDGE_FLOATS = (
+    -0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    float("inf"), -float("inf"), float("nan"),
+)
+_TEXT = ("", "a", "\u00e9", "\u2603", "\U0001f600", '"', "\\", "\n", "\x00", "\x7f", "name")
+
+
+def _random_float(rng):
+    if rng.random() < 0.4:
+        return _EDGE_FLOATS[rng.integers(len(_EDGE_FLOATS))]
+    return float(rng.standard_normal() * 10.0 ** rng.integers(-320, 309))
+
+
+def _random_text(rng):
+    return "".join(_TEXT[i] for i in rng.integers(len(_TEXT), size=rng.integers(0, 4)))
+
+
+def _random_matrix(rng):
+    shape = [(0, 0), (0, 3), (3, 0), (1, 1)][rng.integers(4)] if rng.random() < 0.3 else (
+        tuple(rng.integers(0, 6, size=2))
+    )
+    arr = rand_complex(rng, shape[0] + 2, shape[1] + 2)
+    arr.real[rng.random(arr.shape) < 0.3] = _random_float(rng)
+    arr.imag[rng.random(arr.shape) < 0.3] = _random_float(rng)
+    view = [arr, arr.T, arr[::2, 1:], arr[:, ::-1].T][rng.integers(4)]
+    return view[: shape[0], : shape[1]]
+
+
+def _random_report(rng, depth=0):
+    kinds = 11 if depth < 4 else 6
+    kind = rng.integers(kinds)
+    if kind == 0:
+        return _random_float(rng)
+    if kind == 1:
+        return int(rng.integers(-(2**62), 2**62)) * 10 ** int(rng.integers(0, 40))
+    if kind == 2:
+        return [None, True, False][rng.integers(3)]
+    if kind == 3:
+        return _random_text(rng)
+    if kind == 4:
+        return cli._matrix_to_json(_random_matrix(rng), _random_text(rng))
+    if kind == 5:
+        return cli._complex_list(_random_matrix(rng).ravel())
+    size = rng.integers(0, 5)
+    if kind in (6, 7):
+        return {_random_text(rng) + str(i): _random_report(rng, depth + 1) for i in range(size)}
+    if kind == 8:
+        return [_random_report(rng, depth + 1) for _ in range(size)]
+    if kind == 9:
+        return tuple(_random_report(rng, depth + 1) for _ in range(size))
+    return {}
+
+
+class TestReportWriter:
+    """``cli._dumps`` writes what ``json.dumps(sort_keys=True, indent=2)`` writes."""
+
+    def test_random_reports_match_json(self):
+        rng = make_rng(43)
+        for _ in range(400):
+            report = {"r": _random_report(rng), "e": [], "d": {}}
+            assert cli._dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, -0.0, float("nan"), -float("inf"), 10**400, "\u00e9", None, True, [], {}, ()]
+    )
+    def test_top_level_scalars_and_empties_match_json(self, value):
+        assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_unserializable_values_raise(self):
+        with pytest.raises(TypeError):
+            cli._dumps({"x": np.float32(1.0)})
+        with pytest.raises(TypeError):
+            cli._dumps({1: 2})
+
+
+@pytest.fixture(scope="module")
+def report_inputs(tmp_path_factory):
+    """Problem files of the lab problem and of a seeded n = 20 triple."""
+    root = tmp_path_factory.mktemp("reports")
+    rng = make_rng(44)
+    f20, g20, k20, x20 = rand_solvable_triple(rng, 20)
+    f, g, k = lab2x2()
+    c = np.linalg.cholesky(k).conj().T
+    cases = {
+        "lab": ((f, g, k), (f + c, np.eye(2), c, 0.5 * np.eye(2)), np.eye(2),
+                np.array([[1.0, 1.0], [1.0, 2.0]])),
+        "n20": ((f20, g20, k20), rand_passive_system(rng, 20), rand_psd(rng, 20), x20),
+    }
+    files = {}
+    for tag, ((ff, gg, kk), (a, b, cc, d), delta, x) in cases.items():
+        paths = {
+            "problem": {"F": mat_json(ff, "F"), "G": mat_json(gg, "G"), "K": mat_json(kk, "K")},
+            "system": {"A": mat_json(a, "A"), "B": mat_json(b, "B"),
+                       "C": mat_json(cc, "C"), "D": mat_json(d, "D")},
+            "delta": mat_json(delta, "delta"),
+            "x": mat_json(x, "x"),
+        }
+        for name, obj in paths.items():
+            (root / f"{tag}_{name}.json").write_text(json.dumps(obj))
+        files[tag] = {name: str(root / f"{tag}_{name}.json") for name in paths}
+    return root, files
+
+
+_REPORT_COMMANDS = {
+    "solve-extremal": ("solve", "{problem}", "--extremal"),
+    "solve-structured": ("solve", "{problem}", "--structured"),
+    "solve-verify": ("solve", "{problem}", "--verify", "{x}"),
+    "passivity": ("passivity", "{system}"),
+    "perturb-critical": ("perturb", "{problem}", "{delta}", "--critical"),
+    "perturb-vertex": ("perturb", "{problem}", "--vertex", "--seed", "3"),
+    "perturb-t-grid": ("perturb", "{problem}", "{delta}", "--t-grid", "0:1:5"),
+}
+
+
+def assert_json_dumps_text(path):
+    text = path.read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
+
+
+class TestReportBytes:
+    """Every JSON report and manifest is the text json.dumps(sort_keys=True,
+    indent=2) gives for its own content."""
+
+    @pytest.mark.parametrize("tag", ["lab", "n20"])
+    @pytest.mark.parametrize("command", sorted(_REPORT_COMMANDS))
+    def test_reports_are_json_dumps_text(self, report_inputs, tag, command):
+        root, files = report_inputs
+        out = root / f"{tag}-{command}.out"
+        argv = [arg.format(**files[tag]) for arg in _REPORT_COMMANDS[command]]
+        assert cli.main(argv + ["--out", str(out)]) in (0, 3)
+        if command == "perturb-t-grid":
+            out = out.with_name(out.name + ".manifest.json")
+        assert_json_dumps_text(out)
+
+    def test_region_manifest_is_json_dumps_text(self, report_inputs, tmp_path):
+        _, files = report_inputs
+        out = tmp_path / "region.csv"
+        argv = ["region", files["lab"]["problem"], "--grid", "0:5:3,0:10:3,-4:4:3"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert_json_dumps_text(tmp_path / "region.csv.manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +431,20 @@ class TestSolve:
         x_file = tmp_path / "x.json"
         x_file.write_text(json.dumps(mat_json(np.eye(3), "x")))
         assert cli.main(["solve", ex2_file, "--verify", str(x_file)]) == 2
+
+    def test_structured_solve_of_an_unstable_f_is_invalid_input(self, tmp_path, capsys):
+        path = tmp_path / "unstable.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "F": mat_json(np.diag([1.0, -1.0])),
+                    "G": mat_json(np.eye(2)),
+                    "K": mat_json(np.eye(2)),
+                }
+            )
+        )
+        assert cli.main(["solve", str(path), "--structured"]) == 2
+        assert "asymptotically stable F" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
