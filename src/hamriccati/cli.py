@@ -101,12 +101,13 @@ def _setup_logging() -> None:
 def _matrix_from_json(obj, name: str) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InputError(f"matrix {name!r} must be a JSON object")
-    try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"matrix {name!r} needs integer rows/cols and data") from exc
+    rows, cols = obj.get("rows"), obj.get("cols")
+    # Only a JSON integer: not a float, a bool or a string.
+    if "data" not in obj or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in (rows, cols)
+    ):
+        raise InputError(f"matrix {name!r} needs integer rows/cols and data")
+    data = obj["data"]
     if rows < 0 or cols < 0:
         raise InputError(f"matrix {name!r} has negative dimensions")
     if not isinstance(data, list) or len(data) != rows * cols:

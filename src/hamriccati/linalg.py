@@ -89,18 +89,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _block2x2(a11, a12, a21, a22) -> np.ndarray:
-    """``np.block([[a11, a12], [a21, a22]])`` for four n x n blocks.
+    """``np.block([[a11, a12], [a21, a22]])`` for four n x n blocks, or for
+    four stacks of them shaped like ``a11``.
 
     Same dtype and bits, filled by slice assignment into one preallocated
     array instead of ``np.block``'s Python-level recursion, which costs
     more than the copy for the small Hamiltonians of a region scan.
     """
-    n = a11.shape[0]
-    out = np.empty((2 * n, 2 * n), dtype=np.result_type(a11, a12, a21, a22))
-    out[:n, :n] = a11
-    out[:n, n:] = a12
-    out[n:, :n] = a21
-    out[n:, n:] = a22
+    n = a11.shape[-1]
+    out = np.empty(a11.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(a11, a12, a21, a22))
+    out[..., :n, :n] = a11
+    out[..., :n, n:] = a12
+    out[..., n:, :n] = a21
+    out[..., n:, n:] = a22
     return out
 
 

@@ -40,6 +40,7 @@ import scipy.linalg as sla
 
 from .forms import (
     _ISO_TOL,
+    _PSD_TOL,
     HamiltonianMatrix,
     LagrangianConditionError,
     RiccatiData,
@@ -63,7 +64,7 @@ from .linalg import (
     hermitian_part,
     schur_decompose,
 )
-from .riccati import _GRAPH_RCOND, _graph_solution, solve_extremal
+from .riccati import _GRAPH_RCOND, _equation_residual, _graph_solution, solve_extremal
 
 __all__ = [
     "PerturbationError",
@@ -92,8 +93,8 @@ __all__ = [
 ]
 
 # A direction is not positive semidefinite when its smallest eigenvalue
-# is below -_PSD_TOL * (1 + |delta|).
-_PSD_TOL = 1e-8
+# is below -_PSD_TOL * (1 + |delta|); _PSD_TOL is forms'.
+
 # Axis clusters: heights within _CLUSTER_MERGE_TOL * (1 + |H|) merge, and
 # eigenvalues of the form i V^H J V within _FORM_BAND * (1 + max |lambda|)
 # of zero count in n_zero.
@@ -104,8 +105,13 @@ _FORM_BAND = 1e-8
 _SELECT_BAND = 1e-8
 _RESIDUAL_TOL = 1e-8
 # A batched region rule decides a point only when every quantity it reads
-# clears the single-Schur path's threshold by this factor.
+# clears region_membership's threshold by this factor.
 _BATCH_MARGIN = 100.0
+# A vertex-walk leg end: the relative width of its solvability bisection,
+# and how far past the detector's t0 the bracket may grow before the
+# detector's value is kept.
+_LEG_RTOL = 1e-13
+_LEG_EXPAND_CAP = 1e-3
 
 
 class PerturbationError(RuntimeError):
@@ -957,12 +963,7 @@ def _freezing_direction(
 
 
 def _refine_leg_end(
-    cur: RiccatiData,
-    direction: PerturbationDirection,
-    ct: CriticalTime,
-    *,
-    rtol: float = 1e-13,
-    expand_cap: float = 1e-3,
+    cur: RiccatiData, direction: PerturbationDirection, ct: CriticalTime
 ) -> float:
     """Polish a leg end onto the solvability boundary.
 
@@ -989,13 +990,13 @@ def _refine_leg_end(
     lo, hi = ct.bracket
     if lo <= 0.0 or not solvable(lo):
         return float(ct.t0)
-    width = max(hi - lo, rtol * max(1.0, hi))
+    width = max(hi - lo, _LEG_RTOL * max(1.0, hi))
     while solvable(hi):
         hi += width
         width *= 4.0
-        if hi > ct.t0 * (1.0 + expand_cap) + width:
+        if hi > ct.t0 * (1.0 + _LEG_EXPAND_CAP) + width:
             return float(ct.t0)
-    while hi - lo > rtol * max(1.0, hi):
+    while hi - lo > _LEG_RTOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if solvable(mid):
             lo = mid
@@ -1161,13 +1162,11 @@ def _has_stable_solution(
         cand = _graph_solution(sub.w1, sub.w2)
     except SolvabilityError:
         return False
-    f_t = data.f + d.delta21
-    g_t = hermitian_part(data.g + d.delta22)
-    res = (
-        f_t.conj().T @ cand
-        + cand @ f_t
-        + cand @ g_t @ cand
-        + hermitian_part(data.k + d.delta11)
+    res = _equation_residual(
+        data.f + d.delta21,
+        hermitian_part(data.g + d.delta22),
+        hermitian_part(data.k + d.delta11),
+        cand,
     )
     if _norm(res) > _RESIDUAL_TOL * scale * (1.0 + _norm(cand)) ** 2:
         return False
@@ -1190,47 +1189,76 @@ def _stable_graph_passes(f_t, g_t, k_t, v, scale) -> np.ndarray:
     )
     idx = np.flatnonzero(ok)
     x = hermitian_part(np.linalg.solve(w1h[idx], w2h[idx]).conj().swapaxes(1, 2))
-    f, g, k = f_t[idx], g_t[idx], k_t[idx]
-    res = f.conj().swapaxes(1, 2) @ x + x @ f + x @ g @ x + k
+    res = _equation_residual(f_t[idx], g_t[idx], k_t[idx], x)
     bound = _RESIDUAL_TOL * scale[idx] * (1.0 + np.linalg.norm(x, axis=(1, 2))) ** 2
     ok[idx] = np.linalg.norm(res, axis=(1, 2)) <= bound / _BATCH_MARGIN
     return ok
 
 
-@dataclass
-class _RegionBatch:
-    """Batched region rules over a stack of m bumps.
+def _margins(eigenvalues, on_axis, psd_margin, bad_psd, membership) -> np.ndarray:
+    """:class:`RegionVerdict`'s ``margin`` of every row of a stack of sorted
+    spectra ``eigenvalues`` (m, 2n), whose axis eigenvalues ``on_axis`` flags."""
+    min_re = np.abs(eigenvalues.real).min(axis=1)
+    axis_abs = np.where(on_axis, np.abs(eigenvalues), np.inf).min(axis=1)
+    return np.select(
+        [bad_psd, membership == "interior", membership == "boundary"],
+        [psd_margin, min_re**2, 0.0],
+        -np.where(on_axis.any(axis=1), axis_abs, min_re) ** 2,
+    )
 
-    ``membership`` is ``""`` where the rules leave a point open, and
-    ``on_axis`` flags the eigenvalues with ``|Re| <= imag_tol * scale``.
+
+def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) -> RegionVerdict:
+    """Classify a perturbation against the feasibility region.
+
+    The perturbed family member ``h + J delta`` is feasible when the
+    bumped equation still has a Hermitian solution (see
+    :class:`RegionVerdict`).  This is the exact rule, which
+    :func:`region_grid` defers to for every point its batched rules leave
+    open.  A bump that is not positive semidefinite is ``exterior``
+    without a factorization.  Any other point takes one Schur
+    factorization of ``h + J delta``: its stable selection is solved and
+    checked, and a solvable point is ``boundary`` when it has eigenvalues
+    with ``|Re| <= imag_tol * (1 + |H|)``, ``interior`` otherwise.  No
+    sign characteristics are computed.
+
+    Every tolerance is relative to ``1 + |H|`` (the direction's PSD test,
+    at ``1e-8``, to ``1 + |delta|``), so below |H| of about 1 they act as absolute
+    thresholds and the verdicts are not invariant under scaling the
+    problem and the bump together: scaled by 1e-12, the lab problem's
+    interior bump (2, 2, 1) and its indefinite bump (1, 1, 2) both come
+    out ``"boundary"``.
     """
+    data = _as_data(h)
+    if d.n != data.n:
+        raise ValueError("direction and Hamiltonian dimensions differ")
+    arr = _perturbed_array(data, d, 1.0)
+    eigenvalues = _sorted_eigenvalues(arr)
+    scale = 1.0 + _norm(arr)
+    on_axis = np.abs(eigenvalues.real) <= imag_tol * scale
+    bad_psd = d.psd_margin < -_PSD_TOL * (1.0 + _norm(d.full))
+    if bad_psd or not _has_stable_solution(data, d, schur_decompose(arr), scale):
+        membership = "exterior"
+    elif on_axis.any():
+        membership = "boundary"
+    else:
+        membership = "interior"
+    margin = _margins(eigenvalues[None], on_axis[None], d.psd_margin, bad_psd, membership)
+    return RegionVerdict(
+        membership=membership, eigenvalues=_frozen(eigenvalues), margin=float(margin[0])
+    )
 
-    arr: np.ndarray
-    eigenvalues: np.ndarray
-    scale: np.ndarray
-    on_axis: np.ndarray
-    psd_margin: np.ndarray
-    bad_psd: np.ndarray
-    membership: np.ndarray
 
-    def margins(self) -> np.ndarray:
-        """:class:`RegionVerdict`'s ``margin`` of every point."""
-        abs_re = np.abs(self.eigenvalues.real)
-        min_re = abs_re.min(axis=1)
-        axis_abs = np.where(self.on_axis, np.abs(self.eigenvalues), np.inf).min(axis=1)
-        return np.select(
-            [self.bad_psd, self.membership == "interior", self.membership == "boundary"],
-            [self.psd_margin, min_re**2, 0.0],
-            -np.where(self.on_axis.any(axis=1), axis_abs, min_re) ** 2,
-        )
+def region_grid(h, deltas, *, imag_tol: float = 1e-7) -> RegionGrid:
+    """:func:`region_membership` for a stack of m assembled bumps.
 
-
-def _region_batch(data: RiccatiData, deltas: np.ndarray, imag_tol: float) -> _RegionBatch:
-    """Decide every point of the stack ``deltas`` that a batched rule settles.
-
-    A rule decides a point only where the Schur path of
-    :func:`region_membership` is certain to agree: each quantity it reads
-    clears that path's threshold by ``_BATCH_MARGIN`` (G).
+    ``deltas`` has shape (m, 2n, 2n), each a Hermitian form
+    ``[[d11, d21^H], [d21, d22]]``; its lower-left and diagonal blocks are
+    read, as :meth:`PerturbationDirection.from_blocks` takes them.  One
+    batched ``eigvalsh``, ``eig``, QR, SVD and solve decide every point
+    that a batched rule settles, and a rule decides a point only where
+    :func:`region_membership`, the exact rule, is certain to agree: each
+    quantity it reads clears the exact rule's threshold by
+    ``_BATCH_MARGIN`` (G).
 
     * Not positive semidefinite: ``exterior``.
     * No eigenvalue within G * imag_tol * (1 + |H|) of the axis, n of them
@@ -1247,19 +1275,24 @@ def _region_batch(data: RiccatiData, deltas: np.ndarray, imag_tol: float) -> _Re
 
     The off-axis guard is also at least G times the stable selection's
     axis band, so the selection sees the spectrum split the same way.
+    Each remaining point (near the boundary, near a merge of eigenvalues
+    or a defective one, or passing a check by less than G) goes to
+    :func:`region_membership` once.
     """
+    data = _as_data(h)
     n = data.n
+    deltas = np.asarray(deltas, dtype=complex)
+    if deltas.ndim != 3 or deltas.shape[1:] != (2 * n, 2 * n):
+        raise ValueError(f"deltas must have shape (m, {2 * n}, {2 * n}), got {deltas.shape}")
+    if not np.isfinite(deltas).all():
+        raise ValueError("deltas has non-finite entries")
     m = deltas.shape[0]
     d11, d21, d22 = deltas[:, :n, :n], deltas[:, n:, :n], deltas[:, n:, n:]
     f_t = data.f + d21
     g_t = hermitian_part(data.g + d22)
     k_t = hermitian_part(data.k + d11)
     # The bits of _perturbed_array(data, d, 1.0), point by point.
-    arr = np.empty((m, 2 * n, 2 * n), dtype=complex)
-    arr[:, :n, :n] = f_t
-    arr[:, :n, n:] = g_t
-    arr[:, n:, :n] = -k_t
-    arr[:, n:, n:] = -f_t.conj().swapaxes(1, 2)
+    arr = _block2x2(f_t, g_t, -k_t, -f_t.conj().swapaxes(1, 2))
     scale = 1.0 + np.linalg.norm(arr, axis=(1, 2))
     psd_margin = np.linalg.eigvalsh(deltas)[:, 0]
     bad_psd = psd_margin < -_PSD_TOL * (1.0 + np.linalg.norm(deltas, axis=(1, 2)))
@@ -1299,81 +1332,13 @@ def _region_batch(data: RiccatiData, deltas: np.ndarray, imag_tol: float) -> _Re
         & np.all(off_axis | (near_axis & definite), axis=1)
     )
     membership[blocked] = "exterior"
+
+    for i in np.flatnonzero(membership == ""):
+        d = PerturbationDirection.from_blocks(d11[i], d21[i], d22[i], validate=False)
+        membership[i] = region_membership(data, d, imag_tol=imag_tol).membership
     on_axis = np.abs(re) <= imag_tol * scale[:, None]
-    return _RegionBatch(arr, eigs, scale, on_axis, psd_margin, bad_psd, membership)
-
-
-def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) -> RegionVerdict:
-    """Classify a perturbation against the feasibility region.
-
-    The perturbed family member ``h + J delta`` is feasible when the
-    bumped equation still has a Hermitian solution (see
-    :class:`RegionVerdict`).  This is :func:`region_grid` for one bump.
-    Batched rules decide the point from the eigenvalues and eigenvectors
-    of ``h + J delta`` when they are certain to: a bump that is not
-    positive semidefinite, a spectrum clear of the axis whose stable
-    eigenvectors pass the stable solve's checks by a wide margin
-    (``interior``), or simple axis eigenvalues with a clearly nonzero
-    sign characteristic, which no Lagrangian subspace can half-select
-    (``exterior``).  Any other point takes one Schur factorization: its
-    stable selection is solved and checked, and a solvable point is
-    ``boundary`` when it has eigenvalues with
-    ``|Re| <= imag_tol * (1 + |H|)``.  No sign characteristics are
-    computed.
-
-    Every tolerance is relative to ``1 + |H|`` (the direction's PSD test,
-    at ``1e-8``, to ``1 + |delta|``), so below |H| of about 1 they act as absolute
-    thresholds and the verdicts are not invariant under scaling the
-    problem and the bump together: scaled by 1e-12, the lab problem's
-    interior bump (2, 2, 1) and its indefinite bump (1, 1, 2) both come
-    out ``"boundary"``.
-    """
-    data = _as_data(h)
-    if d.n != data.n:
-        raise ValueError("direction and Hamiltonian dimensions differ")
-    batch = _region_batch(data, d.full[None], imag_tol)
-    if not batch.membership[0]:
-        s = schur_decompose(batch.arr[0])
-        if not _has_stable_solution(data, d, s, float(batch.scale[0])):
-            batch.membership[0] = "exterior"
-        elif batch.on_axis[0].any():
-            batch.membership[0] = "boundary"
-        else:
-            batch.membership[0] = "interior"
-    return RegionVerdict(
-        membership=str(batch.membership[0]),
-        eigenvalues=_frozen(batch.eigenvalues[0]),
-        margin=float(batch.margins()[0]),
-    )
-
-
-def region_grid(h, deltas, *, imag_tol: float = 1e-7) -> RegionGrid:
-    """:func:`region_membership` for a stack of m assembled bumps.
-
-    ``deltas`` has shape (m, 2n, 2n), each a Hermitian form
-    ``[[d11, d21^H], [d21, d22]]``; its lower-left and diagonal blocks are
-    read, as :meth:`PerturbationDirection.from_blocks` takes them.  One
-    batched ``eigvalsh``, ``eig``, QR, SVD and solve decide every point
-    that the batched rules settle; each remaining point (near the
-    boundary, near a merge of eigenvalues or a defective one, or passing
-    a check by less than the margin) goes to :func:`region_membership`
-    alone, which takes its Schur factorization.
-    """
-    data = _as_data(h)
-    n = data.n
-    deltas = np.asarray(deltas, dtype=complex)
-    if deltas.ndim != 3 or deltas.shape[1:] != (2 * n, 2 * n):
-        raise ValueError(f"deltas must have shape (m, {2 * n}, {2 * n}), got {deltas.shape}")
-    if not np.isfinite(deltas).all():
-        raise ValueError("deltas has non-finite entries")
-    batch = _region_batch(data, deltas, imag_tol)
-    for i in np.flatnonzero(batch.membership == ""):
-        d = PerturbationDirection.from_blocks(
-            deltas[i, :n, :n], deltas[i, n:, :n], deltas[i, n:, n:], validate=False
-        )
-        batch.membership[i] = region_membership(data, d, imag_tol=imag_tol).membership
     return RegionGrid(
-        membership=_frozen(batch.membership),
-        eigenvalues=_frozen(batch.eigenvalues),
-        margin=_frozen(batch.margins()),
+        membership=_frozen(membership),
+        eigenvalues=_frozen(eigs),
+        margin=_frozen(_margins(eigs, on_axis, psd_margin, bad_psd, membership)),
     )

@@ -76,8 +76,9 @@ _GRAPH_RCOND = 1e-10
 
 
 def _equation_residual(f, g, k, x) -> np.ndarray:
-    """Residual F^H X + X F + X G X + K of a candidate solution."""
-    return f.conj().T @ x + x @ f + x @ g @ x + k
+    """Residual F^H X + X F + X G X + K of a candidate solution, or of
+    every candidate of a stack."""
+    return f.conj().swapaxes(-1, -2) @ x + x @ f + x @ g @ x + k
 
 
 def _residual_scale(f, g, k, x) -> float:

@@ -304,9 +304,10 @@ def reference_region_membership(
     """Region verdict from the public ``spectrum_snapshot`` and
     ``lagrangian_subspace``, each with its own Schur factorization.
 
-    The oracle that ``hamriccati.perturbation.region_membership`` and
-    ``region_grid``, which decide most points without a Schur form, are
-    checked against.  It attempts the stable
+    The oracle that ``hamriccati.perturbation.region_membership``, with
+    one Schur form per positive semidefinite bump, and ``region_grid``,
+    which decides most points without one, are checked against.  It
+    attempts the stable
     solve for every direction, also one that is not positive semidefinite.
     """
     data = _as_data(h)

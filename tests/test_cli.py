@@ -122,8 +122,12 @@ class TestMatrixFormat:
             ('{"rows": 1, "cols": 1, "data": [[null, 0.0]]}', "entry 0 is not numeric"),
             ('{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 399), "non-finite"),
             ('{"rows": 1e400, "cols": 1, "data": [[1.0, 0.0]]}', "integer rows/cols"),
+            ('{"rows": 1.5, "cols": 1, "data": [[1.0, 0.0]]}', "integer rows/cols"),
+            ('{"rows": 1, "cols": true, "data": [[1.0, 0.0]]}', "integer rows/cols"),
+            ('{"rows": "1", "cols": 1, "data": [[1.0, 0.0]]}', "integer rows/cols"),
         ],
-        ids=["null-entry", "400-digit-integer", "infinite-rows"],
+        ids=["null-entry", "400-digit-integer", "infinite-rows", "float-rows", "bool-cols",
+             "string-rows"],
     )
     def test_unreadable_entries_exit_two(self, tmp_path, capsys, matrix, message):
         path = tmp_path / "x.json"

@@ -793,7 +793,7 @@ def assert_same_verdict(base, d):
     assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
     if not_psd(d):  # the verdict reports the direction's margin
         assert got.membership == "exterior" and got.margin == d.psd_margin
-    # region_membership is region_grid for a stack of one.
+    # region_grid's batched rules on a stack of one agree with the exact rule.
     assert_same_row(region_grid(base, d.full[None]), 0, got)
     return got.membership
 
@@ -856,9 +856,9 @@ class TestOneFactorizationRegion:
         ids=["interior", "boundary", "exterior", "indefinite"],
     )
     def test_one_schur_per_region_point(self, schur_calls, abc, factorizations):
-        # The batched rules decide all but the boundary point, which falls
-        # back to one Schur factorization.
-        region_membership(lab_base(), dir_abc(*abc, validate=False))
+        # On a one-row stack the batched rules decide all but the boundary
+        # point, which falls back to one Schur factorization.
+        region_grid(lab_base(), dir_abc(*abc, validate=False).full[None])
         assert len(schur_calls) == factorizations
 
 
@@ -885,15 +885,24 @@ class TestRegionGrid:
         fallbacks = []
 
         def counted(*args, **kwargs):
-            fallbacks.append(args)
-            return region_membership(*args, **kwargs)
+            before = len(schur_calls)
+            verdict = region_membership(*args, **kwargs)
+            fallbacks.append(len(schur_calls) - before)
+            return verdict
 
         monkeypatch.setattr(perturbation, "region_membership", counted)
         grid = region_grid(lab_base(), lab_stack(*lab_grid(21, 21, 21)))
+        # Every fallback point is PSD and takes exactly one Schur form, and
+        # region_grid takes none outside those calls.
+        assert fallbacks == [1] * len(fallbacks)
         assert len(schur_calls) == len(fallbacks)
         assert 0 < len(fallbacks) <= 100
         # Every boundary verdict needs the Schur form.
         assert np.sum(grid.membership == "boundary") <= len(fallbacks)
+        # A bump that is not PSD is exterior without one.
+        del schur_calls[:]
+        verdict = region_membership(lab_base(), dir_abc(1.0, 1.0, 2.0, validate=False))
+        assert verdict.membership == "exterior" and not schur_calls
 
     @pytest.mark.parametrize("band, factorizations", [(0.1, 1), (0.001, 0)])
     def test_a_spectrum_near_the_axis_band_goes_to_the_schur_path(
@@ -907,7 +916,8 @@ class TestRegionGrid:
         arr = _perturbed_array(base.data, d, 1.0)
         min_re = float(np.min(np.abs(_sorted_eigenvalues(arr).real)))
         imag_tol = band * min_re / (1.0 + np.linalg.norm(arr))
-        assert region_membership(base, d, imag_tol=imag_tol).membership == "interior"
+        grid = region_grid(base, d.full[None], imag_tol=imag_tol)
+        assert grid.membership[0] == "interior"
         assert len(schur_calls) == factorizations
 
     def test_empty_and_single_stacks(self):
@@ -1070,10 +1080,11 @@ class TestLazySignCharacteristics:
     def test_region_reorders_only_for_the_stable_selection(
         self, order_schur_calls, abc, fallback
     ):
-        # A point the batched rules decide reorders nothing; the boundary
-        # point reorders exactly as the stable selection on its Schur form.
+        # On a one-row stack a point the batched rules decide reorders
+        # nothing; the boundary point reorders exactly as the stable
+        # selection on its Schur form.
         base, d = lab_base(), dir_abc(*abc, validate=False)
-        region_membership(base, d)
+        region_grid(base, d.full[None])
         made = len(order_schur_calls)
         del order_schur_calls[:]
         if not fallback:

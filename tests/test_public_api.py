@@ -13,7 +13,9 @@ An optional parameter of a public function or public method stays only
 if a user sets it, or if the calls in the users' files and in the
 library pass it at least two different values (leaving it out passes the
 default).  Constructors are not counted: a dataclass field or an
-exception attribute is set by whoever builds it.
+exception attribute is set by whoever builds it.  An optional parameter
+of a module-level private function stays only if some call in the
+library passes it.
 
 A public member of a public class (a dataclass field, a property or
 method, or an attribute an exception's ``__init__`` sets) stays only if a
@@ -230,6 +232,41 @@ def test_every_option_has_a_consumer():
         "optional parameters that no CLI flag, demo or guarantee sets and that "
         f"are passed at most one value: {unused}"
     )
+
+
+def _private_optional_parameters():
+    """(module, function name, position among the call arguments or None,
+    parameter name) of every optional parameter of a module-level private
+    function of the library."""
+    for module in MODULES:
+        for name, fn in vars(module).items():
+            if not (name.startswith("_") and inspect.isfunction(fn)):
+                continue
+            if fn.__module__ != module.__name__:
+                continue  # imported from a sibling module, audited there
+            for position, p in enumerate(inspect.signature(fn).parameters.values()):
+                if p.default is not inspect.Parameter.empty:
+                    index = position if p.kind is p.POSITIONAL_OR_KEYWORD else None
+                    yield module.__name__, name, index, p.name
+
+
+def test_every_private_option_is_passed_in_the_library():
+    options = {
+        (fname, pname): (owner, index)
+        for owner, fname, index, pname in _private_optional_parameters()
+    }
+    passed_somewhere = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for _, _, called, passed in _calls(path):
+            for (fname, pname), (_, index) in options.items():
+                if fname == called and (pname in passed or index in passed):
+                    passed_somewhere.add((fname, pname))
+    unset = sorted(
+        f"{options[key][0]}: {key[0]}({key[1]}=...)"
+        for key in options
+        if key not in passed_somewhere
+    )
+    assert not unset, f"optional parameters of private functions that no call passes: {unset}"
 
 
 def _public_members(cls) -> list[str]:
