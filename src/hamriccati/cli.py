@@ -478,11 +478,7 @@ def _run_solve(ns: argparse.Namespace) -> int:
     )
     evidence = structured.inconsistency_evidence
     if evidence is not None:
-        report["inconsistency_evidence"] = (
-            float(evidence)
-            if np.ndim(evidence) == 0
-            else _matrix_to_json(np.atleast_2d(evidence), "inconsistency_evidence")
-        )
+        report["inconsistency_evidence"] = float(evidence)
     _emit_json(report, ns.out)
     return EXIT_OK if structured.verdict == SOLVED else EXIT_UNSOLVED
 
@@ -591,8 +587,8 @@ def _run_perturb(ns: argparse.Namespace) -> int:
         header += ["n_axis", "inertia_minus", "inertia_plus", "inertia_zero"]
         rows = []
         for t in grid:
-            arr = perturbed_hamiltonian(base, direction, float(t)).full
-            snap = spectrum_snapshot(arr, t=float(t), axis_tol=axis_tol)
+            ham = perturbed_hamiltonian(base, direction, float(t))
+            snap = spectrum_snapshot(ham, t=float(t), axis_tol=axis_tol)
             row = [_fmt(t)]
             for v in snap.eigenvalues:
                 row += [_fmt(v.real), _fmt(v.imag)]

@@ -9,6 +9,7 @@ and Hamiltonian Schur forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 from typing import Iterator
 
 import numpy as np
@@ -50,10 +51,18 @@ _PSD_TOL = 1e-8
 _RANK_RTOL = 1e-10
 # Relative tolerance of the staircase zero-pattern checks.
 _PATTERN_TOL = 1e-10
-# Lagrangian subspaces: isotropy acceptance threshold, and the bound on
-# alternative axis splits tried before giving up.
+# Lagrangian subspaces: isotropy acceptance threshold, and the number of
+# alternative axis completions tried after the first before giving up.
+# The alternatives are the other subsets of the needed size of the axis
+# eigenvalues, taken in lexicographic order of the axis eigenvalues sorted
+# by (height, index).  That order does not depend on the half-plane, so
+# where both half-planes take the same axis eigenvalues (a vertex's stable
+# and antistable selections) they try the same alternatives.
 _ISO_TOL = 1e-6
 _MAX_ENUM = 20
+# Sign characteristics: eigenvalues of a cluster's form i V^H J V within
+# _FORM_BAND * (1 + max |lambda|) of zero count as zero.
+_FORM_BAND = 1e-8
 
 
 class LagrangianConditionError(RuntimeError):
@@ -415,9 +424,12 @@ def _cluster_form(s: SchurForm, members) -> tuple[SchurForm, np.ndarray]:
 
 
 def _selection_flags(eigs: np.ndarray, n: int, mode: str, imag_tol: float) -> Iterator[list[bool]]:
-    """Yield candidate selections of n eigenvalues for a closed half-plane."""
-    from itertools import combinations, product
+    """Yield candidate selections of n eigenvalues for a closed half-plane.
 
+    Every candidate completes the open half-plane with ``need`` axis
+    eigenvalues.  The first takes those ranked toward the half-plane; the
+    alternatives follow lazily (see ``_MAX_ENUM``).
+    """
     re = eigs.real
     if mode == "stable":
         base = re < -imag_tol
@@ -434,28 +446,33 @@ def _selection_flags(eigs: np.ndarray, n: int, mode: str, imag_tol: float) -> It
         chosen = set(ranked[:n])
         yield [i in chosen for i in range(len(eigs))]
         return
-    ranked_axis = sorted(axis_idx, key=lambda i: (axis_key[i], i))
-    primary = set(ranked_axis[:need])
-    yield [bool(base[i]) or i in primary for i in range(len(eigs))]
-    if need == 0 or not axis_idx:
-        return
-    clusters = _axis_clusters(eigs, imag_tol, merge_tol=max(100 * imag_tol, 1e-6))
-    # Enumerate per-cluster subsets, bounded by _MAX_ENUM total candidates.
-    per_cluster = [
-        [set(c) for r in range(len(members) + 1) for c in combinations(members, r)]
-        for _, members in clusters
-    ]
-    seen = 0
-    for combo in product(*per_cluster):
-        pick = set().union(*combo) if combo else set()
-        if len(pick) != need:
-            continue
-        if pick == primary:
-            continue
+    primary = set(sorted(axis_idx, key=lambda i: (axis_key[i], i))[:need])
+    by_height = sorted(axis_idx, key=lambda i: (eigs[i].imag, i))
+    others = (set(c) for c in combinations(by_height, need))
+    alternatives = islice((pick for pick in others if pick != primary), _MAX_ENUM)
+    for pick in chain([primary], alternatives):
         yield [bool(base[i]) or i in pick for i in range(len(eigs))]
-        seen += 1
-        if seen >= _MAX_ENUM:
-            return
+
+
+def _cluster_counts(
+    s: SchurForm, members: np.ndarray, band: float
+) -> tuple[int, int, int, bool]:
+    """(n_minus, n_plus, n_zero, resolved) of the flagged cluster of ``s``.
+
+    Counts the eigenvalues of the form i V^H J V (see :func:`_cluster_form`)
+    above ``band``, below ``-band`` and in between.
+    """
+    m = int(np.sum(members))
+    try:
+        _, w = _cluster_form(s, members)
+    except LinalgError:
+        # Includes exchanges through defectively coupled, numerically
+        # identical pairs; the cluster's multiplicity is still known.
+        return 0, 0, m, False
+    vals = np.linalg.eigvalsh(w)
+    n_plus = int(np.sum(vals > band))
+    n_minus = int(np.sum(vals < -band))
+    return n_minus, n_plus, m - n_plus - n_minus, True
 
 
 def _cluster_obstructions(s: SchurForm, imag_tol: float) -> list[float]:
@@ -464,18 +481,12 @@ def _cluster_obstructions(s: SchurForm, imag_tol: float) -> list[float]:
     No isotropic invariant subspace contains half of such a cluster.
     """
     eigs = np.diag(s.t)
+    band = _FORM_BAND * (1.0 + float(np.abs(eigs).max(initial=0.0)))
     heights = []
     for alpha, members in _axis_clusters(eigs, imag_tol, merge_tol=max(100 * imag_tol, 1e-6)):
-        flags = [i in set(members) for i in range(len(eigs))]
-        try:
-            _, w_form = _cluster_form(s, flags)
-        except OrderingBreakdown:
-            continue
-        w_eigs = np.linalg.eigvalsh(w_form)
-        band = 1e-8 * (1.0 + float(np.abs(w_eigs).max(initial=0.0)))
-        pos = int(np.sum(w_eigs > band))
-        neg = int(np.sum(w_eigs < -band))
-        if pos == len(members) or neg == len(members):
+        flags = np.isin(np.arange(eigs.size), members)
+        n_minus, n_plus, _, resolved = _cluster_counts(s, flags, band)
+        if resolved and len(members) in (n_minus, n_plus):
             heights.append(alpha)
     return heights
 
@@ -549,9 +560,11 @@ def lagrangian_subspace(h, select: str) -> LagrangianSubspace:
     select : {"stable", "antistable"}
         The closed half-plane to select. All eigenvalues strictly inside
         it are selected and the count is completed from the imaginary
-        axis (the band 1e-8 * (1 + ||H||)), trying up to 20 alternative
-        half-splits of axis clusters when the first choice is not
-        isotropic.  A choice is accepted when its isotropy defect
+        axis (the band 1e-8 * (1 + ||H||)).  The first choice takes the
+        axis eigenvalues ranked toward the half-plane; when it is not
+        isotropic, up to 20 other choices of as many axis eigenvalues are
+        tried, in lexicographic order of the axis eigenvalues sorted by
+        height.  A choice is accepted when its isotropy defect
         ||w1^H w2 - w2^H w1|| is at most 1e-6 (dimensionless, since the
         basis is orthonormal).
 

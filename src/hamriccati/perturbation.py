@@ -39,12 +39,14 @@ import numpy as np
 import scipy.linalg as sla
 
 from .forms import (
+    _FORM_BAND,
     _ISO_TOL,
     _PSD_TOL,
     HamiltonianMatrix,
     LagrangianConditionError,
     RiccatiData,
     _axis_clusters,
+    _cluster_counts,
     _cluster_form,
     _ham_array,
     _isotropic_selection,
@@ -95,11 +97,9 @@ __all__ = [
 # A direction is not positive semidefinite when its smallest eigenvalue
 # is below -_PSD_TOL * (1 + |delta|); _PSD_TOL is forms'.
 
-# Axis clusters: heights within _CLUSTER_MERGE_TOL * (1 + |H|) merge, and
-# eigenvalues of the form i V^H J V within _FORM_BAND * (1 + max |lambda|)
-# of zero count in n_zero.
+# Axis clusters: heights within _CLUSTER_MERGE_TOL * (1 + |H|) merge;
+# their sign characteristics use forms' _FORM_BAND.
 _CLUSTER_MERGE_TOL = 1e-6
-_FORM_BAND = 1e-8
 # The stable solve of a region verdict: its selection's axis band and its
 # residual tolerance, relative to 1 + |H| (lagrangian_subspace's).
 _SELECT_BAND = 1e-8
@@ -131,7 +131,8 @@ def _sorted_eigenvalues(a: np.ndarray) -> np.ndarray:
 class PerturbationDirection:
     """A Hermitian positive-semidefinite bump, stored in blocks.
 
-    The assembled 2n x 2n form is ``[[d11, d21^H], [d21, d22]]``; applied
+    The assembled 2n x 2n form ``full`` (read-only, built by
+    :meth:`from_blocks`) is ``[[d11, d21^H], [d21, d22]]``; applied
     through ``J`` it bumps the coefficient triple to
     ``(f + t d21, g + t d22, k + t d11)``.  When ``d21`` and ``d22`` are
     zero only the weight ``k`` moves (:attr:`is_weight_only`); the
@@ -145,6 +146,7 @@ class PerturbationDirection:
     delta21: np.ndarray
     delta22: np.ndarray
     psd_margin: float
+    full: np.ndarray
 
     @classmethod
     def from_blocks(
@@ -174,10 +176,7 @@ class PerturbationDirection:
                 "direction is not positive semidefinite "
                 f"(smallest eigenvalue {margin:.3e})"
             )
-        direction = cls(_frozen(d11), _frozen(d21), _frozen(d22), margin)
-        # Seed the cached ``full`` with the form assembled above.
-        direction.__dict__["full"] = _frozen(full)
-        return direction
+        return cls(_frozen(d11), _frozen(d21), _frozen(d22), margin, _frozen(full))
 
     @classmethod
     def delta11_only(cls, delta11, *, validate: bool = True):
@@ -196,13 +195,6 @@ class PerturbationDirection:
     @property
     def n(self) -> int:
         return self.delta11.shape[0]
-
-    @cached_property
-    def full(self) -> np.ndarray:
-        """The assembled 2n x 2n Hermitian form (read-only, built once)."""
-        return _frozen(
-            _block2x2(self.delta11, self.delta21.conj().T, self.delta21, self.delta22)
-        )
 
     @property
     def is_zero(self) -> bool:
@@ -308,23 +300,6 @@ def _symmetry_defect(eigs: np.ndarray) -> float:
     cost = np.abs(eigs[:, None] - (-eigs.conj())[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
-
-
-def _cluster_counts(
-    s: SchurForm, members: np.ndarray, band: float
-) -> tuple[int, int, int, bool]:
-    """(n_minus, n_plus, n_zero, resolved) of the flagged cluster of ``s``."""
-    m = int(np.sum(members))
-    try:
-        _, w = _cluster_form(s, members)
-    except LinalgError:
-        # Includes exchanges through defectively coupled, numerically
-        # identical pairs; the cluster's multiplicity is still known.
-        return 0, 0, m, False
-    vals = np.linalg.eigvalsh(w)
-    n_plus = int(np.sum(vals > band))
-    n_minus = int(np.sum(vals < -band))
-    return n_minus, n_plus, m - n_plus - n_minus, True
 
 
 def spectrum_snapshot(h, *, t: float = 0.0, axis_tol: float = 1e-8) -> SpectrumSnapshot:

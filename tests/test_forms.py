@@ -2,6 +2,7 @@
 subspaces and Hamiltonian Schur forms."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,7 @@ from hamriccati import (
     staircase,
 )
 from hamriccati.forms import _staircase_pair
-
-
-def _norm(a):
-    return np.linalg.norm(a)
+from hamriccati.linalg import _norm
 
 
 def _basis(ls):
@@ -376,12 +374,22 @@ class TestLagrangianSubspace:
         with pytest.raises(ValueError, match="not Hamiltonian"):
             lagrangian_subspace(np.diag([1.0, 2.0, 3.0, 4.0]), "stable")
 
-    def test_definite_axis_cluster_has_no_subspace(self):
-        # x^2 + 1 = 0 has no Hermitian solution; both axis eigenvalues
-        # carry definite forms and the failure reports them.
-        h = HamiltonianMatrix.from_triple([[0.0]], [[1.0]], [[1.0]])
-        with pytest.raises(LagrangianConditionError, match="definite form") as ei:
-            lagrangian_subspace(h, "stable")
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_definite_axis_cluster_has_no_subspace(self, n):
+        # x^2 + 1 = 0 has no Hermitian solution; both axis clusters, n-fold
+        # at +-i, carry definite forms and the failure reports them.  The
+        # candidate selections are generated lazily: the attempt stays
+        # small in memory however many half-splits the clusters admit.
+        eye = np.eye(n)
+        h = HamiltonianMatrix.from_triple(np.zeros((n, n)), eye, eye)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LagrangianConditionError, match="definite form") as ei:
+                lagrangian_subspace(h, "stable")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
         message = str(ei.value)
         assert float(re.search(r"best defect (\S+)\)", message).group(1)) > 1e-2
         assert "cluster(s) at alpha=-1, 1 carry" in message

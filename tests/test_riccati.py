@@ -25,7 +25,7 @@ from hamriccati import (
     solve_structured,
 )
 from hamriccati.forms import HamiltonianMatrix
-from hamriccati.linalg import OrderingBreakdown, order_schur, schur_decompose
+from hamriccati.linalg import OrderingBreakdown, _norm, order_schur, schur_decompose
 
 NSD_KINDS = ("negative-definite", "negative-semidefinite")
 
@@ -37,10 +37,6 @@ def _is_pd(x):
 X_MINUS = np.array([[1.0, 1.0], [1.0, 2.0]], dtype=complex)
 X_PLUS = np.array([[5.0, 1.0], [1.0, 8.0]], dtype=complex)
 X11_REDUCED = np.array([[1.0, 0.5], [0.5, 0.625]], dtype=complex)
-
-
-def _norm(a):
-    return np.linalg.norm(a)
 
 
 def _data(f, g, k):
