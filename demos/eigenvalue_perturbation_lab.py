@@ -5,8 +5,9 @@ Three instruments on the same 2x2 family:
 * first-order slopes of imaginary-axis eigenvalues, with a definite
   cluster form guaranteeing the signs;
 * the critical bump size at which the spectrum first touches the
-  imaginary axis, bracketed by a sign change of an exact solvability
-  oracle and compared with a certified lower bound;
+  imaginary axis, found by a frequency-domain level-set iteration,
+  bracketed by a rise of the axis count and compared with a certified
+  ceiling;
 * a vertex walk that greedily accumulates weight bumps until every
   eigenvalue is pinned at zero and the solution set collapses to a
   single matrix.
@@ -72,7 +73,7 @@ ray = PerturbationDirection.delta11_only([[4.0, 0.0], [0.0, 9.0]])
 result = critical_time(base, ray)
 print("status:           ", result.status)
 print("first axis touch: t0 =", result.t0)
-print("bisection bracket:", result.bracket)
+print("checked bracket:  ", result.bracket)
 if result.bound is not None:
     print("certified ceiling: any crossing happens before t =", f"{result.bound:.4f}")
 print("axis count at t=0:", result.n_axis_start)
@@ -80,9 +81,12 @@ print()
 print(
     "Along this ray the spectrum stays off the axis for all t < 1 and\n"
     "touches it exactly at t0 = 1, where the bumped weight reaches the\n"
-    "region boundary.  The ceiling comes from a solvability estimate:\n"
-    "past it the bumped equation certifiably has no Hermitian solution,\n"
-    "so the scan never needs to look further."
+    "region boundary.  t0 = 1 / max_w lambda_max(M(w)) comes from the\n"
+    "frequency-domain matrix M(w) = L^H (J (H - i w))^{-1} L of the bump\n"
+    "delta = L L^H; the axis count rises across the bracket.  The ceiling\n"
+    "comes from a solvability estimate: past it the bumped equation\n"
+    "certifiably has no Hermitian solution, so no crossing beyond it is\n"
+    "looked for."
 )
 
 banner("3. Vertex walk: accumulate bumps until the spectrum collapses")

@@ -71,10 +71,25 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
+    """Whether ``|a - a^H| <= tol * (1 + |a|)`` in the Frobenius norm.
+
+    When a norm overflows, the matrix is first divided by a power of two
+    that brings its entries below 1; the division is exact, so the
+    verdict is that of the unscaled comparison.  A matrix with a
+    non-finite entry is not Hermitian.
+    """
     if a.shape[0] != a.shape[1]:
         return False
-    scale = 1.0 + np.linalg.norm(a)
-    return bool(np.linalg.norm(a - a.conj().T) <= tol * scale)
+    norm = np.linalg.norm(a)
+    skew = np.linalg.norm(a - a.conj().T)
+    if not (np.isfinite(norm) and np.isfinite(skew)):
+        if not np.all(np.isfinite(a)):
+            return False
+        peak = max(np.max(np.abs(a.real)), np.max(np.abs(a.imag)))
+        unit = np.ldexp(1.0, -int(np.frexp(peak)[1]))
+        b = a * unit
+        return bool(np.linalg.norm(b - b.conj().T) <= tol * (unit + np.linalg.norm(b)))
+    return bool(skew <= tol * (1.0 + norm))
 
 
 def _norm(a: np.ndarray) -> float:

@@ -112,6 +112,18 @@ _BATCH_MARGIN = 100.0
 # detector's value is kept.
 _LEG_RTOL = 1e-13
 _LEG_EXPAND_CAP = 1e-3
+# The level-set crossing: eigenvalues of delta below this fraction of its
+# largest are dropped from L, the iteration stops when the level rises by
+# less than _LEVEL_RTOL (relative) or after _LEVEL_MAX_STEPS steps, and the
+# checked bracket and a first leg's solvability search start
+# _CROSSING_RTOL (relative) either side of the crossing; the bracket's ends
+# widen a hundredfold at a time, _CROSSING_STEPS times at most (up to
+# _LEG_EXPAND_CAP).
+_LEVEL_RANK_RTOL = 1e-14
+_LEVEL_RTOL = 1e-12
+_LEVEL_MAX_STEPS = 30
+_CROSSING_RTOL = 10.0 * _LEVEL_RTOL
+_CROSSING_STEPS = 5
 
 
 class PerturbationError(RuntimeError):
@@ -733,9 +745,11 @@ class CriticalTime:
     """Result of locating the first axis arrival along a ray.
 
     ``t0`` is None when no arrival was found below the scan limit.
-    ``bound`` is the certified ray length beyond which no Hermitian
-    solution can exist (available for weight-only directions with
-    extremal solutions at the base point).
+    ``bracket`` is ``(lo, hi)`` with the axis count (|Re| within the
+    ``imag_tol`` band) equal to ``n_axis_start`` at ``lo`` and above it at
+    ``hi``; ``lo <= t0 <= hi``.  ``bound`` is the certified ray length
+    beyond which no Hermitian solution can exist (available for
+    weight-only directions with extremal solutions at the base point).
     """
 
     t0: float | None
@@ -745,8 +759,10 @@ class CriticalTime:
     n_axis_start: int
 
 
-def _axis_count(arr: np.ndarray, imag_tol: float) -> int:
-    eigs = np.linalg.eigvals(arr)
+def _axis_count(arr: np.ndarray, imag_tol: float, eigs: np.ndarray | None = None) -> int:
+    """Eigenvalues of ``arr`` (``eigs`` when given) in the relative axis band."""
+    if eigs is None:
+        eigs = np.linalg.eigvals(arr)
     band = imag_tol * (1.0 + _norm(arr))
     return int(np.sum(np.abs(eigs.real) <= band))
 
@@ -757,16 +773,37 @@ def critical_time(
     *,
     t_max: float | None = None,
     imag_tol: float = 1e-7,
-    allow_frozen: bool = False,
 ) -> CriticalTime:
-    """First parameter at which new eigenvalues reach the imaginary axis.
+    """First parameter at which eigenvalues reach the imaginary axis.
 
-    Scans ``h(t) = h0 + t J delta`` at 96 equal steps for the first
-    increase of the number of axis eigenvalues (|Re| within ``imag_tol``
-    relative band), then bisects the bracketing interval to relative
-    width ``1e-10``.
+    With a positive semidefinite ``delta = L L^H``,
+    ``h(t) = h0 + t J delta`` has the eigenvalue ``i w`` exactly when
+    ``1/t`` is an eigenvalue of the Hermitian
+    ``M(w) = L^H (J (h0 - i w I))^{-1} L``, so from a base point with no
+    axis eigenvalue the first crossing is
+    ``t0 = 1 / sup_w lambda_max(M(w))``.  The supremum is found by the
+    level-set iteration of Boyd & Balakrishnan and Bruinsma & Steinbuch:
+    starting from the best of ``w = 0`` and the heights of the
+    eigenvalues of ``h0``, the axis heights of ``h(1/gamma)`` (one
+    eigenvalue solve) split the frequency line, ``M`` is evaluated at the
+    midpoints between consecutive heights, and ``gamma`` steps to the
+    largest value found until it rises by less than ``1e-12`` (relative).
+    The ``bracket`` around ``t0`` is checked with the axis count (|Re|
+    within the ``imag_tol`` relative band): each end starts
+    ``1e-11 * t0`` away and widens a hundredfold at a time.  The count
+    rises a little before the exact crossing, by about the band's square,
+    so ``lo`` is often further from ``t0`` than ``hi``.
 
-    The scan range is ``[0, min(t_max, 2 * bound)]`` where ``bound``
+    Directions that are not positive semidefinite, and crossings whose
+    bracket does not show within a relative width of ``1e-3``, are
+    scanned instead: 96 equal steps look for the first increase of the
+    axis count, and the bracketing interval is bisected to relative width
+    ``1e-10``; ``t0`` is then the bracket's upper end.  Legs of
+    :func:`vertex_path` that start with standing axis eigenvalues, which
+    their directions freeze, are scanned the same way, and only *new*
+    arrivals count there.
+
+    The range is ``[0, min(t_max, 2 * bound)]`` where ``bound``
     is the certified no-solution threshold
     ``(2 |f| beta + |g| beta^2) / |d11|`` with
     ``beta = |x_plus| + |x_plus - x_minus|`` from the extremal solutions
@@ -775,27 +812,39 @@ def critical_time(
     solution of the bumped equation is squeezed between the extremal
     pair, so beyond the bound the residual norm identity is violated).
     With neither a bound nor ``t_max`` available a range cannot be chosen
-    and a ValueError is raised.
-
-    When the base point already has axis eigenvalues, the default is to
-    report ``t0 = 0``; with ``allow_frozen=True`` those standing
-    eigenvalues are taken as the baseline and only *new* arrivals count
-    (used by :func:`vertex_path`, whose directions freeze the standing
-    ones).
+    and a ValueError is raised; a crossing beyond the range is reported
+    as none.  When the base point already has axis eigenvalues, ``t0`` is
+    0.
     """
     data = _as_data(h0)
     if d.n != data.n:
         raise ValueError("direction and Hamiltonian dimensions differ")
+    eigs0 = np.linalg.eigvals(_perturbed_array(data, d, 0.0))
+    return _critical_time(data, d, eigs0, t_max=t_max, imag_tol=imag_tol)
+
+
+def _critical_time(
+    data: RiccatiData,
+    d: PerturbationDirection,
+    eigs0: np.ndarray,
+    *,
+    t_max: float | None,
+    imag_tol: float,
+    allow_frozen: bool = False,
+) -> CriticalTime:
+    """:func:`critical_time` given the eigenvalues ``eigs0`` of the base
+    point.  With ``allow_frozen`` the base point's axis eigenvalues are
+    the baseline and only new arrivals count (:func:`vertex_path`)."""
+    arr0 = _perturbed_array(data, d, 0.0)
+    n_axis0 = _axis_count(arr0, imag_tol, eigs0)
     if d.is_zero:
         return CriticalTime(
             t0=None,
             bracket=None,
             bound=None,
             status="none_below_t_max",
-            n_axis_start=_axis_count(_perturbed_array(data, d, 0.0), imag_tol),
+            n_axis_start=n_axis0,
         )
-
-    n_axis0 = _axis_count(_perturbed_array(data, d, 0.0), imag_tol)
     if n_axis0 and not allow_frozen:
         return CriticalTime(
             t0=0.0, bracket=(0.0, 0.0), bound=None, status="crossed", n_axis_start=n_axis0
@@ -826,8 +875,30 @@ def critical_time(
             "extremal solutions at the base point"
         )
 
+    def count(t: float) -> int:
+        return _axis_count(_perturbed_array(data, d, t), imag_tol)
+
+    def none_found() -> CriticalTime:
+        return CriticalTime(
+            t0=None,
+            bracket=None,
+            bound=bound,
+            status="none_below_t_max",
+            n_axis_start=n_axis0,
+        )
+
+    if n_axis0 == 0 and d.psd_margin >= -_PSD_TOL * (1.0 + _norm(d.full)):
+        t0 = _level_set_time(data, d, arr0, eigs0, imag_tol)
+        if t0 > hi:
+            return none_found()
+        bracket = _crossing_bracket(count, t0)
+        if bracket is not None:
+            return CriticalTime(
+                t0=t0, bracket=bracket, bound=bound, status="crossed", n_axis_start=0
+            )
+
     def crossed(t: float) -> bool:
-        return _axis_count(_perturbed_array(data, d, t), imag_tol) > n_axis0
+        return count(t) > n_axis0
 
     ts = np.linspace(0.0, hi, 97)
     lo = 0.0
@@ -838,13 +909,7 @@ def critical_time(
             break
         lo = float(t)
     if hit is None:
-        return CriticalTime(
-            t0=None,
-            bracket=None,
-            bound=bound,
-            status="none_below_t_max",
-            n_axis_start=n_axis0,
-        )
+        return none_found()
     hi_b = hit
     while hi_b - lo > 1e-10 * max(1.0, hi_b):
         mid = 0.5 * (lo + hi_b)
@@ -859,6 +924,66 @@ def critical_time(
         status="crossed",
         n_axis_start=n_axis0,
     )
+
+
+def _level_set_time(
+    data: RiccatiData,
+    d: PerturbationDirection,
+    arr0: np.ndarray,
+    eigs0: np.ndarray,
+    imag_tol: float,
+) -> float:
+    """``1 / sup_w lambda_max(M(w))`` by the level-set iteration; inf when
+    ``M`` has no positive eigenvalue at the start frequencies."""
+    j = j_matrix(data.n)
+    s = j @ arr0  # J h0, Hermitian
+    vals, vecs = np.linalg.eigh(d.full)
+    keep = vals > _LEVEL_RANK_RTOL * max(vals[-1], 0.0)
+    if not keep.any():
+        return np.inf
+    ell = vecs[:, keep] * np.sqrt(vals[keep])
+
+    def level(omegas: np.ndarray) -> float:
+        # One frequency at a time: a stack of 2n x 2n systems for every
+        # start frequency would raise the peak memory by megabytes at n = 20.
+        best = -np.inf
+        for w in omegas:
+            m = ell.conj().T @ np.linalg.solve(s - 1j * w * j, ell)
+            best = max(best, float(np.linalg.eigvalsh(hermitian_part(m))[-1]))
+        return best
+
+    gamma = level(np.unique(np.append(eigs0.imag, 0.0)))
+    if gamma <= 0.0:
+        return np.inf
+    for _ in range(_LEVEL_MAX_STEPS):
+        arr = _perturbed_array(data, d, 1.0 / gamma)
+        eigs = np.linalg.eigvals(arr)
+        heights = np.sort(eigs.imag[np.abs(eigs.real) <= imag_tol * (1.0 + _norm(arr))])
+        if heights.size < 2:
+            break
+        step = level(0.5 * (heights[:-1] + heights[1:]))
+        done = step <= gamma * (1.0 + _LEVEL_RTOL)
+        gamma = max(gamma, step)
+        if done:
+            break
+    return 1.0 / gamma
+
+
+def _crossing_bracket(count, t0: float) -> tuple[float, float] | None:
+    """``(lo, hi)`` around ``t0`` with no axis eigenvalue at ``lo`` and some
+    at ``hi``; each end starts ``_CROSSING_RTOL`` away and widens a
+    hundredfold at a time up to ``_LEG_EXPAND_CAP``.  None when an end
+    cannot be placed."""
+    ends = []
+    for sign in (-1.0, 1.0):
+        for k in range(_CROSSING_STEPS):
+            t = t0 * (1.0 + sign * _CROSSING_RTOL * 100.0**k)
+            if (count(t) > 0) == (sign > 0):
+                ends.append(t)
+                break
+        else:
+            return None
+    return ends[0], ends[1]
 
 
 # ---------------------------------------------------------------------------
@@ -942,13 +1067,15 @@ def _refine_leg_end(
 ) -> float:
     """Polish a leg end onto the solvability boundary.
 
-    The eigenvalue detector blurs a crossing over a band of width
+    The scan's eigenvalue detector blurs a crossing over a band of width
     ~imag_tol^2, because eigenvalues approach a collision like the square
     root of the parameter distance.  Solvability of the bumped equation,
     by contrast, switches exactly at the boundary, so the bracket is
-    re-bisected with a solvability oracle.  Returns the largest parameter
-    still certified solvable (falling back to the detector value when the
-    boundary cannot be bracketed).
+    re-bisected with a solvability oracle.  A leg from a point with no
+    axis eigenvalue has its exact crossing from the level set, and the
+    search starts ``_CROSSING_RTOL`` either side of it instead.  Returns
+    the largest parameter still certified solvable (falling back to the
+    detector value when the boundary cannot be bracketed).
     """
 
     def solvable(tv: float) -> bool:
@@ -962,7 +1089,10 @@ def _refine_leg_end(
         except (SolvabilityError, LagrangianConditionError, ValueError):
             return False
 
-    lo, hi = ct.bracket
+    if ct.n_axis_start == 0:
+        lo, hi = ct.t0 * (1.0 - _CROSSING_RTOL), ct.t0 * (1.0 + _CROSSING_RTOL)
+    else:
+        lo, hi = ct.bracket
     if lo <= 0.0 or not solvable(lo):
         return float(ct.t0)
     width = max(hi - lo, _LEG_RTOL * max(1.0, hi))
@@ -1017,8 +1147,8 @@ def vertex_path(
             legs=tuple(legs), terminal=None, status="blocked", blocking=snap
         )
 
+    cur = data
     while True:
-        cur = RiccatiData(data.f, data.g, hermitian_part(data.k + acc))
         arr = HamiltonianMatrix(cur).full
         snap = spectrum_snapshot(arr, t=0.0, axis_tol=imag_tol)
         if snap.n_axis == 2 * n:
@@ -1062,8 +1192,13 @@ def vertex_path(
                     "axis eigenvalues"
                 )
         try:
-            ct = critical_time(
-                HamiltonianMatrix(cur), direction, imag_tol=imag_tol, allow_frozen=True
+            ct = _critical_time(
+                cur,
+                direction,
+                snap.eigenvalues,
+                t_max=None,
+                imag_tol=imag_tol,
+                allow_frozen=True,
             )
         except ValueError:
             # No extremal pair at the current point bounds the scan.
@@ -1078,6 +1213,10 @@ def vertex_path(
             PathLeg(direction=direction, t_end=t_leg, n_axis_end=end.n_axis)
         )
         acc = acc + t_leg * direction.delta11
+        # The next leg starts from the point _refine_leg_end certified,
+        # rounded as it was there: k + acc rounds differently, and on the
+        # solvability boundary a last-digit change can lose the solution.
+        cur = RiccatiData(cur.f, cur.g, hermitian_part(cur.k + t_leg * direction.delta11))
         if _norm(acc) > 1e12 * scale_k:
             return blocked(snap)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -52,4 +54,20 @@ def order_schur_calls(monkeypatch):
         return linalg.order_schur(*args, **kwargs)
 
     monkeypatch.setattr(forms, "order_schur", counted)
+    return calls
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """A list that grows by a copy of the argument of every
+    ``np.linalg.eigvals`` call made from ``perturbation``."""
+    real = np.linalg.eigvals
+    calls = []
+
+    def counted(a):
+        if sys._getframe(1).f_globals.get("__name__") == "hamriccati.perturbation":
+            calls.append(np.array(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
     return calls

@@ -24,13 +24,14 @@ from hamriccati.linalg import (
     order_schur,
 )
 from hamriccati.perturbation import (
+    CriticalTime,
     RegionVerdict,
     SpectrumSnapshot,
     _as_data,
     _perturbed_array,
     spectrum_snapshot,
 )
-from hamriccati.riccati import _graph_solution
+from hamriccati.riccati import _graph_solution, solve_extremal
 
 # ---------------------------------------------------------------------------
 # deterministic randomness
@@ -463,4 +464,108 @@ def reference_snapshot(
         t=float(t),
         eigenvalues=_frozen(eigs),
         imaginary_groups=tuple(clusters),
+    )
+
+
+# ---------------------------------------------------------------------------
+# reference critical time by an axis-count scan and bisection
+
+
+def _reference_axis_count(arr: np.ndarray, imag_tol: float) -> int:
+    eigs = np.linalg.eigvals(arr)
+    band = imag_tol * (1.0 + _norm(arr))
+    return int(np.sum(np.abs(eigs.real) <= band))
+
+
+def reference_critical_time(
+    h0,
+    d,
+    *,
+    t_max: float | None = None,
+    imag_tol: float = 1e-7,
+    allow_frozen: bool = False,
+) -> CriticalTime:
+    """First new axis arrival by a 96-step scan and a 1e-10 bisection.
+
+    The oracle for ``hamriccati.perturbation.critical_time``: its body
+    before that function found crossings from a base point without axis
+    eigenvalues with the frequency-domain level set.  Its ``t0`` is where
+    the axis count in the ``imag_tol`` band rises, which precedes the
+    exact crossing by about the band's square.
+    """
+    data = _as_data(h0)
+    if d.n != data.n:
+        raise ValueError("direction and Hamiltonian dimensions differ")
+    if d.is_zero:
+        return CriticalTime(
+            t0=None,
+            bracket=None,
+            bound=None,
+            status="none_below_t_max",
+            n_axis_start=_reference_axis_count(_perturbed_array(data, d, 0.0), imag_tol),
+        )
+
+    n_axis0 = _reference_axis_count(_perturbed_array(data, d, 0.0), imag_tol)
+    if n_axis0 and not allow_frozen:
+        return CriticalTime(
+            t0=0.0, bracket=(0.0, 0.0), bound=None, status="crossed", n_axis_start=n_axis0
+        )
+
+    bound = None
+    if d.is_weight_only and np.any(d.delta11):
+        try:
+            ext = solve_extremal(data)
+            beta = float(
+                np.linalg.norm(ext.x_plus, 2)
+                + np.linalg.norm(ext.x_plus - ext.x_minus, 2)
+            )
+            nf = float(np.linalg.norm(data.f, 2))
+            ng = float(np.linalg.norm(data.g, 2))
+            nd = float(np.linalg.norm(d.delta11, 2))
+            bound = (2.0 * nf * beta + ng * beta**2) / nd
+        except (SolvabilityError, LagrangianConditionError):
+            bound = None
+
+    hi = min(
+        t_max if t_max is not None else np.inf,
+        2.0 * bound if bound is not None else np.inf,
+    )
+    if not np.isfinite(hi):
+        raise ValueError(
+            "no scan range: pass t_max or use a weight-only direction with "
+            "extremal solutions at the base point"
+        )
+
+    def crossed(t: float) -> bool:
+        return _reference_axis_count(_perturbed_array(data, d, t), imag_tol) > n_axis0
+
+    ts = np.linspace(0.0, hi, 97)
+    lo = 0.0
+    hit = None
+    for t in ts[1:]:
+        if crossed(float(t)):
+            hit = float(t)
+            break
+        lo = float(t)
+    if hit is None:
+        return CriticalTime(
+            t0=None,
+            bracket=None,
+            bound=bound,
+            status="none_below_t_max",
+            n_axis_start=n_axis0,
+        )
+    hi_b = hit
+    while hi_b - lo > 1e-10 * max(1.0, hi_b):
+        mid = 0.5 * (lo + hi_b)
+        if crossed(mid):
+            hi_b = mid
+        else:
+            lo = mid
+    return CriticalTime(
+        t0=hi_b,
+        bracket=(lo, hi_b),
+        bound=bound,
+        status="crossed",
+        n_axis_start=n_axis0,
     )

@@ -68,6 +68,11 @@ class TestRiccatiData:
         with pytest.raises(ValueError, match="Hermitian"):
             RiccatiData(np.zeros((2, 2)), g, np.zeros((2, 2)))
 
+    def test_rejects_non_hermitian_g_whose_norm_overflows(self):
+        g = 1e200 * np.array([[1.0, 5.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            RiccatiData(-np.eye(2), g, np.eye(2))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             RiccatiData(np.zeros((2, 2)), np.eye(3), np.zeros((2, 2)))

@@ -13,6 +13,7 @@ from hamriccati.linalg import (
     SolvabilityError,
     _block2x2,
     definiteness,
+    is_hermitian,
     loewner_leq,
     SchurForm,
     order_schur,
@@ -390,6 +391,31 @@ def test_definiteness_indefinite():
 def test_definiteness_dead_band():
     v = definiteness(np.diag([1.0, -1e-14]))
     assert v.kind == POSITIVE_SEMIDEFINITE
+
+
+def test_is_hermitian_keeps_the_unscaled_verdict():
+    # Skew parts within 1e-6 (relative) of the threshold, at scales where
+    # the unscaled norms stay finite: the verdict is the unscaled formula's.
+    rng = helpers.make_rng(41)
+    tol = 1e-10
+    for _ in range(2000):
+        n = int(rng.integers(1, 6))
+        h = helpers.rand_hermitian(rng, n) * 10.0 ** rng.uniform(-5.0, 120.0)
+        e = helpers.rand_complex(rng, n)
+        skew = np.linalg.norm(e - e.conj().T)
+        target = tol * (1.0 + np.linalg.norm(h)) * rng.uniform(1 - 1e-6, 1 + 1e-6)
+        a = h + e * (target / skew)
+        unscaled = np.linalg.norm(a - a.conj().T) <= tol * (1.0 + np.linalg.norm(a))
+        assert is_hermitian(a, tol) == unscaled
+
+
+def test_is_hermitian_when_the_norm_overflows():
+    skew = np.array([[1.0, 5.0], [0.0, 1.0]])
+    assert not is_hermitian(1e150 * skew)
+    assert not is_hermitian(1e200 * skew)
+    assert is_hermitian(1e200 * np.eye(2))
+    assert is_hermitian(1e300 * helpers.rand_hermitian(helpers.make_rng(42), 4))
+    assert not is_hermitian(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 def test_definiteness_requires_hermitian():

@@ -10,11 +10,13 @@ comparison, and rank sequences of matrix powers.
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from hamriccati import perturbation
 from hamriccati.forms import HamiltonianMatrix, RiccatiData, _cluster_form, j_matrix
 from hamriccati.linalg import OrderingBreakdown, loewner_leq, schur_decompose
 from hamriccati.perturbation import (
@@ -22,6 +24,7 @@ from hamriccati.perturbation import (
     PerturbationError,
     _cluster_counts,
     _perturbed_array,
+    _refine_leg_end,
     _sorted_eigenvalues,
     _has_stable_solution,
     critical_time,
@@ -49,6 +52,7 @@ from helpers import (
     rand_psd,
     rand_solvable_triple,
     rand_unitary,
+    reference_critical_time,
     reference_region_membership,
     reference_snapshot,
 )
@@ -557,6 +561,96 @@ class TestCriticalTime:
         assert ct.status == "none_below_t_max"
 
 
+# Rays from base points without axis eigenvalues: four lab rays and
+# seeded triples, each with a positive definite bump.
+LAB_RAYS = {
+    "lab-k11": (1.0, 0.0, 0.0),
+    "lab-k22": (0.0, 1.0, 0.0),
+    "lab-vertex": (4.0, 9.0, 0.0),
+    "lab-identity": (1.0, 1.0, 0.0),
+}
+TRIPLE_RAYS = [f"n{n}-s{seed}" for n in (3, 10, 20) for seed in range(4)]
+
+
+def critical_ray(case: str) -> tuple[RiccatiData, PerturbationDirection]:
+    if case in LAB_RAYS:
+        return RiccatiData(*lab2x2()), dir_abc(*LAB_RAYS[case])
+    n, seed = (int(part[1:]) for part in case.split("-"))
+    rng = make_rng(seed)
+    f, g, k, _ = rand_solvable_triple(rng, n)
+    return RiccatiData(f, g, k), PerturbationDirection.delta11_only(rand_psd(rng, n))
+
+
+def independent_axis_count(data: RiccatiData, d: PerturbationDirection, t: float) -> int:
+    """Axis count of h0 + t J delta, assembled without the library's helpers."""
+    h = HamiltonianMatrix(data).full + t * (j_matrix(data.n) @ d.full)
+    eigs = np.linalg.eigvals(h)
+    return int(np.sum(np.abs(eigs.real) <= 1e-7 * (1.0 + np.linalg.norm(h))))
+
+
+class TestLevelSetCrossing:
+    @pytest.mark.parametrize("case", [*LAB_RAYS, *TRIPLE_RAYS])
+    def test_matches_the_scan_oracle(self, case):
+        data, d = critical_ray(case)
+        ref = reference_critical_time(HamiltonianMatrix(data), d)
+        ct = critical_time(HamiltonianMatrix(data), d)
+        assert ct.status == ref.status == "crossed"
+        assert ct.n_axis_start == ref.n_axis_start == 0
+        assert ct.bound == ref.bound
+        # The scan reports where the band count rises, about the band's
+        # square before the exact crossing.
+        assert abs(ct.t0 - ref.t0) <= 1e-6 * ref.t0
+        lo, hi = ct.bracket
+        assert 0.0 < lo <= ct.t0 <= hi
+        assert independent_axis_count(data, d, lo) == 0
+        assert independent_axis_count(data, d, hi) > 0
+
+    @pytest.mark.parametrize(
+        "case, exact", [("lab-k11", 4.0), ("lab-k22", 9.0), ("lab-vertex", 1.0)]
+    )
+    def test_lab_crossings_are_exact(self, case, exact):
+        data, d = critical_ray(case)
+        ct = critical_time(HamiltonianMatrix(data), d)
+        assert abs(ct.t0 - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize(
+        "case", [*LAB_RAYS, *(c for c in TRIPLE_RAYS if not c.startswith("n3-"))]
+    )
+    def test_takes_few_eigenvalue_solves(self, case, eigvals_calls):
+        # The scan took 36 to 41 here.
+        data, d = critical_ray(case)
+        critical_time(HamiltonianMatrix(data), d)
+        assert len(eigvals_calls) <= 10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_leg_end_takes_few_extremal_solves(self, seed, monkeypatch):
+        # The first leg of a synthesized walk follows delta11 = I.  The
+        # search from the scan's bracket took 22 or 23 solves here.
+        f, g, k, _ = rand_solvable_triple(make_rng(seed), 20)
+        data = RiccatiData(f, g, k)
+        d = PerturbationDirection.delta11_only(np.eye(20))
+        ct = critical_time(HamiltonianMatrix(data), d)
+        calls = []
+
+        def counted(triple):
+            calls.append(triple)
+            return solve_extremal(triple)
+
+        monkeypatch.setattr(perturbation, "solve_extremal", counted)
+        t_end = _refine_leg_end(data, d, ct)
+        assert len(calls) <= 12
+        # Certified solvable, and within the search's width of the crossing
+        # (solvability ends a little past it, inside the isotropy tolerance).
+        counted(RiccatiData(f, g, k + t_end * d.delta11))
+        assert ct.t0 <= t_end <= ct.t0 * (1.0 + 1e-8)
+
+    def test_indefinite_direction_is_scanned(self):
+        d = dir_abc(1.0, -0.5, 0.0, validate=False)
+        ct = critical_time(lab_base(), d, t_max=8.0)
+        ref = reference_critical_time(lab_base(), d, t_max=8.0)
+        assert ct == ref
+
+
 # ---------------------------------------------------------------------------
 # vertex walks
 
@@ -684,6 +778,34 @@ class TestVertexPath:
         assert path.legs
         assert path.terminal is None
         assert path.blocking is not None and path.blocking.n_axis > 0
+
+    def test_the_base_point_is_factorized_once(self, eigvals_calls):
+        vertex_path(lab_base(), directions=[dir_abc(1.0, 0.0, 0.0)])
+        base = lab_base().full
+        assert sum(np.array_equal(a, base) for a in eigvals_calls) == 1
+
+    def test_each_leg_starts_where_the_last_one_was_certified(self, monkeypatch):
+        # solve_extremal is called at the start of each leg (for the scan
+        # bound), by the leg-end search, and at the vertex; where the search
+        # certified every leg end, each later point must be one it
+        # certified, bit for bit.
+        certified, starts = set(), []
+
+        def spied(triple):
+            caller = sys._getframe(1).f_code.co_name
+            if caller != "solvable":
+                starts.append(triple.k.tobytes())
+            out = solve_extremal(triple)
+            if caller == "solvable":
+                certified.add(triple.k.tobytes())
+            return out
+
+        monkeypatch.setattr(perturbation, "solve_extremal", spied)
+        path = vertex_path(lab_base(), rng=make_rng(0))
+        assert path.status == "vertex"
+        assert len(path.legs) == 2
+        assert len(starts) == 3
+        assert all(start in certified for start in starts[1:])
 
     def test_random_weighting_still_reaches_the_vertex(self):
         path = vertex_path(lab_base(), rng=make_rng(30))
