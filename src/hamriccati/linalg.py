@@ -74,9 +74,10 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     """Whether ``|a - a^H| <= tol * (1 + |a|)`` in the Frobenius norm.
 
     When a norm overflows, the matrix is first divided by a power of two
-    that brings its entries below 1; the division is exact, so the
-    verdict is that of the unscaled comparison.  A matrix with a
-    non-finite entry is not Hermitian.
+    that brings its entries below 1.  The division is exact except for
+    entries more than about 2**1022 below the largest, which underflow;
+    otherwise the verdict is that of the unscaled comparison.  A matrix
+    with a non-finite entry is not Hermitian.
     """
     if a.shape[0] != a.shape[1]:
         return False

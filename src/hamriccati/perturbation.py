@@ -759,12 +759,17 @@ class CriticalTime:
     n_axis_start: int
 
 
+def _axis_mask(arr: np.ndarray, eigs: np.ndarray, imag_tol: float) -> np.ndarray:
+    """Which of ``eigs``, the eigenvalues of ``arr``, lie in the relative
+    axis band ``|Re| <= imag_tol * (1 + |arr|)``."""
+    return np.abs(eigs.real) <= imag_tol * (1.0 + _norm(arr))
+
+
 def _axis_count(arr: np.ndarray, imag_tol: float, eigs: np.ndarray | None = None) -> int:
     """Eigenvalues of ``arr`` (``eigs`` when given) in the relative axis band."""
     if eigs is None:
         eigs = np.linalg.eigvals(arr)
-    band = imag_tol * (1.0 + _norm(arr))
-    return int(np.sum(np.abs(eigs.real) <= band))
+    return int(np.sum(_axis_mask(arr, eigs, imag_tol)))
 
 
 def critical_time(
@@ -794,9 +799,11 @@ def critical_time(
     rises a little before the exact crossing, by about the band's square,
     so ``lo`` is often further from ``t0`` than ``hi``.
 
-    Directions that are not positive semidefinite, and crossings whose
-    bracket does not show within a relative width of ``1e-3``, are
-    scanned instead: 96 equal steps look for the first increase of the
+    Directions that are not positive semidefinite, rays on which ``M``
+    has no positive eigenvalue at the start frequencies (``M`` can be
+    indefinite when ``delta`` is not weight-only, and positive only
+    elsewhere), and crossings whose bracket does not show within a
+    relative width of ``1e-3``, are scanned instead: 96 equal steps look for the first increase of the
     axis count, and the bracketing interval is bisected to relative width
     ``1e-10``; ``t0`` is then the bracket's upper end.  Legs of
     :func:`vertex_path` that start with standing axis eigenvalues, which
@@ -888,14 +895,18 @@ def _critical_time(
         )
 
     if n_axis0 == 0 and d.psd_margin >= -_PSD_TOL * (1.0 + _norm(d.full)):
+        # An infinite t0 only says that M has no positive eigenvalue at the
+        # start frequencies; an indefinite M can still rise above zero
+        # elsewhere, so that ray is scanned.
         t0 = _level_set_time(data, d, arr0, eigs0, imag_tol)
-        if t0 > hi:
-            return none_found()
-        bracket = _crossing_bracket(count, t0)
-        if bracket is not None:
-            return CriticalTime(
-                t0=t0, bracket=bracket, bound=bound, status="crossed", n_axis_start=0
-            )
+        if np.isfinite(t0):
+            if t0 > hi:
+                return none_found()
+            bracket = _crossing_bracket(count, t0)
+            if bracket is not None:
+                return CriticalTime(
+                    t0=t0, bracket=bracket, bound=bound, status="crossed", n_axis_start=0
+                )
 
     def crossed(t: float) -> bool:
         return count(t) > n_axis0
@@ -958,7 +969,7 @@ def _level_set_time(
     for _ in range(_LEVEL_MAX_STEPS):
         arr = _perturbed_array(data, d, 1.0 / gamma)
         eigs = np.linalg.eigvals(arr)
-        heights = np.sort(eigs.imag[np.abs(eigs.real) <= imag_tol * (1.0 + _norm(arr))])
+        heights = np.sort(eigs.imag[_axis_mask(arr, eigs, imag_tol)])
         if heights.size < 2:
             break
         step = level(0.5 * (heights[:-1] + heights[1:]))
@@ -1138,7 +1149,6 @@ def vertex_path(
     data = _as_data(h)
     n = data.n
     supplied = iter(directions) if directions is not None else iter(())
-    acc = np.zeros((n, n), dtype=complex)
     legs: list[PathLeg] = []
     scale_k = 1.0 + _norm(data.k)
 
@@ -1162,7 +1172,9 @@ def vertex_path(
                 return blocked(snap)
             return PerturbationPath(
                 legs=tuple(legs),
-                terminal=VertexRecord(_frozen(hermitian_part(acc)), _frozen(x), gap),
+                terminal=VertexRecord(
+                    _frozen(hermitian_part(cur.k - data.k)), _frozen(x), gap
+                ),
                 status="vertex",
             )
         if len(legs) >= budget:
@@ -1212,12 +1224,13 @@ def vertex_path(
         legs.append(
             PathLeg(direction=direction, t_end=t_leg, n_axis_end=end.n_axis)
         )
-        acc = acc + t_leg * direction.delta11
         # The next leg starts from the point _refine_leg_end certified,
-        # rounded as it was there: k + acc rounds differently, and on the
-        # solvability boundary a last-digit change can lose the solution.
+        # rounded as it was there: re-adding the accumulated bump to the
+        # base k rounds differently, and on the solvability boundary a
+        # last-digit change can lose the solution.  The accumulated bump is
+        # read back off this point.
         cur = RiccatiData(cur.f, cur.g, hermitian_part(cur.k + t_leg * direction.delta11))
-        if _norm(acc) > 1e12 * scale_k:
+        if _norm(cur.k - data.k) > 1e12 * scale_k:
             return blocked(snap)
 
 

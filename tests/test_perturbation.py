@@ -581,6 +581,29 @@ def critical_ray(case: str) -> tuple[RiccatiData, PerturbationDirection]:
     return RiccatiData(f, g, k), PerturbationDirection.delta11_only(rand_psd(rng, n))
 
 
+# Rays along full positive semidefinite directions (complex delta21),
+# "<base>-s<seed>-r<rank>"; n1-s3-r1 and n1-s11-r1 have no positive
+# eigenvalue of M at the start frequencies.
+FULL_RAYS = [
+    *(f"lab-s{seed}-r{rank}" for seed in range(2) for rank in (4, 1)),
+    *(f"n1-s{seed}-r1" for seed in (0, 3, 11)),
+    *(f"n{n}-s{seed}-r{rank}" for n in (3, 10) for seed in range(2) for rank in (2 * n, 1)),
+]
+
+
+def full_ray(case: str) -> tuple[RiccatiData, PerturbationDirection]:
+    base, seed, rank = case.split("-")
+    rng = make_rng(int(seed[1:]))
+    if base == "lab":
+        data = RiccatiData(*lab2x2())
+    else:
+        f, g, k, _ = rand_solvable_triple(rng, int(base[1:]))
+        data = RiccatiData(f, g, k)
+    n = data.n
+    p = rand_psd(rng, 2 * n, int(rank[1:]))
+    return data, PerturbationDirection.from_blocks(p[:n, :n], p[n:, :n], p[n:, n:])
+
+
 def independent_axis_count(data: RiccatiData, d: PerturbationDirection, t: float) -> int:
     """Axis count of h0 + t J delta, assembled without the library's helpers."""
     h = HamiltonianMatrix(data).full + t * (j_matrix(data.n) @ d.full)
@@ -649,6 +672,34 @@ class TestLevelSetCrossing:
         ct = critical_time(lab_base(), d, t_max=8.0)
         ref = reference_critical_time(lab_base(), d, t_max=8.0)
         assert ct == ref
+
+    @pytest.mark.parametrize("case", FULL_RAYS)
+    def test_full_directions_match_the_scan_oracle(self, case):
+        data, d = full_ray(case)
+        ref = reference_critical_time(HamiltonianMatrix(data), d, t_max=50.0)
+        ct = critical_time(HamiltonianMatrix(data), d, t_max=50.0)
+        assert ct.status == ref.status == "crossed"
+        assert ct.n_axis_start == ref.n_axis_start == 0
+        assert abs(ct.t0 - ref.t0) <= 1e-6 * ref.t0
+        lo, hi = ct.bracket
+        assert 0.0 < lo <= ct.t0 <= hi
+        assert independent_axis_count(data, d, lo) == 0
+        assert independent_axis_count(data, d, hi) > 0
+
+    def test_direction_negative_at_the_start_frequencies(self):
+        # With delta = L L^H, L = [1, -0.1 + i], M(w) = 2 (w - 0.1) / (1 + w^2)
+        # is negative at w = 0, the only start frequency, yet h(t) has the
+        # eigenvalues i t +- sqrt(1 + 0.2 t - t^2), which reach the axis at
+        # t = 0.1 + sqrt(1.01).
+        data = RiccatiData([[-1.0]], [[0.0]], [[0.0]])
+        ell = np.array([[1.0], [-0.1 + 1j]])
+        full = ell @ ell.conj().T
+        d = PerturbationDirection.from_blocks(full[:1, :1], full[1:, :1], full[1:, 1:])
+        ct = critical_time(HamiltonianMatrix(data), d, t_max=50.0)
+        exact = 0.1 + np.sqrt(1.01)
+        assert ct.status == "crossed"
+        assert abs(ct.t0 - exact) <= 1e-8 * exact
+        assert ct == reference_critical_time(HamiltonianMatrix(data), d, t_max=50.0)
 
 
 # ---------------------------------------------------------------------------
