@@ -588,7 +588,7 @@ def _run_perturb(ns: argparse.Namespace) -> int:
         rows = []
         for t in grid:
             ham = perturbed_hamiltonian(base, direction, float(t))
-            snap = spectrum_snapshot(ham, t=float(t), axis_tol=axis_tol)
+            snap = spectrum_snapshot(ham, axis_tol=axis_tol)
             row = [_fmt(t)]
             for v in snap.eigenvalues:
                 row += [_fmt(v.real), _fmt(v.imag)]

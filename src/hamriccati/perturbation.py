@@ -66,7 +66,8 @@ from .linalg import (
     hermitian_part,
     schur_decompose,
 )
-from .riccati import _GRAPH_RCOND, _equation_residual, _graph_solution, solve_extremal
+from .riccati import _GRAPH_RCOND, _equation_residual, _graph_solution
+from .riccati import ExtremalSolutions, solve_extremal
 
 __all__ = [
     "PerturbationError",
@@ -291,7 +292,6 @@ class SpectrumSnapshot:
     access.
     """
 
-    t: float
     eigenvalues: np.ndarray
     imaginary_groups: tuple[AxisCluster, ...]
 
@@ -314,13 +314,12 @@ def _symmetry_defect(eigs: np.ndarray) -> float:
     return float(cost[rows, cols].max())
 
 
-def spectrum_snapshot(h, *, t: float = 0.0, axis_tol: float = 1e-8) -> SpectrumSnapshot:
+def spectrum_snapshot(h, *, axis_tol: float = 1e-8) -> SpectrumSnapshot:
     """Eigenvalues, axis clusters and sign characteristics of one matrix.
 
-    ``t`` is a label recorded in the snapshot (the matrix itself is taken
-    as given).  Eigenvalues with ``|Re| <= axis_tol * (1 + |H|)`` count as
-    on the axis; axis eigenvalues are merged into clusters when their
-    heights differ by at most ``1e-6 * (1 + |H|)``.  When some eigenvalue
+    Eigenvalues with ``|Re| <= axis_tol * (1 + |H|)`` count as on the
+    axis; axis eigenvalues are merged into clusters when their heights
+    differ by at most ``1e-6 * (1 + |H|)``.  When some eigenvalue
     is on the axis, one Schur form of the matrix gives every cluster's
     members (its diagonal entries near ``i alpha``) and sign
     characteristics, computed here; eigenvalues of a cluster's form within
@@ -345,7 +344,6 @@ def spectrum_snapshot(h, *, t: float = 0.0, axis_tol: float = 1e-8) -> SpectrumS
                 AxisCluster(alpha, int(np.sum(members)), *_cluster_counts(s, members, band))
             )
     return SpectrumSnapshot(
-        t=float(t),
         eigenvalues=_frozen(eigs),
         imaginary_groups=tuple(clusters),
     )
@@ -803,12 +801,10 @@ def critical_time(
     has no positive eigenvalue at the start frequencies (``M`` can be
     indefinite when ``delta`` is not weight-only, and positive only
     elsewhere), and crossings whose bracket does not show within a
-    relative width of ``1e-3``, are scanned instead: 96 equal steps look for the first increase of the
-    axis count, and the bracketing interval is bisected to relative width
-    ``1e-10``; ``t0`` is then the bracket's upper end.  Legs of
-    :func:`vertex_path` that start with standing axis eigenvalues, which
-    their directions freeze, are scanned the same way, and only *new*
-    arrivals count there.
+    relative width of ``1e-3``, are scanned instead: 96 equal steps look
+    for the first increase of the axis count, and the bracketing interval
+    is bisected to relative width ``1e-10``; ``t0`` is then the bracket's
+    upper end.
 
     The range is ``[0, min(t_max, 2 * bound)]`` where ``bound``
     is the certified no-solution threshold
@@ -819,58 +815,69 @@ def critical_time(
     solution of the bumped equation is squeezed between the extremal
     pair, so beyond the bound the residual norm identity is violated).
     With neither a bound nor ``t_max`` available a range cannot be chosen
-    and a ValueError is raised; a crossing beyond the range is reported
-    as none.  When the base point already has axis eigenvalues, ``t0`` is
-    0.
+    and a ValueError is raised, as it is for a ``t_max`` that is not
+    finite and positive; a crossing beyond the range is reported as none.
+    When the base point already has axis eigenvalues, ``t0`` is 0 and
+    nothing is scanned.  That answer is this function's alone: the legs
+    of :func:`vertex_path` start with standing axis eigenvalues, which
+    their directions freeze, and are scanned for *new* arrivals only.
     """
+    if t_max is not None and not (np.isfinite(t_max) and t_max > 0.0):
+        raise ValueError("t_max must be finite and positive")
     data = _as_data(h0)
     if d.n != data.n:
         raise ValueError("direction and Hamiltonian dimensions differ")
-    eigs0 = np.linalg.eigvals(_perturbed_array(data, d, 0.0))
-    return _critical_time(data, d, eigs0, t_max=t_max, imag_tol=imag_tol)
+    arr0 = _perturbed_array(data, d, 0.0)
+    eigs0 = np.linalg.eigvals(arr0)
+    n_axis0 = _axis_count(arr0, imag_tol, eigs0)
+    if n_axis0 and not d.is_zero:
+        return CriticalTime(
+            t0=0.0, bracket=(0.0, 0.0), bound=None, status="crossed", n_axis_start=n_axis0
+        )
+    ext = _extremal_or_none(data) if d.is_weight_only and not d.is_zero else None
+    return _critical_time(data, d, eigs0, ext, t_max=t_max, imag_tol=imag_tol)
+
+
+def _extremal_or_none(data: RiccatiData) -> ExtremalSolutions | None:
+    """The extremal pair of ``data``, or None when it has none."""
+    try:
+        return solve_extremal(data)
+    except (SolvabilityError, LagrangianConditionError):
+        return None
 
 
 def _critical_time(
     data: RiccatiData,
     d: PerturbationDirection,
     eigs0: np.ndarray,
+    ext: ExtremalSolutions | None,
     *,
     t_max: float | None,
     imag_tol: float,
-    allow_frozen: bool = False,
 ) -> CriticalTime:
-    """:func:`critical_time` given the eigenvalues ``eigs0`` of the base
-    point.  With ``allow_frozen`` the base point's axis eigenvalues are
-    the baseline and only new arrivals count (:func:`vertex_path`)."""
+    """:func:`critical_time` given the eigenvalues ``eigs0`` and the
+    extremal pair ``ext`` (None when there is none) of the base point.
+    The base point's axis eigenvalues are the baseline: only new arrivals
+    count."""
     arr0 = _perturbed_array(data, d, 0.0)
     n_axis0 = _axis_count(arr0, imag_tol, eigs0)
-    if d.is_zero:
+    bound = None
+
+    def none_found() -> CriticalTime:
         return CriticalTime(
-            t0=None,
-            bracket=None,
-            bound=None,
-            status="none_below_t_max",
-            n_axis_start=n_axis0,
-        )
-    if n_axis0 and not allow_frozen:
-        return CriticalTime(
-            t0=0.0, bracket=(0.0, 0.0), bound=None, status="crossed", n_axis_start=n_axis0
+            t0=None, bracket=None, bound=bound, status="none_below_t_max", n_axis_start=n_axis0
         )
 
-    bound = None
-    if d.is_weight_only and np.any(d.delta11):
-        try:
-            ext = solve_extremal(data)
-            beta = float(
-                np.linalg.norm(ext.x_plus, 2)
-                + np.linalg.norm(ext.x_plus - ext.x_minus, 2)
-            )
-            nf = float(np.linalg.norm(data.f, 2))
-            ng = float(np.linalg.norm(data.g, 2))
-            nd = float(np.linalg.norm(d.delta11, 2))
-            bound = (2.0 * nf * beta + ng * beta**2) / nd
-        except (SolvabilityError, LagrangianConditionError):
-            bound = None
+    if d.is_zero:
+        return none_found()
+    if ext is not None and d.is_weight_only:
+        beta = float(
+            np.linalg.norm(ext.x_plus, 2) + np.linalg.norm(ext.x_plus - ext.x_minus, 2)
+        )
+        nf = float(np.linalg.norm(data.f, 2))
+        ng = float(np.linalg.norm(data.g, 2))
+        nd = float(np.linalg.norm(d.delta11, 2))
+        bound = (2.0 * nf * beta + ng * beta**2) / nd
 
     hi = min(
         t_max if t_max is not None else np.inf,
@@ -884,15 +891,6 @@ def _critical_time(
 
     def count(t: float) -> int:
         return _axis_count(_perturbed_array(data, d, t), imag_tol)
-
-    def none_found() -> CriticalTime:
-        return CriticalTime(
-            t0=None,
-            bracket=None,
-            bound=bound,
-            status="none_below_t_max",
-            n_axis_start=n_axis0,
-        )
 
     if n_axis0 == 0 and d.psd_margin >= -_PSD_TOL * (1.0 + _norm(d.full)):
         # An infinite t0 only says that M has no positive eigenvalue at the
@@ -929,11 +927,7 @@ def _critical_time(
         else:
             lo = mid
     return CriticalTime(
-        t0=hi_b,
-        bracket=(lo, hi_b),
-        bound=bound,
-        status="crossed",
-        n_axis_start=n_axis0,
+        t0=hi_b, bracket=(lo, hi_b), bound=bound, status="crossed", n_axis_start=n_axis0
     )
 
 
@@ -1075,7 +1069,7 @@ def _freezing_direction(
 
 def _refine_leg_end(
     cur: RiccatiData, direction: PerturbationDirection, ct: CriticalTime
-) -> float:
+) -> tuple[float, ExtremalSolutions | None]:
     """Polish a leg end onto the solvability boundary.
 
     The scan's eigenvalue detector blurs a crossing over a band of width
@@ -1085,40 +1079,39 @@ def _refine_leg_end(
     re-bisected with a solvability oracle.  A leg from a point with no
     axis eigenvalue has its exact crossing from the level set, and the
     search starts ``_CROSSING_RTOL`` either side of it instead.  Returns
-    the largest parameter still certified solvable (falling back to the
-    detector value when the boundary cannot be bracketed).
+    the largest parameter still certified solvable with the extremal pair
+    solved there, or the detector's ``t0`` and None when the boundary
+    cannot be bracketed.
     """
 
-    def solvable(tv: float) -> bool:
-        try:
-            solve_extremal(
-                RiccatiData(
-                    cur.f, cur.g, hermitian_part(cur.k + tv * direction.delta11)
-                )
-            )
-            return True
-        except (SolvabilityError, LagrangianConditionError, ValueError):
-            return False
+    def pair(tv: float) -> ExtremalSolutions | None:
+        try:  # an indefinite supplied direction can leave k indefinite
+            point = RiccatiData(cur.f, cur.g, hermitian_part(cur.k + tv * direction.delta11))
+        except ValueError:
+            return None
+        return _extremal_or_none(point)
 
     if ct.n_axis_start == 0:
         lo, hi = ct.t0 * (1.0 - _CROSSING_RTOL), ct.t0 * (1.0 + _CROSSING_RTOL)
     else:
         lo, hi = ct.bracket
-    if lo <= 0.0 or not solvable(lo):
-        return float(ct.t0)
+    ext = pair(lo) if lo > 0.0 else None
+    if ext is None:
+        return float(ct.t0), None
     width = max(hi - lo, _LEG_RTOL * max(1.0, hi))
-    while solvable(hi):
+    while pair(hi) is not None:
         hi += width
         width *= 4.0
         if hi > ct.t0 * (1.0 + _LEG_EXPAND_CAP) + width:
-            return float(ct.t0)
+            return float(ct.t0), None
     while hi - lo > _LEG_RTOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if solvable(mid):
-            lo = mid
+        at_mid = pair(mid)
+        if at_mid is not None:
+            lo, ext = mid, at_mid
         else:
             hi = mid
-    return float(lo)
+    return float(lo), ext
 
 
 def vertex_path(
@@ -1140,12 +1133,21 @@ def vertex_path(
     solutions have then collapsed (to within ``1e-6 * (1 + |x|)``) and
     their average is returned as the unique solution.
 
+    Every walk point (the base point and each leg end) is snapshotted
+    once and has its extremal pair solved once: a leg end's snapshot
+    gives the leg's axis count and starts the next leg, and the pair the
+    leg-end search certified bounds the next leg's scan and decides the
+    vertex.  A leg end the search could not certify is solved afresh.
+
     ``status`` is ``"vertex"`` on success, ``"budget_exhausted"`` when
     ``budget`` legs did not reach a vertex, and ``"blocked"`` when no
     admissible freezing direction exists, the current point (the base
     point included) has no extremal pair to bound the next ray's scan, or
-    a ray found no arrival (the blocking snapshot is attached).
+    a ray found no arrival (the blocking snapshot is attached).  A
+    negative ``budget`` raises ValueError.
     """
+    if budget < 0:
+        raise ValueError("budget must be at least 0")
     data = _as_data(h)
     n = data.n
     supplied = iter(directions) if directions is not None else iter(())
@@ -1158,13 +1160,12 @@ def vertex_path(
         )
 
     cur = data
+    arr = HamiltonianMatrix(cur).full
+    snap = spectrum_snapshot(arr, axis_tol=imag_tol)
+    ext = _extremal_or_none(cur)
     while True:
-        arr = HamiltonianMatrix(cur).full
-        snap = spectrum_snapshot(arr, t=0.0, axis_tol=imag_tol)
         if snap.n_axis == 2 * n:
-            try:
-                ext = solve_extremal(cur)
-            except (SolvabilityError, LagrangianConditionError):
+            if ext is None:
                 return blocked(snap)
             gap = float(np.linalg.norm(ext.x_plus - ext.x_minus, 2))
             x = hermitian_part(0.5 * (ext.x_minus + ext.x_plus))
@@ -1205,33 +1206,28 @@ def vertex_path(
                 )
         try:
             ct = _critical_time(
-                cur,
-                direction,
-                snap.eigenvalues,
-                t_max=None,
-                imag_tol=imag_tol,
-                allow_frozen=True,
+                cur, direction, snap.eigenvalues, ext, t_max=None, imag_tol=imag_tol
             )
         except ValueError:
             # No extremal pair at the current point bounds the scan.
             return blocked(snap)
-        if ct.t0 is None or ct.t0 == 0.0:
+        if ct.t0 is None:
             return blocked(snap)
-        t_leg = _refine_leg_end(cur, direction, ct)
-        end = spectrum_snapshot(
-            _perturbed_array(cur, direction, t_leg), t=t_leg, axis_tol=imag_tol
-        )
-        legs.append(
-            PathLeg(direction=direction, t_end=t_leg, n_axis_end=end.n_axis)
-        )
+        t_leg, ext = _refine_leg_end(cur, direction, ct)
         # The next leg starts from the point _refine_leg_end certified,
         # rounded as it was there: re-adding the accumulated bump to the
         # base k rounds differently, and on the solvability boundary a
         # last-digit change can lose the solution.  The accumulated bump is
         # read back off this point.
-        cur = RiccatiData(cur.f, cur.g, hermitian_part(cur.k + t_leg * direction.delta11))
-        if _norm(cur.k - data.k) > 1e12 * scale_k:
+        end = RiccatiData(cur.f, cur.g, hermitian_part(cur.k + t_leg * direction.delta11))
+        arr = HamiltonianMatrix(end).full
+        end_snap = spectrum_snapshot(arr, axis_tol=imag_tol)
+        legs.append(PathLeg(direction, t_leg, end_snap.n_axis))
+        if _norm(end.k - data.k) > 1e12 * scale_k:
             return blocked(snap)
+        if ext is None:
+            ext = _extremal_or_none(end)
+        cur, snap = end, end_snap
 
 
 # ---------------------------------------------------------------------------

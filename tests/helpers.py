@@ -307,35 +307,36 @@ def reference_region_membership(
 
     The oracle that ``hamriccati.perturbation.region_membership``, with
     one Schur form per positive semidefinite bump, and ``region_grid``,
-    which decides most points without one, are checked against.  It
-    attempts the stable
-    solve for every direction, also one that is not positive semidefinite.
+    which decides most points without one, are checked against.  A bump
+    that is not positive semidefinite is exterior whatever the stable
+    solve says, so that solve is attempted only for the others.
     """
     data = _as_data(h)
     if d.n != data.n:
         raise ValueError("direction and Hamiltonian dimensions differ")
     arr = _perturbed_array(data, d, 1.0)
-    snap = spectrum_snapshot(arr, t=1.0, axis_tol=imag_tol)
+    snap = spectrum_snapshot(arr, axis_tol=imag_tol)
     axis_present = snap.n_axis > 0
     scale = 1.0 + _norm(arr)
 
-    solvable = False
-    try:
-        sub = lagrangian_subspace(arr, "stable")
-        cand = _graph_solution(sub.w1, sub.w2)
-        f_t = data.f + d.delta21
-        g_t = hermitian_part(data.g + d.delta22)
-        res = (
-            f_t.conj().T @ cand
-            + cand @ f_t
-            + cand @ g_t @ cand
-            + hermitian_part(data.k + d.delta11)
-        )
-        solvable = _norm(res) <= solve_tol * scale * (1.0 + _norm(cand)) ** 2
-    except (LagrangianConditionError, SolvabilityError, OrderingBreakdown):
-        solvable = False
-
     bad_psd = d.psd_margin < -psd_tol * (1.0 + _norm(d.full))
+    solvable = False
+    if not bad_psd:
+        try:
+            sub = lagrangian_subspace(arr, "stable")
+            cand = _graph_solution(sub.w1, sub.w2)
+            f_t = data.f + d.delta21
+            g_t = hermitian_part(data.g + d.delta22)
+            res = (
+                f_t.conj().T @ cand
+                + cand @ f_t
+                + cand @ g_t @ cand
+                + hermitian_part(data.k + d.delta11)
+            )
+            solvable = _norm(res) <= solve_tol * scale * (1.0 + _norm(cand)) ** 2
+        except (LagrangianConditionError, SolvabilityError, OrderingBreakdown):
+            solvable = False
+
     if bad_psd or not solvable:
         membership = "exterior"
     elif axis_present:
@@ -423,7 +424,6 @@ def reference_snapshot(
     s: SchurForm | None,
     scale: float,
     *,
-    t: float,
     axis_tol: float,
     cluster_merge_tol: float,
     form_band: float,
@@ -461,7 +461,6 @@ def reference_snapshot(
                 AxisCluster(alpha, int(np.sum(members)), n_minus, n_plus, n_zero, ok)
             )
     return SpectrumSnapshot(
-        t=float(t),
         eigenvalues=_frozen(eigs),
         imaginary_groups=tuple(clusters),
     )
@@ -483,7 +482,6 @@ def reference_critical_time(
     *,
     t_max: float | None = None,
     imag_tol: float = 1e-7,
-    allow_frozen: bool = False,
 ) -> CriticalTime:
     """First new axis arrival by a 96-step scan and a 1e-10 bisection.
 
@@ -506,7 +504,7 @@ def reference_critical_time(
         )
 
     n_axis0 = _reference_axis_count(_perturbed_array(data, d, 0.0), imag_tol)
-    if n_axis0 and not allow_frozen:
+    if n_axis0:
         return CriticalTime(
             t0=0.0, bracket=(0.0, 0.0), bound=None, status="crossed", n_axis_start=n_axis0
         )

@@ -376,7 +376,7 @@ def test_08_structural_invariants_of_assembly_and_factorizations():
         direction = PerturbationDirection.from_full(rand_psd(rng, 2 * n))
         for t in np.linspace(0.0, 3.0, 7):
             arr = perturbed_hamiltonian(h, direction, float(t)).full
-            snap = spectrum_snapshot(arr, t=float(t))
+            snap = spectrum_snapshot(arr)
             assert snap.symmetry_defect <= 1e-9 * np.linalg.norm(arr)
 
     # Unitary-symplectic Schur factors for every factorization taken.

@@ -10,7 +10,7 @@ comparison, and rank sequences of matrix powers.
 from __future__ import annotations
 
 import dataclasses
-import sys
+import types
 
 import numpy as np
 import pytest
@@ -18,8 +18,9 @@ from scipy.optimize import linear_sum_assignment
 
 from hamriccati import perturbation
 from hamriccati.forms import HamiltonianMatrix, RiccatiData, _cluster_form, j_matrix
-from hamriccati.linalg import OrderingBreakdown, loewner_leq, schur_decompose
+from hamriccati.linalg import OrderingBreakdown, hermitian_part, loewner_leq, schur_decompose
 from hamriccati.perturbation import (
+    CriticalTime,
     PerturbationDirection,
     PerturbationError,
     _cluster_counts,
@@ -227,9 +228,6 @@ class TestSnapshotsAndInertia:
         ev = snap.eigenvalues
         assert np.all(np.diff(ev.real) >= -1e-14)
         assert snap.symmetry_defect < 1e-10
-
-    def test_snapshot_records_label(self):
-        assert spectrum_snapshot(lab_base(), t=0.25).t == 0.25
 
     def test_symmetry_defect_is_computed_on_first_access(self):
         rng = make_rng(12)
@@ -660,12 +658,46 @@ class TestLevelSetCrossing:
             return solve_extremal(triple)
 
         monkeypatch.setattr(perturbation, "solve_extremal", counted)
-        t_end = _refine_leg_end(data, d, ct)
+        t_end, pair = _refine_leg_end(data, d, ct)
         assert len(calls) <= 12
         # Certified solvable, and within the search's width of the crossing
         # (solvability ends a little past it, inside the isotropy tolerance).
-        counted(RiccatiData(f, g, k + t_end * d.delta11))
+        assert pair is not None
         assert ct.t0 <= t_end <= ct.t0 * (1.0 + 1e-8)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_leg_end_pair_is_the_pair_of_the_returned_point(self, seed):
+        f, g, k, _ = rand_solvable_triple(make_rng(seed), 20)
+        data = RiccatiData(f, g, k)
+        d = PerturbationDirection.delta11_only(np.eye(20))
+        ct = critical_time(HamiltonianMatrix(data), d)
+        t_end, pair = _refine_leg_end(data, d, ct)
+        assert t_end != ct.t0
+        point = RiccatiData(data.f, data.g, hermitian_part(data.k + t_end * d.delta11))
+        fresh = solve_extremal(point)
+        assert pair.x_minus.tobytes() == fresh.x_minus.tobytes()
+        assert pair.x_plus.tobytes() == fresh.x_plus.tobytes()
+
+    @pytest.mark.parametrize(
+        "t0, bracket",
+        [(6.0, (5.0, 6.0)), (1.0, (2.0, 2.0 + 1e-12))],
+        ids=["unsolvable-lo", "beyond-the-expansion-cap"],
+    )
+    def test_uncertified_leg_end_has_no_pair(self, t0, bracket):
+        # On the lab ray delta = I solvability ends at t = 4: from 5 the
+        # search cannot start, and a solvable bracket end at 2 is further
+        # past t0 = 1 than the search may grow.
+        d = PerturbationDirection.delta11_only(np.eye(2))
+        ct = CriticalTime(
+            t0=t0, bracket=bracket, bound=None, status="crossed", n_axis_start=2
+        )
+        assert _refine_leg_end(lab_base().data, d, ct) == (t0, None)
+
+    @pytest.mark.parametrize("t_max", [-8.0, 0.0, np.nan, np.inf])
+    def test_scan_limit_must_be_finite_and_positive(self, t_max):
+        d = PerturbationDirection.delta11_only(np.eye(2))
+        with pytest.raises(ValueError, match="finite and positive"):
+            critical_time(lab_base(), d, t_max=t_max)
 
     def test_indefinite_direction_is_scanned(self):
         d = dir_abc(1.0, -0.5, 0.0, validate=False)
@@ -704,6 +736,30 @@ class TestLevelSetCrossing:
 
 # ---------------------------------------------------------------------------
 # vertex walks
+
+
+@pytest.fixture
+def walk_spies(monkeypatch):
+    """The Hamiltonians, as bytes, of every ``spectrum_snapshot`` call made
+    from ``perturbation`` (``snapshots``), of every triple that reached
+    ``solve_extremal`` there (``solves``) and of those it solved
+    (``certified``)."""
+    spies = types.SimpleNamespace(snapshots=[], solves=[], certified=[])
+
+    def snapped(h, **kwargs):
+        spies.snapshots.append(np.asarray(h).tobytes())
+        return spectrum_snapshot(h, **kwargs)
+
+    def solved(data, **kwargs):
+        key = HamiltonianMatrix(data).full.tobytes()
+        spies.solves.append(key)
+        out = solve_extremal(data, **kwargs)
+        spies.certified.append(key)
+        return out
+
+    monkeypatch.setattr(perturbation, "spectrum_snapshot", snapped)
+    monkeypatch.setattr(perturbation, "solve_extremal", solved)
+    return spies
 
 
 class TestVertexPath:
@@ -835,28 +891,30 @@ class TestVertexPath:
         base = lab_base().full
         assert sum(np.array_equal(a, base) for a in eigvals_calls) == 1
 
-    def test_each_leg_starts_where_the_last_one_was_certified(self, monkeypatch):
-        # solve_extremal is called at the start of each leg (for the scan
-        # bound), by the leg-end search, and at the vertex; where the search
-        # certified every leg end, each later point must be one it
-        # certified, bit for bit.
-        certified, starts = set(), []
-
-        def spied(triple):
-            caller = sys._getframe(1).f_code.co_name
-            if caller != "solvable":
-                starts.append(triple.k.tobytes())
-            out = solve_extremal(triple)
-            if caller == "solvable":
-                certified.add(triple.k.tobytes())
-            return out
-
-        monkeypatch.setattr(perturbation, "solve_extremal", spied)
+    def test_each_leg_starts_where_the_last_one_was_certified(self, walk_spies):
+        # Every point after the base is one that solve_extremal certified,
+        # bit for bit.
         path = vertex_path(lab_base(), rng=make_rng(0))
         assert path.status == "vertex"
         assert len(path.legs) == 2
-        assert len(starts) == 3
-        assert all(start in certified for start in starts[1:])
+        assert len(walk_spies.snapshots) == 3
+        assert all(h in walk_spies.certified for h in walk_spies.snapshots[1:])
+
+    @pytest.mark.parametrize("problem, seed", [("lab", None), ("lab", 0), ("n10", None)])
+    def test_each_walk_point_is_snapshotted_and_solved_once(self, problem, seed, walk_spies):
+        if problem == "lab":
+            h = lab_base()
+        else:
+            h = RiccatiData(*rand_solvable_triple(make_rng(0), 10)[:3])
+        path = vertex_path(h, rng=None if seed is None else make_rng(seed))
+        assert path.legs
+        points = walk_spies.snapshots
+        assert len(points) == len(path.legs) + 1
+        assert [walk_spies.solves.count(h) for h in points] == [1] * len(points)
+
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            vertex_path(lab_base(), budget=-1)
 
     def test_random_weighting_still_reaches_the_vertex(self):
         path = vertex_path(lab_base(), rng=make_rng(30))
@@ -1116,7 +1174,7 @@ class TestRegionGrid:
 # sign characteristics, against the reference snapshot builder
 
 
-def eager_snapshot(arr, *, t, axis_tol):
+def eager_snapshot(arr, *, axis_tol):
     """``reference_snapshot`` on the spectrum (eigvals) and Schur form that
     ``spectrum_snapshot`` would use for ``arr``."""
     scale = 1.0 + np.linalg.norm(arr)
@@ -1124,7 +1182,6 @@ def eager_snapshot(arr, *, t, axis_tol):
         _sorted_eigenvalues(arr),
         schur_decompose(arr),
         scale,
-        t=t,
         axis_tol=axis_tol,
         cluster_merge_tol=1e-6,
         form_band=1e-8,
@@ -1167,10 +1224,8 @@ class TestLazySignCharacteristics:
         n_clusters = 0
         for t in np.linspace(0.0, 8.0, 201):
             arr = perturbed_hamiltonian(base, d, float(t)).full
-            got = spectrum_snapshot(arr, t=float(t))
-            n_clusters += len(
-                assert_same_snapshot(got, eager_snapshot(arr, t=float(t), axis_tol=1e-8))
-            )
+            got = spectrum_snapshot(arr)
+            n_clusters += len(assert_same_snapshot(got, eager_snapshot(arr, axis_tol=1e-8)))
         assert n_clusters > 100
 
     def test_seeded_problems_match_the_eager_builder(self):
@@ -1182,7 +1237,7 @@ class TestLazySignCharacteristics:
             n = 2 + i % 3
             arr = -j_matrix(n) @ rand_hermitian(rng, 2 * n)
             got = spectrum_snapshot(arr, axis_tol=1e-6)
-            clusters = assert_same_snapshot(got, eager_snapshot(arr, t=0.0, axis_tol=1e-6))
+            clusters = assert_same_snapshot(got, eager_snapshot(arr, axis_tol=1e-6))
             signs.update(definite_sign(c) for c in clusters)
         assert signs == {-1, 1}
 
@@ -1190,7 +1245,7 @@ class TestLazySignCharacteristics:
         f, g, k = lab2x2()
         arr = HamiltonianMatrix.from_triple(f, g, k + np.diag([4.0, 9.0])).full
         (cluster,) = assert_same_snapshot(
-            spectrum_snapshot(arr), eager_snapshot(arr, t=0.0, axis_tol=1e-8)
+            spectrum_snapshot(arr), eager_snapshot(arr, axis_tol=1e-8)
         )
         assert (cluster.multiplicity, definite_sign(cluster), cluster.resolved) == (4, 0, True)
 
@@ -1204,9 +1259,7 @@ class TestLazySignCharacteristics:
                 for c in np.linspace(-4.0, 4.0, 7):
                     d = dir_abc(a, b, c, validate=False)
                     got = region_membership(base, d)
-                    ref = eager_snapshot(
-                        _perturbed_array(base.data, d, 1.0), t=1.0, axis_tol=1e-7
-                    )
+                    ref = eager_snapshot(_perturbed_array(base.data, d, 1.0), axis_tol=1e-7)
                     assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
                     if got.membership != "exterior":
                         assert (got.membership == "boundary") == (ref.n_axis > 0)
