@@ -61,7 +61,9 @@ _PATTERN_TOL = 1e-10
 _ISO_TOL = 1e-6
 _MAX_ENUM = 20
 # Sign characteristics: eigenvalues of a cluster's form i V^H J V within
-# _FORM_BAND * (1 + max |lambda|) of zero count as zero.
+# _FORM_BAND * (1 + max |lambda|) of zero count as zero, and an inertia jump
+# decides a cluster only where J (H - i w I) keeps its eigenvalues
+# _FORM_BAND * (1 + |H|) away from zero.
 _FORM_BAND = 1e-8
 
 
@@ -473,6 +475,37 @@ def _cluster_counts(
     n_plus = int(np.sum(vals > band))
     n_minus = int(np.sum(vals < -band))
     return n_minus, n_plus, m - n_plus - n_minus, True
+
+
+def _inertia_jumps(arr: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jumps of the negative count of S(w) = J (arr - i w I) across ``heights``.
+
+    For a Hamiltonian ``arr`` the matrix S(w) is Hermitian and singular
+    exactly where ``i w`` is an eigenvalue.  As w passes the height of a
+    semisimple axis eigenvalue whose form i v^H J v is positive (negative),
+    one eigenvalue of S(w) crosses zero downwards (upwards), so the jump
+    across a cluster is n_plus - n_minus summed over the axis eigenvalues
+    between its neighbouring midpoints; a Jordan block of even size adds
+    nothing.  S(w) tends to -i w J as |w| grows, so the count is n at both
+    ends and only the midpoints between consecutive ``heights`` (sorted
+    ascending) take one ``eigvalsh`` each.
+
+    Returns the jump per height and its clearance: the smallest |eigenvalue|
+    of S at the two midpoints around it (inf beyond the outer heights).
+    """
+    if heights.size == 0:
+        return np.zeros(0, dtype=int), np.zeros(0)
+    n = arr.shape[0] // 2
+    j = j_matrix(n)
+    s = j @ arr  # J h, Hermitian
+    counts, gaps = [n], [np.inf]
+    for w in 0.5 * (heights[:-1] + heights[1:]):
+        vals = np.linalg.eigvalsh(s - 1j * w * j)
+        counts.append(int(np.sum(vals < 0.0)))
+        gaps.append(float(np.min(np.abs(vals))))
+    counts.append(n)
+    gaps.append(np.inf)
+    return np.diff(counts), np.minimum(gaps[:-1], gaps[1:])
 
 
 def _cluster_obstructions(s: SchurForm, imag_tol: float) -> list[float]:

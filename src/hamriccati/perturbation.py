@@ -49,6 +49,7 @@ from .forms import (
     _cluster_counts,
     _cluster_form,
     _ham_array,
+    _inertia_jumps,
     _isotropic_selection,
     j_matrix,
 )
@@ -265,11 +266,16 @@ class AxisCluster:
     """A cluster of imaginary-axis eigenvalues at height ``alpha``.
 
     ``n_minus``/``n_plus``/``n_zero`` count the eigenvalues of the
-    Hermitian form i V^H J V on the cluster's invariant subspace, found by
-    reordering the Schur form so that the cluster's diagonal entries lead;
-    eigenvalues of the form within a band of zero count in ``n_zero``.
-    ``resolved`` is False when the invariant subspace could not be
-    separated numerically (the counts are then 0, 0, ``multiplicity``).
+    Hermitian form i V^H J V on the cluster's invariant subspace.  A
+    definite cluster is decided by the inertia of J (H - i w I) on either
+    side of its height (counts ``(m, 0, 0)`` or ``(0, m, 0)``); any other
+    is found by reordering the Schur form so that the cluster's diagonal
+    entries lead, and eigenvalues of the form within a band of zero count
+    in ``n_zero``.  ``resolved`` is False when the invariant subspace
+    could not be separated numerically (the counts are then 0, 0,
+    ``multiplicity``).  Summed over all clusters, ``n_minus`` equals
+    ``n_plus``; a nonzero ``n_zero`` marks a cluster the band could not
+    resolve.
     """
 
     alpha: float
@@ -319,30 +325,43 @@ def spectrum_snapshot(h, *, axis_tol: float = 1e-8) -> SpectrumSnapshot:
 
     Eigenvalues with ``|Re| <= axis_tol * (1 + |H|)`` count as on the
     axis; axis eigenvalues are merged into clusters when their heights
-    differ by at most ``1e-6 * (1 + |H|)``.  When some eigenvalue
-    is on the axis, one Schur form of the matrix gives every cluster's
-    members (its diagonal entries near ``i alpha``) and sign
-    characteristics, computed here; eigenvalues of a cluster's form within
+    differ by at most ``1e-6 * (1 + |H|)``, and a cluster's members are
+    the eigenvalues near ``i alpha``.  The Hermitian S(w) = J (H - i w I)
+    gains one negative eigenvalue as w passes a positive-form axis
+    eigenvalue and loses one at a negative-form one, so one ``eigvalsh``
+    of S at each midpoint between consecutive cluster heights gives every
+    cluster's jump n_plus - n_minus.  A cluster whose jump is plus or
+    minus its multiplicity is definite.  The others (mixed or defective
+    clusters, and those next to a midpoint where S has an eigenvalue
+    within ``1e-8 * (1 + |H|)`` of zero) take one Schur form of the
+    matrix, which gives their members (its diagonal entries near
+    ``i alpha``) and their counts; eigenvalues of a cluster's form within
     ``1e-8 * (1 + max |lambda|)`` of zero count in ``n_zero``.
     """
     arr, _ = _ham_array(h)
     scale = 1.0 + _norm(arr)
     eigs = _sorted_eigenvalues(arr)
     groups = _axis_clusters(eigs, axis_tol * scale, _CLUSTER_MERGE_TOL * scale)
+    jumps, clearance = _inertia_jumps(arr, np.array([alpha for alpha, _ in groups]))
     clusters: list[AxisCluster] = []
-    if groups:
-        s = schur_decompose(arr)
-        diag = np.diag(s.t)
-        band = _FORM_BAND * (1.0 + float(np.max(np.abs(diag))))
-        for alpha, idx in groups:
-            radius = max(
-                np.max(np.abs(eigs[idx].imag - alpha)) + axis_tol * scale,
-                _CLUSTER_MERGE_TOL * scale / 2,
-            )
+    s = None
+    for (alpha, idx), jump, gap in zip(groups, jumps, clearance):
+        radius = max(
+            np.max(np.abs(eigs[idx].imag - alpha)) + axis_tol * scale,
+            _CLUSTER_MERGE_TOL * scale / 2,
+        )
+        m = int(np.sum(np.abs(eigs - 1j * alpha) <= radius))
+        if abs(jump) == m and gap > _FORM_BAND * scale:
+            counts = (m, 0, 0, True) if jump < 0 else (0, m, 0, True)
+        else:
+            if s is None:
+                s = schur_decompose(arr)
+                diag = np.diag(s.t)
+                band = _FORM_BAND * (1.0 + float(np.max(np.abs(diag))))
             members = np.abs(diag - 1j * alpha) <= radius
-            clusters.append(
-                AxisCluster(alpha, int(np.sum(members)), *_cluster_counts(s, members, band))
-            )
+            m = int(np.sum(members))
+            counts = _cluster_counts(s, members, band)
+        clusters.append(AxisCluster(alpha, m, *counts))
     return SpectrumSnapshot(
         eigenvalues=_frozen(eigs),
         imaginary_groups=tuple(clusters),
@@ -1102,7 +1121,7 @@ def _refine_leg_end(
     while pair(hi) is not None:
         hi += width
         width *= 4.0
-        if hi > ct.t0 * (1.0 + _LEG_EXPAND_CAP) + width:
+        if hi > ct.t0 * (1.0 + _LEG_EXPAND_CAP):
             return float(ct.t0), None
     while hi - lo > _LEG_RTOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)

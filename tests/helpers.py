@@ -8,11 +8,15 @@ import numpy as np
 from dataclasses import dataclass
 
 from hamriccati.forms import (
+    _FORM_BAND,
     HamiltonianMatrix,
     LagrangianConditionError,
+    _axis_clusters,
+    _ham_array,
     j_matrix,
     lagrangian_subspace,
 )
+from hamriccati.forms import _cluster_counts as _form_cluster_counts
 from hamriccati.linalg import (
     LinalgError,
     OrderingBreakdown,
@@ -22,13 +26,18 @@ from hamriccati.linalg import (
     _norm,
     hermitian_part,
     order_schur,
+    schur_decompose,
 )
 from hamriccati.perturbation import (
+    _CLUSTER_MERGE_TOL,
     CriticalTime,
+    PerturbationDirection,
     RegionVerdict,
     SpectrumSnapshot,
     _as_data,
     _perturbed_array,
+    _sorted_eigenvalues,
+    critical_time,
     spectrum_snapshot,
 )
 from hamriccati.riccati import _graph_solution, solve_extremal
@@ -97,6 +106,19 @@ def rand_solvable_triple(rng, n, *, g_rank=None):
     k = 0.5 * np.eye(n) + rand_psd(rng, n) / n
     f = -0.5 * np.linalg.solve(x_hat, x_hat @ g @ x_hat + k)
     return f, g, k, x_hat
+
+
+def walk_triple(seed: int, n: int):
+    """A ``rand_solvable_triple`` with a ``rand_psd`` weight bump.
+
+    Returns ``(h, d, t1)``: the base Hamiltonian, the weight-only
+    direction and the first axis crossing along it.
+    """
+    rng = make_rng(seed)
+    f, g, k, _ = rand_solvable_triple(rng, n)
+    h = HamiltonianMatrix.from_triple(f, g, k)
+    d = PerturbationDirection.delta11_only(rand_psd(rng, n))
+    return h, d, critical_time(h, d).t0
 
 
 def rand_passive_system(rng, n, m=2):
@@ -459,6 +481,38 @@ def reference_snapshot(
             n_minus, n_plus, n_zero, ok = _cluster_counts(s, members, n, band)
             clusters.append(
                 AxisCluster(alpha, int(np.sum(members)), n_minus, n_plus, n_zero, ok)
+            )
+    return SpectrumSnapshot(
+        eigenvalues=_frozen(eigs),
+        imaginary_groups=tuple(clusters),
+    )
+
+
+def reference_spectrum_snapshot(h, *, axis_tol: float = 1e-8) -> SpectrumSnapshot:
+    """Snapshot whose sign characteristics all come from one Schur form.
+
+    The oracle for ``hamriccati.perturbation.spectrum_snapshot``, which
+    decides definite clusters from the inertia of J (H - i w I) and
+    factorizes only for the rest: its body before that change, with
+    this module's record type and forms' ``_cluster_counts`` renamed.
+    """
+    arr, _ = _ham_array(h)
+    scale = 1.0 + _norm(arr)
+    eigs = _sorted_eigenvalues(arr)
+    groups = _axis_clusters(eigs, axis_tol * scale, _CLUSTER_MERGE_TOL * scale)
+    clusters: list[AxisCluster] = []
+    if groups:
+        s = schur_decompose(arr)
+        diag = np.diag(s.t)
+        band = _FORM_BAND * (1.0 + float(np.max(np.abs(diag))))
+        for alpha, idx in groups:
+            radius = max(
+                np.max(np.abs(eigs[idx].imag - alpha)) + axis_tol * scale,
+                _CLUSTER_MERGE_TOL * scale / 2,
+            )
+            members = np.abs(diag - 1j * alpha) <= radius
+            clusters.append(
+                AxisCluster(alpha, int(np.sum(members)), *_form_cluster_counts(s, members, band))
             )
     return SpectrumSnapshot(
         eigenvalues=_frozen(eigs),

@@ -692,6 +692,50 @@ class TestPerturb:
         assert n_axis[0] == 0
         assert n_axis[-1] == 4  # past the vertex every eigenvalue sits on the axis
 
+    @pytest.mark.parametrize("grid, factorizations", [("4.5:8:8", 0), ("4:4:1", 1)])
+    def test_t_grid_factorizes_only_mixed_clusters(
+        self, ex2_file, tmp_path, schur_calls, grid, factorizations
+    ):
+        # Past t = 4 the lab ray has two simple axis eigenvalues of opposite
+        # signs, decided by inertia; at t = 4 they meet in one mixed cluster.
+        delta = write_direction(tmp_path, np.eye(2))
+        out = tmp_path / "grid.csv"
+        assert cli.main(["perturb", ex2_file, delta, "--t-grid", grid, "--out", str(out)]) == 0
+        assert len(schur_calls) == factorizations
+
+    @pytest.mark.parametrize("problem", ["lab", "n10"])
+    def test_t_grid_inertia_halves_the_axis_count(self, tmp_path, problem):
+        # The sign characteristics of all axis eigenvalues sum to zero, so
+        # away from collisions (where a cluster has several members)
+        # minus = plus = n_axis / 2 and zero = 0.
+        if problem == "lab":
+            f, g, k = lab2x2()
+            d11, t_end, steps = np.eye(2), 8.0, 201
+        else:
+            rng = make_rng(0)
+            f, g, k, _ = rand_solvable_triple(rng, 10)
+            d11 = rand_psd(rng, 10)
+            t_end, steps = 0.01, 101
+        path = tmp_path / "problem.json"
+        path.write_text(
+            json.dumps({"F": mat_json(f, "F"), "G": mat_json(g, "G"), "K": mat_json(k, "K")})
+        )
+        delta = write_direction(tmp_path, d11)
+        out = tmp_path / "grid.csv"
+        grid = f"0:{t_end}:{steps}"
+        assert cli.main(["perturb", str(path), delta, "--t-grid", grid, "--out", str(out)]) == 0
+        base = HamiltonianMatrix.from_triple(f, g, k)
+        direction = PerturbationDirection.delta11_only(d11)
+        checked = 0
+        for row in read_csv(out.read_text())[1:]:
+            snap = spectrum_snapshot(perturbed_hamiltonian(base, direction, float(row[0])))
+            if any(c.multiplicity > 1 for c in snap.imaginary_groups):
+                continue
+            n_axis, minus, plus, zero = (int(v) for v in row[-4:])
+            assert 2 * minus == 2 * plus == n_axis and zero == 0
+            checked += n_axis > 0
+        assert checked > 40
+
     def test_vertex_walk_reaches_the_unique_solution(self, ex2_file, tmp_path):
         out = tmp_path / "walk.json"
         assert cli.main(["perturb", ex2_file, "--vertex", "--out", str(out)]) == 0

@@ -17,7 +17,14 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from hamriccati import perturbation
-from hamriccati.forms import HamiltonianMatrix, RiccatiData, _cluster_form, j_matrix
+from hamriccati.forms import (
+    HamiltonianMatrix,
+    RiccatiData,
+    _axis_clusters,
+    _cluster_form,
+    _inertia_jumps,
+    j_matrix,
+)
 from hamriccati.linalg import OrderingBreakdown, hermitian_part, loewner_leq, schur_decompose
 from hamriccati.perturbation import (
     CriticalTime,
@@ -56,6 +63,8 @@ from helpers import (
     reference_critical_time,
     reference_region_membership,
     reference_snapshot,
+    reference_spectrum_snapshot,
+    walk_triple,
 )
 
 
@@ -680,13 +689,14 @@ class TestLevelSetCrossing:
 
     @pytest.mark.parametrize(
         "t0, bracket",
-        [(6.0, (5.0, 6.0)), (1.0, (2.0, 2.0 + 1e-12))],
-        ids=["unsolvable-lo", "beyond-the-expansion-cap"],
+        [(6.0, (5.0, 6.0)), (1.0, (2.0, 2.0 + 1e-12)), (1.0, (1.0, 1.0 + 1e-12))],
+        ids=["unsolvable-lo", "beyond-the-expansion-cap", "expansion-cap-from-t0"],
     )
     def test_uncertified_leg_end_has_no_pair(self, t0, bracket):
         # On the lab ray delta = I solvability ends at t = 4: from 5 the
         # search cannot start, and a solvable bracket end at 2 is further
-        # past t0 = 1 than the search may grow.
+        # past t0 = 1 than the search may grow.  From a bracket at t0 the
+        # growing end stops at t0 (1 + 1e-3) instead of running on to 4.
         d = PerturbationDirection.delta11_only(np.eye(2))
         ct = CriticalTime(
             t0=t0, bracket=bracket, bound=None, status="crossed", n_axis_start=2
@@ -1322,13 +1332,91 @@ class TestLazySignCharacteristics:
             )
             assert made == len(order_schur_calls)
 
-    def test_snapshot_reorders_once_per_cluster(self, order_schur_calls):
+    def test_snapshot_reorders_no_definite_cluster(self, order_schur_calls, schur_calls):
+        # Four simple axis eigenvalues: the inertia jumps decide them all.
         d = dir_abc(13.0, 13.0, 0.0, validate=False)
         snap = spectrum_snapshot(_perturbed_array(lab_base().data, d, 1.0), axis_tol=1e-7)
         clusters = snap.imaginary_groups
-        assert len(order_schur_calls) == len(clusters)
         assert [definite_sign(c) for c in clusters] == [1, 1, -1, -1]
-        assert len(order_schur_calls) == len(clusters)  # reading counts reorders nothing
+        assert order_schur_calls == [] and schur_calls == []
+
+
+# ---------------------------------------------------------------------------
+# sign characteristics from the inertia of J (H - i w I), against the
+# snapshot that takes them all from one Schur form
+
+
+def lab_t_grid():
+    # The perturb --t-grid ray of the lab problem, delta = I over 0:8:201.
+    d = PerturbationDirection.delta11_only(np.eye(2))
+    return [perturbed_hamiltonian(lab_base(), d, float(t)) for t in np.linspace(0.0, 8.0, 201)]
+
+
+def triple_t_grid(seed, n):
+    # To twice the first crossing, which is the middle row.
+    h, d, t1 = walk_triple(seed, n)
+    return [perturbed_hamiltonian(h, d, float(t)) for t in np.linspace(0.0, 2.0 * t1, 101)]
+
+
+def jordan_rows():
+    # A 2x2 Jordan block at 0 with the mixed form (1, 1), and its split.
+    case = make_jordan_case([(1, 1)], rng=make_rng(17))
+    return [case.hamiltonian(t) for t in (0.0, 1e-3)]
+
+
+class TestInertiaJumps:
+    @pytest.mark.parametrize(
+        "rows",
+        [lab_t_grid, jordan_rows]
+        + [lambda s=s, n=n: triple_t_grid(s, n) for n in (10, 20) for s in range(4)],
+        ids=["lab", "jordan"] + [f"n{n}-s{s}" for n in (10, 20) for s in range(4)],
+    )
+    def test_snapshot_matches_the_schur_snapshot(self, rows):
+        definite = mixed = 0
+        for h in rows():
+            got, ref = spectrum_snapshot(h), reference_spectrum_snapshot(h)
+            assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+            assert [cluster_record(c) for c in got.imaginary_groups] == [
+                cluster_record(c) for c in ref.imaginary_groups
+            ]
+            for c in got.imaginary_groups:
+                definite += definite_sign(c) != 0
+                mixed += definite_sign(c) == 0
+        assert definite > 0 and mixed > 0
+
+    def test_collision_falls_back_to_the_schur_form(self, schur_calls):
+        # At t = 4 the lab ray's two eigenvalues meet at 0 with opposite
+        # signs: the jump across the one cluster is 0.
+        d = PerturbationDirection.delta11_only(np.eye(2))
+        (cluster,) = spectrum_snapshot(perturbed_hamiltonian(lab_base(), d, 4.0)).imaginary_groups
+        assert cluster_record(cluster)[1:] == (2, 1, 1, 0, True)
+        assert len(schur_calls) == 1
+
+    @pytest.mark.parametrize("ratio, n_axis", [(0.5, 0), (1.5, 2), (3.0, 2)])
+    def test_jumps_do_not_depend_on_scale(self, ratio, n_axis):
+        # Every eigenvalue height is a candidate: off-axis ones jump by 0,
+        # axis ones by their sign characteristic.
+        h, d, t1 = walk_triple(0, 10)
+        arr = perturbed_hamiltonian(h, d, ratio * t1).full
+        snap = spectrum_snapshot(arr)
+        eigs = np.linalg.eigvals(arr)
+        heights = np.array(
+            [alpha for alpha, _ in _axis_clusters(eigs, np.inf, 1e-6 * (1.0 + np.linalg.norm(arr)))]
+        )
+        jumps, clearance = _inertia_jumps(arr, heights)
+        assert snap.n_axis == n_axis == int(np.abs(jumps).sum())
+        signs = sorted(c.n_plus - c.n_minus for c in snap.imaginary_groups)
+        assert signs == sorted(int(j) for j in jumps if j)
+        for scale in (1e-12, 1e12):
+            scaled, scaled_clearance = _inertia_jumps(scale * arr, scale * heights)
+            np.testing.assert_array_equal(scaled, jumps)
+            np.testing.assert_allclose(scaled_clearance, scale * clearance, rtol=1e-6)
+
+    def test_no_or_one_height_has_no_jump(self):
+        jumps, clearance = _inertia_jumps(lab_base().full, np.zeros(0))
+        assert jumps.size == clearance.size == 0
+        jumps, clearance = _inertia_jumps(lab_base().full, np.array([0.5]))
+        assert jumps.tolist() == [0] and clearance.tolist() == [np.inf]
 
 
 # ---------------------------------------------------------------------------
