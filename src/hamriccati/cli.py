@@ -43,8 +43,8 @@ from .linalg import LinalgError, SolvabilityError, loewner_leq
 from .perturbation import (
     PerturbationDirection,
     PerturbationError,
+    _perturbed_array,
     critical_time,
-    perturbed_hamiltonian,
     region_grid,
     spectrum_snapshot,
     vertex_path,
@@ -586,9 +586,12 @@ def _run_perturb(ns: argparse.Namespace) -> int:
             header += [f"eig{i}_re", f"eig{i}_im"]
         header += ["n_axis", "inertia_minus", "inertia_plus", "inertia_zero"]
         rows = []
-        for t in grid:
-            ham = perturbed_hamiltonian(base, direction, float(t))
-            snap = spectrum_snapshot(ham, axis_tol=axis_tol)
+        for t in map(float, grid):
+            # The triple and direction were validated on loading; k + t delta11 stays PSD.
+            try:
+                snap = spectrum_snapshot(_perturbed_array(data, direction, t), axis_tol=axis_tol)
+            except ValueError as exc:
+                raise InputError(f"--t-grid {ns.t_grid} at t={_fmt(t)}: {exc}") from exc
             row = [_fmt(t)]
             for v in snap.eigenvalues:
                 row += [_fmt(v.real), _fmt(v.imag)]
@@ -709,7 +712,10 @@ def _run_region(ns: argparse.Namespace) -> int:
         deltas = np.zeros((a.size, 4, 4), dtype=complex)
         deltas[:, 0, 0], deltas[:, 1, 1] = a, b
         deltas[:, 0, 1] = deltas[:, 1, 0] = c
-        grid = region_grid(base, deltas, **tol_kwargs)
+        try:
+            grid = region_grid(base, deltas, **tol_kwargs)
+        except ValueError as exc:
+            raise InputError(f"--grid {ns.grid}: {exc}") from exc
         min_re = np.min(np.abs(grid.eigenvalues.real), axis=1)
         for j in range(a.size):
             rows.append(

@@ -184,7 +184,12 @@ class HamiltonianMatrix:
     @property
     def full(self) -> np.ndarray:
         d = self.data
-        return _block2x2(d.f, d.g, -d.k, -d.f.conj().T)
+        return _hamiltonian_array(d.f, d.g, d.k)
+
+
+def _hamiltonian_array(f, g, k) -> np.ndarray:
+    """[[f, g], [-k, -f^H]] of one coefficient triple, or of stacks of them."""
+    return _block2x2(f, g, -k, -f.conj().swapaxes(-1, -2))
 
 
 def _ham_array(h) -> tuple[np.ndarray, int]:

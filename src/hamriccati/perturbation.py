@@ -49,6 +49,7 @@ from .forms import (
     _cluster_counts,
     _cluster_form,
     _ham_array,
+    _hamiltonian_array,
     _inertia_jumps,
     _isotropic_selection,
     j_matrix,
@@ -241,20 +242,23 @@ def perturbed_hamiltonian(h0, d: PerturbationDirection, t: float) -> Hamiltonian
     data = _as_data(h0)
     if d.n != data.n:
         raise ValueError("direction and Hamiltonian dimensions differ")
+    return HamiltonianMatrix(RiccatiData(*_bumped(data, d.delta11, d.delta21, d.delta22, t)))
+
+
+def _bumped(data: RiccatiData, d11, d21, d22, t: float):
+    """``(f + t d21, g + t d22, k + t d11)`` of ``data``, unvalidated; stacked blocks give
+    stacked triples.  At ``t = 0`` the base triple itself, since adding ``0 * d21`` would
+    turn a ``-0.0`` of ``f`` into ``+0.0``."""
     if t == 0.0:
-        return HamiltonianMatrix(data)
-    f = data.f + t * d.delta21
-    g = hermitian_part(data.g + t * d.delta22)
-    k = hermitian_part(data.k + t * d.delta11)
-    return HamiltonianMatrix(RiccatiData(f, g, k))
+        return data.f, data.g, data.k
+    return data.f + t * d21, hermitian_part(data.g + t * d22), hermitian_part(data.k + t * d11)
 
 
 def _perturbed_array(data: RiccatiData, d: PerturbationDirection, t: float):
-    """Raw 2n x 2n assembly that tolerates indefinite scan directions."""
-    f = data.f + t * d.delta21
-    g = hermitian_part(data.g + t * d.delta22)
-    k = hermitian_part(data.k + t * d.delta11)
-    return _block2x2(f, g, -k, -f.conj().T)
+    """Raw 2n x 2n array of ``h0 + t J delta``, unvalidated, so indefinite
+    scan directions pass.  At ``t = 0`` it equals
+    ``HamiltonianMatrix(data).full`` bit for bit."""
+    return _hamiltonian_array(*_bumped(data, d.delta11, d.delta21, d.delta22, t))
 
 
 # ---------------------------------------------------------------------------
@@ -1087,7 +1091,7 @@ def _freezing_direction(
 
 
 def _refine_leg_end(
-    cur: RiccatiData, direction: PerturbationDirection, ct: CriticalTime
+    cur: RiccatiData, d: PerturbationDirection, ct: CriticalTime
 ) -> tuple[float, ExtremalSolutions | None]:
     """Polish a leg end onto the solvability boundary.
 
@@ -1105,7 +1109,7 @@ def _refine_leg_end(
 
     def pair(tv: float) -> ExtremalSolutions | None:
         try:  # an indefinite supplied direction can leave k indefinite
-            point = RiccatiData(cur.f, cur.g, hermitian_part(cur.k + tv * direction.delta11))
+            point = RiccatiData(*_bumped(cur, d.delta11, d.delta21, d.delta22, tv))
         except ValueError:
             return None
         return _extremal_or_none(point)
@@ -1223,13 +1227,10 @@ def vertex_path(
                     "the supplied direction does not freeze the standing "
                     "axis eigenvalues"
                 )
-        try:
-            ct = _critical_time(
-                cur, direction, snap.eigenvalues, ext, t_max=None, imag_tol=imag_tol
-            )
-        except ValueError:
+        if ext is None:
             # No extremal pair at the current point bounds the scan.
             return blocked(snap)
+        ct = _critical_time(cur, direction, snap.eigenvalues, ext, t_max=None, imag_tol=imag_tol)
         if ct.t0 is None:
             return blocked(snap)
         t_leg, ext = _refine_leg_end(cur, direction, ct)
@@ -1238,7 +1239,9 @@ def vertex_path(
         # base k rounds differently, and on the solvability boundary a
         # last-digit change can lose the solution.  The accumulated bump is
         # read back off this point.
-        end = RiccatiData(cur.f, cur.g, hermitian_part(cur.k + t_leg * direction.delta11))
+        end = RiccatiData(
+            *_bumped(cur, direction.delta11, direction.delta21, direction.delta22, t_leg)
+        )
         arr = HamiltonianMatrix(end).full
         end_snap = spectrum_snapshot(arr, axis_tol=imag_tol)
         legs.append(PathLeg(direction, t_leg, end_snap.n_axis))
@@ -1304,12 +1307,7 @@ def _has_stable_solution(
         cand = _graph_solution(sub.w1, sub.w2)
     except SolvabilityError:
         return False
-    res = _equation_residual(
-        data.f + d.delta21,
-        hermitian_part(data.g + d.delta22),
-        hermitian_part(data.k + d.delta11),
-        cand,
-    )
+    res = _equation_residual(*_bumped(data, d.delta11, d.delta21, d.delta22, 1.0), cand)
     if _norm(res) > _RESIDUAL_TOL * scale * (1.0 + _norm(cand)) ** 2:
         return False
     return True
@@ -1430,11 +1428,10 @@ def region_grid(h, deltas, *, imag_tol: float = 1e-7) -> RegionGrid:
         raise ValueError("deltas has non-finite entries")
     m = deltas.shape[0]
     d11, d21, d22 = deltas[:, :n, :n], deltas[:, n:, :n], deltas[:, n:, n:]
-    f_t = data.f + d21
-    g_t = hermitian_part(data.g + d22)
-    k_t = hermitian_part(data.k + d11)
-    # The bits of _perturbed_array(data, d, 1.0), point by point.
-    arr = _block2x2(f_t, g_t, -k_t, -f_t.conj().swapaxes(1, 2))
+    f_t, g_t, k_t = _bumped(data, d11, d21, d22, 1.0)
+    arr = _hamiltonian_array(f_t, g_t, k_t)
+    if not np.isfinite(arr).all():
+        raise ValueError("the bumped Hamiltonians have non-finite entries")
     scale = 1.0 + np.linalg.norm(arr, axis=(1, 2))
     psd_margin = np.linalg.eigvalsh(deltas)[:, 0]
     bad_psd = psd_margin < -_PSD_TOL * (1.0 + np.linalg.norm(deltas, axis=(1, 2)))

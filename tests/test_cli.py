@@ -703,6 +703,29 @@ class TestPerturb:
         assert cli.main(["perturb", ex2_file, delta, "--t-grid", grid, "--out", str(out)]) == 0
         assert len(schur_calls) == factorizations
 
+    def test_t_grid_validates_the_triple_once(self, ex2_file, tmp_path, monkeypatch):
+        # The rows bump the triple and the direction validated on loading.
+        built = []
+        post_init = RiccatiData.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(RiccatiData, "__post_init__", counted)
+        delta = write_direction(tmp_path, np.eye(2))
+        out = tmp_path / "grid.csv"
+        assert cli.main(["perturb", ex2_file, delta, "--t-grid", "0:8:201", "--out", str(out)]) == 0
+        assert len(read_csv(out.read_text())) == 202
+        assert len(built) == 1
+
+    def test_overflowing_t_grid_is_invalid_input(self, ex2_file, tmp_path, capsys):
+        delta = write_direction(tmp_path, np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["perturb", ex2_file, delta, "--t-grid", "0:1e308:3"])
+        assert code == 2
+        assert "error: --t-grid 0:1e308:3 at t=1e+308:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("problem", ["lab", "n10"])
     def test_t_grid_inertia_halves_the_axis_count(self, tmp_path, problem):
         # The sign characteristics of all axis eigenvalues sum to zero, so
@@ -996,6 +1019,13 @@ class TestRegion:
 
     def test_wrong_dimension_is_invalid_input(self, ex1_file):
         assert cli.main(["region", ex1_file, "--grid", "0:1:2,0:1:2,0:0:1"]) == 2
+
+    def test_overflowing_grid_is_invalid_input(self, ex2_file, capsys):
+        # k + delta11 is finite at a = 1e308, its Hermitian part is not.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["region", ex2_file, "--grid", "0:1e308:2,0:1:2,0:1:2"])
+        assert code == 2
+        assert "error: --grid 0:1e308:2,0:1:2,0:1:2:" in capsys.readouterr().err
 
     def test_malformed_grid_is_invalid_input(self, ex2_file):
         assert cli.main(["region", ex2_file, "--grid", "0:1:2,0:1:2"]) == 2

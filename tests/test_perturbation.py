@@ -22,6 +22,7 @@ from hamriccati.forms import (
     RiccatiData,
     _axis_clusters,
     _cluster_form,
+    _hamiltonian_array,
     _inertia_jumps,
     j_matrix,
 )
@@ -30,6 +31,7 @@ from hamriccati.perturbation import (
     CriticalTime,
     PerturbationDirection,
     PerturbationError,
+    _bumped,
     _cluster_counts,
     _perturbed_array,
     _refine_leg_end,
@@ -885,6 +887,20 @@ class TestVertexPath:
         with pytest.raises(ValueError, match="dimensions differ"):
             vertex_path(lab_base(), directions=[d])
 
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [((np.eye(2), None, np.eye(2)), "delta11_only"), ((np.eye(3),), "dimensions differ")],
+    )
+    def test_a_bad_direction_raises_before_a_missing_pair_blocks(self, blocks, message):
+        # The mode f = 1 is uncontrolled (g = 0 on it), so there is no
+        # extremal pair; the mode f = -1 puts two eigenvalues on the axis.
+        data = RiccatiData(np.diag([1.0, -1.0]), np.diag([0.0, 1.0]), np.eye(2))
+        with pytest.raises(ValueError, match=message):
+            vertex_path(data, directions=[PerturbationDirection.from_blocks(*blocks)])
+        path = vertex_path(data)
+        assert path.status == "blocked" and path.legs == ()
+        assert path.blocking.n_axis == 2
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_point_without_extremal_pair_blocks_the_walk(self, seed):
         # After a leg or two the bumped problem has axis eigenvalues and no
@@ -1454,4 +1470,32 @@ class TestBlockAssemblySites:
         gt = 0.5 * ((data.g + t * d.delta22) + (data.g + t * d.delta22).conj().T)
         kt = 0.5 * ((data.k + t * d.delta11) + (data.k + t * d.delta11).conj().T)
         same(_perturbed_array(data, d, t), np.block([[ft, gt], [-kt, -ft.conj().T]]))
+
+        # A validated assembly takes the same bits.
+        same(perturbed_hamiltonian(data, d, t).full, _perturbed_array(data, d, t))
+
+        # A stack of bumps assembles as each bump does alone.
+        ds = [
+            PerturbationDirection.from_blocks(draw(psd=True), draw(), draw(psd=True), validate=False)
+            for _ in range(3)
+        ]
+        d11s, d21s, d22s = (
+            np.stack(blocks) for blocks in zip(*((e.delta11, e.delta21, e.delta22) for e in ds))
+        )
+        same(_hamiltonian_array(*_bumped(data, d11s, d21s, d22s, t)),
+             np.stack([_perturbed_array(data, e, t) for e in ds]))
+
+        # t = 0 leaves the base blocks as they are, signed zeros included:
+        # f + 0 * d21 turns a -0.0 of f into +0.0 where d21 is zero.
+        if n:
+            f_zero = data.f.copy()
+            f_zero[0, 0] = complex(-0.0, -0.0)
+            base = RiccatiData(f_zero, data.g, data.k)
+            w = PerturbationDirection.delta11_only(d.delta11, validate=False)
+            for got, want in zip(_bumped(base, w.delta11, w.delta21, w.delta22, 0.0),
+                                 (base.f, base.g, base.k)):
+                same(got, want)
+            same(_perturbed_array(base, w, 0.0), HamiltonianMatrix(base).full)
+            same(perturbed_hamiltonian(base, w, 0.0).full, HamiltonianMatrix(base).full)
+            assert np.signbit(_perturbed_array(base, w, 0.0)[0, 0].real)
 
