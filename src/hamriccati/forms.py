@@ -46,6 +46,8 @@ __all__ = [
     "hamiltonian_schur",
 ]
 
+# Positive semidefiniteness: the weights' dead band, and a direction's
+# smallest eigenvalue bound, both relative to 1 + |.|.
 _PSD_TOL = 1e-8
 # Rank threshold of the staircase compressions, relative to the pair's scale.
 _RANK_RTOL = 1e-10
@@ -60,6 +62,9 @@ _PATTERN_TOL = 1e-10
 # and antistable selections) they try the same alternatives.
 _ISO_TOL = 1e-6
 _MAX_ENUM = 20
+# The axis band of the half-plane selections (and of the axis spectra
+# reported next to them), relative to 1 + |H|.
+_SELECT_BAND = 1e-8
 # Sign characteristics: eigenvalues of a cluster's form i V^H J V within
 # _FORM_BAND * (1 + max |lambda|) of zero count as zero, and an inertia jump
 # decides a cluster only where J (H - i w I) keeps its eigenvalues
@@ -618,7 +623,7 @@ def lagrangian_subspace(h, select: str) -> LagrangianSubspace:
         schur_decompose(h_arr),
         select,
         iso_tol=_ISO_TOL,
-        imag_tol=1e-8 * (1.0 + _norm(h_arr)),
+        imag_tol=_SELECT_BAND * (1.0 + _norm(h_arr)),
     )
 
 

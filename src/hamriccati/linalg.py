@@ -12,6 +12,7 @@ numerical contracts are enforced by raising, never by silently degrading.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,31 +71,62 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
+_HALF_MAX = 0.5 * np.finfo(float).max
+
+
+def _unit(a: np.ndarray):
+    """The power of two that brings the largest real or imaginary part of
+    ``a`` into [1/2, 1), or of each matrix of a stack; 1 for zeros."""
+    peak = np.maximum(np.abs(a.real).max(axis=(-2, -1)), np.abs(a.imag).max(axis=(-2, -1)))
+    return np.ldexp(1.0, -np.frexp(peak)[1])
+
+
+def _norm(a: np.ndarray):
+    """Frobenius norm of a matrix, or an array of the norms of each matrix
+    of a stack.
+
+    Where NumPy's ``np.linalg.norm`` (over the last two axes of a stack)
+    is finite it is returned bit for bit.  Where its sum of squares
+    overflows on finite entries, the matrix is divided by the power of two
+    of :func:`_unit` first and the norm multiplied back, so the result is
+    infinite only when the norm itself exceeds the float range.  Matrices
+    with a non-finite entry keep NumPy's inf or nan.  No RuntimeWarning
+    is emitted.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if a.ndim == 2:
+            norm = float(np.linalg.norm(a))
+            if math.isfinite(norm) or not np.isfinite(a).all():
+                return norm
+            unit = float(_unit(a))
+            return float(np.linalg.norm(a * unit)) / unit
+        norm = np.linalg.norm(a, axis=(-2, -1))
+        redo = ~np.isfinite(norm) & np.isfinite(a).all(axis=(-2, -1))
+        if redo.any():
+            unit = _unit(a[redo])
+            norm[redo] = np.linalg.norm(a[redo] * unit[..., None, None], axis=(-2, -1)) / unit
+        return norm
+
+
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     """Whether ``|a - a^H| <= tol * (1 + |a|)`` in the Frobenius norm.
 
-    When a norm overflows, the matrix is first divided by a power of two
-    that brings its entries below 1.  The division is exact except for
+    When ``a - a^H`` could overflow, the matrix is first divided by the
+    power of two of :func:`_unit`.  The division is exact except for
     entries more than about 2**1022 below the largest, which underflow;
     otherwise the verdict is that of the unscaled comparison.  A matrix
     with a non-finite entry is not Hermitian.
     """
     if a.shape[0] != a.shape[1]:
         return False
-    norm = np.linalg.norm(a)
-    skew = np.linalg.norm(a - a.conj().T)
-    if not (np.isfinite(norm) and np.isfinite(skew)):
-        if not np.all(np.isfinite(a)):
-            return False
-        peak = max(np.max(np.abs(a.real)), np.max(np.abs(a.imag)))
-        unit = np.ldexp(1.0, -int(np.frexp(peak)[1]))
-        b = a * unit
-        return bool(np.linalg.norm(b - b.conj().T) <= tol * (unit + np.linalg.norm(b)))
-    return bool(skew <= tol * (1.0 + norm))
-
-
-def _norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a)) if a.size else 0.0
+    norm = _norm(a)
+    if norm <= _HALF_MAX:  # so no entry of a - a^H overflows
+        return bool(_norm(a - a.conj().T) <= tol * (1.0 + norm))
+    if not np.isfinite(a).all():
+        return False
+    unit = _unit(a)
+    b = a * unit
+    return bool(_norm(b - b.conj().T) <= tol * (unit + _norm(b)))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -162,8 +194,8 @@ def schur_decompose(a) -> SchurForm:
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure is rare
         raise LinalgError(f"Schur iteration did not converge: {exc}") from exc
     tol = 1e-12 * n
-    orth = np.linalg.norm(q.conj().T @ q - np.eye(n))
-    fact = np.linalg.norm(q @ t @ q.conj().T - a)
+    orth = _norm(q.conj().T @ q - np.eye(n))
+    fact = _norm(q @ t @ q.conj().T - a)
     if orth > tol * 10.0 or fact > tol * 10.0 * (1.0 + _norm(a)):
         raise LinalgError(
             f"Schur residuals out of tolerance: orth={orth:.3e}, fact={fact:.3e}"
@@ -408,7 +440,7 @@ def definiteness(a, *, tol: float = 1e-10) -> DefinitenessVerdict:
     if a.size == 0:
         return DefinitenessVerdict(POSITIVE_DEFINITE, np.inf, np.zeros(0))
     scale = 1.0 + _norm(a)
-    if np.linalg.norm(a - a.conj().T) > max(tol, 1e-10) * scale:
+    if _norm(a - a.conj().T) > max(tol, 1e-10) * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     w = np.linalg.eigvalsh(hermitian_part(a))
     band = tol * scale

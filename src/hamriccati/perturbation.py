@@ -42,6 +42,7 @@ from .forms import (
     _FORM_BAND,
     _ISO_TOL,
     _PSD_TOL,
+    _SELECT_BAND,
     HamiltonianMatrix,
     LagrangianConditionError,
     RiccatiData,
@@ -97,15 +98,12 @@ __all__ = [
     "region_grid",
 ]
 
-# A direction is not positive semidefinite when its smallest eigenvalue
-# is below -_PSD_TOL * (1 + |delta|); _PSD_TOL is forms'.
 
 # Axis clusters: heights within _CLUSTER_MERGE_TOL * (1 + |H|) merge;
 # their sign characteristics use forms' _FORM_BAND.
 _CLUSTER_MERGE_TOL = 1e-6
-# The stable solve of a region verdict: its selection's axis band and its
-# residual tolerance, relative to 1 + |H| (lagrangian_subspace's).
-_SELECT_BAND = 1e-8
+# The residual tolerance of a region verdict's stable solve, relative to
+# 1 + |H|; its selection's axis band is forms' _SELECT_BAND.
 _RESIDUAL_TOL = 1e-8
 # A batched region rule decides a point only when every quantity it reads
 # clears region_membership's threshold by this factor.
@@ -186,7 +184,7 @@ class PerturbationDirection:
             raise ValueError("all direction blocks must share one square dimension")
         full = _block2x2(d11, d21.conj().T, d21, d22)
         margin = float(np.min(np.linalg.eigvalsh(full))) if n else np.inf
-        if validate and margin < -_PSD_TOL * (1.0 + _norm(full)):
+        if validate and _not_psd(margin, _norm(full)):
             raise ValueError(
                 "direction is not positive semidefinite "
                 f"(smallest eigenvalue {margin:.3e})"
@@ -223,6 +221,13 @@ class PerturbationDirection:
         return not (np.any(self.delta21) or np.any(self.delta22))
 
 
+def _not_psd(margin, size):
+    """Whether a direction form with smallest eigenvalue ``margin`` and
+    Frobenius norm ``size`` is not positive semidefinite: ``margin`` is
+    below ``-_PSD_TOL * (1 + size)``.  Elementwise on arrays."""
+    return margin < -_PSD_TOL * (1.0 + size)
+
+
 def _as_data(h) -> RiccatiData:
     if isinstance(h, HamiltonianMatrix):
         return h.data
@@ -251,7 +256,14 @@ def _bumped(data: RiccatiData, d11, d21, d22, t: float):
     turn a ``-0.0`` of ``f`` into ``+0.0``."""
     if t == 0.0:
         return data.f, data.g, data.k
-    return data.f + t * d21, hermitian_part(data.g + t * d22), hermitian_part(data.k + t * d11)
+    # A bump beyond the float range gives non-finite entries, which the
+    # callers reject, without a RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            data.f + t * d21,
+            hermitian_part(data.g + t * d22),
+            hermitian_part(data.k + t * d11),
+        )
 
 
 def _perturbed_array(data: RiccatiData, d: PerturbationDirection, t: float):
@@ -324,18 +336,19 @@ def _symmetry_defect(eigs: np.ndarray) -> float:
     return float(cost[rows, cols].max())
 
 
-def spectrum_snapshot(h, *, axis_tol: float = 1e-8) -> SpectrumSnapshot:
+def spectrum_snapshot(h) -> SpectrumSnapshot:
     """Eigenvalues, axis clusters and sign characteristics of one matrix.
 
-    Eigenvalues with ``|Re| <= axis_tol * (1 + |H|)`` count as on the
-    axis; axis eigenvalues are merged into clusters when their heights
-    differ by at most ``1e-6 * (1 + |H|)``, and a cluster's members are
-    the eigenvalues near ``i alpha``.  The Hermitian S(w) = J (H - i w I)
-    gains one negative eigenvalue as w passes a positive-form axis
-    eigenvalue and loses one at a negative-form one, so one ``eigvalsh``
-    of S at each midpoint between consecutive cluster heights gives every
-    cluster's jump n_plus - n_minus.  A cluster whose jump is plus or
-    minus its multiplicity is definite.  The others (mixed or defective
+    A raw array must be Hamiltonian: J H Hermitian within
+    ``1e-8 * (1 + |H|)``.  Eigenvalues with ``|Re| <= 1e-8 * (1 + |H|)``
+    count as on the axis; axis eigenvalues are merged into clusters when
+    their heights differ by at most ``1e-6 * (1 + |H|)``, and a cluster's
+    members are the eigenvalues near ``i alpha``.  The Hermitian
+    S(w) = J (H - i w I) gains one negative eigenvalue as w passes a
+    positive-form axis eigenvalue and loses one at a negative-form one,
+    so one ``eigvalsh`` of S at each midpoint between consecutive cluster
+    heights gives every cluster's jump n_plus - n_minus.  A cluster whose
+    jump is plus or minus its multiplicity is definite.  The others (mixed or defective
     clusters, and those next to a midpoint where S has an eigenvalue
     within ``1e-8 * (1 + |H|)`` of zero) take one Schur form of the
     matrix, which gives their members (its diagonal entries near
@@ -343,6 +356,12 @@ def spectrum_snapshot(h, *, axis_tol: float = 1e-8) -> SpectrumSnapshot:
     ``1e-8 * (1 + max |lambda|)`` of zero count in ``n_zero``.
     """
     arr, _ = _ham_array(h)
+    return _snapshot(arr, 1e-8)
+
+
+def _snapshot(arr: np.ndarray, axis_tol: float) -> SpectrumSnapshot:
+    """:func:`spectrum_snapshot` with the axis band ``axis_tol`` of a complex
+    array that is Hamiltonian by assembly, without the structure check."""
     scale = 1.0 + _norm(arr)
     eigs = _sorted_eigenvalues(arr)
     groups = _axis_clusters(eigs, axis_tol * scale, _CLUSTER_MERGE_TOL * scale)
@@ -915,7 +934,7 @@ def _critical_time(
     def count(t: float) -> int:
         return _axis_count(_perturbed_array(data, d, t), imag_tol)
 
-    if n_axis0 == 0 and d.psd_margin >= -_PSD_TOL * (1.0 + _norm(d.full)):
+    if n_axis0 == 0 and not _not_psd(d.psd_margin, _norm(d.full)):
         # An infinite t0 only says that M has no positive eigenvalue at the
         # start frequencies; an indefinite M can still rise above zero
         # elsewhere, so that ray is scanned.
@@ -1184,7 +1203,7 @@ def vertex_path(
 
     cur = data
     arr = HamiltonianMatrix(cur).full
-    snap = spectrum_snapshot(arr, axis_tol=imag_tol)
+    snap = _snapshot(arr, imag_tol)
     ext = _extremal_or_none(cur)
     while True:
         if snap.n_axis == 2 * n:
@@ -1243,7 +1262,7 @@ def vertex_path(
             *_bumped(cur, direction.delta11, direction.delta21, direction.delta22, t_leg)
         )
         arr = HamiltonianMatrix(end).full
-        end_snap = spectrum_snapshot(arr, axis_tol=imag_tol)
+        end_snap = _snapshot(arr, imag_tol)
         legs.append(PathLeg(direction, t_leg, end_snap.n_axis))
         if _norm(end.k - data.k) > 1e12 * scale_k:
             return blocked(snap)
@@ -1322,7 +1341,7 @@ def _stable_graph_passes(f_t, g_t, k_t, v, scale) -> np.ndarray:
     w1, w2 = q[:, :n], q[:, n:]
     w1h, w2h = w1.conj().swapaxes(1, 2), w2.conj().swapaxes(1, 2)
     # w^H J w = w1^H w2 - w2^H w1 for the orthonormal basis w = [w1; w2].
-    defect = np.linalg.norm(w1h @ w2 - w2h @ w1, axis=(1, 2))
+    defect = _norm(w1h @ w2 - w2h @ w1)
     sv = np.linalg.svd(w1, compute_uv=False)
     ok = (defect <= _ISO_TOL / _BATCH_MARGIN) & (
         sv[:, -1] >= _BATCH_MARGIN * _GRAPH_RCOND * sv[:, 0]
@@ -1330,21 +1349,23 @@ def _stable_graph_passes(f_t, g_t, k_t, v, scale) -> np.ndarray:
     idx = np.flatnonzero(ok)
     x = hermitian_part(np.linalg.solve(w1h[idx], w2h[idx]).conj().swapaxes(1, 2))
     res = _equation_residual(f_t[idx], g_t[idx], k_t[idx], x)
-    bound = _RESIDUAL_TOL * scale[idx] * (1.0 + np.linalg.norm(x, axis=(1, 2))) ** 2
-    ok[idx] = np.linalg.norm(res, axis=(1, 2)) <= bound / _BATCH_MARGIN
+    bound = _RESIDUAL_TOL * scale[idx] * (1.0 + _norm(x)) ** 2
+    ok[idx] = _norm(res) <= bound / _BATCH_MARGIN
     return ok
 
 
 def _margins(eigenvalues, on_axis, psd_margin, bad_psd, membership) -> np.ndarray:
     """:class:`RegionVerdict`'s ``margin`` of every row of a stack of sorted
-    spectra ``eigenvalues`` (m, 2n), whose axis eigenvalues ``on_axis`` flags."""
+    spectra ``eigenvalues`` (m, 2n), whose axis eigenvalues ``on_axis`` flags.
+    A square beyond the float range reads inf."""
     min_re = np.abs(eigenvalues.real).min(axis=1)
     axis_abs = np.where(on_axis, np.abs(eigenvalues), np.inf).min(axis=1)
-    return np.select(
-        [bad_psd, membership == "interior", membership == "boundary"],
-        [psd_margin, min_re**2, 0.0],
-        -np.where(on_axis.any(axis=1), axis_abs, min_re) ** 2,
-    )
+    with np.errstate(over="ignore"):
+        return np.select(
+            [bad_psd, membership == "interior", membership == "boundary"],
+            [psd_margin, min_re**2, 0.0],
+            -np.where(on_axis.any(axis=1), axis_abs, min_re) ** 2,
+        )
 
 
 def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) -> RegionVerdict:
@@ -1362,11 +1383,15 @@ def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) ->
     sign characteristics are computed.
 
     Every tolerance is relative to ``1 + |H|`` (the direction's PSD test,
-    at ``1e-8``, to ``1 + |delta|``), so below |H| of about 1 they act as absolute
-    thresholds and the verdicts are not invariant under scaling the
-    problem and the bump together: scaled by 1e-12, the lab problem's
-    interior bump (2, 2, 1) and its indefinite bump (1, 1, 2) both come
-    out ``"boundary"``.
+    at ``1e-8``, to ``1 + |delta|``), with Frobenius norms that are
+    rescaled where their sums of squares would overflow.  Large scales
+    keep their verdicts: the lab bumps give the same ones scaled by up to
+    1e300 (tested at 1e150, 1e200 and 1e300), though a squared ``margin``
+    beyond the float range reads inf.  Below |H| of about 1 the
+    tolerances act as absolute thresholds and the verdicts are not
+    invariant under scaling the problem and the bump together: scaled by
+    1e-12, the lab problem's interior bump (2, 2, 1) and its indefinite
+    bump (1, 1, 2) both come out ``"boundary"``.
     """
     data = _as_data(h)
     if d.n != data.n:
@@ -1375,7 +1400,7 @@ def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) ->
     eigenvalues = _sorted_eigenvalues(arr)
     scale = 1.0 + _norm(arr)
     on_axis = np.abs(eigenvalues.real) <= imag_tol * scale
-    bad_psd = d.psd_margin < -_PSD_TOL * (1.0 + _norm(d.full))
+    bad_psd = _not_psd(d.psd_margin, _norm(d.full))
     if bad_psd or not _has_stable_solution(data, d, schur_decompose(arr), scale):
         membership = "exterior"
     elif on_axis.any():
@@ -1432,9 +1457,9 @@ def region_grid(h, deltas, *, imag_tol: float = 1e-7) -> RegionGrid:
     arr = _hamiltonian_array(f_t, g_t, k_t)
     if not np.isfinite(arr).all():
         raise ValueError("the bumped Hamiltonians have non-finite entries")
-    scale = 1.0 + np.linalg.norm(arr, axis=(1, 2))
+    scale = 1.0 + _norm(arr)
     psd_margin = np.linalg.eigvalsh(deltas)[:, 0]
-    bad_psd = psd_margin < -_PSD_TOL * (1.0 + np.linalg.norm(deltas, axis=(1, 2)))
+    bad_psd = _not_psd(psd_margin, _norm(deltas))
 
     vals, vecs = np.linalg.eig(arr)
     order = np.lexsort((vals.imag, vals.real), axis=-1)

@@ -26,6 +26,7 @@ from .forms import (
     LagrangianConditionError,
     RiccatiData,
     StateSpace,
+    _SELECT_BAND,
     from_state_space,
     _lagrangian_from_schur,
     is_controllable,
@@ -167,7 +168,7 @@ def solve_extremal(data: RiccatiData, *, iso_tol: float = 1e-6) -> ExtremalSolut
     """
     h_arr = HamiltonianMatrix(data).full
     s = schur_decompose(h_arr)
-    opts = {"iso_tol": iso_tol, "imag_tol": 1e-8 * (1.0 + _norm(h_arr))}
+    opts = {"iso_tol": iso_tol, "imag_tol": _SELECT_BAND * (1.0 + _norm(h_arr))}
     sub_minus = _lagrangian_from_schur(s, "stable", **opts)
     sub_plus = _lagrangian_from_schur(s, "antistable", **opts)
     x_minus = _graph_solution(sub_minus.w1, sub_minus.w2)
@@ -721,7 +722,7 @@ def passivity_verdict(ss: StateSpace, *, tol: float = 1e-8) -> PassivityVerdict:
 
     h_arr = HamiltonianMatrix(data).full
     eigs = np.linalg.eigvals(h_arr)
-    axis = eigs[np.abs(eigs.real) <= 1e-8 * (1.0 + _norm(h_arr))]
+    axis = eigs[np.abs(eigs.real) <= _SELECT_BAND * (1.0 + _norm(h_arr))]
     return PassivityVerdict(
         certified=False,
         x=None,

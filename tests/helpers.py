@@ -36,9 +36,9 @@ from hamriccati.perturbation import (
     SpectrumSnapshot,
     _as_data,
     _perturbed_array,
+    _snapshot,
     _sorted_eigenvalues,
     critical_time,
-    spectrum_snapshot,
 )
 from hamriccati.riccati import _graph_solution, solve_extremal
 
@@ -324,8 +324,9 @@ def reference_region_membership(
     psd_tol: float = 1e-8,
     solve_tol: float = 1e-8,
 ) -> RegionVerdict:
-    """Region verdict from the public ``spectrum_snapshot`` and
-    ``lagrangian_subspace``, each with its own Schur factorization.
+    """Region verdict from the snapshot of ``spectrum_snapshot`` (at the
+    axis band ``imag_tol``) and ``lagrangian_subspace``, each with its own
+    Schur factorization.
 
     The oracle that ``hamriccati.perturbation.region_membership``, with
     one Schur form per positive semidefinite bump, and ``region_grid``,
@@ -337,7 +338,7 @@ def reference_region_membership(
     if d.n != data.n:
         raise ValueError("direction and Hamiltonian dimensions differ")
     arr = _perturbed_array(data, d, 1.0)
-    snap = spectrum_snapshot(arr, axis_tol=imag_tol)
+    snap = _snapshot(arr, imag_tol)
     axis_present = snap.n_axis > 0
     scale = 1.0 + _norm(arr)
 

@@ -24,6 +24,7 @@ from hamriccati import (
     spectrum_snapshot,
 )
 from hamriccati.forms import RiccatiData
+from hamriccati.perturbation import _snapshot
 
 from helpers import (
     example3x3,
@@ -721,10 +722,29 @@ class TestPerturb:
 
     def test_overflowing_t_grid_is_invalid_input(self, ex2_file, tmp_path, capsys):
         delta = write_direction(tmp_path, np.eye(2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["perturb", ex2_file, delta, "--t-grid", "0:1e308:3"])
+        code = cli.main(["perturb", ex2_file, delta, "--t-grid", "0:1e308:3"])
         assert code == 2
         assert "error: --t-grid 0:1e308:3 at t=1e+308:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s", [1e150, 1e200, 1e300])
+    def test_t_grid_axis_counts_do_not_depend_on_scale(self, tmp_path, s):
+        # The lab problem and its bump scaled together: the spectra scale,
+        # the axis count of each row does not.
+        f, g, k = lab2x2()
+        columns = []
+        for scale in (1.0, s):
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps(
+                {"F": mat_json(scale * f, "F"), "G": mat_json(scale * g, "G"),
+                 "K": mat_json(scale * k, "K")}
+            ))
+            delta = write_direction(tmp_path, scale * np.eye(2))
+            out = tmp_path / "grid.csv"
+            argv = ["perturb", str(path), delta, "--t-grid", "0:8:201", "--out", str(out)]
+            assert cli.main(argv) == 0
+            columns.append([row[-4] for row in read_csv(out.read_text())[1:]])
+        assert len(columns[0]) == 201 and {"0", "2"} <= set(columns[0])
+        assert columns[1] == columns[0]
 
     @pytest.mark.parametrize("problem", ["lab", "n10"])
     def test_t_grid_inertia_halves_the_axis_count(self, tmp_path, problem):
@@ -801,7 +821,7 @@ class TestPerturb:
             start = HamiltonianMatrix(RiccatiData(f, g, k + acc))
             direction = PerturbationDirection.delta11_only(d11)
             end = perturbed_hamiltonian(start, direction, leg["t_end"]).full
-            assert leg["n_axis_end"] == spectrum_snapshot(end, axis_tol=1e-7).n_axis
+            assert leg["n_axis_end"] == _snapshot(end, 1e-7).n_axis
             acc = acc + leg["t_end"] * d11
 
     def test_vertex_walk_is_deterministic_with_a_seed(self, ex2_file, tmp_path):
@@ -1022,8 +1042,7 @@ class TestRegion:
 
     def test_overflowing_grid_is_invalid_input(self, ex2_file, capsys):
         # k + delta11 is finite at a = 1e308, its Hermitian part is not.
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["region", ex2_file, "--grid", "0:1e308:2,0:1:2,0:1:2"])
+        code = cli.main(["region", ex2_file, "--grid", "0:1e308:2,0:1:2,0:1:2"])
         assert code == 2
         assert "error: --grid 0:1e308:2,0:1:2,0:1:2:" in capsys.readouterr().err
 

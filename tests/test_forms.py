@@ -22,7 +22,7 @@ from hamriccati import (
     lagrangian_subspace,
     staircase,
 )
-from hamriccati.forms import _staircase_pair
+from hamriccati.forms import _selection_flags, _staircase_pair
 from hamriccati.linalg import _norm
 
 
@@ -434,6 +434,24 @@ def _schur_quality(h, q):
         t_full[:n, :n],
         t_full[:n, n:],
     )
+
+
+class TestSelectionFlags:
+    @pytest.mark.parametrize(
+        "eigs, mode, expected",
+        [
+            # Three stable eigenvalues for n = 2: need < 0.
+            ([-1.0, -2.0, -3.0, 1.0], "stable", [False, True, True, False]),
+            # One stable eigenvalue and no axis one to complete it: need > 0.
+            ([-1.0, 1.0, 2.0, 3.0], "stable", [True, True, False, False]),
+            ([-1.0, 1.0, 2.0, 3.0], "antistable", [False, False, True, True]),
+            # Ties on the real part go to the lower index.
+            ([1.0, -1.0, 1.0, 1.0], "antistable", [True, False, True, False]),
+        ],
+    )
+    def test_unbalanced_spectra_fall_back_to_a_sort_on_the_real_part(self, eigs, mode, expected):
+        eigs = np.asarray(eigs, dtype=complex)
+        assert list(_selection_flags(eigs, 2, mode, 1e-8)) == [expected]
 
 
 class TestHamiltonianSchur:

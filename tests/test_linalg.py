@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from hamriccati.linalg import (
     POSITIVE_SEMIDEFINITE,
     SolvabilityError,
     _block2x2,
+    _norm,
     definiteness,
     is_hermitian,
     loewner_leq,
@@ -416,6 +420,63 @@ def test_is_hermitian_when_the_norm_overflows():
     assert is_hermitian(1e200 * np.eye(2))
     assert is_hermitian(1e300 * helpers.rand_hermitian(helpers.make_rng(42), 4))
     assert not is_hermitian(np.array([[1.0, np.inf], [0.0, 1.0]]))
+    # Norms beyond the float range, where a - a^H would overflow too.
+    assert is_hermitian(1e308 * np.array([[1.0, 1.7], [1.7, 1.0]]))
+    assert not is_hermitian(1e308 * np.array([[1.0, 1.7], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius norm
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-5, 1.0, 1e100, 1e150])
+def test_norm_is_numpys_where_numpys_is_finite(scale):
+    rng = helpers.make_rng(43)
+    stack = scale * helpers.rand_complex(rng, 12).reshape(3, 4, 12)[..., :4]
+    for a in (stack[0], stack[0].real, np.zeros((0, 3))):
+        assert np.float64(_norm(a)).tobytes() == np.linalg.norm(a).tobytes()
+    assert _norm(stack).tobytes() == np.linalg.norm(stack, axis=(1, 2)).tobytes()
+
+
+def test_norm_rescales_where_the_sum_of_squares_overflows():
+    # The warnings filter of the test configuration turns a RuntimeWarning
+    # into a failure here.
+    a = np.array([[3.0, 4.0j], [0.0, 12.0]])
+    for scale in (2.0**600, 1e200, 1e300):
+        assert _norm(scale * a) == pytest.approx(13.0 * scale, rel=1e-15)
+    big = np.full((2, 2), 1.5e308)
+    assert _norm(big) == np.inf  # the norm itself is beyond the range
+    assert np.isnan(_norm(np.array([[np.nan, 1e200]])))
+    assert _norm(np.array([[np.inf, 1e200]])) == np.inf
+    stack = np.stack([a, 1e300 * a, big, np.full((2, 2), np.nan), np.zeros((2, 2))])
+    got = _norm(stack)
+    assert got[0] == np.linalg.norm(a)
+    assert got[1] == pytest.approx(1.3e301, rel=1e-15)
+    assert got[2] == np.inf and np.isnan(got[3]) and got[4] == 0.0
+
+
+def test_only_the_norm_helper_takes_frobenius_norms():
+    # Every other np.linalg.norm call of the package is a spectral norm, so
+    # the size behind each relative tolerance is measured in one place.
+    package = Path(__file__).resolve().parents[1] / "src" / "hamriccati"
+    frobenius = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside_norm = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_norm"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "np.linalg.norm"
+                and id(node) not in inside_norm
+                and not (len(node.args) == 2 and ast.unparse(node.args[1]) == "2")
+            ):
+                frobenius.append(f"{path.name}:{node.lineno}")
+    assert frobenius == []
 
 
 def test_definiteness_requires_hermitian():

@@ -33,8 +33,10 @@ from hamriccati.perturbation import (
     PerturbationError,
     _bumped,
     _cluster_counts,
+    _crossing_bracket,
     _perturbed_array,
     _refine_leg_end,
+    _snapshot,
     _sorted_eigenvalues,
     _has_stable_solution,
     critical_time,
@@ -620,6 +622,39 @@ def independent_axis_count(data: RiccatiData, d: PerturbationDirection, t: float
     return int(np.sum(np.abs(eigs.real) <= 1e-7 * (1.0 + np.linalg.norm(h))))
 
 
+class TestCrossingBracket:
+    T0 = 4.0
+
+    @pytest.mark.parametrize(
+        "rise, expected",
+        [
+            (1e-12, (T0 * (1 - 1e-11), T0 * (1 + 1e-11))),
+            # The upper end widens to 1e-5 (relative), the cap is 1e-3.
+            (1e-6, (T0 * (1 - 1e-11), T0 * (1 + 1e-5))),
+            # The count rises past the cap, or already below t0: no bracket.
+            (2e-3, None),
+            (-2e-3, None),
+        ],
+    )
+    def test_ends_widen_a_hundredfold_up_to_the_cap(self, rise, expected):
+        def count(t):
+            return 2 if t > self.T0 * (1.0 + rise) else 0
+
+        assert _crossing_bracket(count, self.T0) == expected
+
+    @pytest.mark.parametrize("n_axis, tries", [(0, 6), (2, 5)])
+    def test_a_count_that_never_changes_gives_none(self, n_axis, tries):
+        seen = []
+
+        def count(t):
+            seen.append(t)
+            return n_axis
+
+        assert _crossing_bracket(count, self.T0) is None
+        # Five tries per end; an end that cannot be placed stops the search.
+        assert len(seen) == tries
+
+
 class TestLevelSetCrossing:
     @pytest.mark.parametrize("case", [*LAB_RAYS, *TRIPLE_RAYS])
     def test_matches_the_scan_oracle(self, case):
@@ -752,15 +787,15 @@ class TestLevelSetCrossing:
 
 @pytest.fixture
 def walk_spies(monkeypatch):
-    """The Hamiltonians, as bytes, of every ``spectrum_snapshot`` call made
-    from ``perturbation`` (``snapshots``), of every triple that reached
+    """The Hamiltonians, as bytes, of every snapshot taken in
+    ``perturbation`` (``snapshots``), of every triple that reached
     ``solve_extremal`` there (``solves``) and of those it solved
     (``certified``)."""
     spies = types.SimpleNamespace(snapshots=[], solves=[], certified=[])
 
-    def snapped(h, **kwargs):
-        spies.snapshots.append(np.asarray(h).tobytes())
-        return spectrum_snapshot(h, **kwargs)
+    def snapped(arr, axis_tol):
+        spies.snapshots.append(arr.tobytes())
+        return _snapshot(arr, axis_tol)
 
     def solved(data, **kwargs):
         key = HamiltonianMatrix(data).full.tobytes()
@@ -769,7 +804,7 @@ def walk_spies(monkeypatch):
         spies.certified.append(key)
         return out
 
-    monkeypatch.setattr(perturbation, "spectrum_snapshot", snapped)
+    monkeypatch.setattr(perturbation, "_snapshot", snapped)
     monkeypatch.setattr(perturbation, "solve_extremal", solved)
     return spies
 
@@ -819,9 +854,7 @@ class TestVertexPath:
         first, second = path.legs
         start = RiccatiData(f, g, k + first.t_end * first.direction.delta11)
         for t in np.linspace(0.0, second.t_end, 5):
-            snap = spectrum_snapshot(
-                _perturbed_array(start, second.direction, float(t)), axis_tol=1e-7
-            )
+            snap = _snapshot(_perturbed_array(start, second.direction, float(t)), 1e-7)
             zero_clusters = [
                 c for c in snap.imaginary_groups if abs(c.alpha) < 1e-6
             ]
@@ -1238,6 +1271,59 @@ def assert_same_snapshot(got, ref):
     return got.imaginary_groups
 
 
+LARGE_SCALES = [1e150, 1e200, 1e300]
+
+
+def scaled_lab_base(s: float) -> HamiltonianMatrix:
+    f, g, k = lab2x2()
+    return HamiltonianMatrix.from_triple(s * f, s * g, s * k)
+
+
+class TestLargeScale:
+    """The lab problem and its bumps scaled together by s, where the sums
+    of squares of their Frobenius norms overflow: the answers of s = 1,
+    with no RuntimeWarning (the test configuration makes one an error)."""
+
+    STACK = lab_stack(*lab_grid(11, 11, 7))
+
+    @pytest.fixture(scope="class")
+    def unscaled(self):
+        walks = {seed: vertex_path(lab_base(), rng=None if seed is None else make_rng(seed))
+                 for seed in (None, 0)}
+        return region_grid(lab_base(), self.STACK).membership, walks
+
+    @pytest.mark.parametrize("s", LARGE_SCALES)
+    def test_region_grid_verdicts_do_not_move(self, s, unscaled):
+        assert self.STACK.shape[0] == 847
+        got = region_grid(scaled_lab_base(s), s * self.STACK).membership
+        np.testing.assert_array_equal(got, unscaled[0])
+
+    @pytest.mark.parametrize("s", LARGE_SCALES)
+    def test_region_membership_of_the_lab_bumps(self, s):
+        bumps = [(2.0, 2.0, 1.0), (4.0, 9.0, 0.0), (4.0, 5.0, 0.0), (1.0, 1.0, 2.0)]
+        got = [
+            region_membership(scaled_lab_base(s), dir_abc(*(s * v for v in abc), validate=False))
+            for abc in bumps
+        ]
+        assert [v.membership for v in got] == ["interior", "boundary", "boundary", "exterior"]
+
+    @pytest.mark.parametrize("s", LARGE_SCALES)
+    def test_critical_time_of_the_identity_ray(self, s):
+        ct = critical_time(scaled_lab_base(s), dir_abc(s, s, 0.0))
+        assert ct.status == "crossed"
+        assert abs(ct.t0 - 4.0) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [None, 0])
+    @pytest.mark.parametrize("s", LARGE_SCALES)
+    def test_vertex_walks_reach_the_unscaled_vertex(self, s, seed, unscaled):
+        path = vertex_path(scaled_lab_base(s), rng=None if seed is None else make_rng(seed))
+        assert path.status == "vertex"
+        assert len(path.legs) == 2
+        # x does not scale; 1e-7 allows for the sqrt(eps) sensitivity of a
+        # bisected leg end.
+        assert np.abs(path.terminal.x - unscaled[1][seed].terminal.x).max() <= 1e-7
+
+
 class TestLazySignCharacteristics:
     """``spectrum_snapshot`` and the region verdict's spectrum against
     ``helpers.reference_snapshot``, which clusters and reorders on its own."""
@@ -1262,7 +1348,7 @@ class TestLazySignCharacteristics:
         for i in range(60):
             n = 2 + i % 3
             arr = -j_matrix(n) @ rand_hermitian(rng, 2 * n)
-            got = spectrum_snapshot(arr, axis_tol=1e-6)
+            got = _snapshot(arr, 1e-6)
             clusters = assert_same_snapshot(got, eager_snapshot(arr, axis_tol=1e-6))
             signs.update(definite_sign(c) for c in clusters)
         assert signs == {-1, 1}
@@ -1351,7 +1437,7 @@ class TestLazySignCharacteristics:
     def test_snapshot_reorders_no_definite_cluster(self, order_schur_calls, schur_calls):
         # Four simple axis eigenvalues: the inertia jumps decide them all.
         d = dir_abc(13.0, 13.0, 0.0, validate=False)
-        snap = spectrum_snapshot(_perturbed_array(lab_base().data, d, 1.0), axis_tol=1e-7)
+        snap = _snapshot(_perturbed_array(lab_base().data, d, 1.0), 1e-7)
         clusters = snap.imaginary_groups
         assert [definite_sign(c) for c in clusters] == [1, 1, -1, -1]
         assert order_schur_calls == [] and schur_calls == []
