@@ -38,7 +38,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .forms import HamiltonianMatrix, RiccatiData, StateSpace, from_state_space
+from .forms import RiccatiData, StateSpace, from_state_space
 from .linalg import LinalgError, SolvabilityError, _norm, loewner_leq
 from .perturbation import (
     PerturbationDirection,
@@ -553,7 +553,6 @@ def _run_perturb(ns: argparse.Namespace) -> int:
         raise InputError("pick exactly one of --t-grid, --critical, --vertex")
     mode = modes[0]
     data = _load_triple(ns.problem, state_space=False)
-    base = HamiltonianMatrix(data)
     inputs = {"problem": ns.problem}
     direction = None
     if ns.delta is not None:
@@ -612,7 +611,7 @@ def _run_perturb(ns: argparse.Namespace) -> int:
         if ns.t_max is not None:
             kwargs["t_max"] = ns.t_max
         try:
-            ct = critical_time(base, direction, **kwargs)
+            ct = critical_time(data, direction, **kwargs)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         report = {
@@ -631,7 +630,7 @@ def _run_perturb(ns: argparse.Namespace) -> int:
     kwargs = {} if ns.tol is None else {"imag_tol": ns.tol}
     try:
         path = vertex_path(
-            base,
+            data,
             directions=None if direction is None else [direction],
             budget=ns.budget,
             rng=rng,
@@ -693,7 +692,6 @@ def _run_region(ns: argparse.Namespace) -> int:
             "region scans parameterize a 2x2 weight bump [[a, c], [c, b]]; "
             f"the problem has state dimension {data.n}"
         )
-    base = HamiltonianMatrix(data)
     segments = ns.grid.split(",")
     if len(segments) != 3:
         raise InputError("--grid must have three comma-separated start:stop:steps axes")
@@ -717,7 +715,7 @@ def _run_region(ns: argparse.Namespace) -> int:
         deltas[:, 0, 0], deltas[:, 1, 1] = a, b
         deltas[:, 0, 1] = deltas[:, 1, 0] = c
         try:
-            grid = region_grid(base, deltas, **tol_kwargs)
+            grid = region_grid(data, deltas, **tol_kwargs)
         except ValueError as exc:
             raise InputError(f"--grid {ns.grid}: {exc}") from exc
         min_re = np.min(np.abs(grid.eigenvalues.real), axis=1)

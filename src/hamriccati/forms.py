@@ -70,6 +70,8 @@ _SELECT_BAND = 1e-8
 # decides a cluster only where J (H - i w I) keeps its eigenvalues
 # _FORM_BAND * (1 + |H|) away from zero.
 _FORM_BAND = 1e-8
+# Axis clusters: heights within _CLUSTER_MERGE_TOL * (1 + |H|) merge.
+_CLUSTER_MERGE_TOL = 1e-6
 
 
 class LagrangianConditionError(RuntimeError):
@@ -77,7 +79,9 @@ class LagrangianConditionError(RuntimeError):
 
     The message names the smallest isotropy defect ||w1^H w2 - w2^H w1||
     among the attempted selections and the heights of the imaginary-axis
-    clusters whose definite form rules every selection out.
+    clusters whose definite form rules every selection out.  Those are the
+    clusters that :func:`~hamriccati.perturbation.spectrum_snapshot` calls
+    definite, by the same rule, found on the solver's own Schur form.
     """
 
 
@@ -518,20 +522,49 @@ def _inertia_jumps(arr: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np
     return np.diff(counts), np.minimum(gaps[:-1], gaps[1:])
 
 
-def _cluster_obstructions(s: SchurForm, imag_tol: float) -> list[float]:
-    """Heights of the axis clusters whose form i w^H J w is definite.
+def _axis_band(arr: np.ndarray, tol):
+    """``tol * (1 + |arr|)``, the axis band ``tol`` of the Hamiltonian ``arr``
+    (one per matrix of a stack): the package's one scale for axis bands and
+    for the merge, form and residual tolerances measured beside them."""
+    return tol * (1.0 + _norm(arr))
 
-    No isotropic invariant subspace contains half of such a cluster.
+
+def _classify_clusters(
+    arr: np.ndarray, eigs: np.ndarray, axis_tol: float, s: SchurForm | None = None
+) -> list[tuple[float, int, int, int, int, bool]]:
+    """``(alpha, multiplicity, n_minus, n_plus, n_zero, resolved)`` of every
+    axis cluster of the Hamiltonian ``arr``, whose eigenvalues are ``eigs``.
+
+    The package's one imaginary-axis rule (see
+    :func:`~hamriccati.perturbation.spectrum_snapshot`): the eigenvalues in
+    the band ``axis_tol`` are clustered by height, a cluster whose inertia
+    jump (:func:`_inertia_jumps`) is plus or minus its multiplicity is
+    definite, and every other one is counted on a Schur form of ``arr``
+    (``s`` when the caller has one, else one is made).
     """
-    eigs = np.diag(s.t)
-    band = _FORM_BAND * (1.0 + float(np.abs(eigs).max(initial=0.0)))
-    heights = []
-    for alpha, members in _axis_clusters(eigs, imag_tol, merge_tol=max(100 * imag_tol, 1e-6)):
-        flags = np.isin(np.arange(eigs.size), members)
-        n_minus, n_plus, _, resolved = _cluster_counts(s, flags, band)
-        if resolved and len(members) in (n_minus, n_plus):
-            heights.append(alpha)
-    return heights
+    scale = _axis_band(arr, 1.0)  # every band below is a multiple of it
+    groups = _axis_clusters(eigs, axis_tol * scale, _CLUSTER_MERGE_TOL * scale)
+    jumps, clearance = _inertia_jumps(arr, np.array([alpha for alpha, _ in groups]))
+    clusters = []
+    band = None
+    for (alpha, idx), jump, gap in zip(groups, jumps, clearance):
+        radius = max(
+            np.max(np.abs(eigs[idx].imag - alpha)) + axis_tol * scale,
+            _CLUSTER_MERGE_TOL * scale / 2,
+        )
+        m = int(np.sum(np.abs(eigs - 1j * alpha) <= radius))
+        if abs(jump) == m and gap > _FORM_BAND * scale:
+            counts = (m, 0, 0, True) if jump < 0 else (0, m, 0, True)
+        else:
+            if band is None:
+                s = schur_decompose(arr) if s is None else s
+                diag = np.diag(s.t)
+                band = _FORM_BAND * (1.0 + float(np.max(np.abs(diag))))
+            members = np.abs(diag - 1j * alpha) <= radius
+            m = int(np.sum(members))
+            counts = _cluster_counts(s, members, band)
+        clusters.append((alpha, m, *counts))
+    return clusters
 
 
 def _isotropic_selection(
@@ -569,22 +602,18 @@ def _isotropic_selection(
 
 
 def _lagrangian_from_schur(
-    s: SchurForm,
-    select: str,
-    *,
-    iso_tol: float,
-    imag_tol: float,
+    h_arr: np.ndarray, s: SchurForm, select: str, *, iso_tol: float
 ) -> LagrangianSubspace:
-    """:func:`lagrangian_subspace` on an existing Schur form ``s`` of a Hamiltonian."""
+    """:func:`lagrangian_subspace` on an existing Schur form ``s`` of the
+    Hamiltonian ``h_arr``."""
     sub, best_defect = _isotropic_selection(
-        s, s.n // 2, select, iso_tol=iso_tol, imag_tol=imag_tol
+        s, s.n // 2, select, iso_tol=iso_tol, imag_tol=_axis_band(h_arr, _SELECT_BAND)
     )
     if sub is not None:
         return sub
-    definite = _cluster_obstructions(s, imag_tol)
-    msg = (
-        f"no isotropic invariant subspace found (best defect {best_defect:.3e})"
-    )
+    clusters = _classify_clusters(h_arr, np.diag(s.t), _SELECT_BAND, s)
+    definite = [alpha for alpha, m, n_minus, n_plus, *_ in clusters if m in (n_minus, n_plus)]
+    msg = f"no isotropic invariant subspace found (best defect {best_defect:.3e})"
     if definite:
         msg += (
             "; imaginary-axis cluster(s) at alpha="
@@ -616,15 +645,13 @@ def lagrangian_subspace(h, select: str) -> LagrangianSubspace:
     LagrangianConditionError
         If no attempted selection is isotropic. When an axis cluster
         carries a definite form i v^H J v, the message names its height
-        (such a cluster admits no isotropic invariant subspace).
+        (such a cluster admits no isotropic invariant subspace).  The
+        definite clusters are those of
+        :func:`~hamriccati.perturbation.spectrum_snapshot`, by its rule,
+        found on this solve's Schur form.
     """
     h_arr, _ = _ham_array(h)
-    return _lagrangian_from_schur(
-        schur_decompose(h_arr),
-        select,
-        iso_tol=_ISO_TOL,
-        imag_tol=_SELECT_BAND * (1.0 + _norm(h_arr)),
-    )
+    return _lagrangian_from_schur(h_arr, schur_decompose(h_arr), select, iso_tol=_ISO_TOL)
 
 
 def hamiltonian_schur(h, select: str = "stable") -> np.ndarray:

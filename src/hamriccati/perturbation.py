@@ -39,19 +39,18 @@ import numpy as np
 import scipy.linalg as sla
 
 from .forms import (
-    _FORM_BAND,
+    _CLUSTER_MERGE_TOL,
     _ISO_TOL,
     _PSD_TOL,
     _SELECT_BAND,
     HamiltonianMatrix,
     LagrangianConditionError,
     RiccatiData,
-    _axis_clusters,
-    _cluster_counts,
+    _axis_band,
+    _classify_clusters,
     _cluster_form,
     _ham_array,
     _hamiltonian_array,
-    _inertia_jumps,
     _isotropic_selection,
     j_matrix,
 )
@@ -99,9 +98,6 @@ __all__ = [
 ]
 
 
-# Axis clusters: heights within _CLUSTER_MERGE_TOL * (1 + |H|) merge;
-# their sign characteristics use forms' _FORM_BAND.
-_CLUSTER_MERGE_TOL = 1e-6
 # The residual tolerance of a region verdict's stable solve, relative to
 # 1 + |H|; its selection's axis band is forms' _SELECT_BAND.
 _RESIDUAL_TOL = 1e-8
@@ -353,7 +349,8 @@ def spectrum_snapshot(h) -> SpectrumSnapshot:
     within ``1e-8 * (1 + |H|)`` of zero) take one Schur form of the
     matrix, which gives their members (its diagonal entries near
     ``i alpha``) and their counts; eigenvalues of a cluster's form within
-    ``1e-8 * (1 + max |lambda|)`` of zero count in ``n_zero``.
+    ``1e-8 * (1 + max |lambda|)`` of zero count in ``n_zero``.  A
+    ``LagrangianConditionError`` names the definite clusters by this rule.
     """
     arr, _ = _ham_array(h)
     return _snapshot(arr, 1e-8)
@@ -362,33 +359,9 @@ def spectrum_snapshot(h) -> SpectrumSnapshot:
 def _snapshot(arr: np.ndarray, axis_tol: float) -> SpectrumSnapshot:
     """:func:`spectrum_snapshot` with the axis band ``axis_tol`` of a complex
     array that is Hamiltonian by assembly, without the structure check."""
-    scale = 1.0 + _norm(arr)
     eigs = _sorted_eigenvalues(arr)
-    groups = _axis_clusters(eigs, axis_tol * scale, _CLUSTER_MERGE_TOL * scale)
-    jumps, clearance = _inertia_jumps(arr, np.array([alpha for alpha, _ in groups]))
-    clusters: list[AxisCluster] = []
-    s = None
-    for (alpha, idx), jump, gap in zip(groups, jumps, clearance):
-        radius = max(
-            np.max(np.abs(eigs[idx].imag - alpha)) + axis_tol * scale,
-            _CLUSTER_MERGE_TOL * scale / 2,
-        )
-        m = int(np.sum(np.abs(eigs - 1j * alpha) <= radius))
-        if abs(jump) == m and gap > _FORM_BAND * scale:
-            counts = (m, 0, 0, True) if jump < 0 else (0, m, 0, True)
-        else:
-            if s is None:
-                s = schur_decompose(arr)
-                diag = np.diag(s.t)
-                band = _FORM_BAND * (1.0 + float(np.max(np.abs(diag))))
-            members = np.abs(diag - 1j * alpha) <= radius
-            m = int(np.sum(members))
-            counts = _cluster_counts(s, members, band)
-        clusters.append(AxisCluster(alpha, m, *counts))
-    return SpectrumSnapshot(
-        eigenvalues=_frozen(eigs),
-        imaginary_groups=tuple(clusters),
-    )
+    clusters = tuple(AxisCluster(*c) for c in _classify_clusters(arr, eigs, axis_tol))
+    return SpectrumSnapshot(eigenvalues=_frozen(eigs), imaginary_groups=clusters)
 
 
 def first_order_slopes(h, d: PerturbationDirection, alpha: float) -> np.ndarray:
@@ -413,8 +386,7 @@ def first_order_slopes(h, d: PerturbationDirection, alpha: float) -> np.ndarray:
         (those cases need the fractional analysis instead).
     """
     arr, n = _ham_array(h)
-    scale = 1.0 + _norm(arr)
-    eps = 1e-8 * scale
+    eps = _axis_band(arr, 1e-8)
     if d.n != n:
         raise ValueError("direction and Hamiltonian dimensions differ")
     s = schur_decompose(arr)
@@ -431,7 +403,7 @@ def first_order_slopes(h, d: PerturbationDirection, alpha: float) -> np.ndarray:
         ) from exc
     tblock = ordered.t[:r, :r]
     defect = _norm(tblock - 1j * alpha * np.eye(r))
-    if defect > 1e-8 * scale:
+    if defect > eps:
         raise PerturbationError(
             f"the cluster at i*{alpha:g} is not semisimple "
             f"(block defect {defect:.3e}); use the fractional analysis"
@@ -799,17 +771,11 @@ class CriticalTime:
     n_axis_start: int
 
 
-def _axis_mask(arr: np.ndarray, eigs: np.ndarray, imag_tol: float) -> np.ndarray:
-    """Which of ``eigs``, the eigenvalues of ``arr``, lie in the relative
-    axis band ``|Re| <= imag_tol * (1 + |arr|)``."""
-    return np.abs(eigs.real) <= imag_tol * (1.0 + _norm(arr))
-
-
 def _axis_count(arr: np.ndarray, imag_tol: float, eigs: np.ndarray | None = None) -> int:
     """Eigenvalues of ``arr`` (``eigs`` when given) in the relative axis band."""
     if eigs is None:
         eigs = np.linalg.eigvals(arr)
-    return int(np.sum(_axis_mask(arr, eigs, imag_tol)))
+    return int(np.sum(np.abs(eigs.real) <= _axis_band(arr, imag_tol)))
 
 
 def critical_time(
@@ -877,7 +843,7 @@ def critical_time(
             t0=0.0, bracket=(0.0, 0.0), bound=None, status="crossed", n_axis_start=n_axis0
         )
     ext = _extremal_or_none(data) if d.is_weight_only and not d.is_zero else None
-    return _critical_time(data, d, eigs0, ext, t_max=t_max, imag_tol=imag_tol)
+    return _critical_time(data, d, arr0, eigs0, n_axis0, ext, t_max=t_max, imag_tol=imag_tol)
 
 
 def _extremal_or_none(data: RiccatiData) -> ExtremalSolutions | None:
@@ -891,18 +857,18 @@ def _extremal_or_none(data: RiccatiData) -> ExtremalSolutions | None:
 def _critical_time(
     data: RiccatiData,
     d: PerturbationDirection,
+    arr0: np.ndarray,
     eigs0: np.ndarray,
+    n_axis0: int,
     ext: ExtremalSolutions | None,
     *,
     t_max: float | None,
     imag_tol: float,
 ) -> CriticalTime:
-    """:func:`critical_time` given the eigenvalues ``eigs0`` and the
-    extremal pair ``ext`` (None when there is none) of the base point.
-    The base point's axis eigenvalues are the baseline: only new arrivals
-    count."""
-    arr0 = _perturbed_array(data, d, 0.0)
-    n_axis0 = _axis_count(arr0, imag_tol, eigs0)
+    """:func:`critical_time` given the base point's Hamiltonian ``arr0``, its
+    eigenvalues ``eigs0``, its axis count ``n_axis0`` (by ``_axis_count``) and
+    its extremal pair ``ext`` (None when there is none).  The base point's
+    axis eigenvalues are the baseline: only new arrivals count."""
     bound = None
 
     def none_found() -> CriticalTime:
@@ -1005,7 +971,7 @@ def _level_set_time(
     for _ in range(_LEVEL_MAX_STEPS):
         arr = _perturbed_array(data, d, 1.0 / gamma)
         eigs = np.linalg.eigvals(arr)
-        heights = np.sort(eigs.imag[_axis_mask(arr, eigs, imag_tol)])
+        heights = np.sort(eigs.imag[np.abs(eigs.real) <= _axis_band(arr, imag_tol)])
         if heights.size < 2:
             break
         step = level(0.5 * (heights[:-1] + heights[1:]))
@@ -1249,7 +1215,10 @@ def vertex_path(
         if ext is None:
             # No extremal pair at the current point bounds the scan.
             return blocked(snap)
-        ct = _critical_time(cur, direction, snap.eigenvalues, ext, t_max=None, imag_tol=imag_tol)
+        n_axis0 = _axis_count(arr, imag_tol, snap.eigenvalues)
+        ct = _critical_time(
+            cur, direction, arr, snap.eigenvalues, n_axis0, ext, t_max=None, imag_tol=imag_tol
+        )
         if ct.t0 is None:
             return blocked(snap)
         t_leg, ext = _refine_leg_end(cur, direction, ct)
@@ -1309,16 +1278,17 @@ class RegionGrid:
 
 
 def _has_stable_solution(
-    data: RiccatiData, d: PerturbationDirection, s: SchurForm, scale: float
+    data: RiccatiData, d: PerturbationDirection, arr: np.ndarray, s: SchurForm
 ) -> bool:
-    """Whether the stable selection of ``s`` gives a solution of the bumped equation.
+    """Whether the stable selection of ``s``, a Schur form of the bumped
+    Hamiltonian ``arr``, gives a solution of the bumped equation.
 
     A candidate is accepted when its residual is at most
-    ``1e-8 * scale * (1 + |x|)^2``.
+    ``1e-8 * (1 + |arr|) * (1 + |x|)^2``.
     """
     # The selection tolerances are lagrangian_subspace's.
     sub, _ = _isotropic_selection(
-        s, data.n, "stable", iso_tol=_ISO_TOL, imag_tol=_SELECT_BAND * scale
+        s, data.n, "stable", iso_tol=_ISO_TOL, imag_tol=_axis_band(arr, _SELECT_BAND)
     )
     if sub is None:
         return False
@@ -1327,15 +1297,16 @@ def _has_stable_solution(
     except SolvabilityError:
         return False
     res = _equation_residual(*_bumped(data, d.delta11, d.delta21, d.delta22, 1.0), cand)
-    if _norm(res) > _RESIDUAL_TOL * scale * (1.0 + _norm(cand)) ** 2:
+    if _norm(res) > _axis_band(arr, _RESIDUAL_TOL) * (1.0 + _norm(cand)) ** 2:
         return False
     return True
 
 
-def _stable_graph_passes(f_t, g_t, k_t, v, scale) -> np.ndarray:
+def _stable_graph_passes(f_t, g_t, k_t, v, residual_tol) -> np.ndarray:
     """Whether each point's stable eigenvectors ``v`` (m, 2n, n) pass the
     isotropy, graph-conditioning and residual checks of the stable solve,
-    each by the factor ``_BATCH_MARGIN``."""
+    each by the factor ``_BATCH_MARGIN``; ``residual_tol`` (m,) is each
+    point's ``_RESIDUAL_TOL`` band."""
     n = v.shape[2]
     q, _ = np.linalg.qr(v)
     w1, w2 = q[:, :n], q[:, n:]
@@ -1349,7 +1320,7 @@ def _stable_graph_passes(f_t, g_t, k_t, v, scale) -> np.ndarray:
     idx = np.flatnonzero(ok)
     x = hermitian_part(np.linalg.solve(w1h[idx], w2h[idx]).conj().swapaxes(1, 2))
     res = _equation_residual(f_t[idx], g_t[idx], k_t[idx], x)
-    bound = _RESIDUAL_TOL * scale[idx] * (1.0 + _norm(x)) ** 2
+    bound = residual_tol[idx] * (1.0 + _norm(x)) ** 2
     ok[idx] = _norm(res) <= bound / _BATCH_MARGIN
     return ok
 
@@ -1398,10 +1369,9 @@ def region_membership(h, d: PerturbationDirection, *, imag_tol: float = 1e-7) ->
         raise ValueError("direction and Hamiltonian dimensions differ")
     arr = _perturbed_array(data, d, 1.0)
     eigenvalues = _sorted_eigenvalues(arr)
-    scale = 1.0 + _norm(arr)
-    on_axis = np.abs(eigenvalues.real) <= imag_tol * scale
+    on_axis = np.abs(eigenvalues.real) <= _axis_band(arr, imag_tol)
     bad_psd = _not_psd(d.psd_margin, _norm(d.full))
-    if bad_psd or not _has_stable_solution(data, d, schur_decompose(arr), scale):
+    if bad_psd or not _has_stable_solution(data, d, arr, schur_decompose(arr)):
         membership = "exterior"
     elif on_axis.any():
         membership = "boundary"
@@ -1457,7 +1427,7 @@ def region_grid(h, deltas, *, imag_tol: float = 1e-7) -> RegionGrid:
     arr = _hamiltonian_array(f_t, g_t, k_t)
     if not np.isfinite(arr).all():
         raise ValueError("the bumped Hamiltonians have non-finite entries")
-    scale = 1.0 + _norm(arr)
+    band = _axis_band(arr, imag_tol)[:, None]
     psd_margin = np.linalg.eigvalsh(deltas)[:, 0]
     bad_psd = _not_psd(psd_margin, _norm(deltas))
 
@@ -1466,9 +1436,9 @@ def region_grid(h, deltas, *, imag_tol: float = 1e-7) -> RegionGrid:
     eigs = np.take_along_axis(vals, order, axis=1)
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
     re = eigs.real
-    guard = _BATCH_MARGIN * max(imag_tol, _SELECT_BAND) * scale[:, None]
+    guard = _axis_band(arr, _BATCH_MARGIN * max(imag_tol, _SELECT_BAND))[:, None]
     off_axis = np.abs(re) >= guard
-    near_axis = np.abs(re) <= imag_tol * scale[:, None] / _BATCH_MARGIN
+    near_axis = np.abs(re) <= band / _BATCH_MARGIN
 
     membership = np.full(m, "", dtype="<U8")
     membership[bad_psd] = "exterior"
@@ -1477,7 +1447,8 @@ def region_grid(h, deltas, *, imag_tol: float = 1e-7) -> RegionGrid:
     cand = np.flatnonzero(~bad_psd & off_axis.all(axis=1) & (np.sum(re < 0, axis=1) == n))
     if cand.size:
         ok = _stable_graph_passes(
-            f_t[cand], g_t[cand], k_t[cand], vecs[cand, :, :n], scale[cand]
+            f_t[cand], g_t[cand], k_t[cand], vecs[cand, :, :n],
+            _axis_band(arr, _RESIDUAL_TOL)[cand],
         )
         membership[cand[ok]] = "interior"
 
@@ -1485,7 +1456,8 @@ def region_grid(h, deltas, *, imag_tol: float = 1e-7) -> RegionGrid:
     gaps[:, np.arange(2 * n), np.arange(2 * n)] = np.inf
     top, bottom = vecs[:, :n, :], vecs[:, n:, :]
     form = np.abs(np.sum(top.conj() * bottom - bottom.conj() * top, axis=1))
-    definite = (gaps.min(axis=2) > _BATCH_MARGIN * _CLUSTER_MERGE_TOL * scale[:, None]) & (
+    merge = _axis_band(arr, _BATCH_MARGIN * _CLUSTER_MERGE_TOL)[:, None]
+    definite = (gaps.min(axis=2) > merge) & (
         form >= _BATCH_MARGIN * _ISO_TOL * np.sum(np.abs(vecs) ** 2, axis=1)
     )
     balanced = np.sum(off_axis & (re < 0), axis=1) == np.sum(off_axis & (re > 0), axis=1)
@@ -1500,7 +1472,7 @@ def region_grid(h, deltas, *, imag_tol: float = 1e-7) -> RegionGrid:
     for i in np.flatnonzero(membership == ""):
         d = PerturbationDirection.from_blocks(d11[i], d21[i], d22[i], validate=False)
         membership[i] = region_membership(data, d, imag_tol=imag_tol).membership
-    on_axis = np.abs(re) <= imag_tol * scale[:, None]
+    on_axis = np.abs(re) <= band
     return RegionGrid(
         membership=_frozen(membership),
         eigenvalues=_frozen(eigs),

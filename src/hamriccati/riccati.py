@@ -27,8 +27,9 @@ from .forms import (
     RiccatiData,
     StateSpace,
     _SELECT_BAND,
-    from_state_space,
+    _axis_band,
     _lagrangian_from_schur,
+    from_state_space,
     is_controllable,
     lagrangian_subspace,
     staircase,
@@ -168,9 +169,8 @@ def solve_extremal(data: RiccatiData, *, iso_tol: float = 1e-6) -> ExtremalSolut
     """
     h_arr = HamiltonianMatrix(data).full
     s = schur_decompose(h_arr)
-    opts = {"iso_tol": iso_tol, "imag_tol": _SELECT_BAND * (1.0 + _norm(h_arr))}
-    sub_minus = _lagrangian_from_schur(s, "stable", **opts)
-    sub_plus = _lagrangian_from_schur(s, "antistable", **opts)
+    sub_minus = _lagrangian_from_schur(h_arr, s, "stable", iso_tol=iso_tol)
+    sub_plus = _lagrangian_from_schur(h_arr, s, "antistable", iso_tol=iso_tol)
     x_minus = _graph_solution(sub_minus.w1, sub_minus.w2)
     x_plus = _graph_solution(sub_plus.w1, sub_plus.w2)
     f, g, k = data.f, data.g, data.k
@@ -722,7 +722,7 @@ def passivity_verdict(ss: StateSpace, *, tol: float = 1e-8) -> PassivityVerdict:
 
     h_arr = HamiltonianMatrix(data).full
     eigs = np.linalg.eigvals(h_arr)
-    axis = eigs[np.abs(eigs.real) <= _SELECT_BAND * (1.0 + _norm(h_arr))]
+    axis = eigs[np.abs(eigs.real) <= _axis_band(h_arr, _SELECT_BAND)]
     return PassivityVerdict(
         certified=False,
         x=None,

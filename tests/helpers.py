@@ -8,6 +8,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from hamriccati.forms import (
+    _CLUSTER_MERGE_TOL,
     _FORM_BAND,
     HamiltonianMatrix,
     LagrangianConditionError,
@@ -29,7 +30,6 @@ from hamriccati.linalg import (
     schur_decompose,
 )
 from hamriccati.perturbation import (
-    _CLUSTER_MERGE_TOL,
     CriticalTime,
     PerturbationDirection,
     RegionVerdict,

@@ -319,6 +319,17 @@ class TestSolve:
         assert report["inconsistency_evidence"] == pytest.approx(1.0, abs=1e-10)
         assert report["failures"]
 
+    def test_structured_core_failure_exits_unsolved(self, tmp_path):
+        f, g, k = lab2x2()
+        path = tmp_path / "definite.json"
+        path.write_text(json.dumps({
+            "F": mat_json(f, "F"), "G": mat_json(g, "G"),
+            "K": mat_json(k + np.diag([5.0, 10.0]), "K"),
+        }))
+        out = tmp_path / "report.json"
+        assert cli.main(["solve", str(path), "--structured", "--out", str(out)]) == 3
+        assert json.loads(out.read_text())["verdict"] == "reduced_only"
+
     def test_verify_accepts_the_inequality_candidate(self, ex1_file, tmp_path):
         x_file = tmp_path / "x.json"
         x_file.write_text(json.dumps(mat_json(EX1_CANDIDATE, "x")))
@@ -648,6 +659,26 @@ class TestPerturb:
         assert report["status"] == "blocked"
         assert report["legs"] == []
         assert report["blocking"]
+        assert report["terminal"] is None
+
+    def test_vertex_walk_with_a_non_freezing_direction_is_blocked(self, tmp_path):
+        # K + diag(4, 0) has two axis eigenvalues; the weight bump diag(1, 0)
+        # moves them, so the walk refuses it before taking a leg.
+        f, g, k = lab2x2()
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps({
+            "F": mat_json(f, "F"), "G": mat_json(g, "G"),
+            "K": mat_json(k + np.diag([4.0, 0.0]), "K"),
+        }))
+        delta = write_direction(tmp_path, np.diag([1.0, 0.0]))
+        out = tmp_path / "report.json"
+        assert cli.main(["perturb", str(path), delta, "--vertex", "--out", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert report["status"] == "blocked"
+        assert report["legs"] == []
+        assert report["blocking"] == (
+            "the supplied direction does not freeze the standing axis eigenvalues"
+        )
         assert report["terminal"] is None
 
     def test_zero_direction_reports_no_crossing(self, ex2_file, tmp_path):

@@ -10,6 +10,7 @@ comparison, and rank sequences of matrix powers.
 from __future__ import annotations
 
 import dataclasses
+import re
 import types
 
 import numpy as np
@@ -19,12 +20,15 @@ from scipy.optimize import linear_sum_assignment
 from hamriccati import perturbation
 from hamriccati.forms import (
     HamiltonianMatrix,
+    LagrangianConditionError,
     RiccatiData,
     _axis_clusters,
+    _cluster_counts,
     _cluster_form,
     _hamiltonian_array,
     _inertia_jumps,
     j_matrix,
+    lagrangian_subspace,
 )
 from hamriccati.linalg import OrderingBreakdown, hermitian_part, loewner_leq, schur_decompose
 from hamriccati.perturbation import (
@@ -32,7 +36,6 @@ from hamriccati.perturbation import (
     PerturbationDirection,
     PerturbationError,
     _bumped,
-    _cluster_counts,
     _crossing_bracket,
     _perturbed_array,
     _refine_leg_end,
@@ -570,6 +573,14 @@ class TestCriticalTime:
         assert 2.0 * ct.bound > 2.0
         assert ct.t0 is None
         assert ct.status == "none_below_t_max"
+
+    def test_a_scan_that_finds_nothing_matches_the_reference(self):
+        # An indefinite direction is scanned, and no axis count rises
+        # below t_max.
+        d = dir_abc(1.0, -0.5, 0.0, validate=False)
+        ct = critical_time(lab_base(), d, t_max=2.0)
+        assert ct.status == "none_below_t_max"
+        assert ct == reference_critical_time(lab_base(), d, t_max=2.0)
 
 
 # Rays from base points without axis eigenvalues: four lab rays and
@@ -1429,9 +1440,7 @@ class TestLazySignCharacteristics:
             assert made == 0
         else:
             arr = _perturbed_array(base.data, d, 1.0)
-            _has_stable_solution(
-                base.data, d, schur_decompose(arr), 1.0 + np.linalg.norm(arr)
-            )
+            _has_stable_solution(base.data, d, arr, schur_decompose(arr))
             assert made == len(order_schur_calls)
 
     def test_snapshot_reorders_no_definite_cluster(self, order_schur_calls, schur_calls):
@@ -1519,6 +1528,55 @@ class TestInertiaJumps:
         assert jumps.size == clearance.size == 0
         jumps, clearance = _inertia_jumps(lab_base().full, np.array([0.5]))
         assert jumps.tolist() == [0] and clearance.tolist() == [np.inf]
+
+
+def exterior_lab_triples():
+    """The lab problem with each positive semidefinite bump of a coarse
+    grid that lies outside the feasible set."""
+    f, g, k = lab2x2()
+    return [
+        RiccatiData(f, g, k + np.array([[a, c], [c, b]]))
+        for a, b, c in zip(*lab_grid(6, 11, 9))
+        if a * b >= c * c and lab2x2_region_margin(a, b, c) < 0.0
+    ]
+
+
+def bumped_random_triples():
+    """Twenty seeded solvable triples with a large weight bump each."""
+    triples = []
+    for seed in range(20):
+        rng = make_rng(seed)
+        n = 2 + seed % 3
+        f, g, k, _ = rand_solvable_triple(rng, n)
+        triples.append(RiccatiData(f, g, k + 10.0 * (1 + seed % 2) * rand_psd(rng, n)))
+    return triples
+
+
+class TestOneAxisRule:
+    @pytest.mark.parametrize(
+        "triples", [exterior_lab_triples, bumped_random_triples], ids=["lab", "random"]
+    )
+    def test_lagrangian_evidence_is_the_snapshots_definite_clusters(self, triples):
+        # Every LagrangianConditionError names exactly the clusters that
+        # spectrum_snapshot calls definite on the same Hamiltonian.
+        raised = 0
+        for data in triples():
+            h = HamiltonianMatrix(data)
+            snap = spectrum_snapshot(h)
+            definite = [f"{c.alpha:.6g}" for c in snap.imaginary_groups if definite_sign(c)]
+            solves = [
+                lambda: lagrangian_subspace(h, "stable"),
+                lambda: lagrangian_subspace(h, "antistable"),
+                lambda: solve_extremal(data),
+            ]
+            for solve in solves:
+                try:
+                    solve()
+                except LagrangianConditionError as exc:
+                    raised += 1
+                    named = re.search(r"cluster\(s\) at alpha=(.*) carry", str(exc))
+                    assert (named.group(1).split(", ") if named else []) == definite
+        assert raised >= 30
 
 
 # ---------------------------------------------------------------------------

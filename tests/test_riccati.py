@@ -9,6 +9,7 @@ import pytest
 import helpers
 from hamriccati import (
     NO_SOLUTION,
+    REDUCED_ONLY,
     SOLVED,
     LagrangianConditionError,
     RiccatiData,
@@ -282,6 +283,17 @@ class TestSolveStructured:
         assert report.stages["x22"] is None
         np.testing.assert_allclose(report.x, np.diag([1.0, 0.0]), atol=1e-10)
         assert _norm(helpers.riccati_residual(f, g, k, report.x)) <= 1e-12
+
+    def test_core_failure_names_the_definite_clusters(self, lab_fgk):
+        # K + diag(5, 10) puts a definite cluster at each of +-i: neither
+        # core selection exists, and each failure carries the evidence.
+        f, g, k = lab_fgk
+        report = solve_structured(_data(f, g, k + np.diag([5.0, 10.0])))
+        assert report.verdict == REDUCED_ONLY
+        assert [mode for mode, _ in report.failures] == ["stable", "antistable"]
+        for mode, reason in report.failures:
+            assert reason.startswith(f"core solve ({mode} selection) failed")
+            assert "cluster(s) at alpha=-1, 1 carry" in reason
 
     def test_unstable_f_rejected(self):
         z = np.zeros((2, 2), dtype=complex)
