@@ -18,8 +18,8 @@ Run:  python3 demos/eigenvalue_perturbation_lab.py
 import numpy as np
 
 from hamriccati import (
-    HamiltonianMatrix,
     PerturbationDirection,
+    RiccatiData,
     critical_time,
     first_order_slopes,
     spectrum_snapshot,
@@ -39,7 +39,7 @@ def banner(text):
 f = np.array([[-3.0, -1.0], [-1.0, -5.0]])
 g = np.eye(2)
 k0 = np.array([[6.0, 8.0], [8.0, 17.0]])
-base = HamiltonianMatrix.from_triple(f, g, k0)
+base = RiccatiData(f, g, k0)
 
 banner("1. First-order slopes on a spectrum pinned to the axis")
 # J times a positive definite form: every eigenvalue purely imaginary,
@@ -69,7 +69,7 @@ print(
 )
 
 banner("2. Critical bump size along the ray toward the vertex")
-ray = PerturbationDirection.delta11_only([[4.0, 0.0], [0.0, 9.0]])
+ray = PerturbationDirection.from_blocks([[4.0, 0.0], [0.0, 9.0]])
 result = critical_time(base, ray)
 print("status:           ", result.status)
 print("first axis touch: t0 =", result.t0)

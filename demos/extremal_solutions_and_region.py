@@ -18,7 +18,6 @@ Run:  python3 demos/extremal_solutions_and_region.py
 import numpy as np
 
 from hamriccati import (
-    HamiltonianMatrix,
     PerturbationDirection,
     RiccatiData,
     loewner_leq,
@@ -39,7 +38,7 @@ def banner(text):
 f = np.array([[-3.0, -1.0], [-1.0, -5.0]])
 g = np.eye(2)
 k0 = np.array([[6.0, 8.0], [8.0, 17.0]])
-base = HamiltonianMatrix.from_triple(f, g, k0)
+base = RiccatiData(f, g, k0)
 
 banner("1. Extremal solutions at the base point")
 extremal = solve_extremal(RiccatiData(f, g, k0))
@@ -60,7 +59,7 @@ banner("2. Scanning the weight bump (a, b, 0) along the diagonal")
 print(f"{'a':>5} {'b':>5}  {'membership':<10} {'margin':>12} {'gap |x+-x-|':>12}")
 for s in np.linspace(0.0, 1.0, 6):
     a, b = 4.0 * s, 9.0 * s
-    d = PerturbationDirection.delta11_only([[a, 0.0], [0.0, b]], validate=False)
+    d = PerturbationDirection.from_blocks([[a, 0.0], [0.0, b]], validate=False)
     verdict = region_membership(base, d)
     try:
         ex = solve_extremal(RiccatiData(f, g, k0 + np.diag([a, b])))
@@ -79,7 +78,7 @@ print(
 )
 
 banner("3. The vertex (a, b, c) = (4, 9, 0)")
-d = PerturbationDirection.delta11_only([[4.0, 0.0], [0.0, 9.0]])
+d = PerturbationDirection.from_blocks([[4.0, 0.0], [0.0, 9.0]])
 verdict = region_membership(base, d)
 print("membership:", verdict.membership, " margin:", f"{verdict.margin:.2e}")
 print(

@@ -42,7 +42,6 @@ from .forms import RiccatiData, StateSpace, from_state_space
 from .linalg import LinalgError, SolvabilityError, _norm, loewner_leq
 from .perturbation import (
     PerturbationDirection,
-    PerturbationError,
     _perturbed_array,
     _snapshot,
     critical_time,
@@ -285,9 +284,7 @@ def _load_direction(path: str) -> PerturbationDirection:
             )
             return PerturbationDirection.from_blocks(d11, d21, d22)
         if "rows" in obj:
-            return PerturbationDirection.delta11_only(
-                _matrix_from_json(obj, "delta11")
-            )
+            return PerturbationDirection.from_blocks(_matrix_from_json(obj, "delta11"))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
     raise InputError(
@@ -638,19 +635,6 @@ def _run_perturb(ns: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    except PerturbationError as exc:
-        _emit_json(
-            {
-                "manifest": manifest,
-                "mode": "vertex",
-                "status": "blocked",
-                "legs": [],
-                "blocking": str(exc),
-                "terminal": None,
-            },
-            ns.out,
-        )
-        return EXIT_UNSOLVED
     report = {
         "manifest": manifest,
         "mode": "vertex",

@@ -1,9 +1,9 @@
 """Structured problem forms.
 
-Containers for Riccati coefficient triples, state-space systems and
-Hamiltonian matrices, plus the structure-revealing transformations:
-controllability/observability staircases, Lagrangian invariant subspaces,
-and Hamiltonian Schur forms.
+Containers for Riccati coefficient triples, with their Hamiltonian
+matrices, and for state-space systems, plus the structure-revealing
+transformations: controllability/observability staircases, Lagrangian
+invariant subspaces, and Hamiltonian Schur forms.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "LagrangianConditionError",
     "RiccatiData",
     "StateSpace",
-    "HamiltonianMatrix",
     "j_matrix",
     "from_state_space",
     "CondensedForm",
@@ -129,6 +128,15 @@ class RiccatiData:
     def n(self) -> int:
         return self.f.shape[0]
 
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """The Hamiltonian matrix [[f, g], [-k, -f^H]], assembled on access.
+
+        The block structure makes (J H)^H = J H hold exactly, hence the
+        spectrum is symmetric under lambda -> -conj(lambda).
+        """
+        return _hamiltonian_array(self.f, self.g, self.k)
+
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -172,39 +180,15 @@ def j_matrix(n: int) -> np.ndarray:
     return j
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Hamiltonian matrix [[f, g], [-k, -f^H]], stored in block form.
-
-    The block structure makes (J H)^H = J H hold exactly, hence the
-    spectrum is symmetric under lambda -> -conj(lambda).
-    """
-
-    data: RiccatiData
-
-    @classmethod
-    def from_triple(cls, f, g, k) -> "HamiltonianMatrix":
-        return cls(RiccatiData(f, g, k))
-
-    @property
-    def n(self) -> int:
-        return self.data.n
-
-    @property
-    def full(self) -> np.ndarray:
-        d = self.data
-        return _hamiltonian_array(d.f, d.g, d.k)
-
-
 def _hamiltonian_array(f, g, k) -> np.ndarray:
     """[[f, g], [-k, -f^H]] of one coefficient triple, or of stacks of them."""
     return _block2x2(f, g, -k, -f.conj().swapaxes(-1, -2))
 
 
 def _ham_array(h) -> tuple[np.ndarray, int]:
-    """Accept a HamiltonianMatrix or a raw 2n x 2n array; validate structure."""
-    if isinstance(h, HamiltonianMatrix):
-        return h.full, h.n
+    """Accept a RiccatiData triple or a raw 2n x 2n array; validate the array's structure."""
+    if isinstance(h, RiccatiData):
+        return h.hamiltonian, h.n
     arr = as_matrix(h, "hamiltonian", square=True)
     if arr.shape[0] % 2:
         raise ValueError("a Hamiltonian matrix must have even dimension")
@@ -529,6 +513,27 @@ def _axis_band(arr: np.ndarray, tol):
     return tol * (1.0 + _norm(arr))
 
 
+def _axis_members(
+    arr: np.ndarray, eigs: np.ndarray, axis_tol: float
+) -> list[tuple[float, float, int]]:
+    """``(alpha, radius, multiplicity)`` of every axis cluster of the
+    Hamiltonian ``arr``, whose eigenvalues are ``eigs``.
+
+    The eigenvalues in the band ``axis_tol`` seed the clusters, grouped by
+    height; a cluster's members are then every eigenvalue within ``radius``
+    of ``i alpha``, so a mirrored pair that straddles the band counts whole.
+    """
+    scale = _axis_band(arr, 1.0)  # every band below is a multiple of it
+    members = []
+    for alpha, idx in _axis_clusters(eigs, axis_tol * scale, _CLUSTER_MERGE_TOL * scale):
+        radius = max(
+            np.max(np.abs(eigs[idx].imag - alpha)) + axis_tol * scale,
+            _CLUSTER_MERGE_TOL * scale / 2,
+        )
+        members.append((alpha, radius, int(np.sum(np.abs(eigs - 1j * alpha) <= radius))))
+    return members
+
+
 def _classify_clusters(
     arr: np.ndarray, eigs: np.ndarray, axis_tol: float, s: SchurForm | None = None
 ) -> list[tuple[float, int, int, int, int, bool]]:
@@ -536,24 +541,21 @@ def _classify_clusters(
     axis cluster of the Hamiltonian ``arr``, whose eigenvalues are ``eigs``.
 
     The package's one imaginary-axis rule (see
-    :func:`~hamriccati.perturbation.spectrum_snapshot`): the eigenvalues in
-    the band ``axis_tol`` are clustered by height, a cluster whose inertia
-    jump (:func:`_inertia_jumps`) is plus or minus its multiplicity is
+    :func:`~hamriccati.perturbation.spectrum_snapshot`): the clusters are
+    those of :func:`_axis_members`, a cluster whose inertia jump
+    (:func:`_inertia_jumps`) is plus or minus its multiplicity is
     definite, and every other one is counted on a Schur form of ``arr``
     (``s`` when the caller has one, else one is made).
     """
-    scale = _axis_band(arr, 1.0)  # every band below is a multiple of it
-    groups = _axis_clusters(eigs, axis_tol * scale, _CLUSTER_MERGE_TOL * scale)
-    jumps, clearance = _inertia_jumps(arr, np.array([alpha for alpha, _ in groups]))
+    groups = _axis_members(arr, eigs, axis_tol)
+    if not groups:
+        return []
+    jumps, clearance = _inertia_jumps(arr, np.array([alpha for alpha, _, _ in groups]))
+    form_band = _axis_band(arr, _FORM_BAND)
     clusters = []
     band = None
-    for (alpha, idx), jump, gap in zip(groups, jumps, clearance):
-        radius = max(
-            np.max(np.abs(eigs[idx].imag - alpha)) + axis_tol * scale,
-            _CLUSTER_MERGE_TOL * scale / 2,
-        )
-        m = int(np.sum(np.abs(eigs - 1j * alpha) <= radius))
-        if abs(jump) == m and gap > _FORM_BAND * scale:
+    for (alpha, radius, m), jump, gap in zip(groups, jumps, clearance):
+        if abs(jump) == m and gap > form_band:
             counts = (m, 0, 0, True) if jump < 0 else (0, m, 0, True)
         else:
             if band is None:
@@ -628,7 +630,7 @@ def lagrangian_subspace(h, select: str) -> LagrangianSubspace:
 
     Parameters
     ----------
-    h : HamiltonianMatrix or (2n, 2n) array_like
+    h : RiccatiData or (2n, 2n) array_like
     select : {"stable", "antistable"}
         The closed half-plane to select. All eigenvalues strictly inside
         it are selected and the count is completed from the imaginary

@@ -43,10 +43,10 @@ from .forms import (
     _ISO_TOL,
     _PSD_TOL,
     _SELECT_BAND,
-    HamiltonianMatrix,
     LagrangianConditionError,
     RiccatiData,
     _axis_band,
+    _axis_members,
     _classify_clusters,
     _cluster_form,
     _ham_array,
@@ -188,11 +188,6 @@ class PerturbationDirection:
         return cls(_frozen(d11), _frozen(d21), _frozen(d22), margin, _frozen(full))
 
     @classmethod
-    def delta11_only(cls, delta11, *, validate: bool = True):
-        """Direction bumping only the weight ``k``."""
-        return cls.from_blocks(delta11, validate=validate)
-
-    @classmethod
     def from_full(cls, delta):
         """Split an assembled 2n x 2n Hermitian form into validated blocks."""
         d = hermitian_part(as_matrix(delta, "delta", square=True))
@@ -225,25 +220,24 @@ def _not_psd(margin, size):
 
 
 def _as_data(h) -> RiccatiData:
-    if isinstance(h, HamiltonianMatrix):
-        return h.data
     if isinstance(h, RiccatiData):
         return h
-    raise TypeError("expected a HamiltonianMatrix or a RiccatiData triple")
+    raise TypeError("expected a RiccatiData triple")
 
 
-def perturbed_hamiltonian(h0, d: PerturbationDirection, t: float) -> HamiltonianMatrix:
-    """Assemble ``h0 + t J delta`` as a structured Hamiltonian matrix.
+def perturbed_hamiltonian(h0: RiccatiData, d: PerturbationDirection, t: float) -> RiccatiData:
+    """The coefficient triple of ``h0 + t J delta``.
 
-    The result's coefficient triple is ``(f + t d21, g + t d22, k + t d11)``,
-    so ``(J h(t))^H = J h(t)`` holds exactly by block assembly.
+    It is ``(f + t d21, g + t d22, k + t d11)``, validated, so its
+    :attr:`~hamriccati.forms.RiccatiData.hamiltonian` satisfies
+    ``(J h(t))^H = J h(t)`` exactly by block assembly.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     data = _as_data(h0)
     if d.n != data.n:
         raise ValueError("direction and Hamiltonian dimensions differ")
-    return HamiltonianMatrix(RiccatiData(*_bumped(data, d.delta11, d.delta21, d.delta22, t)))
+    return RiccatiData(*_bumped(data, d.delta11, d.delta21, d.delta22, t))
 
 
 def _bumped(data: RiccatiData, d11, d21, d22, t: float):
@@ -264,8 +258,8 @@ def _bumped(data: RiccatiData, d11, d21, d22, t: float):
 
 def _perturbed_array(data: RiccatiData, d: PerturbationDirection, t: float):
     """Raw 2n x 2n array of ``h0 + t J delta``, unvalidated, so indefinite
-    scan directions pass.  At ``t = 0`` it equals
-    ``HamiltonianMatrix(data).full`` bit for bit."""
+    scan directions pass.  At ``t = 0`` it equals ``data.hamiltonian`` bit
+    for bit."""
     return _hamiltonian_array(*_bumped(data, d.delta11, d.delta21, d.delta22, t))
 
 
@@ -539,12 +533,12 @@ class JordanTestCase:
     def presented_delta11(self) -> np.ndarray:
         return hermitian_part(self.scramble.conj().T @ self.delta11 @ self.scramble)
 
-    def hamiltonian(self, t: float):
-        """The presented family member at parameter ``t``."""
+    def hamiltonian(self, t: float) -> RiccatiData:
+        """The presented family member's triple at parameter ``t``."""
         f, g = self.presented_triple
-        direction = PerturbationDirection.delta11_only(self.presented_delta11)
+        direction = PerturbationDirection.from_blocks(self.presented_delta11)
         base = RiccatiData(f, g, np.zeros((self.n, self.n)))
-        return perturbed_hamiltonian(HamiltonianMatrix(base), direction, t)
+        return perturbed_hamiltonian(base, direction, t)
 
 
 def make_jordan_case(sizes, *, delta11=None, scramble=None, rng=None) -> JordanTestCase:
@@ -653,7 +647,7 @@ def fractional_split_verify(case: JordanTestCase, *, t_grid=None) -> FractionalF
     # Eigenvalues of a matrix with Jordan blocks of order 2*rho carry
     # numerical noise of order eps^(1/(2 rho)) even at t = 0; deviations
     # below that floor carry no information about the direction.
-    arr0 = case.hamiltonian(0.0).full
+    arr0 = case.hamiltonian(0.0).hamiltonian
     noise_floor = (
         10.0 * (2.3e-16 * (1.0 + _norm(arr0))) ** (1.0 / (2.0 * rho_max))
     )
@@ -661,7 +655,7 @@ def fractional_split_verify(case: JordanTestCase, *, t_grid=None) -> FractionalF
     samples: dict[tuple, list] = {}
     max_dev = 0.0
     for t in t_grid:
-        arr = case.hamiltonian(t).full
+        arr = case.hamiltonian(t).hamiltonian
         dev, vecs = np.linalg.eig(arr)
         max_dev = max(max_dev, float(np.max(np.abs(dev))))
         order = np.argsort(np.abs(dev))
@@ -772,10 +766,12 @@ class CriticalTime:
 
 
 def _axis_count(arr: np.ndarray, imag_tol: float, eigs: np.ndarray | None = None) -> int:
-    """Eigenvalues of ``arr`` (``eigs`` when given) in the relative axis band."""
+    """Eigenvalues of ``arr`` (``eigs`` when given) in its axis clusters of the
+    band ``imag_tol`` (:func:`~hamriccati.forms._axis_members`), the members
+    a snapshot's definite clusters count."""
     if eigs is None:
         eigs = np.linalg.eigvals(arr)
-    return int(np.sum(np.abs(eigs.real) <= _axis_band(arr, imag_tol)))
+    return sum(m for _, _, m in _axis_members(arr, eigs, imag_tol))
 
 
 def critical_time(
@@ -1072,7 +1068,7 @@ def _freezing_direction(
         d11 = basis @ weight @ basis.conj().T
     else:
         d11 = basis @ basis.conj().T
-    return PerturbationDirection.delta11_only(hermitian_part(d11))
+    return PerturbationDirection.from_blocks(hermitian_part(d11))
 
 
 def _refine_leg_end(
@@ -1152,7 +1148,9 @@ def vertex_path(
     admissible freezing direction exists, the current point (the base
     point included) has no extremal pair to bound the next ray's scan, or
     a ray found no arrival (the blocking snapshot is attached).  A
-    negative ``budget`` raises ValueError.
+    negative ``budget`` raises ValueError, and so does a supplied
+    direction that is not weight-only, does not match the dimension, or
+    does not freeze the standing axis eigenvalues.
     """
     if budget < 0:
         raise ValueError("budget must be at least 0")
@@ -1168,7 +1166,7 @@ def vertex_path(
         )
 
     cur = data
-    arr = HamiltonianMatrix(cur).full
+    arr = cur.hamiltonian
     snap = _snapshot(arr, imag_tol)
     ext = _extremal_or_none(cur)
     while True:
@@ -1200,7 +1198,7 @@ def vertex_path(
             if not direction.is_weight_only:
                 raise ValueError(
                     "vertex walks accumulate weight bumps; supplied "
-                    "directions must be delta11_only (zero delta21 and delta22)"
+                    "directions must be weight-only (zero delta21 and delta22)"
                 )
             if direction.n != n:
                 raise ValueError("direction and Hamiltonian dimensions differ")
@@ -1208,7 +1206,7 @@ def vertex_path(
             if tops.size and _norm(direction.delta11 @ tops) > 1e-8 * (
                 1.0 + _norm(direction.delta11)
             ):
-                raise PerturbationError(
+                raise ValueError(
                     "the supplied direction does not freeze the standing "
                     "axis eigenvalues"
                 )
@@ -1230,7 +1228,7 @@ def vertex_path(
         end = RiccatiData(
             *_bumped(cur, direction.delta11, direction.delta21, direction.delta22, t_leg)
         )
-        arr = HamiltonianMatrix(end).full
+        arr = end.hamiltonian
         end_snap = _snapshot(arr, imag_tol)
         legs.append(PathLeg(direction, t_leg, end_snap.n_axis))
         if _norm(end.k - data.k) > 1e12 * scale_k:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .forms import (
     CondensedForm,
-    HamiltonianMatrix,
     LagrangianConditionError,
     RiccatiData,
     StateSpace,
@@ -167,7 +166,7 @@ def solve_extremal(data: RiccatiData, *, iso_tol: float = 1e-6) -> ExtremalSolut
         If a selected subspace is not a graph, i.e. W1 is singular; the
         message reports the reciprocal condition number.
     """
-    h_arr = HamiltonianMatrix(data).full
+    h_arr = data.hamiltonian
     s = schur_decompose(h_arr)
     sub_minus = _lagrangian_from_schur(h_arr, s, "stable", iso_tol=iso_tol)
     sub_plus = _lagrangian_from_schur(h_arr, s, "antistable", iso_tol=iso_tol)
@@ -237,9 +236,13 @@ def _spectra_meet(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 
 def _structured_attempt(
-    form: CondensedForm, mode: str, *, tol: float
+    form: CondensedForm, core: RiccatiData | None, mode: str, *, tol: float
 ) -> tuple[bool, dict[str, Any]]:
-    """Run the staged solve for one core selection; never raises."""
+    """Run the staged solve for one core selection; never raises.
+
+    ``core`` is the controllable-and-observable core triple, or None when
+    that core is empty.
+    """
     n1, n2, n3 = form.n1, form.n2, form.n3
     no = n1 + n2
     f11 = form.f[:no, :no]
@@ -269,9 +272,8 @@ def _structured_attempt(
 
     # Solve the controllable-and-observable core, which is a minimal
     # Riccati equation, through the requested half-plane selection.
-    if n1:
+    if core is not None:
         try:
-            core = HamiltonianMatrix.from_triple(ft11, gt11, kt11)
             sub = lagrangian_subspace(core, mode)
             xt11 = _graph_solution(sub.w1, sub.w2)
         except (LagrangianConditionError, SolvabilityError) as exc:
@@ -403,9 +405,11 @@ def solve_structured(data: RiccatiData, *, tol: float = 1e-8) -> StructuredSolve
         )
 
     form = staircase(data)
+    n1 = form.n1
+    core = RiccatiData(form.f[:n1, :n1], form.g[:n1, :n1], form.k[:n1, :n1]) if n1 else None
     failures: list[tuple[str, str]] = []
     for mode in ("stable", "antistable"):
-        ok, out = _structured_attempt(form, mode, tol=tol)
+        ok, out = _structured_attempt(form, core, mode, tol=tol)
         if ok:
             return _assemble_structured_report(data, form, out, tol, tuple(failures))
         failures.append((mode, out["reason"]))
@@ -720,7 +724,7 @@ def passivity_verdict(ss: StateSpace, *, tol: float = 1e-8) -> PassivityVerdict:
             f"(largest eigenvalue {margin:.3e})"
         )
 
-    h_arr = HamiltonianMatrix(data).full
+    h_arr = data.hamiltonian
     eigs = np.linalg.eigvals(h_arr)
     axis = eigs[np.abs(eigs.real) <= _axis_band(h_arr, _SELECT_BAND)]
     return PassivityVerdict(

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from hamriccati.forms import (
     _CLUSTER_MERGE_TOL,
     _FORM_BAND,
-    HamiltonianMatrix,
     LagrangianConditionError,
+    RiccatiData,
     _axis_clusters,
     _ham_array,
     j_matrix,
@@ -116,8 +116,8 @@ def walk_triple(seed: int, n: int):
     """
     rng = make_rng(seed)
     f, g, k, _ = rand_solvable_triple(rng, n)
-    h = HamiltonianMatrix.from_triple(f, g, k)
-    d = PerturbationDirection.delta11_only(rand_psd(rng, n))
+    h = RiccatiData(f, g, k)
+    d = PerturbationDirection.from_blocks(rand_psd(rng, n))
     return h, d, critical_time(h, d).t0
 
 
@@ -387,9 +387,8 @@ def reference_extremal_pair(data):
     The oracle for ``hamriccati.riccati.solve_extremal``, which reads both
     selections off one factorization.
     """
-    h = HamiltonianMatrix(data)
-    sub_minus = lagrangian_subspace(h, "stable")
-    sub_plus = lagrangian_subspace(h, "antistable")
+    sub_minus = lagrangian_subspace(data, "stable")
+    sub_plus = lagrangian_subspace(data, "antistable")
     return _graph_solution(sub_minus.w1, sub_minus.w2), _graph_solution(sub_plus.w1, sub_plus.w2)
 
 

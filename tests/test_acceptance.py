@@ -11,7 +11,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from hamriccati import (
-    HamiltonianMatrix,
     LagrangianConditionError,
     LinalgError,
     NO_SOLUTION,
@@ -82,7 +81,7 @@ def axis_rotation_stack(rng, n):
 
 
 def lab_direction(a, b, c):
-    return PerturbationDirection.delta11_only(
+    return PerturbationDirection.from_blocks(
         [[a, c], [c, b]], validate=False
     )
 
@@ -126,14 +125,14 @@ def test_02_extremal_pair_and_vertex_degeneracy_of_the_lab_family():
     start = time.monotonic()
     f, g, k = lab2x2()
     data = RiccatiData(f, g, k)
-    h = HamiltonianMatrix.from_triple(f, g, k)
+    h = RiccatiData(f, g, k)
 
     root2 = np.sqrt(2.0)
     assert spectrum_distance(
         np.linalg.eigvals(f), [-4.0 - root2, -4.0 + root2]
     ) <= 1e-10
     assert spectrum_distance(
-        np.linalg.eigvals(h.full), [-2.0, -3.0, 2.0, 3.0]
+        np.linalg.eigvals(h.hamiltonian), [-2.0, -3.0, 2.0, 3.0]
     ) <= 1e-10
 
     extremal = solve_extremal(data)
@@ -144,8 +143,8 @@ def test_02_extremal_pair_and_vertex_degeneracy_of_the_lab_family():
         extremal.x_plus, [[5.0, 1.0], [1.0, 8.0]], atol=1e-8
     )
 
-    h_vertex = HamiltonianMatrix.from_triple(f, g, k + np.diag([4.0, 9.0]))
-    vertex_eigs = np.linalg.eigvals(h_vertex.full)
+    h_vertex = RiccatiData(f, g, k + np.diag([4.0, 9.0]))
+    vertex_eigs = np.linalg.eigvals(h_vertex.hamiltonian)
     assert vertex_eigs.shape == (4,)
     assert float(np.abs(vertex_eigs).max()) <= 1e-6
 
@@ -188,7 +187,7 @@ def test_04_region_grid_matches_the_closed_form_inequalities():
     margin exceeds 1e-6; points inside that shell are reported only."""
     start = time.monotonic()
     f, g, k = lab2x2()
-    base = HamiltonianMatrix.from_triple(f, g, k)
+    base = RiccatiData(f, g, k)
 
     checked = 0
     shell = 0
@@ -358,13 +357,13 @@ def test_08_structural_invariants_of_assembly_and_factorizations():
     for _ in range(10):
         n = int(rng.integers(1, 6))
         f, g, k, _ = rand_solvable_triple(rng, n)
-        h = HamiltonianMatrix.from_triple(f, g, k)
+        h = RiccatiData(f, g, k)
         j = j_matrix(n)
-        jh = j @ h.full
+        jh = j @ h.hamiltonian
         assert np.array_equal(jh, jh.conj().T)
         direction = PerturbationDirection.from_full(rand_psd(rng, 2 * n))
         for t in (0.0, 0.3, 1.7):
-            arr = perturbed_hamiltonian(h, direction, t).full
+            arr = perturbed_hamiltonian(h, direction, t).hamiltonian
             jat = j @ arr
             assert np.array_equal(jat, jat.conj().T)
 
@@ -372,22 +371,22 @@ def test_08_structural_invariants_of_assembly_and_factorizations():
     for _ in range(5):
         n = int(rng.integers(1, 5))
         f, g, k, _ = rand_solvable_triple(rng, n)
-        h = HamiltonianMatrix.from_triple(f, g, k)
+        h = RiccatiData(f, g, k)
         direction = PerturbationDirection.from_full(rand_psd(rng, 2 * n))
         for t in np.linspace(0.0, 3.0, 7):
-            arr = perturbed_hamiltonian(h, direction, float(t)).full
+            arr = perturbed_hamiltonian(h, direction, float(t)).hamiltonian
             snap = spectrum_snapshot(arr)
             assert snap.symmetry_defect <= 1e-9 * np.linalg.norm(arr)
 
     # Unitary-symplectic Schur factors for every factorization taken.
     f, g, k = lab2x2()
-    factored = [HamiltonianMatrix.from_triple(f, g, k)]
+    factored = [RiccatiData(f, g, k)]
     for _ in range(5):
         n = int(rng.integers(1, 5))
         ff, gg, kk, _ = rand_solvable_triple(rng, n)
-        factored.append(HamiltonianMatrix.from_triple(ff, gg, kk))
+        factored.append(RiccatiData(ff, gg, kk))
     for h in factored:
-        n = h.full.shape[0] // 2
+        n = h.hamiltonian.shape[0] // 2
         j = j_matrix(n)
         for select in ("stable", "antistable"):
             q = hamiltonian_schur(h, select=select)

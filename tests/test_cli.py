@@ -15,7 +15,6 @@ import pytest
 import scipy
 
 from hamriccati import (
-    HamiltonianMatrix,
     PerturbationDirection,
     __version__,
     cli,
@@ -661,7 +660,7 @@ class TestPerturb:
         assert report["blocking"]
         assert report["terminal"] is None
 
-    def test_vertex_walk_with_a_non_freezing_direction_is_blocked(self, tmp_path):
+    def test_vertex_walk_with_a_non_freezing_direction_is_invalid_input(self, tmp_path, capsys):
         # K + diag(4, 0) has two axis eigenvalues; the weight bump diag(1, 0)
         # moves them, so the walk refuses it before taking a leg.
         f, g, k = lab2x2()
@@ -672,14 +671,12 @@ class TestPerturb:
         }))
         delta = write_direction(tmp_path, np.diag([1.0, 0.0]))
         out = tmp_path / "report.json"
-        assert cli.main(["perturb", str(path), delta, "--vertex", "--out", str(out)]) == 3
-        report = json.loads(out.read_text())
-        assert report["status"] == "blocked"
-        assert report["legs"] == []
-        assert report["blocking"] == (
+        assert cli.main(["perturb", str(path), delta, "--vertex", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert (
             "the supplied direction does not freeze the standing axis eigenvalues"
+            in capsys.readouterr().err
         )
-        assert report["terminal"] is None
 
     def test_zero_direction_reports_no_crossing(self, ex2_file, tmp_path):
         delta = write_direction(tmp_path, np.zeros((2, 2)))
@@ -798,8 +795,8 @@ class TestPerturb:
         out = tmp_path / "grid.csv"
         grid = f"0:{t_end}:{steps}"
         assert cli.main(["perturb", str(path), delta, "--t-grid", grid, "--out", str(out)]) == 0
-        base = HamiltonianMatrix.from_triple(f, g, k)
-        direction = PerturbationDirection.delta11_only(d11)
+        base = RiccatiData(f, g, k)
+        direction = PerturbationDirection.from_blocks(d11)
         checked = 0
         for row in read_csv(out.read_text())[1:]:
             snap = spectrum_snapshot(perturbed_hamiltonian(base, direction, float(row[0])))
@@ -849,9 +846,9 @@ class TestPerturb:
         acc = np.zeros((2, 2), dtype=complex)
         for leg in legs:
             d11 = parse_matrix(leg["direction_delta11"])
-            start = HamiltonianMatrix(RiccatiData(f, g, k + acc))
-            direction = PerturbationDirection.delta11_only(d11)
-            end = perturbed_hamiltonian(start, direction, leg["t_end"]).full
+            start = RiccatiData(f, g, k + acc)
+            direction = PerturbationDirection.from_blocks(d11)
+            end = perturbed_hamiltonian(start, direction, leg["t_end"]).hamiltonian
             assert leg["n_axis_end"] == _snapshot(end, 1e-7).n_axis
             acc = acc + leg["t_end"] * d11
 
@@ -1018,10 +1015,10 @@ class TestRegion:
         # The batched rules decide all but a few of the 847 points.
         assert len(schur_calls) <= 40
         f, g, k = lab2x2()
-        base = HamiltonianMatrix.from_triple(f, g, k)
+        base = RiccatiData(f, g, k)
         for a, b, c, membership, _, _ in rows:
             a, b, c = float(a), float(b), float(c)
-            d = PerturbationDirection.delta11_only([[a, c], [c, b]], validate=False)
+            d = PerturbationDirection.from_blocks([[a, c], [c, b]], validate=False)
             ref = reference_region_membership(base, d, imag_tol=tol)
             assert membership == ref.membership, (a, b, c)
 
@@ -1087,6 +1084,13 @@ class TestRegion:
 # logging and entry point
 
 
+def _package_env() -> dict:
+    """The environment with the imported package's source tree on PYTHONPATH,
+    so a subprocess imports the same ``hamriccati``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
 class TestHarness:
     def test_quiet_by_default(self, ex2_file, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("HAMRICCATI_LOG", raising=False)
@@ -1115,6 +1119,7 @@ class TestHarness:
             [sys.executable, "-m", "hamriccati", "--version"],
             capture_output=True,
             text=True,
+            env=_package_env(),
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
@@ -1132,12 +1137,11 @@ class TestHarness:
             f"assert cli.main({t_grid!r}) == 0\n"
             "print('scipy.optimize' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=src),
+            env=_package_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
@@ -1147,6 +1151,7 @@ class TestHarness:
             [sys.executable, "-m", "hamriccati", "frobnicate"],
             capture_output=True,
             text=True,
+            env=_package_env(),
         )
         assert proc.returncode == 2
 

@@ -9,7 +9,6 @@ import pytest
 
 import helpers
 from hamriccati import (
-    HamiltonianMatrix,
     LagrangianConditionError,
     RiccatiData,
     StateSpace,
@@ -38,7 +37,7 @@ def _isotropy_defect(ls):
 def _restriction(h, ls):
     """W^H H W: the Hamiltonian on its invariant subspace, for orthonormal W."""
     w = _basis(ls)
-    return w.conj().T @ h.full @ w
+    return w.conj().T @ h.hamiltonian @ w
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +99,7 @@ class TestHamiltonian:
 
     def test_block_layout(self, lab_fgk):
         f, g, k = lab_fgk
-        h = HamiltonianMatrix(RiccatiData(f, g, k))
-        full = h.full
+        full = RiccatiData(f, g, k).hamiltonian
         np.testing.assert_allclose(full[:2, :2], f)
         np.testing.assert_allclose(full[:2, 2:], g)
         np.testing.assert_allclose(full[2:, :2], -k)
@@ -109,13 +107,13 @@ class TestHamiltonian:
 
     def test_structure_identity(self, rng):
         f, g, k = helpers.rand_stable_triple(rng, 4)
-        h = HamiltonianMatrix.from_triple(f, g, k).full
+        h = RiccatiData(f, g, k).hamiltonian
         jh = j_matrix(4) @ h
         np.testing.assert_allclose(jh, jh.conj().T, atol=1e-14)
 
     def test_spectrum_symmetry(self, rng):
         f, g, k = helpers.rand_stable_triple(rng, 4)
-        eigs = np.linalg.eigvals(HamiltonianMatrix.from_triple(f, g, k).full)
+        eigs = np.linalg.eigvals(RiccatiData(f, g, k).hamiltonian)
         reflected = -eigs.conj()
         # match multisets
         for lam in eigs:
@@ -342,7 +340,7 @@ def _vertex_triple():
 
 class TestLagrangianSubspace:
     def test_lab_stable_subspace(self, lab_fgk):
-        h = HamiltonianMatrix.from_triple(*lab_fgk)
+        h = RiccatiData(*lab_fgk)
         ls = lagrangian_subspace(h, "stable")
         assert _isotropy_defect(ls) < 1e-12
         t11 = _restriction(h, ls)
@@ -350,13 +348,13 @@ class TestLagrangianSubspace:
         np.testing.assert_allclose(np.sort(selected.real), [-3.0, -2.0], atol=1e-10)
         assert np.max(np.abs(selected.imag)) < 1e-10
         # invariance: H w = w t11
-        res = h.full @ _basis(ls) - _basis(ls) @ t11
-        assert _norm(res) < 1e-10 * (1 + _norm(h.full))
+        res = h.hamiltonian @ _basis(ls) - _basis(ls) @ t11
+        assert _norm(res) < 1e-10 * (1 + _norm(h.hamiltonian))
         x = ls.w2 @ np.linalg.inv(ls.w1)
         np.testing.assert_allclose(x, [[1.0, 1.0], [1.0, 2.0]], atol=1e-8)
 
     def test_lab_antistable_subspace(self, lab_fgk):
-        h = HamiltonianMatrix.from_triple(*lab_fgk)
+        h = RiccatiData(*lab_fgk)
         ls = lagrangian_subspace(h, "antistable")
         np.testing.assert_allclose(
             np.sort(np.linalg.eigvals(_restriction(h, ls)).real), [2.0, 3.0], atol=1e-10
@@ -365,14 +363,14 @@ class TestLagrangianSubspace:
         np.testing.assert_allclose(x, [[5.0, 1.0], [1.0, 8.0]], atol=1e-8)
 
     def test_unknown_selection_rejected(self, lab_fgk):
-        h = HamiltonianMatrix.from_triple(*lab_fgk)
+        h = RiccatiData(*lab_fgk)
         for select in ("sideways", lambda lam: lam.real > 0):
             with pytest.raises(ValueError, match="'stable' or 'antistable'"):
                 lagrangian_subspace(h, select)
 
     def test_raw_array_accepted(self, lab_fgk):
-        h = HamiltonianMatrix.from_triple(*lab_fgk)
-        ls = lagrangian_subspace(np.array(h.full), "stable")
+        h = RiccatiData(*lab_fgk)
+        ls = lagrangian_subspace(np.array(h.hamiltonian), "stable")
         assert _isotropy_defect(ls) < 1e-12
 
     def test_non_hamiltonian_array_rejected(self):
@@ -386,7 +384,7 @@ class TestLagrangianSubspace:
         # candidate selections are generated lazily: the attempt stays
         # small in memory however many half-splits the clusters admit.
         eye = np.eye(n)
-        h = HamiltonianMatrix.from_triple(np.zeros((n, n)), eye, eye)
+        h = RiccatiData(np.zeros((n, n)), eye, eye)
         tracemalloc.start()
         try:
             with pytest.raises(LagrangianConditionError, match="definite form") as ei:
@@ -403,8 +401,8 @@ class TestLagrangianSubspace:
         # Fourfold eigenvalue collision at zero; the kernel still spans an
         # isotropic invariant subspace and the solution it encodes is -f.
         f, g, k = _vertex_triple()
-        h = HamiltonianMatrix.from_triple(f, g, k)
-        assert np.max(np.abs(np.linalg.eigvals(h.full))) < 1e-6
+        h = RiccatiData(f, g, k)
+        assert np.max(np.abs(np.linalg.eigvals(h.hamiltonian))) < 1e-6
         ls = lagrangian_subspace(h, "stable")
         assert _isotropy_defect(ls) < 1e-6
         x = ls.w2 @ np.linalg.inv(ls.w1)
@@ -414,7 +412,7 @@ class TestLagrangianSubspace:
         # One strict pair (+-3) plus a double eigenvalue at zero.
         f = np.array([[-3.0, -1.0], [-1.0, -5.0]])
         k = np.array([[10.0, 8.0], [8.0, 17.0]])
-        h = HamiltonianMatrix.from_triple(f, np.eye(2), k)
+        h = RiccatiData(f, np.eye(2), k)
         ls = lagrangian_subspace(h, "stable")
         assert _isotropy_defect(ls) < 1e-6
         x = ls.w2 @ np.linalg.inv(ls.w1)
@@ -426,11 +424,11 @@ def _schur_quality(h, q):
     the Hamiltonian Schur form q^H H q."""
     n = q.shape[0] // 2
     j = j_matrix(n)
-    t_full = q.conj().T @ h.full @ q
+    t_full = q.conj().T @ h.hamiltonian @ q
     return (
         _norm(q.conj().T @ q - np.eye(2 * n)),
         _norm(q.conj().T @ j @ q - j),
-        _norm(t_full[n:, :n]) / (1.0 + _norm(h.full)),
+        _norm(t_full[n:, :n]) / (1.0 + _norm(h.hamiltonian)),
         t_full[:n, :n],
         t_full[:n, n:],
     )
@@ -456,7 +454,7 @@ class TestSelectionFlags:
 
 class TestHamiltonianSchur:
     def test_lab_factorization(self, lab_fgk):
-        h = HamiltonianMatrix.from_triple(*lab_fgk)
+        h = RiccatiData(*lab_fgk)
         q = hamiltonian_schur(h, "stable")
         n = 2
         orth, sympl, lower, t11, t12 = _schur_quality(h, q)
@@ -468,11 +466,11 @@ class TestHamiltonianSchur:
         )
         # t12 Hermitian; (2,2) block equals -t11^H; full reconstruction
         np.testing.assert_allclose(t12, t12.conj().T, atol=1e-10)
-        t_full = q.conj().T @ h.full @ q
+        t_full = q.conj().T @ h.hamiltonian @ q
         np.testing.assert_allclose(t_full[n:, n:], -t11.conj().T, atol=1e-10)
         rebuilt = np.block([[t11, t12], [np.zeros((n, n)), -t11.conj().T]])
         np.testing.assert_allclose(
-            q @ rebuilt @ q.conj().T, h.full, atol=1e-9 * (1 + _norm(h.full))
+            q @ rebuilt @ q.conj().T, h.hamiltonian, atol=1e-9 * (1 + _norm(h.hamiltonian))
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -486,7 +484,7 @@ class TestHamiltonianSchur:
         g = g / np.linalg.norm(g)
         k = helpers.rand_psd(rng, n, rank=n)
         k = 1e-3 * k / np.linalg.norm(k)
-        h = HamiltonianMatrix.from_triple(f, g, k)
+        h = RiccatiData(f, g, k)
         orth, sympl, lower, t11, _ = _schur_quality(h, hamiltonian_schur(h, "stable"))
         assert orth < 1e-10
         assert sympl < 1e-10

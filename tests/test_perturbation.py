@@ -19,9 +19,9 @@ from scipy.optimize import linear_sum_assignment
 
 from hamriccati import perturbation
 from hamriccati.forms import (
-    HamiltonianMatrix,
     LagrangianConditionError,
     RiccatiData,
+    _axis_band,
     _axis_clusters,
     _cluster_counts,
     _cluster_form,
@@ -75,13 +75,13 @@ from helpers import (
 )
 
 
-def lab_base() -> HamiltonianMatrix:
+def lab_base() -> RiccatiData:
     f, g, k = lab2x2()
-    return HamiltonianMatrix.from_triple(f, g, k)
+    return RiccatiData(f, g, k)
 
 
 def dir_abc(a, b, c, *, validate=True) -> PerturbationDirection:
-    return PerturbationDirection.delta11_only(
+    return PerturbationDirection.from_blocks(
         [[a, c], [c, b]], validate=validate
     )
 
@@ -124,7 +124,7 @@ class TestPerturbationDirection:
 
     def test_indefinite_direction_is_rejected(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
-            PerturbationDirection.delta11_only([[1.0, 2.0], [2.0, 1.0]])
+            PerturbationDirection.from_blocks([[1.0, 2.0], [2.0, 1.0]])
 
     def test_validate_false_keeps_margin_evidence(self):
         d = dir_abc(1.0, 1.0, 2.0, validate=False)
@@ -132,7 +132,7 @@ class TestPerturbationDirection:
 
     def test_weight_only_is_read_off_the_blocks(self):
         z = np.zeros((2, 2))
-        assert PerturbationDirection.delta11_only(np.eye(2)).is_weight_only
+        assert PerturbationDirection.from_blocks(np.eye(2)).is_weight_only
         assert PerturbationDirection.from_blocks(np.eye(2), z, z).is_weight_only
         assert PerturbationDirection.from_full(np.diag([1.0, 1.0, 0.0, 0.0])).is_weight_only
         assert not PerturbationDirection.from_blocks(np.eye(2), None, np.eye(2)).is_weight_only
@@ -143,7 +143,7 @@ class TestPerturbationDirection:
             PerturbationDirection.from_blocks(np.eye(2), np.eye(3))
 
     def test_zero_detection(self):
-        assert PerturbationDirection.delta11_only(np.zeros((2, 2))).is_zero
+        assert PerturbationDirection.from_blocks(np.zeros((2, 2))).is_zero
         assert not dir_abc(1.0, 0.0, 0.0).is_zero
 
 
@@ -155,23 +155,23 @@ class TestPerturbedHamiltonian:
     def test_blocks_shift_by_the_direction(self):
         rng = make_rng(2)
         f, g, k, _ = rand_solvable_triple(rng, 3)
-        base = HamiltonianMatrix.from_triple(f, g, k)
+        base = RiccatiData(f, g, k)
         d11 = rand_psd(rng, 3) + 5.0 * np.eye(3)
         d21 = rand_complex(rng, 3)
         d22 = rand_psd(rng, 3) + 5.0 * np.eye(3)
         d = PerturbationDirection.from_blocks(d11, d21, d22)
         t = 0.37
         h = perturbed_hamiltonian(base, d, t)
-        np.testing.assert_array_equal(h.data.f, f + t * d.delta21)
-        np.testing.assert_allclose(h.data.g, g + t * d.delta22, atol=1e-14)
-        np.testing.assert_allclose(h.data.k, k + t * d.delta11, atol=1e-14)
+        np.testing.assert_array_equal(h.f, f + t * d.delta21)
+        np.testing.assert_allclose(h.g, g + t * d.delta22, atol=1e-14)
+        np.testing.assert_allclose(h.k, k + t * d.delta11, atol=1e-14)
 
     def test_structure_is_exact(self):
         rng = make_rng(3)
         f, g, k, _ = rand_solvable_triple(rng, 4)
-        base = HamiltonianMatrix.from_triple(f, g, k)
+        base = RiccatiData(f, g, k)
         d = PerturbationDirection.from_full(rand_psd(rng, 8))
-        h = perturbed_hamiltonian(base, d, 0.9).full
+        h = perturbed_hamiltonian(base, d, 0.9).hamiltonian
         j = j_matrix(4)
         jh = j @ h
         np.testing.assert_array_equal(jh, jh.conj().T)
@@ -189,7 +189,7 @@ class TestPerturbedHamiltonian:
             expected = np.concatenate(
                 [np.sqrt(lam2 + 0j), -np.sqrt(lam2 + 0j)]
             )
-            got = np.linalg.eigvals(h.full)
+            got = np.linalg.eigvals(h.hamiltonian)
             assert spectrum_distance(got, expected) < 1e-8 * (1 + np.abs(got).max())
 
     def test_negative_parameter_is_rejected(self):
@@ -199,7 +199,7 @@ class TestPerturbedHamiltonian:
     def test_dimension_mismatch_is_rejected(self):
         with pytest.raises(ValueError, match="dimensions differ"):
             perturbed_hamiltonian(
-                lab_base(), PerturbationDirection.delta11_only(np.eye(3)), 1.0
+                lab_base(), PerturbationDirection.from_blocks(np.eye(3)), 1.0
             )
 
 
@@ -209,20 +209,20 @@ class TestPerturbedHamiltonian:
 
 class TestSnapshotsAndInertia:
     def test_rotation_clusters_have_definite_signs(self):
-        h = HamiltonianMatrix.from_triple([[0.0]], [[1.0]], [[1.0]])
+        h = RiccatiData([[0.0]], [[1.0]], [[1.0]])
         down, up = spectrum_snapshot(h).imaginary_groups
         np.testing.assert_allclose([down.alpha, up.alpha], [-1.0, 1.0], atol=1e-12)
         assert (up.multiplicity, up.n_minus, up.n_plus) == (1, 1, 0)
         assert (down.multiplicity, down.n_minus, down.n_plus) == (1, 0, 1)
 
     def test_missing_cluster_has_zero_multiplicity(self):
-        h = HamiltonianMatrix.from_triple([[0.0]], [[1.0]], [[1.0]])
+        h = RiccatiData([[0.0]], [[1.0]], [[1.0]])
         groups = spectrum_snapshot(h).imaginary_groups
         assert sum(c.multiplicity for c in groups if abs(c.alpha - 5.0) < 1e-6) == 0
 
     def test_vertex_cluster_is_mixed(self):
         f, g, k = lab2x2()
-        h = HamiltonianMatrix.from_triple(
+        h = RiccatiData(
             f, g, k + np.array([[4.0, 0.0], [0.0, 9.0]])
         )
         snap = spectrum_snapshot(h)
@@ -240,7 +240,7 @@ class TestSnapshotsAndInertia:
     def test_eigenvalues_are_sorted_and_symmetric(self):
         rng = make_rng(11)
         f, g, k, _ = rand_solvable_triple(rng, 4)
-        snap = spectrum_snapshot(HamiltonianMatrix.from_triple(f, g, k))
+        snap = spectrum_snapshot(RiccatiData(f, g, k))
         ev = snap.eigenvalues
         assert np.all(np.diff(ev.real) >= -1e-14)
         assert snap.symmetry_defect < 1e-10
@@ -248,7 +248,7 @@ class TestSnapshotsAndInertia:
     def test_symmetry_defect_is_computed_on_first_access(self):
         rng = make_rng(12)
         f, g, k, _ = rand_solvable_triple(rng, 3)
-        snap = spectrum_snapshot(HamiltonianMatrix.from_triple(f, g, k))
+        snap = spectrum_snapshot(RiccatiData(f, g, k))
         assert "symmetry_defect" not in vars(snap)
         ev = snap.eigenvalues
         assert snap.symmetry_defect == spectrum_distance(ev, -ev.conj())
@@ -279,8 +279,8 @@ def axis_rotation_stack(rng, n):
 class TestFirstOrderSlopes:
     def test_exact_square_root_family(self):
         # lambda(t) = +- i sqrt(1 + s t) has slope +- s/2 at t=0.
-        h = HamiltonianMatrix.from_triple([[0.0]], [[1.0]], [[1.0]])
-        d = PerturbationDirection.delta11_only([[2.0]])
+        h = RiccatiData([[0.0]], [[1.0]], [[1.0]])
+        d = PerturbationDirection.from_blocks([[2.0]])
         np.testing.assert_allclose(first_order_slopes(h, d, 1.0), [1.0], atol=1e-12)
         np.testing.assert_allclose(first_order_slopes(h, d, -1.0), [-1.0], atol=1e-12)
 
@@ -348,16 +348,16 @@ class TestFirstOrderSlopes:
 
     def test_defective_cluster_is_rejected(self):
         f, g, k = lab2x2()
-        h = HamiltonianMatrix.from_triple(
+        h = RiccatiData(
             f, g, k + np.array([[4.0, 0.0], [0.0, 9.0]])
         )
         with pytest.raises(PerturbationError, match="not semisimple"):
             first_order_slopes(h, dir_abc(1.0, 1.0, 0.0), 0.0)
 
     def test_missing_cluster_is_rejected(self):
-        h = HamiltonianMatrix.from_triple([[0.0]], [[1.0]], [[1.0]])
+        h = RiccatiData([[0.0]], [[1.0]], [[1.0]])
         with pytest.raises(PerturbationError, match="no eigenvalue"):
-            first_order_slopes(h, PerturbationDirection.delta11_only([[1.0]]), 7.0)
+            first_order_slopes(h, PerturbationDirection.from_blocks([[1.0]]), 7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +419,7 @@ class TestJordanCases:
             ([(1, 2), (2, 1)], {2: 2, 4: 1}),
         ]:
             case = make_jordan_case(sizes, rng=make_rng(17))
-            h0 = case.hamiltonian(0.0).full
+            h0 = case.hamiltonian(0.0).hamiltonian
             assert jordan_block_structure(h0, 0.0) == expect
 
     def test_scramble_is_modestly_conditioned(self):
@@ -550,7 +550,7 @@ class TestCriticalTime:
 
     def test_standing_axis_eigenvalues_mean_zero(self):
         f, g, k = lab2x2()
-        h = HamiltonianMatrix.from_triple(
+        h = RiccatiData(
             f, g, k + np.array([[4.0, 0.0], [0.0, 9.0]])
         )
         ct = critical_time(h, dir_abc(1.0, 1.0, 0.0))
@@ -600,7 +600,7 @@ def critical_ray(case: str) -> tuple[RiccatiData, PerturbationDirection]:
     n, seed = (int(part[1:]) for part in case.split("-"))
     rng = make_rng(seed)
     f, g, k, _ = rand_solvable_triple(rng, n)
-    return RiccatiData(f, g, k), PerturbationDirection.delta11_only(rand_psd(rng, n))
+    return RiccatiData(f, g, k), PerturbationDirection.from_blocks(rand_psd(rng, n))
 
 
 # Rays along full positive semidefinite directions (complex delta21),
@@ -628,7 +628,7 @@ def full_ray(case: str) -> tuple[RiccatiData, PerturbationDirection]:
 
 def independent_axis_count(data: RiccatiData, d: PerturbationDirection, t: float) -> int:
     """Axis count of h0 + t J delta, assembled without the library's helpers."""
-    h = HamiltonianMatrix(data).full + t * (j_matrix(data.n) @ d.full)
+    h = data.hamiltonian + t * (j_matrix(data.n) @ d.full)
     eigs = np.linalg.eigvals(h)
     return int(np.sum(np.abs(eigs.real) <= 1e-7 * (1.0 + np.linalg.norm(h))))
 
@@ -670,8 +670,8 @@ class TestLevelSetCrossing:
     @pytest.mark.parametrize("case", [*LAB_RAYS, *TRIPLE_RAYS])
     def test_matches_the_scan_oracle(self, case):
         data, d = critical_ray(case)
-        ref = reference_critical_time(HamiltonianMatrix(data), d)
-        ct = critical_time(HamiltonianMatrix(data), d)
+        ref = reference_critical_time(data, d)
+        ct = critical_time(data, d)
         assert ct.status == ref.status == "crossed"
         assert ct.n_axis_start == ref.n_axis_start == 0
         assert ct.bound == ref.bound
@@ -688,7 +688,7 @@ class TestLevelSetCrossing:
     )
     def test_lab_crossings_are_exact(self, case, exact):
         data, d = critical_ray(case)
-        ct = critical_time(HamiltonianMatrix(data), d)
+        ct = critical_time(data, d)
         assert abs(ct.t0 - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize(
@@ -697,7 +697,7 @@ class TestLevelSetCrossing:
     def test_takes_few_eigenvalue_solves(self, case, eigvals_calls):
         # The scan took 36 to 41 here.
         data, d = critical_ray(case)
-        critical_time(HamiltonianMatrix(data), d)
+        critical_time(data, d)
         assert len(eigvals_calls) <= 10
 
     @pytest.mark.parametrize("seed", range(4))
@@ -706,8 +706,8 @@ class TestLevelSetCrossing:
         # search from the scan's bracket took 22 or 23 solves here.
         f, g, k, _ = rand_solvable_triple(make_rng(seed), 20)
         data = RiccatiData(f, g, k)
-        d = PerturbationDirection.delta11_only(np.eye(20))
-        ct = critical_time(HamiltonianMatrix(data), d)
+        d = PerturbationDirection.from_blocks(np.eye(20))
+        ct = critical_time(data, d)
         calls = []
 
         def counted(triple):
@@ -726,8 +726,8 @@ class TestLevelSetCrossing:
     def test_leg_end_pair_is_the_pair_of_the_returned_point(self, seed):
         f, g, k, _ = rand_solvable_triple(make_rng(seed), 20)
         data = RiccatiData(f, g, k)
-        d = PerturbationDirection.delta11_only(np.eye(20))
-        ct = critical_time(HamiltonianMatrix(data), d)
+        d = PerturbationDirection.from_blocks(np.eye(20))
+        ct = critical_time(data, d)
         t_end, pair = _refine_leg_end(data, d, ct)
         assert t_end != ct.t0
         point = RiccatiData(data.f, data.g, hermitian_part(data.k + t_end * d.delta11))
@@ -745,15 +745,15 @@ class TestLevelSetCrossing:
         # search cannot start, and a solvable bracket end at 2 is further
         # past t0 = 1 than the search may grow.  From a bracket at t0 the
         # growing end stops at t0 (1 + 1e-3) instead of running on to 4.
-        d = PerturbationDirection.delta11_only(np.eye(2))
+        d = PerturbationDirection.from_blocks(np.eye(2))
         ct = CriticalTime(
             t0=t0, bracket=bracket, bound=None, status="crossed", n_axis_start=2
         )
-        assert _refine_leg_end(lab_base().data, d, ct) == (t0, None)
+        assert _refine_leg_end(lab_base(), d, ct) == (t0, None)
 
     @pytest.mark.parametrize("t_max", [-8.0, 0.0, np.nan, np.inf])
     def test_scan_limit_must_be_finite_and_positive(self, t_max):
-        d = PerturbationDirection.delta11_only(np.eye(2))
+        d = PerturbationDirection.from_blocks(np.eye(2))
         with pytest.raises(ValueError, match="finite and positive"):
             critical_time(lab_base(), d, t_max=t_max)
 
@@ -766,8 +766,8 @@ class TestLevelSetCrossing:
     @pytest.mark.parametrize("case", FULL_RAYS)
     def test_full_directions_match_the_scan_oracle(self, case):
         data, d = full_ray(case)
-        ref = reference_critical_time(HamiltonianMatrix(data), d, t_max=50.0)
-        ct = critical_time(HamiltonianMatrix(data), d, t_max=50.0)
+        ref = reference_critical_time(data, d, t_max=50.0)
+        ct = critical_time(data, d, t_max=50.0)
         assert ct.status == ref.status == "crossed"
         assert ct.n_axis_start == ref.n_axis_start == 0
         assert abs(ct.t0 - ref.t0) <= 1e-6 * ref.t0
@@ -785,11 +785,11 @@ class TestLevelSetCrossing:
         ell = np.array([[1.0], [-0.1 + 1j]])
         full = ell @ ell.conj().T
         d = PerturbationDirection.from_blocks(full[:1, :1], full[1:, :1], full[1:, 1:])
-        ct = critical_time(HamiltonianMatrix(data), d, t_max=50.0)
+        ct = critical_time(data, d, t_max=50.0)
         exact = 0.1 + np.sqrt(1.01)
         assert ct.status == "crossed"
         assert abs(ct.t0 - exact) <= 1e-8 * exact
-        assert ct == reference_critical_time(HamiltonianMatrix(data), d, t_max=50.0)
+        assert ct == reference_critical_time(data, d, t_max=50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +809,7 @@ def walk_spies(monkeypatch):
         return _snapshot(arr, axis_tol)
 
     def solved(data, **kwargs):
-        key = HamiltonianMatrix(data).full.tobytes()
+        key = data.hamiltonian.tobytes()
         spies.solves.append(key)
         out = solve_extremal(data, **kwargs)
         spies.certified.append(key)
@@ -897,7 +897,7 @@ class TestVertexPath:
 
     def test_starting_at_the_vertex_needs_no_legs(self):
         f, g, k = lab2x2()
-        h = HamiltonianMatrix.from_triple(
+        h = RiccatiData(
             f, g, k + np.array([[4.0, 0.0], [0.0, 9.0]])
         )
         path = vertex_path(h)
@@ -915,25 +915,25 @@ class TestVertexPath:
 
     def test_non_freezing_direction_is_rejected(self):
         f, g, k = lab2x2()
-        h = HamiltonianMatrix.from_triple(
+        h = RiccatiData(
             f, g, k + np.array([[4.0, 0.0], [0.0, 0.0]])
         )
-        with pytest.raises(PerturbationError, match="freeze"):
+        with pytest.raises(ValueError, match="freeze"):
             vertex_path(h, directions=[dir_abc(1.0, 0.0, 0.0)])
 
     def test_full_direction_is_rejected(self):
         d = PerturbationDirection.from_blocks(np.eye(2), None, np.eye(2))
-        with pytest.raises(ValueError, match="delta11_only"):
+        with pytest.raises(ValueError, match="weight-only"):
             vertex_path(lab_base(), directions=[d])
 
     def test_wrong_dimension_direction_is_rejected(self):
-        d = PerturbationDirection.delta11_only(np.eye(3))
+        d = PerturbationDirection.from_blocks(np.eye(3))
         with pytest.raises(ValueError, match="dimensions differ"):
             vertex_path(lab_base(), directions=[d])
 
     @pytest.mark.parametrize(
         "blocks, message",
-        [((np.eye(2), None, np.eye(2)), "delta11_only"), ((np.eye(3),), "dimensions differ")],
+        [((np.eye(2), None, np.eye(2)), "weight-only"), ((np.eye(3),), "dimensions differ")],
     )
     def test_a_bad_direction_raises_before_a_missing_pair_blocks(self, blocks, message):
         # The mode f = 1 is uncontrolled (g = 0 on it), so there is no
@@ -958,7 +958,7 @@ class TestVertexPath:
 
     def test_the_base_point_is_factorized_once(self, eigvals_calls):
         vertex_path(lab_base(), directions=[dir_abc(1.0, 0.0, 0.0)])
-        base = lab_base().full
+        base = lab_base().hamiltonian
         assert sum(np.array_equal(a, base) for a in eigvals_calls) == 1
 
     def test_each_leg_starts_where_the_last_one_was_certified(self, walk_spies):
@@ -1071,12 +1071,12 @@ class TestRegionMembership:
 # composition it replaced
 
 
-def rotated_lab_base(quarter_turns: int) -> HamiltonianMatrix:
+def rotated_lab_base(quarter_turns: int) -> RiccatiData:
     """The lab problem congruent by a rotation of ``quarter_turns * pi / 4``."""
     theta = quarter_turns * np.pi / 4
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     f, g, k = (rot @ m @ rot.T for m in lab2x2())
-    return HamiltonianMatrix.from_triple(f, g, k)
+    return RiccatiData(f, g, k)
 
 
 def not_psd(d):
@@ -1088,7 +1088,7 @@ def assert_same_verdict(base, d):
     got = region_membership(base, d)
     ref = reference_region_membership(base, d)
     assert got.membership == ref.membership
-    scale = 1.0 + np.linalg.norm(_perturbed_array(base.data, d, 1.0))
+    scale = 1.0 + np.linalg.norm(_perturbed_array(base, d, 1.0))
     assert abs(got.margin - ref.margin) <= 1e-10 * scale
     # Both spectra are eigvals's.
     assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
@@ -1139,13 +1139,13 @@ class TestOneFactorizationRegion:
         for i in range(120):
             n = 2 + i % 3
             f, g, k, _ = rand_solvable_triple(rng, n)
-            base = HamiltonianMatrix.from_triple(f, g, k)
+            base = RiccatiData(f, g, k)
             size = 10.0 ** rng.uniform(-2.0, 1.0)
             # Half PSD bumps of every block, half indefinite weight bumps.
             if i % 4 < 2:
                 d = PerturbationDirection.from_full(size * rand_psd(rng, 2 * n, rank=n) / n)
             else:
-                d = PerturbationDirection.delta11_only(
+                d = PerturbationDirection.from_blocks(
                     size * rand_hermitian(rng, n), validate=False
                 )
             seen.add(assert_same_verdict(base, d))
@@ -1176,7 +1176,7 @@ class TestRegionGrid:
             d = dir_abc(a[i], b[i], c[i], validate=False)
             ref = reference_region_membership(base, d)
             assert grid.membership[i] == ref.membership, (a[i], b[i], c[i])
-            arr = _perturbed_array(base.data, d, 1.0)
+            arr = _perturbed_array(base, d, 1.0)
             assert abs(grid.margin[i] - ref.margin) <= 1e-10 * (1.0 + np.linalg.norm(arr))
             assert grid.eigenvalues[i].tobytes() == _sorted_eigenvalues(arr).tobytes()
 
@@ -1214,7 +1214,7 @@ class TestRegionGrid:
         # axis, so only the Schur path may decide the point; at 0.001 times
         # it clears the batched rule's guard.
         base, d = lab_base(), dir_abc(0.0, 0.0, 0.0)
-        arr = _perturbed_array(base.data, d, 1.0)
+        arr = _perturbed_array(base, d, 1.0)
         min_re = float(np.min(np.abs(_sorted_eigenvalues(arr).real)))
         imag_tol = band * min_re / (1.0 + np.linalg.norm(arr))
         grid = region_grid(base, d.full[None], imag_tol=imag_tol)
@@ -1285,9 +1285,9 @@ def assert_same_snapshot(got, ref):
 LARGE_SCALES = [1e150, 1e200, 1e300]
 
 
-def scaled_lab_base(s: float) -> HamiltonianMatrix:
+def scaled_lab_base(s: float) -> RiccatiData:
     f, g, k = lab2x2()
-    return HamiltonianMatrix.from_triple(s * f, s * g, s * k)
+    return RiccatiData(s * f, s * g, s * k)
 
 
 class TestLargeScale:
@@ -1343,10 +1343,10 @@ class TestLazySignCharacteristics:
         # The perturb --t-grid ray of the lab problem: delta = I first
         # reaches the axis at t = 4.
         base = lab_base()
-        d = PerturbationDirection.delta11_only(np.eye(2))
+        d = PerturbationDirection.from_blocks(np.eye(2))
         n_clusters = 0
         for t in np.linspace(0.0, 8.0, 201):
-            arr = perturbed_hamiltonian(base, d, float(t)).full
+            arr = perturbed_hamiltonian(base, d, float(t)).hamiltonian
             got = spectrum_snapshot(arr)
             n_clusters += len(assert_same_snapshot(got, eager_snapshot(arr, axis_tol=1e-8)))
         assert n_clusters > 100
@@ -1366,7 +1366,7 @@ class TestLazySignCharacteristics:
 
     def test_lab_jordan_vertex_matches_the_eager_builder(self):
         f, g, k = lab2x2()
-        arr = HamiltonianMatrix.from_triple(f, g, k + np.diag([4.0, 9.0])).full
+        arr = RiccatiData(f, g, k + np.diag([4.0, 9.0])).hamiltonian
         (cluster,) = assert_same_snapshot(
             spectrum_snapshot(arr), eager_snapshot(arr, axis_tol=1e-8)
         )
@@ -1382,7 +1382,7 @@ class TestLazySignCharacteristics:
                 for c in np.linspace(-4.0, 4.0, 7):
                     d = dir_abc(a, b, c, validate=False)
                     got = region_membership(base, d)
-                    ref = eager_snapshot(_perturbed_array(base.data, d, 1.0), axis_tol=1e-7)
+                    ref = eager_snapshot(_perturbed_array(base, d, 1.0), axis_tol=1e-7)
                     assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
                     if got.membership != "exterior":
                         assert (got.membership == "boundary") == (ref.n_axis > 0)
@@ -1395,7 +1395,7 @@ class TestLazySignCharacteristics:
         # coupled pair.  The snapshot's merge tolerance puts both in one
         # cluster, so each one-eigenvalue cluster is counted directly.
         b = 2.5e-11
-        arr = HamiltonianMatrix.from_triple([[1j * b]], [[1e3]], [[b * b / 1e3]]).full
+        arr = RiccatiData([[1j * b]], [[1e3]], [[b * b / 1e3]]).hamiltonian
         s = schur_decompose(arr)
         band = 1e-8 * (1.0 + float(np.max(np.abs(np.diag(s.t)))))
         unresolved = []
@@ -1412,7 +1412,7 @@ class TestLazySignCharacteristics:
 
     def test_equality_and_hash_compare_the_counts(self):
         f, g, k = lab2x2()
-        arr = HamiltonianMatrix.from_triple(f, g, k + np.diag([4.0, 9.0])).full
+        arr = RiccatiData(f, g, k + np.diag([4.0, 9.0])).hamiltonian
         (first,) = spectrum_snapshot(arr).imaginary_groups
         (second,) = spectrum_snapshot(arr).imaginary_groups
         assert first == second and hash(first) == hash(second)
@@ -1439,14 +1439,14 @@ class TestLazySignCharacteristics:
         if not fallback:
             assert made == 0
         else:
-            arr = _perturbed_array(base.data, d, 1.0)
-            _has_stable_solution(base.data, d, arr, schur_decompose(arr))
+            arr = _perturbed_array(base, d, 1.0)
+            _has_stable_solution(base, d, arr, schur_decompose(arr))
             assert made == len(order_schur_calls)
 
     def test_snapshot_reorders_no_definite_cluster(self, order_schur_calls, schur_calls):
         # Four simple axis eigenvalues: the inertia jumps decide them all.
         d = dir_abc(13.0, 13.0, 0.0, validate=False)
-        snap = _snapshot(_perturbed_array(lab_base().data, d, 1.0), 1e-7)
+        snap = _snapshot(_perturbed_array(lab_base(), d, 1.0), 1e-7)
         clusters = snap.imaginary_groups
         assert [definite_sign(c) for c in clusters] == [1, 1, -1, -1]
         assert order_schur_calls == [] and schur_calls == []
@@ -1459,7 +1459,7 @@ class TestLazySignCharacteristics:
 
 def lab_t_grid():
     # The perturb --t-grid ray of the lab problem, delta = I over 0:8:201.
-    d = PerturbationDirection.delta11_only(np.eye(2))
+    d = PerturbationDirection.from_blocks(np.eye(2))
     return [perturbed_hamiltonian(lab_base(), d, float(t)) for t in np.linspace(0.0, 8.0, 201)]
 
 
@@ -1498,7 +1498,7 @@ class TestInertiaJumps:
     def test_collision_falls_back_to_the_schur_form(self, schur_calls):
         # At t = 4 the lab ray's two eigenvalues meet at 0 with opposite
         # signs: the jump across the one cluster is 0.
-        d = PerturbationDirection.delta11_only(np.eye(2))
+        d = PerturbationDirection.from_blocks(np.eye(2))
         (cluster,) = spectrum_snapshot(perturbed_hamiltonian(lab_base(), d, 4.0)).imaginary_groups
         assert cluster_record(cluster)[1:] == (2, 1, 1, 0, True)
         assert len(schur_calls) == 1
@@ -1508,7 +1508,7 @@ class TestInertiaJumps:
         # Every eigenvalue height is a candidate: off-axis ones jump by 0,
         # axis ones by their sign characteristic.
         h, d, t1 = walk_triple(0, 10)
-        arr = perturbed_hamiltonian(h, d, ratio * t1).full
+        arr = perturbed_hamiltonian(h, d, ratio * t1).hamiltonian
         snap = spectrum_snapshot(arr)
         eigs = np.linalg.eigvals(arr)
         heights = np.array(
@@ -1524,9 +1524,9 @@ class TestInertiaJumps:
             np.testing.assert_allclose(scaled_clearance, scale * clearance, rtol=1e-6)
 
     def test_no_or_one_height_has_no_jump(self):
-        jumps, clearance = _inertia_jumps(lab_base().full, np.zeros(0))
+        jumps, clearance = _inertia_jumps(lab_base().hamiltonian, np.zeros(0))
         assert jumps.size == clearance.size == 0
-        jumps, clearance = _inertia_jumps(lab_base().full, np.array([0.5]))
+        jumps, clearance = _inertia_jumps(lab_base().hamiltonian, np.array([0.5]))
         assert jumps.tolist() == [0] and clearance.tolist() == [np.inf]
 
 
@@ -1553,6 +1553,16 @@ def bumped_random_triples():
 
 
 class TestOneAxisRule:
+    def test_a_pair_straddling_the_band_counts_whole(self):
+        # Rounding can put the mirror images -a + ib and a' + ib of an axis
+        # pair either side of the band.  The count takes both, as the
+        # snapshot's cluster at height b does, not only the one inside it.
+        arr = lab_base().hamiltonian
+        band = _axis_band(arr, 1e-7)
+        eigs = np.array([-3.0, -0.999 * band + 2j, 1.001 * band + 2j, 3.0])
+        assert perturbation._axis_count(arr, 1e-7, eigs) == 2
+        assert perturbation._axis_count(arr, 1e-7, np.array([-3.0, -2.0, 2.0, 3.0])) == 0
+
     @pytest.mark.parametrize(
         "triples", [exterior_lab_triples, bumped_random_triples], ids=["lab", "random"]
     )
@@ -1561,12 +1571,11 @@ class TestOneAxisRule:
         # spectrum_snapshot calls definite on the same Hamiltonian.
         raised = 0
         for data in triples():
-            h = HamiltonianMatrix(data)
-            snap = spectrum_snapshot(h)
+            snap = spectrum_snapshot(data)
             definite = [f"{c.alpha:.6g}" for c in snap.imaginary_groups if definite_sign(c)]
             solves = [
-                lambda: lagrangian_subspace(h, "stable"),
-                lambda: lagrangian_subspace(h, "antistable"),
+                lambda: lagrangian_subspace(data, "stable"),
+                lambda: lagrangian_subspace(data, "antistable"),
                 lambda: solve_extremal(data),
             ]
             for solve in solves:
@@ -1599,7 +1608,7 @@ class TestBlockAssemblySites:
 
         f, g, k = draw(), draw(psd=True), draw(psd=True)
         data = RiccatiData(f, g, k)
-        same(HamiltonianMatrix(data).full,
+        same(data.hamiltonian,
              np.block([[data.f, data.g], [-data.k, -data.f.conj().T]]))
 
         d11, d21, d22 = draw(psd=True), draw(), draw(psd=True)
@@ -1616,7 +1625,7 @@ class TestBlockAssemblySites:
         same(_perturbed_array(data, d, t), np.block([[ft, gt], [-kt, -ft.conj().T]]))
 
         # A validated assembly takes the same bits.
-        same(perturbed_hamiltonian(data, d, t).full, _perturbed_array(data, d, t))
+        same(perturbed_hamiltonian(data, d, t).hamiltonian, _perturbed_array(data, d, t))
 
         # A stack of bumps assembles as each bump does alone.
         ds = [
@@ -1635,11 +1644,11 @@ class TestBlockAssemblySites:
             f_zero = data.f.copy()
             f_zero[0, 0] = complex(-0.0, -0.0)
             base = RiccatiData(f_zero, data.g, data.k)
-            w = PerturbationDirection.delta11_only(d.delta11, validate=False)
+            w = PerturbationDirection.from_blocks(d.delta11, validate=False)
             for got, want in zip(_bumped(base, w.delta11, w.delta21, w.delta22, 0.0),
                                  (base.f, base.g, base.k)):
                 same(got, want)
-            same(_perturbed_array(base, w, 0.0), HamiltonianMatrix(base).full)
-            same(perturbed_hamiltonian(base, w, 0.0).full, HamiltonianMatrix(base).full)
+            same(_perturbed_array(base, w, 0.0), base.hamiltonian)
+            same(perturbed_hamiltonian(base, w, 0.0).hamiltonian, base.hamiltonian)
             assert np.signbit(_perturbed_array(base, w, 0.0)[0, 0].real)
 

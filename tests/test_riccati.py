@@ -25,7 +25,6 @@ from hamriccati import (
     solve_extremal,
     solve_structured,
 )
-from hamriccati.forms import HamiltonianMatrix
 from hamriccati.linalg import OrderingBreakdown, _norm, order_schur, schur_decompose
 
 NSD_KINDS = ("negative-definite", "negative-semidefinite")
@@ -543,7 +542,7 @@ class TestReducedCoreUniqueness:
         f11 = f[:2, :2]
         g11 = g[:2, :2]
         k11 = k[:2, :2]
-        h = HamiltonianMatrix.from_triple(f11, g11, k11).full
+        h = RiccatiData(f11, g11, k11).hamiltonian
         s = schur_decompose(h)
         np.testing.assert_allclose(
             np.sort(np.diag(s.t).real), [-1.0, -1.0, 1.0, 1.0], atol=1e-8
