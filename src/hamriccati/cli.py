@@ -6,8 +6,9 @@ Matrices travel as JSON objects ``{"name": ..., "rows": r, "cols": c,
 A problem file is a JSON object with either ``{"F":, "G":, "K":}`` or
 ``{"A":, "B":, "C":, "D":}`` entries in that format.  Every JSON report
 embeds a run manifest (command, input digests, tolerance overrides,
-seed, tool version, and the numpy and scipy versions with the BLAS each
-links); CSV artifacts written to ``--out`` get a sibling
+seed, tool version, the numpy and scipy versions with the BLAS each
+links, and the BLAS/OpenMP thread variables, null when unset, with
+``os.cpu_count()``); CSV artifacts written to ``--out`` get a sibling
 ``<out>.manifest.json``.  Outputs are deterministic: the same manifest
 always produces byte-identical files.  Every JSON report and manifest is
 written by one serializer, ``_dumps``, whose bytes equal those of
@@ -302,6 +303,12 @@ def _stack_entry(module) -> dict:
     }
 
 
+# A threaded BLAS rounds large factorizations differently (at n = 100,
+# ``solve --extremal`` writes other bytes under 1 and 2 OpenBLAS threads),
+# so the thread settings belong in the manifest.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _manifest(
     command: list[str],
     inputs: dict[str, str],
@@ -316,6 +323,10 @@ def _manifest(
         "version": __version__,
         "numpy": _stack_entry(np),
         "scipy": _stack_entry(scipy),
+        "threads": {
+            **{name: os.environ.get(name) for name in _THREAD_VARIABLES},
+            "cpu_count": os.cpu_count(),
+        },
     }
 
 

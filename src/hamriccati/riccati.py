@@ -10,7 +10,10 @@ invariant subspaces of the Hamiltonian matrix [[F, G], [-K, -F^H]], runs a
 block-structured pipeline for reducible coefficient triples that certifies
 existence or non-existence of positive definite solutions, and derives
 port-Hamiltonian realizations and passivity certificates for state-space
-systems.
+systems.  A passivity certificate is the stable solution of the weight
+bump (F, G, K + eps I), at eps = 0 and then at one small eps > 0.  Every
+Hamiltonian is factorized once: each half-plane selection of a solve is
+read off the same Schur form.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .forms import (
     LagrangianConditionError,
     RiccatiData,
     StateSpace,
+    _ISO_TOL,
     _SELECT_BAND,
     _axis_band,
     _lagrangian_from_schur,
@@ -37,7 +41,7 @@ from .linalg import (
     NEGATIVE_DEFINITE,
     NEGATIVE_SEMIDEFINITE,
     POSITIVE_DEFINITE,
-    POSITIVE_SEMIDEFINITE,
+    SchurForm,
     DefinitenessVerdict,
     LinalgError,
     SolvabilityError,
@@ -236,12 +240,12 @@ def _spectra_meet(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 
 def _structured_attempt(
-    form: CondensedForm, core: RiccatiData | None, mode: str, *, tol: float
+    form: CondensedForm, core: tuple[np.ndarray, SchurForm] | None, mode: str, *, tol: float
 ) -> tuple[bool, dict[str, Any]]:
     """Run the staged solve for one core selection; never raises.
 
-    ``core`` is the controllable-and-observable core triple, or None when
-    that core is empty.
+    ``core`` is the Hamiltonian of the controllable-and-observable core
+    triple with its Schur form, or None when that core is empty.
     """
     n1, n2, n3 = form.n1, form.n2, form.n3
     no = n1 + n2
@@ -274,7 +278,7 @@ def _structured_attempt(
     # Riccati equation, through the requested half-plane selection.
     if core is not None:
         try:
-            sub = lagrangian_subspace(core, mode)
+            sub = _lagrangian_from_schur(*core, mode, iso_tol=_ISO_TOL)
             xt11 = _graph_solution(sub.w1, sub.w2)
         except (LagrangianConditionError, SolvabilityError) as exc:
             out["reason"] = f"core solve ({mode} selection) failed: {exc}"
@@ -389,7 +393,8 @@ def solve_structured(data: RiccatiData, *, tol: float = 1e-8) -> StructuredSolve
     solution that pads ``x11`` with zeros.  When the bridge equation is
     inconsistent and the relevant diagonal blocks share eigenvalues, the
     report certifies that no positive definite solution exists.  Up to two
-    half-plane selections for the core are attempted.  ``tol`` is the
+    half-plane selections for the core are attempted, both read off one
+    Schur form of the core Hamiltonian.  ``tol`` is the
     relative residual every stage must meet.
 
     Raises
@@ -406,7 +411,10 @@ def solve_structured(data: RiccatiData, *, tol: float = 1e-8) -> StructuredSolve
 
     form = staircase(data)
     n1 = form.n1
-    core = RiccatiData(form.f[:n1, :n1], form.g[:n1, :n1], form.k[:n1, :n1]) if n1 else None
+    core = None
+    if n1:
+        h_core = RiccatiData(form.f[:n1, :n1], form.g[:n1, :n1], form.k[:n1, :n1]).hamiltonian
+        core = (h_core, schur_decompose(h_core))
     failures: list[tuple[str, str]] = []
     for mode in ("stable", "antistable"):
         ok, out = _structured_attempt(form, core, mode, tol=tol)
@@ -623,10 +631,12 @@ class PassivityVerdict:
         [[A^H X + X A, X B - C^H], [B^H X - C, -(D + D^H)]]
 
     is negative semidefinite; ``lmi_margin`` is that matrix's largest
-    eigenvalue and ``route`` names the solver that produced ``x``.  When
-    not certified, ``diagnostics`` records each failed attempt and the
-    imaginary-axis eigenvalues of the Hamiltonian matrix, whose presence
-    is the usual obstruction.
+    eigenvalue and ``route`` names the candidate ``x`` is: ``"extremal
+    stable selection"`` for the minimal solution X_- of the reduced
+    equation, or the stable solution of its weight bumped to K + eps1 I
+    (see :func:`passivity_verdict`).  When not certified, ``diagnostics``
+    records each failed attempt and the imaginary-axis eigenvalues of the
+    Hamiltonian matrix, whose presence is the usual obstruction.
     """
 
     certified: bool
@@ -634,6 +644,10 @@ class PassivityVerdict:
     lmi_margin: float | None
     route: str | None
     diagnostics: dict[str, Any]
+
+
+# The route of the candidate bumped to K + eps1 I, named by eps1's rule.
+_BUMPED_ROUTE = "stable selection of K + eps1 I, eps1 = 1e-6 (1 + ||H||_F)"
 
 
 def _dissipation_block(ss: StateSpace, x: np.ndarray) -> np.ndarray:
@@ -646,64 +660,31 @@ def _dissipation_block(ss: StateSpace, x: np.ndarray) -> np.ndarray:
 def passivity_verdict(ss: StateSpace, *, tol: float = 1e-8) -> PassivityVerdict:
     """Certify passivity of a state-space system, or explain the failure.
 
-    The system is reduced to a Riccati triple; the extremal solutions are
-    attempted first and the structured pipeline second.  When the equation
-    solutions are only positive semidefinite (typical for non-minimal
-    realizations, where a definite storage matrix can still exist), a third
-    route bumps them toward a Lyapunov storage direction — the feasible set
-    of the dissipation inequality is convex, so such combinations are
-    legitimate candidates.  Each positive definite candidate is validated
-    end to end against the dissipation block matrix itself rather than
-    through the reduction, and the first one whose block matrix is negative
-    semidefinite becomes the certificate.
+    The system is reduced to a Riccati triple (F, G, K) with Hamiltonian
+    H, and the candidate storage is the stable solution of (F, G, K + eps I),
+    read off one Schur form of its Hamiltonian: first at eps = 0, which is
+    the minimal solution X_-, then at eps1 = 1e-6 (1 + ||H||_F).  The
+    bumped solution leaves the residual -eps1 I in the original equation,
+    so it satisfies the inequality strictly, and it can be positive
+    definite where X_- is only semidefinite or has no usable graph.  It
+    exists while eps1 is below the first time t* at which K + t I puts
+    eigenvalues on the imaginary axis; t* itself is not computed, as that
+    costs more than the verdict.  Each candidate is validated end to end:
+    it must be positive definite, and its dissipation block matrix must be
+    negative semidefinite within ``tol``.
     """
     data = from_state_space(ss)
+    h_arr = data.hamiltonian
+    eps1 = float(_axis_band(h_arr, 1e-6))
     attempts: list[str] = []
-    candidates: list[tuple[str, np.ndarray]] = []
-    try:
-        ext = solve_extremal(data)
-        candidates.append(("extremal stable selection", ext.x_minus))
-        candidates.append(("extremal antistable selection", ext.x_plus))
-    except (LinalgError, LagrangianConditionError) as exc:
-        attempts.append(f"extremal solve failed: {exc}")
-    if not candidates:
+    for eps, route in ((0.0, "extremal stable selection"), (eps1, _BUMPED_ROUTE)):
+        bumped = RiccatiData(data.f, data.g, data.k + eps * np.eye(data.n)) if eps else data
         try:
-            report = solve_structured(data)
-            if report.verdict == SOLVED and report.x is not None:
-                candidates.append(("structured pipeline", report.x))
-            else:
-                attempts.append(f"structured solve verdict: {report.verdict}")
-        except (LinalgError, LagrangianConditionError, ValueError) as exc:
-            attempts.append(f"structured solve failed: {exc}")
-
-    if _spectral_abscissa(data.f) < 0.0:
-        try:
-            x_lyap = solve_lyapunov(
-                data.f, (1.0 + _norm(data.k)) * np.eye(data.n)
-            )
-            singular_psd = [
-                (route, hermitian_part(cand))
-                for route, cand in candidates
-                if definiteness(hermitian_part(cand)).kind
-                == POSITIVE_SEMIDEFINITE
-            ]
-            for route, cand in singular_psd:
-                step = (1.0 + _norm(cand)) / (1.0 + _norm(x_lyap))
-                for tau in (1e-6, 1e-3, 1.0):
-                    candidates.append(
-                        (
-                            f"{route} with lyapunov completion (tau={tau:g})",
-                            cand + tau * step * x_lyap,
-                        )
-                    )
-            candidates.append(("lyapunov storage", x_lyap))
-        except (SolvabilityError, LinalgError) as exc:
-            attempts.append(f"lyapunov storage failed: {exc}")
-    else:
-        attempts.append("lyapunov storage skipped: the state matrix is not stable")
-
-    for route, cand in candidates:
-        cand = hermitian_part(cand)
+            sub = lagrangian_subspace(bumped, "stable")
+            cand = _graph_solution(sub.w1, sub.w2)
+        except (LinalgError, LagrangianConditionError) as exc:
+            attempts.append(f"{route}: solve failed: {exc}")
+            continue
         cand_verdict = definiteness(cand)
         if cand_verdict.kind != POSITIVE_DEFINITE:
             attempts.append(f"{route}: candidate is not positive definite ({cand_verdict.kind})")
@@ -724,7 +705,6 @@ def passivity_verdict(ss: StateSpace, *, tol: float = 1e-8) -> PassivityVerdict:
             f"(largest eigenvalue {margin:.3e})"
         )
 
-    h_arr = data.hamiltonian
     eigs = np.linalg.eigvals(h_arr)
     axis = eigs[np.abs(eigs.real) <= _axis_band(h_arr, _SELECT_BAND)]
     return PassivityVerdict(

@@ -29,8 +29,8 @@ from helpers import (
     example3x3,
     lab2x2,
     make_rng,
+    port_hamiltonian,
     rand_complex,
-    rand_passive_system,
     rand_psd,
     rand_solvable_triple,
 )
@@ -229,7 +229,7 @@ def report_inputs(tmp_path_factory):
     cases = {
         "lab": ((f, g, k), (f + c, np.eye(2), c, 0.5 * np.eye(2)), np.eye(2),
                 np.array([[1.0, 1.0], [1.0, 2.0]])),
-        "n20": ((f20, g20, k20), rand_passive_system(rng, 20), rand_psd(rng, 20), x20),
+        "n20": ((f20, g20, k20), port_hamiltonian(rng, 20), rand_psd(rng, 20), x20),
     }
     files = {}
     for tag, ((ff, gg, kk), (a, b, cc, d), delta, x) in cases.items():
@@ -597,6 +597,24 @@ class TestPassivity:
         ext = solve_extremal(RiccatiData(f, g, k))
         np.testing.assert_allclose(parse_matrix(report["x"]), ext.x_minus, atol=1e-9)
         assert "extremal" in report["route"]
+
+    def test_port_hamiltonian_system_gets_a_strict_storage(self, tmp_path):
+        # X_- of this system has no usable graph; the bumped storage X_eps
+        # satisfies the inequality strictly, so its Gram block is definite.
+        a, b, c, d = port_hamiltonian(make_rng(1), 50)
+        path = tmp_path / "ph50.json"
+        path.write_text(
+            json.dumps(
+                {"A": mat_json(a, "A"), "B": mat_json(b, "B"),
+                 "C": mat_json(c, "C"), "D": mat_json(d, "D")}
+            )
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["passivity", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["route"].startswith("stable selection of K + eps1 I")
+        assert report["realization"] is not None
+        assert report["w_margin"] > 0.0
 
     def test_singular_feedthrough_is_invalid_input(self, tmp_path):
         path = tmp_path / "ss.json"
@@ -1145,6 +1163,30 @@ class TestHarness:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_manifest_records_the_thread_settings(self, ex2_file):
+        # A threaded BLAS may round differently, so a run under another
+        # thread count must not share the manifest of a single-thread run.
+        manifests = []
+        for threads in ("1", "2"):
+            env = dict(_package_env(), OPENBLAS_NUM_THREADS=threads)
+            env.pop("OMP_NUM_THREADS", None)
+            proc = subprocess.run(
+                [sys.executable, "-m", "hamriccati", "solve", ex2_file, "--extremal"],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            manifests.append(json.loads(proc.stdout)["manifest"])
+        assert manifests[0] != manifests[1]
+        for threads, manifest in zip(("1", "2"), manifests):
+            assert manifest["threads"] == {
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": None,
+                "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
+                "cpu_count": os.cpu_count(),
+            }
 
     def test_argparse_errors_use_exit_code_two(self):
         proc = subprocess.run(

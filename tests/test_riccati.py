@@ -19,6 +19,7 @@ from hamriccati import (
     definiteness,
     dual_riccati,
     from_state_space,
+    lagrangian_subspace,
     loewner_leq,
     passivity_verdict,
     ph_realization,
@@ -28,6 +29,7 @@ from hamriccati import (
 from hamriccati.linalg import OrderingBreakdown, _norm, order_schur, schur_decompose
 
 NSD_KINDS = ("negative-definite", "negative-semidefinite")
+BUMPED_ROUTE = "stable selection of K + eps1 I, eps1 = 1e-6 (1 + ||H||_F)"
 
 
 def _is_pd(x):
@@ -294,6 +296,28 @@ class TestSolveStructured:
             assert reason.startswith(f"core solve ({mode} selection) failed")
             assert "cluster(s) at alpha=-1, 1 carry" in reason
 
+    def test_both_core_selections_share_one_schur_form(self, schur_calls):
+        # The antistable fallback of test_antistable_core_fallback reads
+        # its selection off the stable attempt's factorization.
+        f = np.array([[-2.0, 0.0], [1.0, -1.0]], dtype=complex)
+        g = np.diag([1.0, 0.0]).astype(complex)
+        k = np.diag([3.0, 0.0]).astype(complex)
+        report = solve_structured(_data(f, g, k))
+        assert [mode for mode, _ in report.failures] == ["stable"]
+        assert len(schur_calls) == 1
+
+    def test_core_failures_come_from_one_schur_form(self, lab_fgk, schur_calls):
+        f, g, k = lab_fgk
+        k = k + np.diag([5.0, 10.0])
+        report = solve_structured(_data(f, g, k))
+        assert len(schur_calls) == 1
+        # Each reason is the one a separate per-selection solve gives.
+        core = _data(f, g, k)  # the lab core is the whole triple
+        for mode, reason in report.failures:
+            with pytest.raises(LagrangianConditionError) as exc:
+                lagrangian_subspace(core, mode)
+            assert reason == f"core solve ({mode} selection) failed: {exc.value}"
+
     def test_unstable_f_rejected(self):
         z = np.zeros((2, 2), dtype=complex)
         with pytest.raises(SolvabilityError, match="asymptotically stable"):
@@ -523,6 +547,74 @@ class TestPassivityVerdict:
         assert verdict.certified
         block = _dissipation_oracle(ss, verdict.x)
         assert np.linalg.eigvalsh(block).max() <= 1e-8 * (1.0 + _norm(block))
+
+    @pytest.mark.parametrize("n, seed", [(50, 1), (50, 2), (100, 1)])
+    def test_port_hamiltonian_systems_certified_by_the_bump(self, n, seed):
+        # X_- has no usable graph here; the stable solution of K + eps1 I
+        # leaves the residual -eps1 I, so it is a strict storage.
+        ss = StateSpace(*helpers.port_hamiltonian(helpers.make_rng(seed), n))
+        verdict = passivity_verdict(ss)
+        assert verdict.certified
+        assert verdict.route == BUMPED_ROUTE
+        assert _is_pd(verdict.x)
+        block = _dissipation_oracle(ss, verdict.x)
+        assert np.linalg.eigvalsh(block).max() <= 1e-8 * (1.0 + _norm(block))
+
+    @pytest.mark.parametrize(
+        "system, factorizations",
+        [("lab", 1), ("port_hamiltonian", 2), ("antistable", 2)],
+    )
+    def test_one_schur_form_per_candidate(self, schur_calls, system, factorizations):
+        # The lab system is certified at eps = 0; a bumped certificate
+        # and a refusal factorize the Hamiltonian of each candidate once.
+        verdict = passivity_verdict(_PASSIVITY_SYSTEMS[system]())
+        assert verdict.certified == (system != "antistable")
+        assert len(schur_calls) == factorizations
+
+
+def _trivial_state_space():
+    """A = -I with no coupling between state and port: X_- = 0."""
+    z = np.zeros((2, 2), dtype=complex)
+    return StateSpace(-np.eye(2, dtype=complex), z, z, np.eye(2, dtype=complex))
+
+
+_PASSIVITY_SYSTEMS = {
+    "lab": _lab_state_space,
+    "trivial": _trivial_state_space,
+    "port_hamiltonian": lambda: StateSpace(*helpers.port_hamiltonian(helpers.make_rng(1), 50)),
+    "ph20": lambda: StateSpace(*helpers.port_hamiltonian(helpers.make_rng(2), 20)),
+    "antistable": lambda: StateSpace(
+        np.eye(2, dtype=complex),
+        np.zeros((2, 2), dtype=complex),
+        np.zeros((2, 2), dtype=complex),
+        np.eye(2, dtype=complex),
+    ),
+}
+
+
+class TestPassivityInvariance:
+    """The verdict and its route do not change under the equation's
+    invariances."""
+
+    @pytest.mark.parametrize("system", ["lab", "trivial", "ph20", "port_hamiltonian"])
+    def test_unitary_state_congruence(self, system):
+        ss = _PASSIVITY_SYSTEMS[system]()
+        u = helpers.rand_unitary(helpers.make_rng(5), ss.n)
+        moved = StateSpace(u @ ss.a @ u.conj().T, u @ ss.b, ss.c @ u.conj().T, ss.d)
+        base, verdict = passivity_verdict(ss), passivity_verdict(moved)
+        assert base.certified and verdict.certified
+        assert verdict.route == base.route
+        expected = u @ base.x @ u.conj().T
+        assert _norm(verdict.x - expected) <= 1e-8 * _norm(expected)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("system", ["lab", "trivial", "ph20", "port_hamiltonian"])
+    def test_joint_scaling(self, system, scale):
+        ss = _PASSIVITY_SYSTEMS[system]()
+        scaled = StateSpace(scale * ss.a, scale * ss.b, scale * ss.c, scale * ss.d)
+        base, verdict = passivity_verdict(ss), passivity_verdict(scaled)
+        assert base.certified and verdict.certified
+        assert verdict.route == base.route
 
 
 # ---------------------------------------------------------------------------
