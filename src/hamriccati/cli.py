@@ -9,11 +9,13 @@ embeds a run manifest (command, input digests, tolerance overrides,
 seed, tool version, the numpy and scipy versions with the BLAS each
 links, and the BLAS/OpenMP thread variables, null when unset, with
 ``os.cpu_count()``); CSV artifacts written to ``--out`` get a sibling
-``<out>.manifest.json``.  Outputs are deterministic: the same manifest
+``<out>.manifest.json``.  Each input file is read once, and its digest is
+that of the bytes parsed.  Outputs are deterministic: the same manifest
 always produces byte-identical files.  Every JSON report and manifest is
 written by one serializer, ``_dumps``, whose bytes equal those of
-``json.dumps(obj, sort_keys=True, indent=2)``; it formats each matrix's
-data with json's C encoder in one call.
+``json.dumps(obj, sort_keys=True, indent=2)``; it formats the floats of
+each distinct matrix of a report once, in one ``repr`` pass, and a CSV
+artifact formats its floats column by column the same way.
 
 Exit codes: 0 = success, 2 = invalid input, 3 = analytic negative
 (no solution, certification refused, a certified storage without a
@@ -34,6 +36,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import scipy
@@ -142,13 +145,17 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
 
 
 class _Pairs(list):
-    """Matrix data: ``[re, im]`` lists of Python floats, which :func:`_dumps`
-    writes in one batch."""
+    """Matrix data: ``[re, im]`` lists of Python floats, so that ``json.dumps``
+    writes it too.  ``flat`` holds the same floats as one array, which
+    :func:`_dumps` formats in one pass."""
+
+    def __init__(self, flat: np.ndarray):
+        super().__init__(flat.reshape(-1, 2).tolist())
+        self.flat = flat
 
 
 def _complex_list(values) -> _Pairs:
-    flat = np.asarray(values, dtype=complex).ravel().view(float)
-    return _Pairs(flat.reshape(-1, 2).tolist())
+    return _Pairs(np.asarray(values, dtype=complex).ravel().view(float))
 
 
 def _matrix_to_json(m, name: str) -> dict:
@@ -168,18 +175,38 @@ def _matrix_to_json(m, name: str) -> dict:
 _ENCODE_COMPACT = json.JSONEncoder().encode
 
 
-def _append_json(obj, newline: str, parts: list[str]) -> None:
-    """Append the ``indent=2`` text of ``obj``; ``newline`` opens its own lines."""
+def _json_floats(flat: np.ndarray) -> list:
+    """The floats of ``flat`` as ``%s`` writes json's tokens: Python floats,
+    whose ``str`` is their ``repr``, and json's ``NaN``, ``Infinity`` and
+    ``-Infinity`` strings in place of the non-finite ones."""
+    values = flat.tolist()
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        values[i] = _ENCODE_COMPACT(values[i])
+    return values
+
+
+def _pairs_text(items: list, newline: str) -> str:
+    """The ``indent=2`` text of a non-empty pair list from the
+    :func:`_json_floats` of its floats, or from their ``str`` tokens;
+    ``newline`` opens its own lines."""
+    item = newline + "  "
+    value = item + "  "
+    # No token holds "%", so the items fill a %s template in one pass, which
+    # formats each float as it writes it.
+    template = f"{item}],{item}[{value}".join([f"%s,{value}%s"] * (len(items) // 2))
+    return f"[{item}[{value}{template % tuple(items)}{item}]{newline}]"
+
+
+def _append_json(obj, newline: str, parts: list[str], matrices: list) -> None:
+    """Append the ``indent=2`` text of ``obj``; ``newline`` opens its own lines.
+
+    A non-empty :class:`_Pairs` gets a placeholder in ``parts``, and its
+    index, the pairs and ``newline`` go to ``matrices``."""
     if isinstance(obj, (str, int, float)) or obj is None:
         parts.append(_ENCODE_COMPACT(obj))
     elif isinstance(obj, _Pairs) and obj:
-        # "[[a, b], [c, d]]" becomes the indented text by two replacements:
-        # no float token holds "]", "[", "," or a space.
-        item = newline + "  "
-        value = item + "  "
-        body = _ENCODE_COMPACT(obj)[2:-2]
-        body = body.replace("], [", f"{item}],{item}[{value}").replace(", ", "," + value)
-        parts.append(f"[{item}[{value}{body}{item}]{newline}]")
+        matrices.append((len(parts), obj, newline))
+        parts.append("")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
@@ -187,7 +214,7 @@ def _append_json(obj, newline: str, parts: list[str]) -> None:
         item = newline + "  "
         for i, value in enumerate(obj):
             parts.append("," + item if i else "[" + item)
-            _append_json(value, item, parts)
+            _append_json(value, item, parts, matrices)
         parts.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
@@ -198,44 +225,68 @@ def _append_json(obj, newline: str, parts: list[str]) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, not {type(key).__name__}")
             parts.append(("," if i else "{") + item + _ENCODE_COMPACT(key) + ": ")
-            _append_json(value, item, parts)
+            _append_json(value, item, parts, matrices)
         parts.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _write_matrices(parts: list[str], matrices: list[tuple[int, _Pairs, str]]) -> None:
+    """Fill the placeholders that :func:`_append_json` left for ``matrices``.
+
+    Each distinct matrix, told apart by the SHA-256 digest of its floats'
+    bytes (so 0.0 and -0.0 never merge, and no copy of the bytes is kept),
+    has its floats formatted once.  A matrix that occurs once is formatted
+    as its text is written.  One that recurs is formatted into tokens,
+    which serve each of its occurrences at that occurrence's indentation
+    and are dropped after the last, so no other matrix's tokens are ever
+    held."""
+    keys = [hashlib.sha256(pairs.flat).digest() for _, pairs, _ in matrices]
+    left = Counter(keys)
+    kept: dict[bytes, list[str]] = {}
+    for (at, pairs, newline), key in zip(matrices, keys):
+        left[key] -= 1
+        items = kept.pop(key, None)
+        if items is None:
+            items = _json_floats(pairs.flat)
+            if left[key]:
+                items = list(map(str, items))
+        if left[key]:
+            kept[key] = items
+        parts[at] = _pairs_text(items, newline)
+
+
 def _dumps(report) -> str:
     """The text of ``json.dumps(report, sort_keys=True, indent=2)``, byte for
-    byte, with each matrix's data formatted by the C encoder in one call."""
+    byte, with the floats of each distinct matrix formatted once."""
     parts: list[str] = []
-    _append_json(report, "\n", parts)
+    matrices: list[tuple[int, _Pairs, str]] = []
+    _append_json(report, "\n", parts, matrices)
+    _write_matrices(parts, matrices)
     return "".join(parts)
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> tuple[object, str]:
+    """The parsed content of the file at ``path`` and the sha256 of the bytes
+    parsed, which is what the manifest records: the file is read once."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _load_triple(path: str, *, state_space: bool) -> RiccatiData:
-    obj = _load_json(path)
+def _load_triple(path: str, *, state_space: bool) -> tuple[RiccatiData, str]:
+    """The problem in the file at ``path`` and the file's digest."""
+    obj, digest = _load_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path} must hold a JSON object")
     if state_space:
-        ss = _state_space_from(obj, path)
-        return from_state_space(ss)
+        return from_state_space(_state_space_from(obj, path)), digest
     missing = [key for key in ("F", "G", "K") if key not in obj]
     if missing:
         raise InputError(
@@ -246,7 +297,7 @@ def _load_triple(path: str, *, state_space: bool) -> RiccatiData:
     g = _matrix_from_json(obj["G"], "G")
     k = _matrix_from_json(obj["K"], "K")
     try:
-        return RiccatiData(f, g, k)
+        return RiccatiData(f, g, k), digest
     except (ValueError, LinalgError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -266,8 +317,9 @@ def _state_space_from(obj: dict, path: str) -> StateSpace:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_direction(path: str) -> PerturbationDirection:
-    obj = _load_json(path)
+def _load_direction(path: str) -> tuple[PerturbationDirection, str]:
+    """The direction in the file at ``path`` and the file's digest."""
+    obj, digest = _load_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path} must hold a JSON object")
     try:
@@ -283,9 +335,10 @@ def _load_direction(path: str) -> PerturbationDirection:
                 if "delta22" in obj
                 else None
             )
-            return PerturbationDirection.from_blocks(d11, d21, d22)
+            return PerturbationDirection.from_blocks(d11, d21, d22), digest
         if "rows" in obj:
-            return PerturbationDirection.from_blocks(_matrix_from_json(obj, "delta11"))
+            d11 = _matrix_from_json(obj, "delta11")
+            return PerturbationDirection.from_blocks(d11), digest
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
     raise InputError(
@@ -315,9 +368,10 @@ def _manifest(
     tolerances: dict[str, float | None],
     seed: int | None,
 ) -> dict:
+    """The run manifest; ``inputs`` maps each input's role to its digest."""
     return {
         "command": command,
-        "inputs": {key: _digest(path) for key, path in sorted(inputs.items())},
+        "inputs": inputs,
         "tolerances": tolerances,
         "seed": seed,
         "version": __version__,
@@ -343,7 +397,7 @@ def _emit_json(report: dict, out: str | None) -> None:
     _emit_text(_dumps(report) + "\n", out)
 
 
-def _emit_csv(header: list[str], rows: list[list[str]], manifest: dict, out: str | None) -> None:
+def _emit_csv(header: list[str], rows: list, manifest: dict, out: str | None) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -352,10 +406,6 @@ def _emit_csv(header: list[str], rows: list[list[str]], manifest: dict, out: str
     if out is not None:
         with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(_dumps(manifest) + "\n")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _positive_float(text: str) -> float:
@@ -398,11 +448,13 @@ def _parse_axis(segment: str, what: str) -> np.ndarray:
 
 
 def _run_solve(ns: argparse.Namespace) -> int:
-    data = _load_triple(ns.problem, state_space=ns.state_space)
-    inputs = {"problem": ns.problem}
+    inputs: dict[str, str] = {}
+    data, inputs["problem"] = _load_triple(ns.problem, state_space=ns.state_space)
     tolerances: dict[str, float | None] = {"tol": ns.tol}
     if ns.verify is not None:
-        inputs["x"] = ns.verify
+        x_obj, inputs["x"] = _load_json(ns.verify)
+        x = _matrix_from_json(x_obj, "x")
+        del x_obj  # its nested lists take several times the matrix's memory
     mode = "verify" if ns.verify is not None else ("extremal" if ns.extremal else "structured")
     command = ["solve", f"--{mode}"]
     if ns.state_space:
@@ -415,7 +467,6 @@ def _run_solve(ns: argparse.Namespace) -> int:
     log.info("solve mode=%s n=%d", mode, data.n)
 
     if mode == "verify":
-        x = _matrix_from_json(_load_json(ns.verify), "x")
         if x.shape != (data.n, data.n):
             raise InputError("the candidate matrix does not match the state dimension")
         tol = 1e-10 if ns.tol is None else ns.tol
@@ -492,6 +543,9 @@ def _run_solve(ns: argparse.Namespace) -> int:
 
 
 def _stage_to_json(key: str, value):
+    if value is None:
+        # x22 when the trailing block has no invertible completion.
+        return None
     if isinstance(value, dict):
         return {name: float(v) for name, v in sorted(value.items())}
     if np.ndim(value) == 0:
@@ -504,7 +558,7 @@ def _stage_to_json(key: str, value):
 
 
 def _run_passivity(ns: argparse.Namespace) -> int:
-    obj = _load_json(ns.problem)
+    obj, digest = _load_json(ns.problem)
     if not isinstance(obj, dict):
         raise InputError(f"{ns.problem} must hold a JSON object")
     ss = _state_space_from(obj, ns.problem)
@@ -512,7 +566,7 @@ def _run_passivity(ns: argparse.Namespace) -> int:
     verdict = passivity_verdict(ss, tol=tol)
     report: dict = {
         "manifest": _manifest(
-            ["passivity"], {"problem": ns.problem}, {"tol": ns.tol}, None
+            ["passivity"], {"problem": digest}, {"tol": ns.tol}, None
         ),
         "certified": bool(verdict.certified),
         "route": verdict.route,
@@ -560,12 +614,11 @@ def _run_perturb(ns: argparse.Namespace) -> int:
     if len(modes) != 1:
         raise InputError("pick exactly one of --t-grid, --critical, --vertex")
     mode = modes[0]
-    data = _load_triple(ns.problem, state_space=False)
-    inputs = {"problem": ns.problem}
+    inputs: dict[str, str] = {}
+    data, inputs["problem"] = _load_triple(ns.problem, state_space=False)
     direction = None
     if ns.delta is not None:
-        direction = _load_direction(ns.delta)
-        inputs["delta"] = ns.delta
+        direction, inputs["delta"] = _load_direction(ns.delta)
         if direction.n != data.n:
             raise InputError("the direction does not match the state dimension")
     if direction is None and mode != "vertex":
@@ -593,19 +646,18 @@ def _run_perturb(ns: argparse.Namespace) -> int:
             header += [f"eig{i}_re", f"eig{i}_im"]
         header += ["n_axis", "inertia_minus", "inertia_plus", "inertia_zero"]
         rows = []
-        for t in map(float, grid):
+        for t in grid.tolist():
             # The triple and direction were validated on loading, so the row is
             # Hamiltonian by assembly and k + t delta11 stays PSD; only overflow is left.
             arr = _perturbed_array(data, direction, t)
             if not np.isfinite(arr).all():
                 raise InputError(
-                    f"--t-grid {ns.t_grid} at t={_fmt(t)}: the bumped Hamiltonian has "
+                    f"--t-grid {ns.t_grid} at t={t!r}: the bumped Hamiltonian has "
                     "non-finite entries"
                 )
             snap = _snapshot(arr, axis_tol)
-            row = [_fmt(t)]
-            for v in snap.eigenvalues:
-                row += [_fmt(v.real), _fmt(v.imag)]
+            # The eigenvalues' floats in header order: re, im, re, im, ...
+            row = [repr(t), *map(repr, snap.eigenvalues.view(float).tolist())]
             minus = sum(c.n_minus for c in snap.imaginary_groups)
             plus = sum(c.n_plus for c in snap.imaginary_groups)
             zero = sum(c.n_zero for c in snap.imaginary_groups)
@@ -681,7 +733,7 @@ def _run_perturb(ns: argparse.Namespace) -> int:
 
 
 def _run_region(ns: argparse.Namespace) -> int:
-    data = _load_triple(ns.problem, state_space=False)
+    data, digest = _load_triple(ns.problem, state_space=False)
     if data.n != 2:
         raise InputError(
             "region scans parameterize a 2x2 weight bump [[a, c], [c, b]]; "
@@ -695,7 +747,7 @@ def _run_region(ns: argparse.Namespace) -> int:
     c_axis = _parse_axis(segments[2], "--grid c")
     tol_kwargs = {} if ns.tol is None else {"imag_tol": ns.tol}
     manifest = _manifest(
-        ["region", f"--grid={ns.grid}"], {"problem": ns.problem}, {"tol": ns.tol}, None
+        ["region", f"--grid={ns.grid}"], {"problem": digest}, {"tol": ns.tol}, None
     )
     shape = (a_axis.size, b_axis.size, c_axis.size)
     total = a_axis.size * b_axis.size * c_axis.size
@@ -714,17 +766,10 @@ def _run_region(ns: argparse.Namespace) -> int:
         except ValueError as exc:
             raise InputError(f"--grid {ns.grid}: {exc}") from exc
         min_re = np.min(np.abs(grid.eigenvalues.real), axis=1)
-        for j in range(a.size):
-            rows.append(
-                [
-                    _fmt(a[j]),
-                    _fmt(b[j]),
-                    _fmt(c[j]),
-                    str(grid.membership[j]),
-                    _fmt(min_re[j]),
-                    _fmt(grid.margin[j]),
-                ]
-            )
+        a_col, b_col, c_col, min_col, margin_col = (
+            map(repr, column.tolist()) for column in (a, b, c, min_re, grid.margin)
+        )
+        rows.extend(zip(a_col, b_col, c_col, grid.membership.tolist(), min_col, margin_col))
     _emit_csv(header, rows, manifest, ns.out)
     return EXIT_OK
 

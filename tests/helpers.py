@@ -3,6 +3,9 @@ oracles (vectorized dense solves, stacked-Krylov ranks, closed forms)."""
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
 from dataclasses import dataclass
@@ -624,3 +627,20 @@ def reference_critical_time(
         status="crossed",
         n_axis_start=n_axis0,
     )
+
+
+# ---------------------------------------------------------------------------
+# artifact text
+
+
+def reference_csv(header, rows) -> str:
+    """The CLI's CSV text, formatted one cell at a time: a float cell (Python
+    or NumPy) as ``repr(float(v))``, any other cell as ``str(v)``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row]
+        )
+    return buf.getvalue()

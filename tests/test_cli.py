@@ -4,6 +4,7 @@ behavior, exit codes, artifact shapes, and the determinism contract."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -23,7 +24,7 @@ from hamriccati import (
     spectrum_snapshot,
 )
 from hamriccati.forms import RiccatiData
-from hamriccati.perturbation import _snapshot
+from hamriccati.perturbation import _perturbed_array, _snapshot, region_grid
 
 from helpers import (
     example3x3,
@@ -33,6 +34,7 @@ from helpers import (
     rand_complex,
     rand_psd,
     rand_solvable_triple,
+    reference_csv,
 )
 
 EX1_CANDIDATE = [[3.0, 1.0, -1.0], [1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]
@@ -217,6 +219,85 @@ class TestReportWriter:
         with pytest.raises(TypeError):
             cli._dumps({1: 2})
 
+    @staticmethod
+    def assert_matches_json(report):
+        assert cli._dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+
+    def test_one_matrix_at_two_depths(self):
+        pairs = cli._complex_list(rand_complex(make_rng(45), 3, 4))
+        self.assert_matches_json({"a": pairs, "b": {"c": [pairs, {"d": pairs}]}, "e": pairs})
+
+    def test_equal_content_in_distinct_arrays(self):
+        m = rand_complex(make_rng(46), 4, 4)
+        report = {
+            "x": cli._matrix_to_json(m, "x"),
+            "y": [cli._matrix_to_json(m.copy(), "y"), cli._complex_list(np.array(m).ravel())],
+        }
+        self.assert_matches_json(report)
+
+    def test_zero_and_negative_zero_never_merge(self):
+        plus = cli._complex_list([0.0, complex(1.0, 0.0)])
+        minus = cli._complex_list([complex(-0.0, -0.0), complex(1.0, -0.0)])
+        report = {"a": plus, "b": {"c": minus}, "d": [plus, minus]}
+        self.assert_matches_json(report)
+        assert cli._dumps(report).count("-0.0") == 2 * 3
+
+    def test_non_finite_entries(self):
+        m = np.array([[np.nan, complex(np.inf, -np.inf)], [complex(1.5, np.nan), -np.inf]])
+        report = {"m": cli._matrix_to_json(m, "m"), "deeper": [[cli._matrix_to_json(m, "m")]]}
+        self.assert_matches_json(report)
+        text = cli._dumps(report)
+        assert "NaN" in text and "-Infinity" in text and "nan" not in text
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1)])
+    def test_empty_and_one_by_one_matrices(self, shape):
+        m = np.full(shape, complex(-2.5, 1e-300))
+        self.assert_matches_json({"m": cli._matrix_to_json(m, "m"), "again": [cli._complex_list(m)]})
+
+    def test_spectra_lists(self):
+        spectrum = np.linalg.eigvals(rand_complex(make_rng(47), 5, 5))
+        report = {
+            "minus": cli._complex_list(spectrum),
+            "plus": cli._complex_list(-spectrum),
+            "empty": cli._complex_list([]),
+            "same": [cli._complex_list(spectrum)],
+        }
+        self.assert_matches_json(report)
+
+    def test_repeated_structured_matrix_is_formatted_once(self, report_inputs, tmp_path, monkeypatch):
+        # x recurs as stages x11, x11_tilde and x_padded_psd: its floats are
+        # read once and formatted once into str tokens, and all four of its
+        # writes take that one token list.
+        _, files = report_inputs
+        read, written = [], []
+        json_floats, pairs_text = cli._json_floats, cli._pairs_text
+
+        def counted_read(flat):
+            read.append(flat.tobytes())
+            return json_floats(flat)
+
+        def counted_write(items, newline):
+            tokens = all(isinstance(v, str) for v in items)
+            written.append((id(items), tokens, [float(v) for v in items]))
+            return pairs_text(items, newline)
+
+        monkeypatch.setattr(cli, "_json_floats", counted_read)
+        monkeypatch.setattr(cli, "_pairs_text", counted_write)
+        out = tmp_path / "structured.json"
+        assert cli.main(["solve", files["n20"]["problem"], "--structured", "--out", str(out)]) == 0
+        assert_json_dumps_text(out)
+        report = json.loads(out.read_text())
+        stages = report["stages"]
+        copies = [report["x"], stages["x11"], stages["x11_tilde"], stages["x_padded_psd"]]
+        assert all(c["data"] == copies[0]["data"] for c in copies)
+        x = parse_matrix(report["x"])
+        assert read.count(x.tobytes()) == 1
+        assert len(read) == len(set(read))
+        x_writes = [w for w in written if w[2] == x.ravel().view(float).tolist()]
+        assert len(x_writes) == 4
+        assert all(tokens for _, tokens, _ in x_writes)
+        assert len({ident for ident, _, _ in x_writes}) == 1
+
 
 @pytest.fixture(scope="module")
 def report_inputs(tmp_path_factory):
@@ -283,6 +364,106 @@ class TestReportBytes:
         argv = ["region", files["lab"]["problem"], "--grid", "0:5:3,0:10:3,-4:4:3"]
         assert cli.main(argv + ["--out", str(out)]) == 0
         assert_json_dumps_text(tmp_path / "region.csv.manifest.json")
+
+
+class TestInputDigests:
+    """The manifest digests the bytes the command parsed, read in one open."""
+
+    @pytest.mark.parametrize("command", sorted(_REPORT_COMMANDS) + ["region"])
+    def test_each_input_is_opened_once_and_digested_as_parsed(
+        self, report_inputs, tmp_path, monkeypatch, command
+    ):
+        _, files = report_inputs
+        inputs, originals = {}, {}
+        for name, path in files["lab"].items():
+            # Copies: the shared fixture files stay as they are.
+            copy = tmp_path / os.path.basename(path)
+            with open(path, "rb") as fh:
+                copy.write_bytes(fh.read())
+            inputs[name] = str(copy)
+            originals[str(copy)] = copy.read_bytes()
+        opened = []
+
+        def open_then_replace(path, mode="r", *args, **kwargs):
+            # Each input is rewritten (still valid JSON, other bytes) as soon
+            # as it has been read, so a second read would see other bytes.
+            if os.fspath(path) not in originals:
+                return open(path, mode, *args, **kwargs)
+            opened.append(os.fspath(path))
+            raw = originals[os.fspath(path)]
+            with open(path, "wb") as fh:
+                fh.write(raw + b" ")
+            return io.BytesIO(raw)
+
+        monkeypatch.setattr(cli, "open", open_then_replace, raising=False)
+        out = tmp_path / "out"
+        if command == "region":
+            argv = ["region", inputs["problem"], "--grid", "0:5:3,0:10:3,-4:4:3"]
+        else:
+            argv = [arg.format(**inputs) for arg in _REPORT_COMMANDS[command]]
+        assert cli.main(argv + ["--out", str(out)]) in (0, 3)
+        if command in ("region", "perturb-t-grid"):
+            manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        else:
+            manifest = json.loads(out.read_text())["manifest"]
+        used = [arg for arg in argv if arg in originals]
+        assert sorted(opened) == sorted(used)
+        assert sorted(manifest["inputs"].values()) == sorted(
+            hashlib.sha256(originals[path]).hexdigest() for path in used
+        )
+
+
+class TestCsvBytes:
+    """The CSV artifacts are, byte for byte, the text of a writer that
+    formats every cell on its own (``helpers.reference_csv``)."""
+
+    def test_region_rows_match_the_cell_by_cell_writer(self, ex2_file, tmp_path):
+        grid = "0:5:11,0:10:11,-4:-0:7"  # the last c is -0.0
+        out = tmp_path / "region.csv"
+        assert cli.main(["region", ex2_file, "--grid", grid, "--out", str(out)]) == 0
+        axes = [cli._parse_axis(segment, "--grid") for segment in grid.split(",")]
+        a, b, c = (v.ravel() for v in np.meshgrid(*axes, indexing="ij"))
+        deltas = np.zeros((a.size, 4, 4), dtype=complex)
+        deltas[:, 0, 0], deltas[:, 1, 1] = a, b
+        deltas[:, 0, 1] = deltas[:, 1, 0] = c
+        region = region_grid(RiccatiData(*lab2x2()), deltas)
+        min_re = np.min(np.abs(region.eigenvalues.real), axis=1)
+        rows = [
+            [a[j], b[j], c[j], region.membership[j], min_re[j], region.margin[j]]
+            for j in range(a.size)
+        ]
+        header = ["a", "b", "c", "membership", "min_abs_re_lambda", "margin"]
+        text = out.read_text(encoding="utf-8")
+        assert text == reference_csv(header, rows)
+        assert read_csv(text)[7][2] == "-0.0"
+
+    @pytest.mark.parametrize("grid", ["0:1:5", "0:-0:2"])
+    def test_t_grid_rows_match_the_cell_by_cell_writer(self, report_inputs, tmp_path, grid):
+        _, files = report_inputs
+        out = tmp_path / "grid.csv"
+        argv = ["perturb", files["n20"]["problem"], files["n20"]["delta"], "--t-grid", grid]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        data, _ = cli._load_triple(files["n20"]["problem"], state_space=False)
+        direction, _ = cli._load_direction(files["n20"]["delta"])
+        header, rows = ["t"], []
+        for i in range(2 * data.n):
+            header += [f"eig{i}_re", f"eig{i}_im"]
+        header += ["n_axis", "inertia_minus", "inertia_plus", "inertia_zero"]
+        for t in cli._parse_axis(grid, "--t-grid"):
+            snap = _snapshot(_perturbed_array(data, direction, float(t)), 1e-8)
+            row = [t]
+            for v in snap.eigenvalues:
+                row += [v.real, v.imag]
+            groups = snap.imaginary_groups
+            row += [snap.n_axis, sum(g.n_minus for g in groups),
+                    sum(g.n_plus for g in groups), sum(g.n_zero for g in groups)]
+            rows.append(row)
+        text = out.read_text(encoding="utf-8")
+        assert text == reference_csv(header, rows)
+        # Both rows of 0:-0:2 lie at t = 0; the second keeps its sign.
+        assert [row[0] for row in read_csv(text)[1:3]] == (
+            ["0.0", "-0.0"] if grid == "0:-0:2" else ["0.0", "0.25"]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +607,27 @@ class TestSolve:
 
     def test_missing_file_is_invalid_input(self, tmp_path):
         assert cli.main(["solve", str(tmp_path / "nope.json"), "--extremal"]) == 2
+
+    def test_structured_report_of_an_uncontrollable_trailing_block(self, tmp_path):
+        # The padded solution is returned and the x22 stage stays null.
+        f = np.diag([-2.0, -1.0])
+        problem = tmp_path / "pad.json"
+        problem.write_text(json.dumps({
+            "F": mat_json(f, "F"), "G": mat_json(np.diag([1.0, 0.0]), "G"),
+            "K": mat_json(np.diag([3.0, 0.0]), "K"),
+        }))
+        out = tmp_path / "report.json"
+        assert cli.main(["solve", str(problem), "--structured", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "solved"
+        assert report["stages"]["x22"] is None
+        np.testing.assert_allclose(parse_matrix(report["x"]), np.diag([1.0, 0.0]), atol=1e-10)
+        assert_json_dumps_text(out)
+
+    def test_missing_verify_candidate_is_invalid_input(self, ex2_file, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        assert cli.main(["solve", ex2_file, "--verify", missing]) == 2
+        assert f"cannot read {missing}" in capsys.readouterr().err
 
     def test_bad_json_is_invalid_input(self, tmp_path):
         path = tmp_path / "broken.json"
