@@ -10,12 +10,14 @@ seed, tool version, the numpy and scipy versions with the BLAS each
 links, and the BLAS/OpenMP thread variables, null when unset, with
 ``os.cpu_count()``); CSV artifacts written to ``--out`` get a sibling
 ``<out>.manifest.json``.  Each input file is read once, and its digest is
-that of the bytes parsed.  Outputs are deterministic: the same manifest
+that of the bytes parsed; each matrix's pairs become an array as soon as
+the matrix is parsed.  Outputs are deterministic: the same manifest
 always produces byte-identical files.  Every JSON report and manifest is
-written by one serializer, ``_dumps``, whose bytes equal those of
-``json.dumps(obj, sort_keys=True, indent=2)``; it formats the floats of
-each distinct matrix of a report once, in one ``repr`` pass, and a CSV
-artifact formats its floats column by column the same way.
+written by one serializer, ``_json_parts``, whose parts join to the bytes
+of ``json.dumps(obj, sort_keys=True, indent=2)`` and are written one by
+one; it formats the floats of each distinct matrix of a report once, in
+one ``repr`` pass, and a CSV artifact formats its floats column by
+column the same way.
 
 Exit codes: 0 = success, 2 = invalid input, 3 = analytic negative
 (no solution, certification refused, a certified storage without a
@@ -113,19 +115,16 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
     data = obj["data"]
     if rows < 0 or cols < 0:
         raise InputError(f"matrix {name!r} has negative dimensions")
-    if not isinstance(data, list) or len(data) != rows * cols:
+    sized = isinstance(data, (list, np.ndarray))
+    if not sized or len(data) != rows * cols:
         raise InputError(
-            f"matrix {name!r} data length {len(data) if isinstance(data, list) else '?'}"
+            f"matrix {name!r} data length {len(data) if sized else '?'}"
             f" does not match rows*cols = {rows * cols}"
         )
-    try:
-        pairs = np.array(data, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        pairs = None
-    # NumPy turns null into NaN, so only a finite parse of the right shape
-    # is taken; anything else goes through the loop for its exact message.
-    if pairs is not None and pairs.shape == (rows * cols, 2) and np.isfinite(pairs).all():
-        return pairs.view(complex).reshape(rows, cols)
+    # An array is data that _pairs_hook took as finite pairs; a list goes
+    # through the loop, which names what is wrong with it.
+    if isinstance(data, np.ndarray):
+        return data.view(complex).reshape(rows, cols)
     out = np.empty(rows * cols, dtype=complex)
     for i, entry in enumerate(data):
         if not (isinstance(entry, list) and len(entry) == 2):
@@ -144,13 +143,14 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
-class _Pairs(list):
-    """Matrix data: ``[re, im]`` lists of Python floats, so that ``json.dumps``
-    writes it too.  ``flat`` holds the same floats as one array, which
-    :func:`_dumps` formats in one pass."""
+class _Pairs:
+    """Matrix data of a report: its ``[re, im]`` pairs as one flat float
+    array, ``flat``, which :func:`_json_parts` writes as json writes the
+    list of pairs, formatting its floats in one pass."""
+
+    __slots__ = ("flat",)
 
     def __init__(self, flat: np.ndarray):
-        super().__init__(flat.reshape(-1, 2).tolist())
         self.flat = flat
 
 
@@ -175,26 +175,31 @@ def _matrix_to_json(m, name: str) -> dict:
 _ENCODE_COMPACT = json.JSONEncoder().encode
 
 
-def _json_floats(flat: np.ndarray) -> list:
+def _json_floats(flat: np.ndarray) -> tuple:
     """The floats of ``flat`` as ``%s`` writes json's tokens: Python floats,
     whose ``str`` is their ``repr``, and json's ``NaN``, ``Infinity`` and
-    ``-Infinity`` strings in place of the non-finite ones."""
+    ``-Infinity`` strings in place of the non-finite ones.  A tuple, which
+    ``%`` takes as it is."""
     values = flat.tolist()
     for i in np.flatnonzero(~np.isfinite(flat)).tolist():
         values[i] = _ENCODE_COMPACT(values[i])
-    return values
+    return tuple(values)
 
 
-def _pairs_text(items: list, newline: str) -> str:
+def _pairs_text(items: tuple, newline: str) -> str:
     """The ``indent=2`` text of a non-empty pair list from the
     :func:`_json_floats` of its floats, or from their ``str`` tokens;
     ``newline`` opens its own lines."""
     item = newline + "  "
     value = item + "  "
     # No token holds "%", so the items fill a %s template in one pass, which
-    # formats each float as it writes it.
-    template = f"{item}],{item}[{value}".join([f"%s,{value}%s"] * (len(items) // 2))
-    return f"[{item}[{value}{template % tuple(items)}{item}]{newline}]"
+    # formats each float as it writes it.  The template holds the outer
+    # brackets too, so that pass writes the matrix's whole text, which is
+    # not copied again.
+    pairs = [f"%s,{value}%s"] * (len(items) // 2)
+    pairs[0] = f"[{item}[{value}{pairs[0]}"
+    pairs[-1] += f"{item}]{newline}]"
+    return f"{item}],{item}[{value}".join(pairs) % items
 
 
 def _append_json(obj, newline: str, parts: list[str], matrices: list) -> None:
@@ -204,7 +209,10 @@ def _append_json(obj, newline: str, parts: list[str], matrices: list) -> None:
     index, the pairs and ``newline`` go to ``matrices``."""
     if isinstance(obj, (str, int, float)) or obj is None:
         parts.append(_ENCODE_COMPACT(obj))
-    elif isinstance(obj, _Pairs) and obj:
+    elif isinstance(obj, _Pairs):
+        if not obj.flat.size:
+            parts.append("[]")
+            return
         matrices.append((len(parts), obj, newline))
         parts.append("")
     elif isinstance(obj, (list, tuple)):
@@ -243,39 +251,67 @@ def _write_matrices(parts: list[str], matrices: list[tuple[int, _Pairs, str]]) -
     held."""
     keys = [hashlib.sha256(pairs.flat).digest() for _, pairs, _ in matrices]
     left = Counter(keys)
-    kept: dict[bytes, list[str]] = {}
+    kept: dict[bytes, tuple[str, ...]] = {}
     for (at, pairs, newline), key in zip(matrices, keys):
         left[key] -= 1
         items = kept.pop(key, None)
         if items is None:
             items = _json_floats(pairs.flat)
             if left[key]:
-                items = list(map(str, items))
+                items = tuple(map(str, items))
         if left[key]:
             kept[key] = items
         parts[at] = _pairs_text(items, newline)
 
 
-def _dumps(report) -> str:
+def _json_parts(report) -> list[str]:
     """The text of ``json.dumps(report, sort_keys=True, indent=2)``, byte for
-    byte, with the floats of each distinct matrix formatted once."""
+    byte, as the parts that join to it, with the floats of each distinct
+    matrix formatted once."""
     parts: list[str] = []
     matrices: list[tuple[int, _Pairs, str]] = []
     _append_json(report, "\n", parts, matrices)
     _write_matrices(parts, matrices)
-    return "".join(parts)
+    return parts
+
+
+def _dumps(report) -> str:
+    """The joined text of :func:`_json_parts`."""
+    return "".join(_json_parts(report))
+
+
+def _pairs_hook(obj: dict) -> dict:
+    """``object_hook`` of :func:`_load_json`: a matrix object's ``data``, if
+    a list of ``m`` pairs of finite numbers, becomes their float ``(m, 2)``
+    array as soon as the object is parsed, so the nested lists of at most
+    one matrix exist at a time."""
+    data = obj.get("data")
+    if isinstance(data, list):
+        try:
+            pairs = np.array(data, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            return obj
+        # NumPy turns null into NaN, so only a finite parse of the right
+        # shape is taken.
+        if pairs.shape == (len(data), 2) and np.isfinite(pairs).all():
+            obj["data"] = pairs
+    return obj
 
 
 def _load_json(path: str) -> tuple[object, str]:
     """The parsed content of the file at ``path`` and the sha256 of the bytes
-    parsed, which is what the manifest records: the file is read once."""
+    parsed, which is what the manifest records: the file is read once.
+    Matrix data arrive as :func:`_pairs_hook` leaves them."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    digest = hashlib.sha256(raw).hexdigest()
     try:
-        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
+        text = raw.decode("utf-8")
+        del raw
+        return json.loads(text, object_hook=_pairs_hook), digest
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -384,17 +420,22 @@ def _manifest(
     }
 
 
-def _emit_text(text: str, out: str | None) -> None:
+def _emit_text(parts: list[str], out: str | None) -> None:
+    """Write the text that ``parts`` join to, part by part."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         log.info("wrote %s", out)
 
 
 def _emit_json(report: dict, out: str | None) -> None:
-    _emit_text(_dumps(report) + "\n", out)
+    # Every part is formatted before the file is opened, so a report that
+    # fails to serialize leaves no file behind.
+    parts = _json_parts(report)
+    parts.append("\n")
+    _emit_text(parts, out)
 
 
 def _emit_csv(header: list[str], rows: list, manifest: dict, out: str | None) -> None:
@@ -402,7 +443,7 @@ def _emit_csv(header: list[str], rows: list, manifest: dict, out: str | None) ->
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _emit_text(buf.getvalue(), out)
+    _emit_text([buf.getvalue()], out)
     if out is not None:
         with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(_dumps(manifest) + "\n")
@@ -454,7 +495,6 @@ def _run_solve(ns: argparse.Namespace) -> int:
     if ns.verify is not None:
         x_obj, inputs["x"] = _load_json(ns.verify)
         x = _matrix_from_json(x_obj, "x")
-        del x_obj  # its nested lists take several times the matrix's memory
     mode = "verify" if ns.verify is not None else ("extremal" if ns.extremal else "structured")
     command = ["solve", f"--{mode}"]
     if ns.state_space:

@@ -324,12 +324,18 @@ def _patterns_hold(f, g, k, sizes, tol) -> bool:
 
 
 def _subpairs_hold(f, g, k, sizes) -> bool:
+    """The rank conditions of the partition ``sizes`` that :func:`staircase`
+    found for (f, g, k).
+
+    With n3 = 0 the first check is on (f, k) itself, whose observability
+    staircase found it observable, and with n2 = 0 the third check is the
+    first one again, so neither is run a second time."""
     n1, n2, n3 = sizes
     n12 = n1 + n2
     return (
-        is_observable(f[:n12, :n12], k[:n12, :n12])
+        (n3 == 0 or is_observable(f[:n12, :n12], k[:n12, :n12]))
         and is_controllable(f[:n1, :n1], g[:n1, :n1])
-        and is_observable(f[:n1, :n1], k[:n1, :n1])
+        and (n2 == 0 or is_observable(f[:n1, :n1], k[:n1, :n1]))
     )
 
 

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,18 @@ def parse_matrix(obj):
     return cli._matrix_from_json(obj, obj.get("name", "m"))
 
 
+def plain(report):
+    """``report`` with each ``cli._Pairs`` replaced by the nested ``[re, im]``
+    lists of its floats: the plain image that ``json.dumps`` writes."""
+    if isinstance(report, cli._Pairs):
+        return report.flat.reshape(-1, 2).tolist()
+    if isinstance(report, dict):
+        return {key: plain(value) for key, value in report.items()}
+    if isinstance(report, (list, tuple)):
+        return type(report)(plain(value) for value in report)
+    return report
+
+
 def read_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
@@ -92,7 +105,7 @@ class TestMatrixFormat:
     def test_round_trip_is_exact(self):
         rng = make_rng(40)
         m = rand_complex(rng, 3, 5)
-        encoded = json.loads(json.dumps(cli._matrix_to_json(m, "m")))
+        encoded = json.loads(json.dumps(plain(cli._matrix_to_json(m, "m"))))
         np.testing.assert_array_equal(parse_matrix(encoded), m)
 
     def test_length_mismatch_is_rejected(self):
@@ -113,7 +126,7 @@ class TestMatrixFormat:
     def test_negative_zero_and_transposed_inputs_round_trip(self):
         m = (rand_complex(make_rng(41), 4, 3) * np.array([1.0, -0.0, 2.0])).T[:, ::2]
         m[0, 0] = complex(-0.0, -0.0)
-        got = parse_matrix(json.loads(json.dumps(cli._matrix_to_json(m, "m"))))
+        got = parse_matrix(json.loads(json.dumps(plain(cli._matrix_to_json(m, "m")))))
         np.testing.assert_array_equal(got, m)
         assert np.array_equal(np.signbit(got.real), np.signbit(m.real))
         assert np.array_equal(np.signbit(got.imag), np.signbit(m.imag))
@@ -205,7 +218,7 @@ class TestReportWriter:
         rng = make_rng(43)
         for _ in range(400):
             report = {"r": _random_report(rng), "e": [], "d": {}}
-            assert cli._dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+            assert cli._dumps(report) == json.dumps(plain(report), sort_keys=True, indent=2)
 
     @pytest.mark.parametrize(
         "value", [1.5, -0.0, float("nan"), -float("inf"), 10**400, "\u00e9", None, True, [], {}, ()]
@@ -221,7 +234,7 @@ class TestReportWriter:
 
     @staticmethod
     def assert_matches_json(report):
-        assert cli._dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+        assert cli._dumps(report) == json.dumps(plain(report), sort_keys=True, indent=2)
 
     def test_one_matrix_at_two_depths(self):
         pairs = cli._complex_list(rand_complex(make_rng(45), 3, 4))
@@ -464,6 +477,45 @@ class TestCsvBytes:
         assert [row[0] for row in read_csv(text)[1:3]] == (
             ["0.0", "-0.0"] if grid == "0:-0:2" else ["0.0", "0.25"]
         )
+
+
+def traced_peak(call) -> int:
+    """The peak of the bytes Python allocates while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestJsonMemory:
+    """Each matrix is held once on the JSON path (tracemalloc peaks)."""
+
+    def test_loading_a_triple_peaks_below_parsing_it_to_lists(self, tmp_path):
+        # Each matrix's pairs become an array as soon as the matrix is
+        # parsed, so the nested lists of F, G and K never coexist.
+        f, g, k, _ = rand_solvable_triple(make_rng(49), 60)
+        path = tmp_path / "triple60.json"
+        path.write_text(
+            json.dumps({"F": mat_json(f, "F"), "G": mat_json(g, "G"), "K": mat_json(k, "K")})
+        )
+        text = path.read_text()
+        parsed = traced_peak(lambda: json.loads(text))
+        loaded = traced_peak(lambda: cli._load_triple(str(path), state_space=False))
+        assert loaded < parsed
+
+    def test_emitting_a_report_peaks_below_twice_its_text(self, tmp_path):
+        # The parts are written one by one: the text is never joined.
+        rng = make_rng(50)
+        report = {
+            "a": cli._matrix_to_json(rand_complex(rng, 150, 150), "a"),
+            "b": {"c": cli._matrix_to_json(rand_complex(rng, 150, 150), "c")},
+        }
+        out = tmp_path / "report.json"
+        peak = traced_peak(lambda: cli._emit_json(report, str(out)))
+        assert peak < 2 * out.stat().st_size
+        assert out.read_text() == json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

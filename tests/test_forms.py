@@ -13,6 +13,7 @@ from hamriccati import (
     RiccatiData,
     StateSpace,
     dual_riccati,
+    forms,
     from_state_space,
     hamiltonian_schur,
     is_controllable,
@@ -315,6 +316,21 @@ class TestStaircase:
         for form in (staircase(data), _control_first(data)[0]):
             assert (form.n1, form.n2, form.n3) == (3, 0, 0)
             np.testing.assert_array_equal(form.u, np.eye(3))
+
+    def test_no_staircase_runs_twice_on_one_pair(self, monkeypatch):
+        # A minimal triple condenses to sizes (n, 0, 0): the sub-pair checks
+        # reuse the observability staircase of (F, K) instead of repeating it.
+        f, g, k, _ = helpers.rand_solvable_triple(helpers.make_rng(48), 20)
+        calls = []
+
+        def counted(a, b):
+            calls.append((a.shape, b.shape, a.tobytes(), b.tobytes()))
+            return _staircase_pair(a, b)
+
+        monkeypatch.setattr(forms, "_staircase_pair", counted)
+        form = staircase(RiccatiData(f, g, k))
+        assert (form.n1, form.n2, form.n3) == (20, 0, 0)
+        assert len(set(calls)) == len(calls) == 3
 
     def test_zero_g_zero_k(self):
         f = np.array([[-1.0, 2.0], [0.0, -4.0]])
