@@ -39,6 +39,7 @@ import logging
 import os
 import sys
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import scipy
@@ -103,6 +104,10 @@ def _setup_logging() -> None:
 # matrix and file plumbing
 
 
+# The types json.loads gives a JSON number.
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def _matrix_from_json(obj, name: str) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InputError(f"matrix {name!r} must be a JSON object")
@@ -130,10 +135,11 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise InputError(f"matrix {name!r} entry {i} is not an [re, im] pair")
         re_part, im_part = entry
+        # Only JSON numbers: float() would also take strings and booleans.
+        if type(re_part) not in _JSON_NUMBERS or type(im_part) not in _JSON_NUMBERS:
+            raise InputError(f"matrix {name!r} entry {i} is not numeric")
         try:
             out[i] = complex(float(re_part), float(im_part))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"matrix {name!r} entry {i} is not numeric") from exc
         except OverflowError as exc:
             # A JSON integer beyond the float range; a float literal such as
             # 1e400 already parses to inf.
@@ -282,18 +288,23 @@ def _dumps(report) -> str:
 
 def _pairs_hook(obj: dict) -> dict:
     """``object_hook`` of :func:`_load_json`: a matrix object's ``data``, if
-    a list of ``m`` pairs of finite numbers, becomes their float ``(m, 2)``
-    array as soon as the object is parsed, so the nested lists of at most
-    one matrix exist at a time."""
+    a list of ``m`` pairs of finite JSON numbers, becomes their float
+    ``(m, 2)`` array as soon as the object is parsed, so the nested lists of
+    at most one matrix exist at a time."""
     data = obj.get("data")
     if isinstance(data, list):
         try:
             pairs = np.array(data, dtype=float)
         except (TypeError, ValueError, OverflowError):
             return obj
-        # NumPy turns null into NaN, so only a finite parse of the right
-        # shape is taken.
-        if pairs.shape == (len(data), 2) and np.isfinite(pairs).all():
+        # NumPy turns null into NaN and converts strings and booleans, so
+        # only a finite parse of the right shape, from JSON numbers alone,
+        # is taken.
+        if (
+            pairs.shape == (len(data), 2)
+            and np.isfinite(pairs).all()
+            and set(map(type, chain.from_iterable(data))) <= _JSON_NUMBERS
+        ):
             obj["data"] = pairs
     return obj
 
@@ -588,8 +599,6 @@ def _stage_to_json(key: str, value):
         return None
     if isinstance(value, dict):
         return {name: float(v) for name, v in sorted(value.items())}
-    if np.ndim(value) == 0:
-        return float(value)
     return _matrix_to_json(value, key)
 
 
@@ -731,7 +740,7 @@ def _run_perturb(ns: argparse.Namespace) -> int:
     try:
         path = vertex_path(
             data,
-            directions=None if direction is None else [direction],
+            direction=direction,
             budget=ns.budget,
             rng=rng,
             **kwargs,

@@ -248,8 +248,6 @@ def _staircase_pair(a: np.ndarray, b: np.ndarray):
     pos = 0
     while pos < n and b_work.size:
         uu, ss, _ = np.linalg.svd(b_work)
-        if ss.size == 0 or scale == 0.0:
-            break
         r = int(np.sum(ss > _RANK_RTOL * max(n, b_work.shape[1]) * scale))
         if r == 0:
             break

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -1121,7 +1121,7 @@ def _refine_leg_end(
 def vertex_path(
     h,
     *,
-    directions: Iterable[PerturbationDirection] | None = None,
+    direction: PerturbationDirection | None = None,
     budget: int = 8,
     imag_tol: float = 1e-7,
     rng=None,
@@ -1129,9 +1129,9 @@ def vertex_path(
     """Walk the feasibility boundary until the solution becomes unique.
 
     Each leg follows a weight-only direction that freezes the standing
-    axis eigenvalues (leading directions may be supplied; further ones
-    are synthesized as projectors onto the complement of the axis
-    eigenvector span, optionally randomly weighted via ``rng``) up to its
+    axis eigenvalues (the first leg's may be supplied as ``direction``;
+    the others are synthesized as projectors onto the complement of the
+    axis eigenvector span, optionally randomly weighted via ``rng``) up to its
     first new axis arrival, where it counts the axis eigenvalues.  The
     walk terminates when every eigenvalue sits on the axis; the extremal
     solutions have then collapsed (to within ``1e-6 * (1 + |x|)``) and
@@ -1156,7 +1156,6 @@ def vertex_path(
         raise ValueError("budget must be at least 0")
     data = _as_data(h)
     n = data.n
-    supplied = iter(directions) if directions is not None else iter(())
     legs: list[PathLeg] = []
     scale_k = 1.0 + _norm(data.k)
 
@@ -1189,10 +1188,9 @@ def vertex_path(
                 legs=tuple(legs), terminal=None, status="budget_exhausted"
             )
 
-        direction = next(supplied, None)
-        if direction is None:
-            direction = _freezing_direction(arr, n, snap, rng)
-            if direction is None:
+        if legs or direction is None:
+            leg_dir = _freezing_direction(arr, n, snap, rng)
+            if leg_dir is None:
                 return blocked(snap)
         else:
             if not direction.is_weight_only:
@@ -1210,27 +1208,28 @@ def vertex_path(
                     "the supplied direction does not freeze the standing "
                     "axis eigenvalues"
                 )
+            leg_dir = direction
         if ext is None:
             # No extremal pair at the current point bounds the scan.
             return blocked(snap)
         n_axis0 = _axis_count(arr, imag_tol, snap.eigenvalues)
         ct = _critical_time(
-            cur, direction, arr, snap.eigenvalues, n_axis0, ext, t_max=None, imag_tol=imag_tol
+            cur, leg_dir, arr, snap.eigenvalues, n_axis0, ext, t_max=None, imag_tol=imag_tol
         )
         if ct.t0 is None:
             return blocked(snap)
-        t_leg, ext = _refine_leg_end(cur, direction, ct)
+        t_leg, ext = _refine_leg_end(cur, leg_dir, ct)
         # The next leg starts from the point _refine_leg_end certified,
         # rounded as it was there: re-adding the accumulated bump to the
         # base k rounds differently, and on the solvability boundary a
         # last-digit change can lose the solution.  The accumulated bump is
         # read back off this point.
         end = RiccatiData(
-            *_bumped(cur, direction.delta11, direction.delta21, direction.delta22, t_leg)
+            *_bumped(cur, leg_dir.delta11, leg_dir.delta21, leg_dir.delta22, t_leg)
         )
         arr = end.hamiltonian
         end_snap = _snapshot(arr, imag_tol)
-        legs.append(PathLeg(direction, t_leg, end_snap.n_axis))
+        legs.append(PathLeg(leg_dir, t_leg, end_snap.n_axis))
         if _norm(end.k - data.k) > 1e12 * scale_k:
             return blocked(snap)
         if ext is None:

@@ -213,15 +213,16 @@ class StructuredSolveReport:
       certified.
 
     ``failures`` records, in order, the reason each core selection that
-    was tried and abandoned failed.
+    was tried and abandoned failed, so a report that is not ``"solved"``
+    names a reason for every selection tried.
 
-    ``stages`` holds the intermediate matrices keyed by name
-    (``x11_tilde``, ``x21_tilde_h``, ``x22_tilde``, ``x11``, ``z``,
-    ``y22``, ``x22``, ``x_padded_psd``) together with a ``residuals``
-    entry mapping stage names to Frobenius residual norms.  Whenever the
-    observable-block solution ``x11`` exists, ``x_padded_psd`` holds the
-    exact positive-semidefinite solution obtained by padding it with
-    zeros, in the original coordinates.
+    ``stages`` holds the intermediate matrices of the last core selection
+    tried, keyed by name (``x11_tilde``, ``x21_tilde_h``, ``x22_tilde``,
+    ``x11``, ``z``, ``y22``, ``x22``, ``x_padded_psd``) together with a
+    ``residuals`` entry mapping stage names to Frobenius residual norms.
+    Whenever the observable-block solution ``x11`` exists and is
+    positive semidefinite, ``x_padded_psd`` holds the solution obtained
+    by padding it with zeros, in the original coordinates.
     """
 
     verdict: str
@@ -229,6 +230,20 @@ class StructuredSolveReport:
     stages: dict[str, Any]
     inconsistency_evidence: float | None
     failures: tuple[tuple[str, str], ...]
+
+
+class _StageFailure(Exception):
+    """A stage of the structured solve failed; the message is the reason.
+
+    An inconsistent bridge also carries that equation's residual
+    (``evidence``) and whether the blocks it couples share eigenvalues
+    (``coincident``).
+    """
+
+    def __init__(self, reason: str, evidence: float | None = None, coincident: bool = False):
+        super().__init__(reason)
+        self.evidence = evidence
+        self.coincident = coincident
 
 
 def _spectra_meet(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
@@ -239,13 +254,22 @@ def _spectra_meet(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return any(np.min(np.abs(lb - v)) <= tol for v in la)
 
 
-def _structured_attempt(
-    form: CondensedForm, core: tuple[np.ndarray, SchurForm] | None, mode: str, *, tol: float
-) -> tuple[bool, dict[str, Any]]:
-    """Run the staged solve for one core selection; never raises.
+def _staged_solve(
+    data: RiccatiData,
+    form: CondensedForm,
+    core: tuple[np.ndarray, SchurForm] | None,
+    mode: str,
+    stages: dict[str, Any],
+    *,
+    tol: float,
+) -> np.ndarray:
+    """Run the staged solve for one core selection and return its solution.
 
-    ``core`` is the Hamiltonian of the controllable-and-observable core
-    triple with its Schur form, or None when that core is empty.
+    Each stage is written into ``stages`` (residuals into
+    ``stages["residuals"]``) as it runs; a failing stage raises
+    :class:`_StageFailure`.  ``core`` is the Hamiltonian of the
+    controllable-and-observable core triple with its Schur form, or None
+    when that core is empty.
     """
     n1, n2, n3 = form.n1, form.n2, form.n3
     no = n1 + n2
@@ -262,17 +286,8 @@ def _structured_attempt(
     kt11 = k11[:n1, :n1]
     kt21 = k11[n1:, :n1]
     kt22 = k11[n1:, n1:]
-
-    stages: dict[str, Any] = {}
-    residuals: dict[str, float] = {}
-    out: dict[str, Any] = {
-        "stages": stages,
-        "residuals": residuals,
-        "reason": None,
-        "evidence": None,
-        "coincident": False,
-        "x22": None,
-    }
+    f, g, k = data.f, data.g, data.k
+    residuals = stages["residuals"]
 
     # Solve the controllable-and-observable core, which is a minimal
     # Riccati equation, through the requested half-plane selection.
@@ -281,15 +296,13 @@ def _structured_attempt(
             sub = _lagrangian_from_schur(*core, mode, iso_tol=_ISO_TOL)
             xt11 = _graph_solution(sub.w1, sub.w2)
         except (LagrangianConditionError, SolvabilityError) as exc:
-            out["reason"] = f"core solve ({mode} selection) failed: {exc}"
-            return False, out
+            raise _StageFailure(f"core solve ({mode} selection) failed: {exc}") from exc
     else:
         xt11 = np.zeros((0, 0), dtype=complex)
     stages["x11_tilde"] = _frozen(xt11)
     residuals["core"] = float(_norm(_equation_residual(ft11, gt11, kt11, xt11)))
     if residuals["core"] > tol * _residual_scale(ft11, gt11, kt11, xt11):
-        out["reason"] = f"core residual {residuals['core']:.3e} exceeds tolerance"
-        return False, out
+        raise _StageFailure(f"core residual {residuals['core']:.3e} exceeds tolerance")
 
     # Couple the observable-but-uncontrollable states to the core.  The
     # coefficient pair depends on the chosen core solution through the
@@ -299,11 +312,10 @@ def _structured_attempt(
     coupling = solve_sylvester(ft22.conj().T, a_cl, ft12.conj().T @ xt11 + kt21)
     residuals["coupling"] = float(coupling.residual_norm)
     if coupling.kind == "inconsistent":
-        out["reason"] = (
+        raise _StageFailure(
             "coupling equation for the observable block is inconsistent "
             f"(residual {coupling.residual_norm:.3e})"
         )
-        return False, out
     x21 = coupling.x
     x12 = x21.conj().T
     stages["x21_tilde_h"] = _frozen(x12)
@@ -313,8 +325,7 @@ def _structured_attempt(
     try:
         xt22 = hermitian_part(solve_lyapunov(ft22, c22))
     except SolvabilityError as exc:
-        out["reason"] = f"observable-block closure failed: {exc}"
-        return False, out
+        raise _StageFailure(f"observable-block closure failed: {exc}") from exc
     stages["x22_tilde"] = _frozen(xt22)
 
     if no:
@@ -323,13 +334,18 @@ def _structured_attempt(
         x11 = np.zeros((0, 0), dtype=complex)
     stages["x11"] = _frozen(x11)
     residuals["x11"] = float(_norm(_equation_residual(f11, g11, k11, x11)))
-    if residuals["x11"] > tol * _residual_scale(f11, g11, k11, x11):
-        out["reason"] = f"observable-block residual {residuals['x11']:.3e} exceeds tolerance"
-        return False, out
+    # Padding x11 with zeros gives an exact solution when x11 is one.
     v11 = definiteness(x11)
+    if v11.is_psd:
+        padded = np.zeros((form.n, form.n), dtype=complex)
+        padded[:no, :no] = x11
+        x_padded = hermitian_part(form.u @ padded @ form.u.conj().T)
+        stages["x_padded_psd"] = _frozen(x_padded)
+        residuals["padded"] = float(_norm(_equation_residual(f, g, k, x_padded)))
+    if residuals["x11"] > tol * _residual_scale(f11, g11, k11, x11):
+        raise _StageFailure(f"observable-block residual {residuals['x11']:.3e} exceeds tolerance")
     if v11.kind != POSITIVE_DEFINITE:
-        out["reason"] = f"observable-block solution is not positive definite ({v11.kind})"
-        return False, out
+        raise _StageFailure(f"observable-block solution is not positive definite ({v11.kind})")
 
     # Bridge to the unobservable states.  Inconsistency here, combined
     # with shared eigenvalues between the observable diagonal block and
@@ -345,40 +361,51 @@ def _structured_attempt(
         residuals["bridge"] = float(bridge.residual_norm)
         if bridge.kind == "inconsistent":
             scale = 1.0 + max(_norm(ft22), _norm(f22))
-            out["evidence"] = float(bridge.residual_norm)
-            out["coincident"] = _spectra_meet(ft22, f22, 1e-6 * scale)
-            out["reason"] = (
+            raise _StageFailure(
                 "bridge equation to the unobservable block is inconsistent "
-                f"(residual {bridge.residual_norm:.3e})"
+                f"(residual {bridge.residual_norm:.3e})",
+                evidence=float(bridge.residual_norm),
+                coincident=_spectra_meet(ft22, f22, 1e-6 * scale),
             )
-            return False, out
         z = bridge.x
     else:
         z = np.zeros((no, 0), dtype=complex)
-    stages["z"] = _frozen(z)
+    z = _frozen(z)
+    stages["z"] = z
 
     # Trailing block: a controllability Gramian of the closed bridge.
+    # x22 stays None when it has no invertible completion.
     if n3:
         v = np.vstack([z, np.eye(n3, dtype=complex)])
         ghat = hermitian_part(v.conj().T @ form.g @ v)
         y22 = hermitian_part(solve_lyapunov(f22.conj().T, ghat))
         stages["y22"] = _frozen(y22)
-        # x22 stays None when the trailing block has no invertible
-        # completion; the padded positive-semidefinite solution is then
-        # returned.
-        if is_controllable(f22, ghat) and definiteness(y22).kind == POSITIVE_DEFINITE:
-            out["x22"] = hermitian_part(np.linalg.inv(y22))
+        invertible = is_controllable(f22, ghat) and definiteness(y22).kind == POSITIVE_DEFINITE
+        x22 = hermitian_part(np.linalg.inv(y22)) if invertible else None
     else:
-        out["x22"] = np.zeros((0, 0), dtype=complex)
-    stages["x22"] = None if out["x22"] is None else _frozen(out["x22"])
-    return True, out
+        x22 = np.zeros((0, 0), dtype=complex)
+    stages["x22"] = None if x22 is None else _frozen(x22)
 
-
-def _padded_solution(form: CondensedForm, x11: np.ndarray) -> np.ndarray:
-    no = form.n1 + form.n2
-    padded = np.zeros((form.n, form.n), dtype=complex)
-    padded[:no, :no] = x11
-    return hermitian_part(form.u @ padded @ form.u.conj().T)
+    if x22 is None:
+        # Padded fallback: exact, positive-semidefinite, never positive definite.
+        if residuals["padded"] > tol * _residual_scale(f, g, k, x11):
+            raise _StageFailure(
+                f"padded solution residual {residuals['padded']:.3e} exceeds tolerance"
+            )
+        return stages["x_padded_psd"]
+    x_cond = np.zeros((form.n, form.n), dtype=complex)
+    zx = z @ x22
+    x_cond[:no, :no] = x11 + zx @ z.conj().T
+    x_cond[:no, no:] = zx
+    x_cond[no:, :no] = zx.conj().T
+    x_cond[no:, no:] = x22
+    x = hermitian_part(form.u @ x_cond @ form.u.conj().T)
+    residuals["full"] = float(_norm(_equation_residual(f, g, k, x)))
+    if residuals["full"] > tol * _residual_scale(f, g, k, x):
+        raise _StageFailure(
+            f"assembled solution residual {residuals['full']:.3e} exceeds tolerance"
+        )
+    return _frozen(x)
 
 
 def solve_structured(data: RiccatiData, *, tol: float = 1e-8) -> StructuredSolveReport:
@@ -394,8 +421,9 @@ def solve_structured(data: RiccatiData, *, tol: float = 1e-8) -> StructuredSolve
     inconsistent and the relevant diagonal blocks share eigenvalues, the
     report certifies that no positive definite solution exists.  Up to two
     half-plane selections for the core are attempted, both read off one
-    Schur form of the core Hamiltonian.  ``tol`` is the
-    relative residual every stage must meet.
+    Schur form of the core Hamiltonian; a selection is abandoned at the
+    first stage that fails, the assembled solution's residual check
+    included.  ``tol`` is the relative residual every stage must meet.
 
     Raises
     ------
@@ -417,77 +445,22 @@ def solve_structured(data: RiccatiData, *, tol: float = 1e-8) -> StructuredSolve
         core = (h_core, schur_decompose(h_core))
     failures: list[tuple[str, str]] = []
     for mode in ("stable", "antistable"):
-        ok, out = _structured_attempt(form, core, mode, tol=tol)
-        if ok:
-            return _assemble_structured_report(data, form, out, tol, tuple(failures))
-        failures.append((mode, out["reason"]))
-        if out["evidence"] is not None and out["coincident"]:
-            return StructuredSolveReport(
-                verdict=NO_SOLUTION,
-                x=None,
-                stages=_with_padding(data, form, out),
-                inconsistency_evidence=out["evidence"],
-                failures=tuple(failures),
-            )
+        stages: dict[str, Any] = {"residuals": {}}
+        try:
+            x = _staged_solve(data, form, core, mode, stages, tol=tol)
+        except _StageFailure as exc:
+            failures.append((mode, str(exc)))
+            evidence, coincident = exc.evidence, exc.coincident
+            if coincident:
+                break
+            continue
+        return StructuredSolveReport(SOLVED, x, stages, None, tuple(failures))
     return StructuredSolveReport(
-        verdict=REDUCED_ONLY,
+        verdict=NO_SOLUTION if coincident else REDUCED_ONLY,
         x=None,
-        stages=_with_padding(data, form, out),
-        inconsistency_evidence=out["evidence"],
-        failures=tuple(failures),
-    )
-
-
-def _with_padding(data: RiccatiData, form: CondensedForm, out: dict[str, Any]) -> dict[str, Any]:
-    """Attach the zero-padded solution and its residual when x11 exists."""
-    stages = dict(out["stages"])
-    stages["residuals"] = dict(out["residuals"])
-    x11 = stages.get("x11")
-    if x11 is not None and definiteness(x11).is_psd:
-        x_padded = _padded_solution(form, x11)
-        stages["x_padded_psd"] = _frozen(x_padded)
-        stages["residuals"]["padded"] = float(
-            _norm(_equation_residual(data.f, data.g, data.k, x_padded))
-        )
-    return stages
-
-
-def _assemble_structured_report(
-    data: RiccatiData,
-    form: CondensedForm,
-    out: dict[str, Any],
-    tol: float,
-    failures: tuple[tuple[str, str], ...],
-) -> StructuredSolveReport:
-    f, g, k = data.f, data.g, data.k
-    stages = _with_padding(data, form, out)
-    residuals = stages["residuals"]
-    x11 = stages["x11"]
-    x22 = out["x22"]
-    no = form.n1 + form.n2
-
-    if x22 is not None:
-        z = stages["z"]
-        x_cond = np.zeros((form.n, form.n), dtype=complex)
-        zx = z @ x22
-        x_cond[:no, :no] = x11 + zx @ z.conj().T
-        x_cond[:no, no:] = zx
-        x_cond[no:, :no] = zx.conj().T
-        x_cond[no:, no:] = x22
-        x = hermitian_part(form.u @ x_cond @ form.u.conj().T)
-        residuals["full"] = float(_norm(_equation_residual(f, g, k, x)))
-        x = None if residuals["full"] > tol * _residual_scale(f, g, k, x) else _frozen(x)
-    # Padded fallback: exact, positive-semidefinite, never positive definite.
-    elif residuals.get("padded", np.inf) > tol * _residual_scale(f, g, k, x11):
-        x = None
-    else:
-        x = stages["x_padded_psd"]
-    return StructuredSolveReport(
-        verdict=REDUCED_ONLY if x is None else SOLVED,
-        x=x,
         stages=stages,
-        inconsistency_evidence=None,
-        failures=failures,
+        inconsistency_evidence=evidence,
+        failures=tuple(failures),
     )
 
 

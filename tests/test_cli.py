@@ -35,6 +35,7 @@ from helpers import (
     rand_complex,
     rand_psd,
     rand_solvable_triple,
+    rand_stable,
     reference_csv,
 )
 
@@ -153,6 +154,24 @@ class TestMatrixFormat:
         )
         assert cli.main(["solve", str(problem), "--verify", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ['["1", 0]', "[true, 0]", "[0, false]", '[1.0, "0"]'])
+    def test_strings_and_booleans_are_not_numbers(self, tmp_path, capsys, entry):
+        one = mat_json(np.eye(1))
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"F": mat_json(-np.eye(1)), "G": one, "K": one}))
+        x = tmp_path / "x.json"
+        x.write_text('{"rows": 1, "cols": 1, "data": [%s]}' % entry)
+        assert cli.main(["solve", str(problem), "--verify", str(x)]) == 2
+        assert "matrix 'x' entry 0 is not numeric" in capsys.readouterr().err
+        data = '[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], %s]' % entry
+        problem.write_text(
+            '{"F": {"rows": 2, "cols": 2, "data": [[-1, 0], [0, 0], [0, 0], [-1, 0]]},'
+            ' "G": {"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]},'
+            ' "K": {"rows": 2, "cols": 2, "data": %s}}' % data
+        )
+        assert cli.main(["solve", str(problem)]) == 2
+        assert "matrix 'K' entry 3 is not numeric" in capsys.readouterr().err
 
 
 # Values at the edges of the float format, and the non-finite ones json spells
@@ -561,6 +580,35 @@ class TestSolve:
         out = tmp_path / "report.json"
         assert cli.main(["solve", str(path), "--structured", "--out", str(out)]) == 3
         assert json.loads(out.read_text())["verdict"] == "reduced_only"
+
+    def test_structured_names_an_assembled_residual_miss(self, tmp_path):
+        rng = make_rng(5)
+        f, g = rand_stable(rng, 3), rand_psd(rng, 3)
+        path = tmp_path / "unobservable.json"
+        path.write_text(json.dumps({
+            "F": mat_json(f, "F"), "G": mat_json(g, "G"), "K": mat_json(np.zeros((3, 3)), "K"),
+        }))
+        out = tmp_path / "report.json"
+        argv = ["solve", str(path), "--structured", "--tol", "1e-20", "--out", str(out)]
+        assert cli.main(argv) == 3
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "reduced_only"
+        assert [mode for mode, _ in report["failures"]] == ["stable", "antistable"]
+        for _, reason in report["failures"]:
+            assert reason.startswith("assembled solution residual")
+
+    def test_extremal_without_a_pair_exits_unsolved_with_the_reason(self, tmp_path):
+        f, g, k = lab2x2()
+        path = tmp_path / "definite.json"
+        path.write_text(json.dumps({
+            "F": mat_json(f, "F"), "G": mat_json(g, "G"),
+            "K": mat_json(k + np.diag([5.0, 10.0]), "K"),
+        }))
+        out = tmp_path / "report.json"
+        assert cli.main(["solve", str(path), "--extremal", "--out", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "no_solution"
+        assert "carry a definite form" in report["reason"]
 
     def test_verify_accepts_the_inequality_candidate(self, ex1_file, tmp_path):
         x_file = tmp_path / "x.json"
@@ -1202,6 +1250,23 @@ class TestPerturb:
         with pytest.raises(SystemExit) as exc:
             cli.main(["perturb", ex2_file, delta, *flags])
         assert exc.value.code == 2
+
+    def test_direction_of_the_wrong_dimension_is_invalid_input(self, ex2_file, tmp_path, capsys):
+        delta = write_direction(tmp_path, np.eye(3))
+        assert cli.main(["perturb", ex2_file, delta, "--critical"]) == 2
+        assert "does not match the state dimension" in capsys.readouterr().err
+
+    def test_critical_on_a_full_direction_needs_t_max(self, ex2_file, tmp_path, capsys):
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({
+            "delta11": mat_json(np.eye(2), "delta11"),
+            "delta21": mat_json(0.1 * np.eye(2), "delta21"),
+            "delta22": mat_json(np.eye(2), "delta22"),
+        }))
+        out = tmp_path / "report.json"
+        assert cli.main(["perturb", ex2_file, str(path), "--critical", "--out", str(out)]) == 2
+        assert "no scan range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mode_is_required(self, ex2_file, tmp_path):
         delta = write_direction(tmp_path, np.eye(2))

@@ -822,7 +822,7 @@ def walk_spies(monkeypatch):
 
 class TestVertexPath:
     def test_single_leg_reaches_the_vertex(self):
-        path = vertex_path(lab_base(), directions=[dir_abc(4.0, 9.0, 0.0)])
+        path = vertex_path(lab_base(), direction=dir_abc(4.0, 9.0, 0.0))
         assert path.status == "vertex"
         assert len(path.legs) == 1
         assert abs(path.legs[0].t_end - 1.0) < 1e-8
@@ -836,7 +836,7 @@ class TestVertexPath:
         )
 
     def test_face_seed_takes_two_legs_with_synthesized_projector(self):
-        path = vertex_path(lab_base(), directions=[dir_abc(1.0, 0.0, 0.0)])
+        path = vertex_path(lab_base(), direction=dir_abc(1.0, 0.0, 0.0))
         assert path.status == "vertex"
         assert len(path.legs) == 2
         assert abs(path.legs[0].t_end - 4.0) < 1e-7
@@ -859,7 +859,7 @@ class TestVertexPath:
 
     def test_standing_axis_eigenvalues_stay_frozen(self):
         f, g, k = lab2x2()
-        path = vertex_path(lab_base(), directions=[dir_abc(1.0, 0.0, 0.0)])
+        path = vertex_path(lab_base(), direction=dir_abc(1.0, 0.0, 0.0))
         # after leg one the double eigenvalue at zero must persist along
         # leg two, up to and including its end
         first, second = path.legs
@@ -873,7 +873,7 @@ class TestVertexPath:
 
     def test_extremal_gaps_shrink_along_each_leg(self):
         f, g, k = lab2x2()
-        path = vertex_path(lab_base(), directions=[dir_abc(4.0, 9.0, 0.0)])
+        path = vertex_path(lab_base(), direction=dir_abc(4.0, 9.0, 0.0))
         leg = path.legs[0]
         gaps = []
         for t in np.linspace(0.0, leg.t_end, 5):
@@ -884,7 +884,7 @@ class TestVertexPath:
 
     def test_minimal_solution_grows_along_the_walk(self):
         f, g, k = lab2x2()
-        path = vertex_path(lab_base(), directions=[dir_abc(4.0, 9.0, 0.0)])
+        path = vertex_path(lab_base(), direction=dir_abc(4.0, 9.0, 0.0))
         leg = path.legs[0]
         previous = None
         for ti in np.linspace(0.0, leg.t_end, 4):
@@ -919,17 +919,17 @@ class TestVertexPath:
             f, g, k + np.array([[4.0, 0.0], [0.0, 0.0]])
         )
         with pytest.raises(ValueError, match="freeze"):
-            vertex_path(h, directions=[dir_abc(1.0, 0.0, 0.0)])
+            vertex_path(h, direction=dir_abc(1.0, 0.0, 0.0))
 
     def test_full_direction_is_rejected(self):
         d = PerturbationDirection.from_blocks(np.eye(2), None, np.eye(2))
         with pytest.raises(ValueError, match="weight-only"):
-            vertex_path(lab_base(), directions=[d])
+            vertex_path(lab_base(), direction=d)
 
     def test_wrong_dimension_direction_is_rejected(self):
         d = PerturbationDirection.from_blocks(np.eye(3))
         with pytest.raises(ValueError, match="dimensions differ"):
-            vertex_path(lab_base(), directions=[d])
+            vertex_path(lab_base(), direction=d)
 
     @pytest.mark.parametrize(
         "blocks, message",
@@ -940,7 +940,7 @@ class TestVertexPath:
         # extremal pair; the mode f = -1 puts two eigenvalues on the axis.
         data = RiccatiData(np.diag([1.0, -1.0]), np.diag([0.0, 1.0]), np.eye(2))
         with pytest.raises(ValueError, match=message):
-            vertex_path(data, directions=[PerturbationDirection.from_blocks(*blocks)])
+            vertex_path(data, direction=PerturbationDirection.from_blocks(*blocks))
         path = vertex_path(data)
         assert path.status == "blocked" and path.legs == ()
         assert path.blocking.n_axis == 2
@@ -957,7 +957,7 @@ class TestVertexPath:
         assert path.blocking is not None and path.blocking.n_axis > 0
 
     def test_the_base_point_is_factorized_once(self, eigvals_calls):
-        vertex_path(lab_base(), directions=[dir_abc(1.0, 0.0, 0.0)])
+        vertex_path(lab_base(), direction=dir_abc(1.0, 0.0, 0.0))
         base = lab_base().hamiltonian
         assert sum(np.array_equal(a, base) for a in eigvals_calls) == 1
 

@@ -296,6 +296,28 @@ class TestSolveStructured:
             assert reason.startswith(f"core solve ({mode} selection) failed")
             assert "cluster(s) at alpha=-1, 1 carry" in reason
 
+    def test_an_assembled_residual_miss_is_a_failure_of_each_selection(self):
+        # K = 0 leaves every state unobservable, so both core selections run
+        # the same stages and assemble the inverse Gramian, whose residual
+        # (about 1e-14) misses tol = 1e-20.
+        rng = helpers.make_rng(5)
+        f = helpers.rand_stable(rng, 3)
+        g = helpers.rand_psd(rng, 3)
+        report = solve_structured(_data(f, g, np.zeros((3, 3), dtype=complex)), tol=1e-20)
+        assert report.verdict == REDUCED_ONLY
+        assert report.x is None
+        assert [mode for mode, _ in report.failures] == ["stable", "antistable"]
+        full = report.stages["residuals"]["full"]
+        for _, reason in report.failures:
+            assert reason == f"assembled solution residual {full:.3e} exceeds tolerance"
+
+    def test_every_unsolved_report_names_a_failure(self, lab_fgk, reducible_fgk):
+        f, g, k = lab_fgk
+        for data in (_data(f, g, k + np.diag([5.0, 10.0])), _data(*reducible_fgk)):
+            report = solve_structured(data)
+            assert report.verdict != SOLVED
+            assert report.failures
+
     def test_both_core_selections_share_one_schur_form(self, schur_calls):
         # The antistable fallback of test_antistable_core_fallback reads
         # its selection off the stable attempt's factorization.
