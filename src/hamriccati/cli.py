@@ -19,6 +19,11 @@ one; it formats the floats of each distinct matrix of a report once, in
 one ``repr`` pass, and a CSV artifact formats its floats column by
 column the same way.
 
+``perturb --vertex`` closes every walk at the midpoint of an extremal
+pair: it draws no random numbers, so ``--seed`` only appears in the
+manifest, and ``--budget`` caps the walk's legs, of which it takes two at
+most (a supplied direction's leg and the closing leg).
+
 Exit codes: 0 = success, 2 = invalid input, 3 = analytic negative
 (no solution, certification refused, a certified storage without a
 port-Hamiltonian realization, no boundary crossing, vertex walk blocked
@@ -522,7 +527,7 @@ def _run_solve(ns: argparse.Namespace) -> int:
             raise InputError("the candidate matrix does not match the state dimension")
         tol = 1e-10 if ns.tol is None else ns.tol
         try:
-            residual, verdict, delta_k = ari_residual(x, data, tol=tol)
+            residual, verdict, _ = ari_residual(x, data, tol=tol)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         accepted = _satisfies_inequality(
@@ -536,7 +541,6 @@ def _run_solve(ns: argparse.Namespace) -> int:
                 "residual_eigenvalues": [float(v) for v in verdict.eigenvalues],
                 "residual_norm": _norm(residual),
                 "residual_kind": verdict.kind,
-                "k_increase": _matrix_to_json(delta_k, "k_increase"),
             }
         )
         _emit_json(report, ns.out)
@@ -735,16 +739,9 @@ def _run_perturb(ns: argparse.Namespace) -> int:
         _emit_json(report, ns.out)
         return EXIT_OK if ct.t0 is not None else EXIT_UNSOLVED
 
-    rng = None if ns.seed is None else np.random.default_rng(ns.seed)
     kwargs = {} if ns.tol is None else {"imag_tol": ns.tol}
     try:
-        path = vertex_path(
-            data,
-            direction=direction,
-            budget=ns.budget,
-            rng=rng,
-            **kwargs,
-        )
+        path = vertex_path(data, direction=direction, budget=ns.budget, **kwargs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = {
@@ -766,7 +763,8 @@ def _run_perturb(ns: argparse.Namespace) -> int:
     if path.terminal is not None:
         report["terminal"] = {
             "x": _matrix_to_json(path.terminal.x, "x"),
-            "gap": float(path.terminal.gap),
+            "residual_ratio": float(path.terminal.residual_ratio),
+            "closed_loop_ratio": float(path.terminal.closed_loop_ratio),
             "delta_accumulated": _matrix_to_json(
                 path.terminal.delta_accumulated, "delta_accumulated"
             ),
@@ -883,7 +881,7 @@ def _build_parser() -> argparse.ArgumentParser:
     perturb.add_argument(
         "delta", nargs="?", default=None,
         help="direction JSON file (matrix object, or {delta11, delta21, delta22}); "
-        "optional for --vertex (a freezing direction is synthesized)",
+        "optional for --vertex (the walk then closes from the base point's extremal pair)",
     )
     perturb.add_argument(
         "--t-grid", metavar="T0:T1:N", default=None,
@@ -895,7 +893,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     perturb.add_argument(
         "--vertex", action="store_true",
-        help="walk from vertex to vertex until the solution is unique",
+        help="walk to a vertex, where the solution is unique: along the direction, "
+        "if given, to its first crossing, then closing at the midpoint of the extremal pair",
     )
     perturb.add_argument(
         "--t-max", type=_positive_float, default=None,
@@ -903,11 +902,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     perturb.add_argument(
         "--budget", type=_nonnegative_int, default=8,
-        help="maximum legs for --vertex (default 8)",
+        help="maximum legs for --vertex (default 8); a walk takes two at most",
     )
     perturb.add_argument(
         "--seed", type=int, default=None,
-        help="seed for randomized synthesized directions (default: deterministic projector)",
+        help="recorded in the manifest; no walk draws random numbers, so it changes no result",
     )
     perturb.add_argument(
         "--tol", type=_positive_float, default=None,

@@ -23,8 +23,8 @@ and exploit that migration:
   the Schur-complement chain producing the leading coefficients
   (:func:`schur_complement_gammas`), and the empirical fit harness
   (:func:`fractional_split_verify`);
-* boundary location along a ray (:func:`critical_time`), greedy walks
-  along the feasibility boundary terminating at a unique-solution vertex
+* boundary location along a ray (:func:`critical_time`), walks that close
+  at a unique-solution vertex, the midpoint of an extremal pair
   (:func:`vertex_path`), and feasibility classification of one bump
   (:func:`region_membership`) or a stack of them (:func:`region_grid`).
 """
@@ -99,8 +99,10 @@ __all__ = [
 
 
 # The residual tolerance of a region verdict's stable solve, relative to
-# 1 + |H|; its selection's axis band is forms' _SELECT_BAND.
+# 1 + |H| (its selection's axis band is forms' _SELECT_BAND), and of a
+# vertex certificate; _TINY floors the certificate's denominators.
 _RESIDUAL_TOL = 1e-8
+_TINY = float(np.finfo(float).tiny)
 # A batched region rule decides a point only when every quantity it reads
 # clears region_membership's threshold by this factor.
 _BATCH_MARGIN = 100.0
@@ -822,9 +824,10 @@ def critical_time(
     and a ValueError is raised, as it is for a ``t_max`` that is not
     finite and positive; a crossing beyond the range is reported as none.
     When the base point already has axis eigenvalues, ``t0`` is 0 and
-    nothing is scanned.  That answer is this function's alone: the legs
-    of :func:`vertex_path` start with standing axis eigenvalues, which
-    their directions freeze, and are scanned for *new* arrivals only.
+    nothing is scanned.  That answer is this function's alone: a
+    direction supplied to :func:`vertex_path` must freeze the base point's
+    standing axis eigenvalues, and its leg is scanned for *new* arrivals
+    only.
     """
     if t_max is not None and not (np.isfinite(t_max) and t_max > 0.0):
         raise ValueError("t_max must be finite and positive")
@@ -1001,8 +1004,12 @@ def _crossing_bracket(count, t0: float) -> tuple[float, float] | None:
 
 @dataclass(frozen=True)
 class PathLeg:
-    """One ray of a boundary walk: a freezing direction followed to its
-    first new axis arrival, with the number of axis eigenvalues there."""
+    """One ray of a vertex walk, followed from the walk's current point to
+    ``t_end``, with the number of axis eigenvalues there.  A supplied
+    direction's leg ends at its first new axis arrival, counted by a
+    snapshot; the closing leg ``D g D``, from a point whose extremal pair
+    has the gap ``D``, ends at ``t_end = 1/4`` with all ``2 n`` eigenvalues
+    on the axis by the terminal's certificate."""
 
     direction: PerturbationDirection
     t_end: float
@@ -1011,12 +1018,18 @@ class PathLeg:
 
 @dataclass(frozen=True)
 class VertexRecord:
-    """Terminal state of a boundary walk: the accumulated weight bump and
-    the unique solution where the extremal pair has collapsed."""
+    """Terminal state of a vertex walk: the accumulated weight bump, the
+    unique solution ``x`` of the bumped equation, and its certificate.
+    ``residual_ratio`` is |R(x) + delta_accumulated| over the size of the
+    bumped equation's terms, |k + delta_accumulated| + 2 |f| |x| +
+    |g| |x|^2, with R the base equation's left side; ``closed_loop_ratio``
+    is max |Re lambda(f + g x)| over |H| of the bumped Hamiltonian
+    (Frobenius norms).  Both are scale-free."""
 
     delta_accumulated: np.ndarray
     x: np.ndarray
-    gap: float
+    residual_ratio: float
+    closed_loop_ratio: float
 
 
 @dataclass(frozen=True)
@@ -1027,48 +1040,17 @@ class PerturbationPath:
     blocking: SpectrumSnapshot | None = None
 
 
-def _axis_eigenvector_tops(arr: np.ndarray, n: int, snap: SpectrumSnapshot):
-    """Upper halves of the geometric eigenvectors of every axis cluster."""
-    tops = []
+def _freezes(d11: np.ndarray, arr: np.ndarray, snap: SpectrumSnapshot) -> bool:
+    """Whether the weight bump ``d11`` annihilates the upper halves of the
+    geometric eigenvectors of every axis cluster of ``arr`` (``snap``), so
+    that they stay eigenvectors along the ray and their eigenvalues stand."""
+    n = d11.shape[0]
+    moved = 0.0
     for cluster in snap.imaginary_groups:
-        shifted = arr - 1j * cluster.alpha * np.eye(2 * n)
-        _, sv, vh = np.linalg.svd(shifted)
-        thresh = 1e-8 * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-        kernel = vh.conj().T[:, sv <= thresh]
-        if kernel.size:
-            tops.append(kernel[:n, :])
-    if not tops:
-        return np.zeros((n, 0), complex)
-    return np.hstack(tops)
-
-
-def _freezing_direction(
-    arr: np.ndarray, n: int, snap: SpectrumSnapshot, rng
-) -> PerturbationDirection | None:
-    """A weight bump supported on the complement of the axis eigenvectors.
-
-    Annihilating the upper halves of the axis eigenvectors keeps them
-    exact eigenvectors of every matrix along the ray, so the standing
-    axis eigenvalues cannot move.  Returns None when the complement is
-    empty (the walk is blocked).
-    """
-    tops = _axis_eigenvector_tops(arr, n, snap)
-    if tops.shape[1] == 0:
-        basis = np.eye(n, dtype=complex)
-    else:
-        u, sv, _ = np.linalg.svd(tops, full_matrices=True)
-        rank = int(np.sum(sv > 1e-8 * (sv[0] if sv.size else 1.0)))
-        if rank >= n:
-            return None
-        basis = u[:, rank:]
-    if rng is not None:
-        m = basis.shape[1]
-        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        weight = np.eye(m) + a @ a.conj().T / m
-        d11 = basis @ weight @ basis.conj().T
-    else:
-        d11 = basis @ basis.conj().T
-    return PerturbationDirection.from_blocks(hermitian_part(d11))
+        _, sv, vh = np.linalg.svd(arr - 1j * cluster.alpha * np.eye(2 * n))
+        kernel = vh.conj().T[:, sv <= 1e-8 * (sv[0] if sv[0] > 0 else 1.0)]
+        moved = np.hypot(moved, _norm(d11 @ kernel[:n]))
+    return moved <= 1e-8 * (1.0 + _norm(d11))
 
 
 def _refine_leg_end(
@@ -1118,123 +1100,138 @@ def _refine_leg_end(
     return float(lo), ext
 
 
+def _residual_ratio(data: RiccatiData, x: np.ndarray, bump) -> float:
+    """|R(x) + bump| over the size of the bumped equation's terms."""
+    k = hermitian_part(data.k + bump)
+    nx = _norm(x)
+    terms = _norm(k) + 2.0 * _norm(data.f) * nx + _norm(data.g) * nx * nx
+    return _norm(_equation_residual(data.f, data.g, k, x)) / max(terms, _TINY)
+
+
+def _close(
+    data: RiccatiData,
+    point: RiccatiData,
+    ext: ExtremalSolutions | None,
+    legs: tuple[PathLeg, ...],
+    budget: int,
+    imag_tol: float,
+    snap: SpectrumSnapshot | None = None,
+) -> PerturbationPath:
+    """Close a walk of ``data`` that reached ``point`` by ``legs`` at the
+    midpoint of ``point``'s extremal pair ``ext``, taking the closing leg
+    unless the midpoint already solves the equation with the bump that
+    ``point`` carries.  A point with no pair, or a terminal that fails the
+    certificate of :func:`vertex_path`, blocks the walk with ``point``'s
+    snapshot (``snap`` when given)."""
+    if ext is not None:
+        x = hermitian_part(0.5 * (ext.x_minus + ext.x_plus))
+        bump = hermitian_part(point.k - data.k)
+        residual = _residual_ratio(data, x, bump)
+        closed = legs
+        if residual > _RESIDUAL_TOL:
+            if len(legs) >= budget:
+                return PerturbationPath(legs=legs, terminal=None, status="budget_exhausted")
+            gap = ext.x_plus - ext.x_minus
+            closing = PerturbationDirection.from_blocks(gap @ point.g @ gap)
+            closed = (*legs, PathLeg(closing, 0.25, 2 * data.n))
+            bump = hermitian_part(bump + 0.25 * closing.delta11)
+            residual = _residual_ratio(data, x, bump)
+        loop = float(np.abs(np.linalg.eigvals(data.f + data.g @ x).real).max(initial=0.0))
+        loop /= max(_norm(_hamiltonian_array(data.f, data.g, data.k + bump)), _TINY)
+        margin = float(np.linalg.eigvalsh(bump).min(initial=0.0))
+        psd = not _not_psd(margin, _norm(bump))
+        if residual <= _RESIDUAL_TOL and loop <= imag_tol and psd:
+            terminal = VertexRecord(_frozen(bump), _frozen(x), residual, loop)
+            return PerturbationPath(legs=closed, terminal=terminal, status="vertex")
+    blocking = snap if snap is not None else _snapshot(point.hamiltonian, imag_tol)
+    return PerturbationPath(legs=legs, terminal=None, status="blocked", blocking=blocking)
+
+
 def vertex_path(
     h,
     *,
     direction: PerturbationDirection | None = None,
     budget: int = 8,
     imag_tol: float = 1e-7,
-    rng=None,
 ) -> PerturbationPath:
-    """Walk the feasibility boundary until the solution becomes unique.
+    """Walk to a vertex of the solution set, where the solution is unique.
 
-    Each leg follows a weight-only direction that freezes the standing
-    axis eigenvalues (the first leg's may be supplied as ``direction``;
-    the others are synthesized as projectors onto the complement of the
-    axis eigenvector span, optionally randomly weighted via ``rng``) up to its
-    first new axis arrival, where it counts the axis eigenvalues.  The
-    walk terminates when every eigenvalue sits on the axis; the extremal
-    solutions have then collapsed (to within ``1e-6 * (1 + |x|)``) and
-    their average is returned as the unique solution.
+    An extremal pair with gap ``D = x_plus - x_minus`` closes in one leg:
+    its midpoint ``x`` solves the equation with the weight
+    ``k + D g D / 4``, and for a positive definite ``D`` ``f + g x`` is
+    similar to a skew-Hermitian matrix, so that Hamiltonian's whole
+    spectrum is on the axis and ``x`` is its only solution.  Without a
+    ``direction`` the walk solves the base point's pair once and takes
+    that closing leg, ``D g D`` to ``t = 1/4``: nothing is scanned or
+    solved at the all-axis end.  A supplied weight-only ``direction``
+    must freeze the base point's standing axis eigenvalues; it is
+    followed to its first new axis arrival (:func:`critical_time`),
+    polished onto the solvability boundary, and the walk closes from the
+    pair certified there (solved afresh when none was).  A point whose
+    midpoint already solves the equation with the bump it carries
+    (residual ratio within ``1e-8``) takes no closing leg, so a base
+    point that is already a vertex closes with no legs.
 
-    Every walk point (the base point and each leg end) is snapshotted
-    once and has its extremal pair solved once: a leg end's snapshot
-    gives the leg's axis count and starts the next leg, and the pair the
-    leg-end search certified bounds the next leg's scan and decides the
-    vertex.  A leg end the search could not certify is solved afresh.
-
-    ``status`` is ``"vertex"`` on success, ``"budget_exhausted"`` when
-    ``budget`` legs did not reach a vertex, and ``"blocked"`` when no
-    admissible freezing direction exists, the current point (the base
-    point included) has no extremal pair to bound the next ray's scan, or
-    a ray found no arrival (the blocking snapshot is attached).  A
-    negative ``budget`` raises ValueError, and so does a supplied
-    direction that is not weight-only, does not match the dimension, or
-    does not freeze the standing axis eigenvalues.
+    Every terminal is certified: ``x`` is Hermitian by construction, the
+    accumulated bump is positive semidefinite (smallest eigenvalue above
+    ``-1e-8 * (1 + |bump|)``), the residual ratio is within ``1e-8`` and
+    the closed-loop ratio within ``imag_tol`` (:class:`VertexRecord`).
+    ``status`` is ``"vertex"`` then, ``"budget_exhausted"`` when a leg is
+    due and ``budget`` legs are taken (a walk takes two at most), and
+    ``"blocked"`` with the snapshot of the last walk point when that
+    point has no extremal pair, the supplied direction finds no arrival,
+    or the terminal fails its certificate.  A negative ``budget`` raises
+    ValueError, and so does a supplied direction that is not weight-only,
+    does not match the dimension, or does not freeze the standing axis
+    eigenvalues.
     """
     if budget < 0:
         raise ValueError("budget must be at least 0")
     data = _as_data(h)
     n = data.n
-    legs: list[PathLeg] = []
-    scale_k = 1.0 + _norm(data.k)
+    if direction is not None:
+        if not direction.is_weight_only:
+            raise ValueError(
+                "vertex walks accumulate weight bumps; supplied "
+                "directions must be weight-only (zero delta21 and delta22)"
+            )
+        if direction.n != n:
+            raise ValueError("direction and Hamiltonian dimensions differ")
+    ext = _extremal_or_none(data)
+    x = None if ext is None else hermitian_part(0.5 * (ext.x_minus + ext.x_plus))
+    at_vertex = x is not None and _residual_ratio(data, x, 0.0) <= _RESIDUAL_TOL
+    if direction is None or at_vertex:
+        return _close(data, data, ext, (), budget, imag_tol)
 
-    def blocked(snap: SpectrumSnapshot) -> PerturbationPath:
-        return PerturbationPath(
-            legs=tuple(legs), terminal=None, status="blocked", blocking=snap
-        )
-
-    cur = data
-    arr = cur.hamiltonian
+    arr = data.hamiltonian
     snap = _snapshot(arr, imag_tol)
-    ext = _extremal_or_none(cur)
-    while True:
-        if snap.n_axis == 2 * n:
-            if ext is None:
-                return blocked(snap)
-            gap = float(np.linalg.norm(ext.x_plus - ext.x_minus, 2))
-            x = hermitian_part(0.5 * (ext.x_minus + ext.x_plus))
-            if gap > 1e-6 * (1.0 + float(np.linalg.norm(x, 2))):
-                return blocked(snap)
-            return PerturbationPath(
-                legs=tuple(legs),
-                terminal=VertexRecord(
-                    _frozen(hermitian_part(cur.k - data.k)), _frozen(x), gap
-                ),
-                status="vertex",
-            )
-        if len(legs) >= budget:
-            return PerturbationPath(
-                legs=tuple(legs), terminal=None, status="budget_exhausted"
-            )
-
-        if legs or direction is None:
-            leg_dir = _freezing_direction(arr, n, snap, rng)
-            if leg_dir is None:
-                return blocked(snap)
-        else:
-            if not direction.is_weight_only:
-                raise ValueError(
-                    "vertex walks accumulate weight bumps; supplied "
-                    "directions must be weight-only (zero delta21 and delta22)"
-                )
-            if direction.n != n:
-                raise ValueError("direction and Hamiltonian dimensions differ")
-            tops = _axis_eigenvector_tops(arr, n, snap)
-            if tops.size and _norm(direction.delta11 @ tops) > 1e-8 * (
-                1.0 + _norm(direction.delta11)
-            ):
-                raise ValueError(
-                    "the supplied direction does not freeze the standing "
-                    "axis eigenvalues"
-                )
-            leg_dir = direction
-        if ext is None:
-            # No extremal pair at the current point bounds the scan.
-            return blocked(snap)
-        n_axis0 = _axis_count(arr, imag_tol, snap.eigenvalues)
-        ct = _critical_time(
-            cur, leg_dir, arr, snap.eigenvalues, n_axis0, ext, t_max=None, imag_tol=imag_tol
+    blocked = PerturbationPath(legs=(), terminal=None, status="blocked", blocking=snap)
+    if budget == 0:
+        return PerturbationPath(legs=(), terminal=None, status="budget_exhausted")
+    if not _freezes(direction.delta11, arr, snap):
+        raise ValueError(
+            "the supplied direction does not freeze the standing axis eigenvalues"
         )
-        if ct.t0 is None:
-            return blocked(snap)
-        t_leg, ext = _refine_leg_end(cur, leg_dir, ct)
-        # The next leg starts from the point _refine_leg_end certified,
-        # rounded as it was there: re-adding the accumulated bump to the
-        # base k rounds differently, and on the solvability boundary a
-        # last-digit change can lose the solution.  The accumulated bump is
-        # read back off this point.
-        end = RiccatiData(
-            *_bumped(cur, leg_dir.delta11, leg_dir.delta21, leg_dir.delta22, t_leg)
-        )
-        arr = end.hamiltonian
-        end_snap = _snapshot(arr, imag_tol)
-        legs.append(PathLeg(leg_dir, t_leg, end_snap.n_axis))
-        if _norm(end.k - data.k) > 1e12 * scale_k:
-            return blocked(snap)
-        if ext is None:
-            ext = _extremal_or_none(end)
-        cur, snap = end, end_snap
+    if ext is None:  # no extremal pair at the base point bounds the scan
+        return blocked
+    n_axis0 = _axis_count(arr, imag_tol, snap.eigenvalues)
+    ct = _critical_time(
+        data, direction, arr, snap.eigenvalues, n_axis0, ext, t_max=None, imag_tol=imag_tol
+    )
+    if ct.t0 is None:
+        return blocked
+    t_leg, ext = _refine_leg_end(data, direction, ct)
+    # The walk closes from the point _refine_leg_end certified, rounded as
+    # it was there: on the solvability boundary a last-digit change can
+    # lose the solution.  The accumulated bump is read back off this point.
+    end = RiccatiData(
+        *_bumped(data, direction.delta11, direction.delta21, direction.delta22, t_leg)
+    )
+    end_snap = _snapshot(end.hamiltonian, imag_tol)
+    if ext is None:
+        ext = _extremal_or_none(end)
+    legs = (PathLeg(direction, t_leg, end_snap.n_axis),)
+    return _close(data, end, ext, legs, budget, imag_tol, end_snap)
 
 
 # ---------------------------------------------------------------------------

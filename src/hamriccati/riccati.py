@@ -423,7 +423,9 @@ def solve_structured(data: RiccatiData, *, tol: float = 1e-8) -> StructuredSolve
     half-plane selections for the core are attempted, both read off one
     Schur form of the core Hamiltonian; a selection is abandoned at the
     first stage that fails, the assembled solution's residual check
-    included.  ``tol`` is the relative residual every stage must meet.
+    included.  With an empty core (``n1 = 0``) the selections would run
+    the same stages, so only the stable one runs.  ``tol`` is the relative
+    residual every stage must meet.
 
     Raises
     ------
@@ -444,7 +446,7 @@ def solve_structured(data: RiccatiData, *, tol: float = 1e-8) -> StructuredSolve
         h_core = RiccatiData(form.f[:n1, :n1], form.g[:n1, :n1], form.k[:n1, :n1]).hamiltonian
         core = (h_core, schur_decompose(h_core))
     failures: list[tuple[str, str]] = []
-    for mode in ("stable", "antistable"):
+    for mode in ("stable", "antistable") if n1 else ("stable",):
         stages: dict[str, Any] = {"residuals": {}}
         try:
             x = _staged_solve(data, form, core, mode, stages, tol=tol)

@@ -796,6 +796,25 @@ class TestLevelSetCrossing:
 # vertex walks
 
 
+def assert_lab_vertex(path, s: float, *, legs: int):
+    """``path`` of the lab problem scaled by ``s`` closes at the vertex
+    x = [[3, 1], [1, 5]] with the bump s diag(4, 9), certified."""
+    assert path.status == "vertex"
+    assert len(path.legs) == legs
+    np.testing.assert_allclose(path.terminal.x, [[3.0, 1.0], [1.0, 5.0]], atol=1e-10)
+    np.testing.assert_allclose(
+        path.terminal.delta_accumulated / s, np.diag([4.0, 9.0]), atol=1e-10
+    )
+    assert path.terminal.residual_ratio <= 1e-8
+    assert path.terminal.closed_loop_ratio <= 1e-7
+
+
+def weighted_identity(rng, n: int) -> np.ndarray:
+    """A random positive definite weight I + A A^H / n."""
+    a = rand_complex(rng, n)
+    return np.eye(n) + a @ a.conj().T / n
+
+
 @pytest.fixture
 def walk_spies(monkeypatch):
     """The Hamiltonians, as bytes, of every snapshot taken in
@@ -836,15 +855,17 @@ class TestVertexPath:
         )
 
     def test_face_seed_takes_two_legs_with_synthesized_projector(self):
+        # The second leg is the closing leg D g D to t = 1/4, whose bump is
+        # the greedy walk's projector leg diag(0, 1) to t = 9.
         path = vertex_path(lab_base(), direction=dir_abc(1.0, 0.0, 0.0))
         assert path.status == "vertex"
         assert len(path.legs) == 2
         assert abs(path.legs[0].t_end - 4.0) < 1e-7
-        assert abs(path.legs[1].t_end - 9.0) < 1e-6
+        assert path.legs[1].t_end == 0.25
         np.testing.assert_allclose(
-            path.legs[1].direction.delta11,
-            np.array([[0.0, 0.0], [0.0, 1.0]]),
-            atol=1e-7,
+            path.legs[1].t_end * path.legs[1].direction.delta11,
+            np.array([[0.0, 0.0], [0.0, 9.0]]),
+            atol=1e-6,
         )
         np.testing.assert_allclose(
             path.terminal.x, np.array([[3.0, 1.0], [1.0, 5.0]]), atol=1e-6
@@ -947,14 +968,17 @@ class TestVertexPath:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_point_without_extremal_pair_blocks_the_walk(self, seed):
-        # After a leg or two the bumped problem has axis eigenvalues and no
-        # extremal pair, so the next ray's scan has no bound.
+        # The triple closes at its midpoint in one leg.  Twice its closing
+        # bump is past the vertex, where every eigenvalue is on the axis and
+        # no extremal pair exists, so a walk from there blocks at once.
         f, g, k, _ = rand_solvable_triple(make_rng(seed), 10)
         path = vertex_path(RiccatiData(f, g, k))
-        assert path.status == "blocked"
-        assert path.legs
-        assert path.terminal is None
-        assert path.blocking is not None and path.blocking.n_axis > 0
+        assert path.status == "vertex" and len(path.legs) == 1
+        beyond = vertex_path(RiccatiData(f, g, k + 2.0 * path.terminal.delta_accumulated))
+        assert beyond.status == "blocked"
+        assert beyond.legs == ()
+        assert beyond.terminal is None
+        assert beyond.blocking is not None and beyond.blocking.n_axis == 20
 
     def test_the_base_point_is_factorized_once(self, eigvals_calls):
         vertex_path(lab_base(), direction=dir_abc(1.0, 0.0, 0.0))
@@ -962,36 +986,86 @@ class TestVertexPath:
         assert sum(np.array_equal(a, base) for a in eigvals_calls) == 1
 
     def test_each_leg_starts_where_the_last_one_was_certified(self, walk_spies):
-        # Every point after the base is one that solve_extremal certified,
-        # bit for bit.
-        path = vertex_path(lab_base(), rng=make_rng(0))
+        # The closing leg starts from the supplied leg's end, which
+        # solve_extremal certified, bit for bit.
+        path = vertex_path(lab_base(), direction=dir_abc(1.0, 0.0, 0.0))
         assert path.status == "vertex"
         assert len(path.legs) == 2
-        assert len(walk_spies.snapshots) == 3
-        assert all(h in walk_spies.certified for h in walk_spies.snapshots[1:])
+        assert len(walk_spies.snapshots) == 2
+        assert walk_spies.snapshots[1] in walk_spies.certified
 
-    @pytest.mark.parametrize("problem, seed", [("lab", None), ("lab", 0), ("n10", None)])
-    def test_each_walk_point_is_snapshotted_and_solved_once(self, problem, seed, walk_spies):
+    @pytest.mark.parametrize("problem", ["lab", "n10"])
+    def test_a_default_walk_solves_only_its_base_point(self, problem, walk_spies):
         if problem == "lab":
             h = lab_base()
         else:
             h = RiccatiData(*rand_solvable_triple(make_rng(0), 10)[:3])
-        path = vertex_path(h, rng=None if seed is None else make_rng(seed))
-        assert path.legs
-        points = walk_spies.snapshots
-        assert len(points) == len(path.legs) + 1
-        assert [walk_spies.solves.count(h) for h in points] == [1] * len(points)
+        path = vertex_path(h)
+        assert path.status == "vertex" and len(path.legs) == 1
+        assert walk_spies.solves == [h.hamiltonian.tobytes()]
+        assert walk_spies.snapshots == []
+
+    @pytest.mark.parametrize(
+        "problem, d11",
+        [("lab", np.diag([1.0, 0.0])), ("lab", np.eye(2)), ("lab", None), ("n10", None)],
+        ids=["lab-face", "lab-identity", "lab-weighted", "n10-weighted"],
+    )
+    def test_a_supplied_walk_solves_no_all_axis_point(self, problem, d11, walk_spies):
+        if problem == "lab":
+            h, n = lab_base(), 2
+        else:
+            h, n = RiccatiData(*rand_solvable_triple(make_rng(0), 10)[:3]), 10
+        if d11 is None:
+            d11 = weighted_identity(make_rng(1), n)
+        path = vertex_path(h, direction=PerturbationDirection.from_blocks(d11))
+        assert path.status == "vertex" and len(path.legs) == 2
+        # The base point and the leg end are each snapshotted and solved once.
+        assert len(walk_spies.snapshots) == 2
+        assert [walk_spies.solves.count(p) for p in walk_spies.snapshots] == [1, 1]
+        for key in set(walk_spies.solves):
+            arr = np.frombuffer(key, dtype=complex).reshape(2 * n, 2 * n)
+            assert _snapshot(arr, 1e-7).n_axis < 2 * n
 
     def test_negative_budget_is_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             vertex_path(lab_base(), budget=-1)
 
     def test_random_weighting_still_reaches_the_vertex(self):
-        path = vertex_path(lab_base(), rng=make_rng(30))
+        d = PerturbationDirection.from_blocks(weighted_identity(make_rng(30), 2))
+        path = vertex_path(lab_base(), direction=d)
         assert path.status == "vertex"
         np.testing.assert_allclose(
             path.terminal.x, np.array([[3.0, 1.0], [1.0, 5.0]]), atol=1e-5
         )
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-8, 1e-6, 1e-4, 1.0, 1e4, 1e100, 1e300])
+    def test_the_lab_walk_closes_at_its_vertex_at_every_scale(self, s):
+        assert_lab_vertex(vertex_path(scaled_lab_base(s)), s, legs=1)
+
+    @pytest.mark.parametrize("s", [1e-7, 1e-6, 1e-4, 1.0, 1e4, 1e100, 1e300])
+    def test_a_supplied_lab_walk_closes_at_its_vertex_from_scale_1e_7_up(self, s):
+        # Below, at 1e-8 and 1e-12, the base point's absolute axis band
+        # 1e-7 (1 + |H|) holds the whole spectrum, the direction's scan
+        # finds no crossing, and the walk ends blocked.
+        d = PerturbationDirection.from_blocks(s * weighted_identity(make_rng(0), 2))
+        assert_lab_vertex(vertex_path(scaled_lab_base(s), direction=d), s, legs=2)
+
+    def test_the_walk_commutes_with_unitary_congruence(self):
+        # The perturb-walk benchmark's n = 10 triple and its congruences.
+        f, g, k, _ = rand_solvable_triple(make_rng(4), 10)
+        path = vertex_path(RiccatiData(f, g, k))
+        assert path.status == "vertex"
+        for s in range(1, 11):
+            u = rand_unitary(np.random.default_rng([s, 4]), 10)
+            turned = vertex_path(RiccatiData(*(u @ m @ u.conj().T for m in (f, g, k))))
+            assert turned.status == "vertex"
+            assert len(turned.legs) == len(path.legs)
+            for got, ref in (
+                (turned.terminal.x, path.terminal.x),
+                (turned.terminal.delta_accumulated, path.terminal.delta_accumulated),
+            ):
+                want = u @ ref @ u.conj().T
+                assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------
@@ -1297,10 +1371,18 @@ class TestLargeScale:
 
     STACK = lab_stack(*lab_grid(11, 11, 7))
 
+    @staticmethod
+    def walk(s, seed):
+        """The lab walk at scale s: no direction for seed None, else a
+        direction weighted by make_rng(seed)."""
+        d = None
+        if seed is not None:
+            d = PerturbationDirection.from_blocks(s * weighted_identity(make_rng(seed), 2))
+        return vertex_path(scaled_lab_base(s), direction=d)
+
     @pytest.fixture(scope="class")
     def unscaled(self):
-        walks = {seed: vertex_path(lab_base(), rng=None if seed is None else make_rng(seed))
-                 for seed in (None, 0)}
+        walks = {seed: self.walk(1.0, seed) for seed in (None, 0)}
         return region_grid(lab_base(), self.STACK).membership, walks
 
     @pytest.mark.parametrize("s", LARGE_SCALES)
@@ -1327,9 +1409,9 @@ class TestLargeScale:
     @pytest.mark.parametrize("seed", [None, 0])
     @pytest.mark.parametrize("s", LARGE_SCALES)
     def test_vertex_walks_reach_the_unscaled_vertex(self, s, seed, unscaled):
-        path = vertex_path(scaled_lab_base(s), rng=None if seed is None else make_rng(seed))
+        path = self.walk(s, seed)
         assert path.status == "vertex"
-        assert len(path.legs) == 2
+        assert len(path.legs) == (1 if seed is None else 2)
         # x does not scale; 1e-7 allows for the sqrt(eps) sensitivity of a
         # bisected leg end.
         assert np.abs(path.terminal.x - unscaled[1][seed].terminal.x).max() <= 1e-7

@@ -297,16 +297,16 @@ class TestSolveStructured:
             assert "cluster(s) at alpha=-1, 1 carry" in reason
 
     def test_an_assembled_residual_miss_is_a_failure_of_each_selection(self):
-        # K = 0 leaves every state unobservable, so both core selections run
-        # the same stages and assemble the inverse Gramian, whose residual
-        # (about 1e-14) misses tol = 1e-20.
+        # K = 0 leaves every state unobservable, so the core is empty and
+        # one selection runs: it assembles the inverse Gramian, whose
+        # residual (about 1e-14) misses tol = 1e-20.
         rng = helpers.make_rng(5)
         f = helpers.rand_stable(rng, 3)
         g = helpers.rand_psd(rng, 3)
         report = solve_structured(_data(f, g, np.zeros((3, 3), dtype=complex)), tol=1e-20)
         assert report.verdict == REDUCED_ONLY
         assert report.x is None
-        assert [mode for mode, _ in report.failures] == ["stable", "antistable"]
+        assert [mode for mode, _ in report.failures] == ["stable"]
         full = report.stages["residuals"]["full"]
         for _, reason in report.failures:
             assert reason == f"assembled solution residual {full:.3e} exceeds tolerance"
