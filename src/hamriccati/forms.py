@@ -9,17 +9,15 @@ invariant subspaces, and Hamiltonian Schur forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
-from typing import Iterator
 
 import numpy as np
 import scipy.linalg as sla
 
 from .linalg import (
     LinalgError,
-    OrderingBreakdown,
     SchurForm,
     _block2x2,
+    _coincident,
     _frozen,
     _norm,
     as_matrix,
@@ -52,15 +50,8 @@ _PSD_TOL = 1e-8
 _RANK_RTOL = 1e-10
 # Relative tolerance of the staircase zero-pattern checks.
 _PATTERN_TOL = 1e-10
-# Lagrangian subspaces: isotropy acceptance threshold, and the number of
-# alternative axis completions tried after the first before giving up.
-# The alternatives are the other subsets of the needed size of the axis
-# eigenvalues, taken in lexicographic order of the axis eigenvalues sorted
-# by (height, index).  That order does not depend on the half-plane, so
-# where both half-planes take the same axis eigenvalues (a vertex's stable
-# and antistable selections) they try the same alternatives.
+# Lagrangian subspaces: isotropy acceptance threshold.
 _ISO_TOL = 1e-6
-_MAX_ENUM = 20
 # The axis band of the half-plane selections (and of the axis spectra
 # reported next to them), relative to 1 + |H|.
 _SELECT_BAND = 1e-8
@@ -76,11 +67,11 @@ _CLUSTER_MERGE_TOL = 1e-6
 class LagrangianConditionError(RuntimeError):
     """No isotropic invariant subspace found for the requested selection.
 
-    The message names the smallest isotropy defect ||w1^H w2 - w2^H w1||
-    among the attempted selections and the heights of the imaginary-axis
-    clusters whose definite form rules every selection out.  Those are the
-    clusters that :func:`~hamriccati.perturbation.spectrum_snapshot` calls
-    definite, by the same rule, found on the solver's own Schur form.
+    The message names the isotropy defect ||w1^H w2 - w2^H w1|| of the
+    selection and the heights of the imaginary-axis clusters whose definite
+    form rules every selection out.  Those are the clusters that
+    :func:`~hamriccati.perturbation.spectrum_snapshot` calls definite, by
+    the same rule, found on the solver's own Schur form.
     """
 
 
@@ -427,35 +418,32 @@ def _cluster_form(s: SchurForm, members) -> tuple[SchurForm, np.ndarray]:
     return ordered, hermitian_part(1j * v.conj().T @ j_matrix(s.n // 2) @ v)
 
 
-def _selection_flags(eigs: np.ndarray, n: int, mode: str, imag_tol: float) -> Iterator[list[bool]]:
-    """Yield candidate selections of n eigenvalues for a closed half-plane.
+def _selection_flags(t: np.ndarray, n: int, mode: str, imag_tol: float) -> np.ndarray:
+    """The selection of n diagonal entries of the triangular ``t`` for a
+    closed half-plane.
 
-    Every candidate completes the open half-plane with ``need`` axis
-    eigenvalues.  The first takes those ranked toward the half-plane; the
-    alternatives follow lazily (see ``_MAX_ENUM``).
+    The open half-plane is completed with the ``need`` axis eigenvalues
+    ranked toward it.  Each group of numerically identical entries (see
+    :func:`~hamriccati.linalg._coincident`) then takes its leading
+    positions, so a Jordan chain's head is taken before its tail and the
+    reorder never splits a coupled pair.
     """
-    re = eigs.real
-    if mode == "stable":
-        base = re < -imag_tol
-        axis_key = re
-    else:
-        base = re > imag_tol
-        axis_key = -re
-    on_axis = np.abs(re) <= imag_tol
-    need = n - int(base.sum())
-    axis_idx = [int(i) for i in np.where(on_axis)[0]]
-    if need < 0 or need > len(axis_idx):
+    key = t.diagonal().real if mode == "stable" else -t.diagonal().real
+    flags = key < -imag_tol
+    axis_idx = np.where(np.abs(key) <= imag_tol)[0]
+    need = n - int(flags.sum())
+    if need < 0 or need > axis_idx.size:
         # Numerically unbalanced; fall back to a pure sort on the real part.
-        ranked = sorted(range(len(eigs)), key=lambda i: (axis_key[i], i))
-        chosen = set(ranked[:n])
-        yield [i in chosen for i in range(len(eigs))]
-        return
-    primary = set(sorted(axis_idx, key=lambda i: (axis_key[i], i))[:need])
-    by_height = sorted(axis_idx, key=lambda i: (eigs[i].imag, i))
-    others = (set(c) for c in combinations(by_height, need))
-    alternatives = islice((pick for pick in others if pick != primary), _MAX_ENUM)
-    for pick in chain([primary], alternatives):
-        yield [bool(base[i]) or i in pick for i in range(len(eigs))]
+        flags[:] = False
+        axis_idx, need = np.arange(key.size), n
+    flags[axis_idx[np.lexsort((axis_idx, key[axis_idx]))[:need]]] = True
+    same, _ = _coincident(t)
+    while True:  # each swap moves a selection forward, so this ends
+        ahead = np.argwhere(same & ~flags[:, None] & flags)
+        if not ahead.size:
+            return flags
+        i, j = ahead[0]
+        flags[i], flags[j] = True, False
 
 
 def _cluster_counts(
@@ -581,30 +569,19 @@ def _isotropic_selection(
     iso_tol: float,
     imag_tol: float,
 ) -> tuple[LagrangianSubspace | None, float]:
-    """Try the candidate selections of ``select`` on one Schur form.
+    """The selection of ``select`` (see :func:`_selection_flags`) on one
+    Schur form, reordered once.
 
-    Returns the first isotropic subspace found with its defect, or
-    ``None`` with the smallest defect among the candidates tried.
+    Returns its subspace with its isotropy defect, or ``None`` with the
+    defect when that exceeds ``iso_tol``.
     """
     if select not in ("stable", "antistable"):
         raise ValueError("select must be 'stable' or 'antistable'")
-    j = j_matrix(n)
-    best_defect = np.inf
-    for flags in _selection_flags(np.diag(s.t), n, select, imag_tol):
-        try:
-            ordered = order_schur(s, flags)
-        except OrderingBreakdown:
-            continue
-        w = ordered.q[:, :n]
-        defect = _norm(w.conj().T @ j @ w)
-        if defect <= iso_tol:
-            w1 = w[:n, :].copy()
-            w2 = w[n:, :].copy()
-            for arr in (w1, w2):
-                arr.setflags(write=False)
-            return LagrangianSubspace(w1=w1, w2=w2), defect
-        best_defect = min(best_defect, defect)
-    return None, best_defect
+    w = order_schur(s, _selection_flags(s.t, n, select, imag_tol)).q[:, :n]
+    defect = _norm(w.conj().T @ j_matrix(n) @ w)
+    if defect > iso_tol:
+        return None, defect
+    return LagrangianSubspace(w1=_frozen(w[:n, :]), w2=_frozen(w[n:, :])), defect
 
 
 def _lagrangian_from_schur(
@@ -612,14 +589,14 @@ def _lagrangian_from_schur(
 ) -> LagrangianSubspace:
     """:func:`lagrangian_subspace` on an existing Schur form ``s`` of the
     Hamiltonian ``h_arr``."""
-    sub, best_defect = _isotropic_selection(
+    sub, defect = _isotropic_selection(
         s, s.n // 2, select, iso_tol=iso_tol, imag_tol=_axis_band(h_arr, _SELECT_BAND)
     )
     if sub is not None:
         return sub
     clusters = _classify_clusters(h_arr, np.diag(s.t), _SELECT_BAND, s)
     definite = [alpha for alpha, m, n_minus, n_plus, *_ in clusters if m in (n_minus, n_plus)]
-    msg = f"no isotropic invariant subspace found (best defect {best_defect:.3e})"
+    msg = f"no isotropic invariant subspace found (best defect {defect:.3e})"
     if definite:
         msg += (
             "; imaginary-axis cluster(s) at alpha="
@@ -638,18 +615,17 @@ def lagrangian_subspace(h, select: str) -> LagrangianSubspace:
     select : {"stable", "antistable"}
         The closed half-plane to select. All eigenvalues strictly inside
         it are selected and the count is completed from the imaginary
-        axis (the band 1e-8 * (1 + ||H||)).  The first choice takes the
-        axis eigenvalues ranked toward the half-plane; when it is not
-        isotropic, up to 20 other choices of as many axis eigenvalues are
-        tried, in lexicographic order of the axis eigenvalues sorted by
-        height.  A choice is accepted when its isotropy defect
-        ||w1^H w2 - w2^H w1|| is at most 1e-6 (dimensionless, since the
-        basis is orthonormal).
+        axis (the band 1e-8 * (1 + ||H||)) by the axis eigenvalues ranked
+        toward the half-plane.  Numerically identical eigenvalues are taken
+        in their leading Schur positions, so a Jordan chain contributes its
+        head before its tail.  The selection is accepted when its isotropy
+        defect ||w1^H w2 - w2^H w1|| is at most 1e-6 (dimensionless, since
+        the basis is orthonormal); no other selection is tried.
 
     Raises
     ------
     LagrangianConditionError
-        If no attempted selection is isotropic. When an axis cluster
+        If the selection is not isotropic. When an axis cluster
         carries a definite form i v^H J v, the message names its height
         (such a cluster admits no isotropic invariant subspace).  The
         definite clusters are those of

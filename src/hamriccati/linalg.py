@@ -203,6 +203,16 @@ def schur_decompose(a) -> SchurForm:
     return SchurForm(q=_frozen(q), t=_frozen(t))
 
 
+def _coincident(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(same, tol)`` of the upper triangular ``t``: ``same[i, j]`` holds
+    for i < j when the diagonal entries i and j are numerically identical,
+    |t_ii - t_jj| <= tol_ij = 1e-13 (1 + |t_ii| + |t_jj| + |t_ij|)."""
+    d = t.diagonal()
+    ad = np.abs(d)
+    tol = 1e-13 * (1.0 + ad[:, None] + ad + np.abs(t))
+    return np.triu(np.abs(d[:, None] - d) <= tol, 1), tol
+
+
 def _check_split(t: np.ndarray, select: np.ndarray) -> None:
     """Raise ``OrderingBreakdown`` when ``select`` splits a defective cluster.
 
@@ -213,12 +223,8 @@ def _check_split(t: np.ndarray, select: np.ndarray) -> None:
     residual of the back substitution for the eigenvector at j).
     """
     d = t.diagonal()
-    ad = np.abs(d)
-    tol = 1e-13 * (1.0 + ad[:, None] + ad + np.abs(t))
-    same = np.abs(d[:, None] - d) <= tol
+    same, tol = _coincident(t)
     for i, j in zip(*np.nonzero(same & ~select[:, None] & select)):
-        if i > j:  # the selected entry already leads
-            continue
         mid = np.arange(i + 1, j)
         mid = mid[~same[mid, j]]
         v = sla.solve_triangular(d[j] * np.eye(mid.size) - t[np.ix_(mid, mid)], t[mid, j])

@@ -150,7 +150,7 @@ class ExtremalSolutions:
     residual_plus: float
 
 
-def solve_extremal(data: RiccatiData, *, iso_tol: float = 1e-6) -> ExtremalSolutions:
+def solve_extremal(data: RiccatiData, *, iso_tol: float = _ISO_TOL) -> ExtremalSolutions:
     """Compute the extremal Hermitian solutions of the Riccati equation.
 
     The stable (respectively antistable) Lagrangian invariant subspace of

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from hamriccati.forms import (
     _CLUSTER_MERGE_TOL,
     _FORM_BAND,
     LagrangianConditionError,
+    LagrangianSubspace,
     RiccatiData,
     _axis_clusters,
     _ham_array,
@@ -316,6 +318,73 @@ def reference_order_schur(s: SchurForm, flags) -> SchurForm:
     q.setflags(write=False)
     t.setflags(write=False)
     return SchurForm(q=q, t=t)
+
+
+# The number of alternative axis completions the enumeration tries after
+# the first before giving up.  The alternatives are the other subsets of the
+# needed size of the axis eigenvalues, taken in lexicographic order of the
+# axis eigenvalues sorted by (height, index).
+_MAX_ENUM = 20
+
+
+def reference_selection_flags(eigs: np.ndarray, n: int, mode: str, imag_tol: float):
+    """Yield candidate selections of n eigenvalues for a closed half-plane.
+
+    Every candidate completes the open half-plane with ``need`` axis
+    eigenvalues.  The first takes those ranked toward the half-plane; up to
+    ``_MAX_ENUM`` alternatives follow lazily.  The enumeration that
+    ``hamriccati.forms._selection_flags`` replaced with one selection.
+    """
+    re = eigs.real
+    if mode == "stable":
+        base = re < -imag_tol
+        axis_key = re
+    else:
+        base = re > imag_tol
+        axis_key = -re
+    on_axis = np.abs(re) <= imag_tol
+    need = n - int(base.sum())
+    axis_idx = [int(i) for i in np.where(on_axis)[0]]
+    if need < 0 or need > len(axis_idx):
+        # Numerically unbalanced; fall back to a pure sort on the real part.
+        ranked = sorted(range(len(eigs)), key=lambda i: (axis_key[i], i))
+        chosen = set(ranked[:n])
+        yield [i in chosen for i in range(len(eigs))]
+        return
+    primary = set(sorted(axis_idx, key=lambda i: (axis_key[i], i))[:need])
+    by_height = sorted(axis_idx, key=lambda i: (eigs[i].imag, i))
+    others = (set(c) for c in combinations(by_height, need))
+    alternatives = islice((pick for pick in others if pick != primary), _MAX_ENUM)
+    for pick in chain([primary], alternatives):
+        yield [bool(base[i]) or i in pick for i in range(len(eigs))]
+
+
+def reference_isotropic_selection(
+    s: SchurForm, n: int, select: str, *, iso_tol: float, imag_tol: float
+) -> tuple[LagrangianSubspace | None, float]:
+    """Try the candidate selections of :func:`reference_selection_flags` on
+    one Schur form.
+
+    Returns the first isotropic subspace found with its defect, or
+    ``None`` with the smallest defect among the candidates tried.
+    """
+    j = j_matrix(n)
+    best_defect = np.inf
+    for flags in reference_selection_flags(np.diag(s.t), n, select, imag_tol):
+        try:
+            ordered = order_schur(s, flags)
+        except OrderingBreakdown:
+            continue
+        w = ordered.q[:, :n]
+        defect = _norm(w.conj().T @ j @ w)
+        if defect <= iso_tol:
+            w1 = w[:n, :].copy()
+            w2 = w[n:, :].copy()
+            for arr in (w1, w2):
+                arr.setflags(write=False)
+            return LagrangianSubspace(w1=w1, w2=w2), defect
+        best_defect = min(best_defect, defect)
+    return None, best_defect
 
 
 # ---------------------------------------------------------------------------

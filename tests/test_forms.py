@@ -20,10 +20,18 @@ from hamriccati import (
     is_observable,
     j_matrix,
     lagrangian_subspace,
+    solve_extremal,
     staircase,
 )
-from hamriccati.forms import _selection_flags, _staircase_pair
-from hamriccati.linalg import _norm
+from hamriccati.forms import (
+    _ISO_TOL,
+    _SELECT_BAND,
+    _axis_band,
+    _isotropic_selection,
+    _selection_flags,
+    _staircase_pair,
+)
+from hamriccati.linalg import _norm, schur_decompose
 
 
 def _basis(ls):
@@ -394,11 +402,18 @@ class TestLagrangianSubspace:
             lagrangian_subspace(np.diag([1.0, 2.0, 3.0, 4.0]), "stable")
 
     @pytest.mark.parametrize("n", [1, 16])
-    def test_definite_axis_cluster_has_no_subspace(self, n):
+    def test_definite_axis_cluster_has_no_subspace(self, n, order_schur_calls, monkeypatch):
         # x^2 + 1 = 0 has no Hermitian solution; both axis clusters, n-fold
-        # at +-i, carry definite forms and the failure reports them.  The
-        # candidate selections are generated lazily: the attempt stays
-        # small in memory however many half-splits the clusters admit.
+        # at +-i, carry definite forms and the failure reports them.  One
+        # selection is reordered once, however many half-splits the
+        # clusters admit, and the attempt stays small in memory.
+        selections = []
+
+        def counted(*args, **kwargs):
+            selections.append(args)
+            return _isotropic_selection(*args, **kwargs)
+
+        monkeypatch.setattr(forms, "_isotropic_selection", counted)
         eye = np.eye(n)
         h = RiccatiData(np.zeros((n, n)), eye, eye)
         tracemalloc.start()
@@ -412,6 +427,7 @@ class TestLagrangianSubspace:
         message = str(ei.value)
         assert float(re.search(r"best defect (\S+)\)", message).group(1)) > 1e-2
         assert "cluster(s) at alpha=-1, 1 carry" in message
+        assert len(selections) == 1 and len(order_schur_calls) == 1
 
     def test_vertex_jordan_cluster(self):
         # Fourfold eigenvalue collision at zero; the kernel still spans an
@@ -423,6 +439,17 @@ class TestLagrangianSubspace:
         assert _isotropy_defect(ls) < 1e-6
         x = ls.w2 @ np.linalg.inv(ls.w1)
         np.testing.assert_allclose(x, [[3.0, 1.0], [1.0, 5.0]], atol=1e-5)
+
+    @pytest.mark.parametrize("select", ["stable", "antistable"])
+    def test_coupled_coincident_pair_on_the_axis(self, select):
+        # The second coordinate's Hamiltonian [[-1, 1], [-1, 1]] is a Jordan
+        # block at zero, whose head both selections take: its tail would
+        # have to be exchanged in front of the head.
+        h = RiccatiData(np.diag([1.0, -1.0]), np.diag([0.0, 1.0]), np.eye(2))
+        ls = lagrangian_subspace(h, select)
+        assert _isotropy_defect(ls) <= 1e-12
+        w = _basis(ls)
+        assert _norm(h.hamiltonian @ w - w @ _restriction(h, ls)) <= 1e-12
 
     def test_boundary_mixed_axis_and_stable(self):
         # One strict pair (+-3) plus a double eigenvalue at zero.
@@ -464,8 +491,66 @@ class TestSelectionFlags:
         ],
     )
     def test_unbalanced_spectra_fall_back_to_a_sort_on_the_real_part(self, eigs, mode, expected):
-        eigs = np.asarray(eigs, dtype=complex)
-        assert list(_selection_flags(eigs, 2, mode, 1e-8)) == [expected]
+        t = np.diag(np.asarray(eigs, dtype=complex))
+        np.testing.assert_array_equal(_selection_flags(t, 2, mode, 1e-8), expected)
+
+    @pytest.mark.parametrize(
+        "eigs, mode",
+        [([-1.0, 1e-17, -1e-17, 1.0], "stable"), ([1.0, -1e-17, 1e-17, -1.0], "antistable")],
+    )
+    def test_coincident_axis_entries_take_their_leading_position(self, eigs, mode):
+        # The two axis entries are numerically identical and coupled, a
+        # Jordan chain with its head in front; the real-part noise ranks
+        # the trailing entry toward the half-plane, but the head is taken.
+        t = np.diag(np.asarray(eigs, dtype=complex))
+        t[1, 2] = 1.0
+        np.testing.assert_array_equal(
+            _selection_flags(t, 2, mode, 1e-8), [True, True, False, False]
+        )
+
+
+def _selection_corpus():
+    """Triples whose Lagrangian selections the enumeration oracle accepts:
+    the lab problem and its vertex, the two Jordan-on-the-axis triples, and
+    random solvable triples at their base and their midpoint vertex
+    K + D G D / 4, with D the gap of their extremal pair."""
+    f, g, k = helpers.lab2x2()
+    cases = {
+        "lab": (f, g, k),
+        "lab-vertex": (f, g, k + np.diag([4.0, 9.0])),
+        "jordan-extremal": (np.diag([-2.0, -1.0]), np.eye(2), np.eye(2)),
+        "jordan-coupled": (np.diag([1.0, -1.0]), np.diag([0.0, 1.0]), np.eye(2)),
+    }
+    for n in (10, 20):
+        for seed in range(4):
+            f, g, k, _ = helpers.rand_solvable_triple(helpers.make_rng(seed), n)
+            ext = solve_extremal(RiccatiData(f, g, k))
+            gap = ext.x_plus - ext.x_minus
+            cases[f"n{n}-seed{seed}"] = (f, g, k)
+            cases[f"n{n}-seed{seed}-vertex"] = (f, g, k + gap @ g @ gap / 4)
+    return cases
+
+
+_SELECTION_CORPUS = _selection_corpus()
+
+
+class TestSelectionMatchesTheEnumeration:
+    @pytest.mark.parametrize("select", ["stable", "antistable"])
+    @pytest.mark.parametrize("case", list(_SELECTION_CORPUS))
+    def test_one_selection_spans_the_enumerations_subspace(self, case, select):
+        # The enumeration accepts every corpus selection with a defect of at
+        # most 2e-7 (the vertices, whose axis pairs split by about sqrt(eps)),
+        # well away from the isotropy tolerance, where which candidate passes
+        # would be rounding noise.
+        h_arr = RiccatiData(*_SELECTION_CORPUS[case]).hamiltonian
+        s = schur_decompose(h_arr)
+        n = s.n // 2
+        tols = {"iso_tol": _ISO_TOL, "imag_tol": _axis_band(h_arr, _SELECT_BAND)}
+        ref, _ = helpers.reference_isotropic_selection(s, n, select, **tols)
+        got, _ = _isotropic_selection(s, n, select, **tols)
+        assert ref is not None and got is not None
+        cosines = np.linalg.svd(_basis(ref).conj().T @ _basis(got), compute_uv=False)
+        assert cosines.min() >= 1.0 - 1e-10
 
 
 class TestHamiltonianSchur:

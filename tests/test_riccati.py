@@ -145,6 +145,16 @@ class TestSolveExtremal:
         with pytest.raises(LagrangianConditionError):
             solve_extremal(_data(np.zeros((1, 1), dtype=complex), one, one))
 
+    def test_controllable_jordan_block_on_the_axis(self):
+        # The second coordinate's Hamiltonian [[-1, 1], [-1, 1]] is a Jordan
+        # block at zero: each selection takes its head, x = 1 in both.  The
+        # first coordinate solves x^2 - 4x + 1 = 0.
+        data = _data(np.diag([-2.0, -1.0]), np.eye(2), np.eye(2))
+        ext = solve_extremal(data)
+        root = np.sqrt(3.0)
+        np.testing.assert_allclose(ext.x_minus, np.diag([2.0 - root, 1.0]), atol=1e-8)
+        np.testing.assert_allclose(ext.x_plus, np.diag([2.0 + root, 1.0]), atol=1e-8)
+
 
 def _extremal_cases():
     """Triples for the one-Schur oracle: the lab problem, its Jordan
