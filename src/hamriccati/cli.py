@@ -21,13 +21,12 @@ column the same way.
 
 ``perturb --vertex`` closes every walk at the midpoint of an extremal
 pair: it draws no random numbers, so ``--seed`` only appears in the
-manifest, and ``--budget`` caps the walk's legs, of which it takes two at
-most (a supplied direction's leg and the closing leg).
+manifest.  A walk takes two legs at most (a supplied direction's leg and
+the closing leg).
 
 Exit codes: 0 = success, 2 = invalid input, 3 = analytic negative
 (no solution, certification refused, a certified storage without a
-port-Hamiltonian realization, no boundary crossing, vertex walk blocked
-or out of budget).
+port-Hamiltonian realization, no boundary crossing, vertex walk blocked).
 
 Set ``HAMRICCATI_LOG`` to ``quiet`` (default), ``info`` or ``debug`` to
 control progress messages on stderr.
@@ -476,17 +475,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type of ``--budget``: an integer of at least zero."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be at least 0")
-    return value
-
-
 def _parse_axis(segment: str, what: str) -> np.ndarray:
     parts = segment.split(":")
     if len(parts) != 3:
@@ -684,7 +672,7 @@ def _run_perturb(ns: argparse.Namespace) -> int:
         if ns.t_max is not None:
             command.append(f"--t-max={ns.t_max!r}")
     else:
-        command += ["--vertex", f"--budget={ns.budget}"]
+        command.append("--vertex")
     tolerances: dict[str, float | None] = {"tol": ns.tol}
     manifest = _manifest(command, inputs, tolerances, ns.seed)
     log.info("perturb mode=%s n=%d", mode, data.n)
@@ -741,7 +729,7 @@ def _run_perturb(ns: argparse.Namespace) -> int:
 
     kwargs = {} if ns.tol is None else {"imag_tol": ns.tol}
     try:
-        path = vertex_path(data, direction=direction, budget=ns.budget, **kwargs)
+        path = vertex_path(data, direction=direction, **kwargs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = {
@@ -899,10 +887,6 @@ def _build_parser() -> argparse.ArgumentParser:
     perturb.add_argument(
         "--t-max", type=_positive_float, default=None,
         help="scan limit for --critical when no certified bound exists",
-    )
-    perturb.add_argument(
-        "--budget", type=_nonnegative_int, default=8,
-        help="maximum legs for --vertex (default 8); a walk takes two at most",
     )
     perturb.add_argument(
         "--seed", type=int, default=None,

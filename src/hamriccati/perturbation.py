@@ -1034,6 +1034,12 @@ class VertexRecord:
 
 @dataclass(frozen=True)
 class PerturbationPath:
+    """Result of :func:`vertex_path`.  ``status`` is ``"vertex"``, with the
+    certified ``terminal``, or ``"blocked"``, with ``terminal`` None and
+    ``blocking`` the spectrum snapshot of the point where the walk stopped.
+    ``legs`` holds at most two legs: a supplied direction's leg, then the
+    closing leg; a base point that is already a vertex has none."""
+
     legs: tuple[PathLeg, ...]
     terminal: VertexRecord | None
     status: str
@@ -1062,9 +1068,10 @@ def _refine_leg_end(
     ~imag_tol^2, because eigenvalues approach a collision like the square
     root of the parameter distance.  Solvability of the bumped equation,
     by contrast, switches exactly at the boundary, so the bracket is
-    re-bisected with a solvability oracle.  A leg from a point with no
-    axis eigenvalue has its exact crossing from the level set, and the
-    search starts ``_CROSSING_RTOL`` either side of it instead.  Returns
+    re-bisected with a solvability oracle.  A crossing from the level set
+    is exact, and the search starts ``_CROSSING_RTOL`` either side of it
+    instead; it is told apart by lying below its bracket's upper end, which
+    the scan's ``t0`` equals.  Returns
     the largest parameter still certified solvable with the extremal pair
     solved there, or the detector's ``t0`` and None when the boundary
     cannot be bracketed.
@@ -1077,7 +1084,7 @@ def _refine_leg_end(
             return None
         return _extremal_or_none(point)
 
-    if ct.n_axis_start == 0:
+    if ct.t0 < ct.bracket[1]:
         lo, hi = ct.t0 * (1.0 - _CROSSING_RTOL), ct.t0 * (1.0 + _CROSSING_RTOL)
     else:
         lo, hi = ct.bracket
@@ -1113,9 +1120,8 @@ def _close(
     point: RiccatiData,
     ext: ExtremalSolutions | None,
     legs: tuple[PathLeg, ...],
-    budget: int,
     imag_tol: float,
-    snap: SpectrumSnapshot | None = None,
+    snap: SpectrumSnapshot | None,
 ) -> PerturbationPath:
     """Close a walk of ``data`` that reached ``point`` by ``legs`` at the
     midpoint of ``point``'s extremal pair ``ext``, taking the closing leg
@@ -1129,8 +1135,6 @@ def _close(
         residual = _residual_ratio(data, x, bump)
         closed = legs
         if residual > _RESIDUAL_TOL:
-            if len(legs) >= budget:
-                return PerturbationPath(legs=legs, terminal=None, status="budget_exhausted")
             gap = ext.x_plus - ext.x_minus
             closing = PerturbationDirection.from_blocks(gap @ point.g @ gap)
             closed = (*legs, PathLeg(closing, 0.25, 2 * data.n))
@@ -1151,7 +1155,6 @@ def vertex_path(
     h,
     *,
     direction: PerturbationDirection | None = None,
-    budget: int = 8,
     imag_tol: float = 1e-7,
 ) -> PerturbationPath:
     """Walk to a vertex of the solution set, where the solution is unique.
@@ -1176,17 +1179,15 @@ def vertex_path(
     accumulated bump is positive semidefinite (smallest eigenvalue above
     ``-1e-8 * (1 + |bump|)``), the residual ratio is within ``1e-8`` and
     the closed-loop ratio within ``imag_tol`` (:class:`VertexRecord`).
-    ``status`` is ``"vertex"`` then, ``"budget_exhausted"`` when a leg is
-    due and ``budget`` legs are taken (a walk takes two at most), and
-    ``"blocked"`` with the snapshot of the last walk point when that
-    point has no extremal pair, the supplied direction finds no arrival,
-    or the terminal fails its certificate.  A negative ``budget`` raises
-    ValueError, and so does a supplied direction that is not weight-only,
-    does not match the dimension, or does not freeze the standing axis
-    eigenvalues.
+    ``status`` is ``"vertex"`` then, and ``"blocked"`` with the snapshot of
+    the last walk point when that point has no extremal pair, the supplied
+    direction finds no arrival (the walk then blocks at the base point
+    with no legs), or the terminal fails its certificate.  A walk takes
+    two legs at most: the supplied direction's and the closing leg.  A
+    supplied direction that is not weight-only, does not match the
+    dimension, or does not freeze the standing axis eigenvalues raises
+    ValueError.
     """
-    if budget < 0:
-        raise ValueError("budget must be at least 0")
     data = _as_data(h)
     n = data.n
     if direction is not None:
@@ -1200,38 +1201,36 @@ def vertex_path(
     ext = _extremal_or_none(data)
     x = None if ext is None else hermitian_part(0.5 * (ext.x_minus + ext.x_plus))
     at_vertex = x is not None and _residual_ratio(data, x, 0.0) <= _RESIDUAL_TOL
-    if direction is None or at_vertex:
-        return _close(data, data, ext, (), budget, imag_tol)
-
-    arr = data.hamiltonian
-    snap = _snapshot(arr, imag_tol)
-    blocked = PerturbationPath(legs=(), terminal=None, status="blocked", blocking=snap)
-    if budget == 0:
-        return PerturbationPath(legs=(), terminal=None, status="budget_exhausted")
-    if not _freezes(direction.delta11, arr, snap):
-        raise ValueError(
-            "the supplied direction does not freeze the standing axis eigenvalues"
-        )
-    if ext is None:  # no extremal pair at the base point bounds the scan
-        return blocked
-    n_axis0 = _axis_count(arr, imag_tol, snap.eigenvalues)
-    ct = _critical_time(
-        data, direction, arr, snap.eigenvalues, n_axis0, ext, t_max=None, imag_tol=imag_tol
-    )
-    if ct.t0 is None:
-        return blocked
-    t_leg, ext = _refine_leg_end(data, direction, ct)
-    # The walk closes from the point _refine_leg_end certified, rounded as
-    # it was there: on the solvability boundary a last-digit change can
-    # lose the solution.  The accumulated bump is read back off this point.
-    end = RiccatiData(
-        *_bumped(data, direction.delta11, direction.delta21, direction.delta22, t_leg)
-    )
-    end_snap = _snapshot(end.hamiltonian, imag_tol)
-    if ext is None:
-        ext = _extremal_or_none(end)
-    legs = (PathLeg(direction, t_leg, end_snap.n_axis),)
-    return _close(data, end, ext, legs, budget, imag_tol, end_snap)
+    point, legs, snap = data, (), None
+    if direction is not None and not at_vertex:
+        arr = data.hamiltonian
+        snap = _snapshot(arr, imag_tol)
+        if not _freezes(direction.delta11, arr, snap):
+            raise ValueError(
+                "the supplied direction does not freeze the standing axis eigenvalues"
+            )
+        ct = None
+        if ext is not None:  # only an extremal pair at the base point bounds the scan
+            n_axis0 = _axis_count(arr, imag_tol, snap.eigenvalues)
+            ct = _critical_time(
+                data, direction, arr, snap.eigenvalues, n_axis0, ext, t_max=None,
+                imag_tol=imag_tol,
+            )
+        if ct is None or ct.t0 is None:
+            ext = None  # blocked at the base point, not closed from its pair
+        else:
+            t_leg, ext = _refine_leg_end(data, direction, ct)
+            # The walk closes from the point _refine_leg_end certified, rounded
+            # as it was there: on the solvability boundary a last-digit change
+            # can lose the solution.  The accumulated bump is read back off it.
+            point = RiccatiData(
+                *_bumped(data, direction.delta11, direction.delta21, direction.delta22, t_leg)
+            )
+            snap = _snapshot(point.hamiltonian, imag_tol)
+            if ext is None:
+                ext = _extremal_or_none(point)
+            legs = (PathLeg(direction, t_leg, snap.n_axis),)
+    return _close(data, point, ext, legs, imag_tol, snap)
 
 
 # ---------------------------------------------------------------------------

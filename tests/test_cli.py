@@ -1150,6 +1150,7 @@ class TestPerturb:
         assert report["legs"]
         assert report["terminal"]["residual_ratio"] <= 1e-8
         assert report["terminal"]["closed_loop_ratio"] <= 1e-7
+        assert report["manifest"]["command"] == ["perturb", "--vertex"]
 
     def test_vertex_walk_accepts_a_seed_direction(self, ex2_file, tmp_path):
         delta = write_direction(tmp_path, [[4.0, 0.0], [0.0, 9.0]])
@@ -1208,14 +1209,22 @@ class TestPerturb:
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_zero_budget_exhausts(self, ex2_file, tmp_path):
+    def test_vertex_walk_from_near_the_boundary_reaches_the_vertex(self, tmp_path):
+        # 1e-9 short of the face a = 4, where the scan supplies the crossing.
+        f, g, k = lab2x2()
+        near = np.diag([4.0 - 1e-9, 0.0])
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(
+            {"F": mat_json(f, "F"), "G": mat_json(g, "G"), "K": mat_json(k + near, "K")}
+        ))
+        delta = write_direction(tmp_path, np.eye(2))
         out = tmp_path / "walk.json"
-        assert cli.main(
-            ["perturb", ex2_file, "--vertex", "--budget", "0", "--out", str(out)]
-        ) == 3
+        assert cli.main(["perturb", str(path), delta, "--vertex", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["status"] == "budget_exhausted"
-        assert report["terminal"] is None
+        assert report["status"] == "vertex" and len(report["legs"]) == 2
+        np.testing.assert_allclose(
+            parse_matrix(report["terminal"]["x"]), [[3.0, 1.0], [1.0, 5.0]], atol=1e-12
+        )
 
     def test_full_direction_blocks_parse(self, ex2_file, tmp_path):
         path = tmp_path / "full.json"
@@ -1270,7 +1279,7 @@ class TestPerturb:
             ["--critical", "--tol", "inf"],
             ["--critical", "--t-max", "-1"],
             ["--critical", "--t-max", "0"],
-            ["--vertex", "--budget", "-3"],
+            ["--vertex", "--tol", "0"],
         ],
     )
     def test_invalid_numeric_flags_exit_two(self, ex2_file, tmp_path, flags):
@@ -1296,15 +1305,17 @@ class TestPerturb:
         assert "no scan range" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_mode_is_required(self, ex2_file, tmp_path):
+    def test_mode_is_required(self, ex2_file, tmp_path, capsys):
         delta = write_direction(tmp_path, np.eye(2))
         assert cli.main(["perturb", ex2_file, delta]) == 2
+        assert "pick exactly one" in capsys.readouterr().err
 
-    def test_two_modes_are_rejected(self, ex2_file, tmp_path):
+    def test_two_modes_are_rejected(self, ex2_file, tmp_path, capsys):
         delta = write_direction(tmp_path, np.eye(2))
         assert cli.main(
             ["perturb", ex2_file, delta, "--critical", "--vertex"]
         ) == 2
+        assert "pick exactly one" in capsys.readouterr().err
 
     def test_critical_requires_a_direction(self, ex2_file):
         assert cli.main(["perturb", ex2_file, "--critical"]) == 2

@@ -928,11 +928,31 @@ class TestVertexPath:
             path.terminal.x, np.array([[3.0, 1.0], [1.0, 5.0]]), atol=1e-6
         )
 
-    def test_budget_zero_reports_exhaustion(self):
-        path = vertex_path(lab_base(), budget=0)
-        assert path.status == "budget_exhausted"
-        assert path.legs == ()
-        assert path.terminal is None
+    def test_a_supplied_walk_from_near_the_boundary_reaches_the_vertex(self):
+        # 1e-9 short of the face a = 4 the level set's bracket check fails,
+        # and the scan's t0, its bracket's upper end, is past the crossing:
+        # the leg end is searched for inside the bracket instead.
+        f, g, k = lab2x2()
+        near = np.diag([4.0 - 1e-9, 0.0])
+        data = RiccatiData(f, g, k + near)
+        d = PerturbationDirection.from_blocks(np.eye(2))
+        ct = critical_time(data, d)
+        assert ct.n_axis_start == 0 and ct.t0 == ct.bracket[1]
+        path = vertex_path(data, direction=d)
+        assert path.status == "vertex" and len(path.legs) == 2
+        assert ct.bracket[0] <= path.legs[0].t_end < ct.t0
+        assert path.legs[1].t_end == 0.25
+        np.testing.assert_allclose(path.terminal.x, [[3.0, 1.0], [1.0, 5.0]], atol=1e-12)
+        np.testing.assert_allclose(
+            path.terminal.delta_accumulated + near, np.diag([4.0, 9.0]), atol=1e-10
+        )
+
+    def test_a_zero_direction_blocks_at_the_base_point(self):
+        # No arrival on the ray: the walk blocks where it stands instead of
+        # closing from the base point's pair.
+        path = vertex_path(lab_base(), direction=dir_abc(0.0, 0.0, 0.0))
+        assert path.status == "blocked" and path.legs == () and path.terminal is None
+        assert path.blocking.n_axis == 0
 
     def test_non_freezing_direction_is_rejected(self):
         f, g, k = lab2x2()
@@ -958,13 +978,15 @@ class TestVertexPath:
     )
     def test_a_bad_direction_raises_before_a_missing_pair_blocks(self, blocks, message):
         # The mode f = 1 is uncontrolled (g = 0 on it), so there is no
-        # extremal pair; the mode f = -1 puts two eigenvalues on the axis.
+        # extremal pair; the mode f = -1 puts two eigenvalues on the axis,
+        # which diag(1, 0) freezes.
         data = RiccatiData(np.diag([1.0, -1.0]), np.diag([0.0, 1.0]), np.eye(2))
         with pytest.raises(ValueError, match=message):
             vertex_path(data, direction=PerturbationDirection.from_blocks(*blocks))
-        path = vertex_path(data)
-        assert path.status == "blocked" and path.legs == ()
-        assert path.blocking.n_axis == 2
+        for direction in (None, dir_abc(1.0, 0.0, 0.0)):
+            path = vertex_path(data, direction=direction)
+            assert path.status == "blocked" and path.legs == () and path.terminal is None
+            assert path.blocking.n_axis == 2
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_point_without_extremal_pair_blocks_the_walk(self, seed):
@@ -1025,10 +1047,6 @@ class TestVertexPath:
         for key in set(walk_spies.solves):
             arr = np.frombuffer(key, dtype=complex).reshape(2 * n, 2 * n)
             assert _snapshot(arr, 1e-7).n_axis < 2 * n
-
-    def test_negative_budget_is_rejected(self):
-        with pytest.raises(ValueError, match="budget"):
-            vertex_path(lab_base(), budget=-1)
 
     def test_random_weighting_still_reaches_the_vertex(self):
         d = PerturbationDirection.from_blocks(weighted_identity(make_rng(30), 2))
