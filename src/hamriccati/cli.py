@@ -35,9 +35,8 @@ control progress messages on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import hashlib
-import io
 import json
 import logging
 import os
@@ -53,8 +52,7 @@ from .forms import RiccatiData, StateSpace, from_state_space
 from .linalg import LinalgError, SolvabilityError, _norm, loewner_leq
 from .perturbation import (
     PerturbationDirection,
-    _perturbed_array,
-    _snapshot,
+    _t_grid_blocks,
     critical_time,
     region_grid,
     vertex_path,
@@ -453,12 +451,11 @@ def _emit_json(report: dict, out: str | None) -> None:
     _emit_text(parts, out)
 
 
-def _emit_csv(header: list[str], rows: list, manifest: dict, out: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit_text([buf.getvalue()], out)
+def _emit_csv(header: list[str], lines: list[str], manifest: dict, out: str | None) -> None:
+    """Write the CSV of ``header`` and the row ``lines``, each its cells
+    joined by commas and ended by a newline (no cell needs quoting: they
+    are numbers and words), then the sibling manifest when ``out`` is a path."""
+    _emit_text([",".join(header) + "\n", *lines], out)
     if out is not None:
         with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(_dumps(manifest) + "\n")
@@ -686,25 +683,15 @@ def _run_perturb(ns: argparse.Namespace) -> int:
         for i in range(2 * data.n):
             header += [f"eig{i}_re", f"eig{i}_im"]
         header += ["n_axis", "inertia_minus", "inertia_plus", "inertia_zero"]
-        rows = []
-        for t in grid.tolist():
-            # The triple and direction were validated on loading, so the row is
-            # Hamiltonian by assembly and k + t delta11 stays PSD; only overflow is left.
-            arr = _perturbed_array(data, direction, t)
-            if not np.isfinite(arr).all():
-                raise InputError(
-                    f"--t-grid {ns.t_grid} at t={t!r}: the bumped Hamiltonian has "
-                    "non-finite entries"
-                )
-            snap = _snapshot(arr, axis_tol)
-            # The eigenvalues' floats in header order: re, im, re, im, ...
-            row = [repr(t), *map(repr, snap.eigenvalues.view(float).tolist())]
-            minus = sum(c.n_minus for c in snap.imaginary_groups)
-            plus = sum(c.n_plus for c in snap.imaginary_groups)
-            zero = sum(c.n_zero for c in snap.imaginary_groups)
-            row += [str(snap.n_axis), str(minus), str(plus), str(zero)]
-            rows.append(row)
-        _emit_csv(header, rows, manifest, ns.out)
+        lines = []
+        try:
+            for ts, eigs, counts in _t_grid_blocks(data, direction, grid, axis_tol):
+                # Each row's cells in header order: t, re, im, re, im, ..., the four counts.
+                for t, vals, ints in zip(ts.tolist(), eigs.view(float).tolist(), counts.tolist()):
+                    lines.append(",".join(map(repr, [t, *vals, *ints])) + "\n")
+        except ValueError as exc:
+            raise InputError(f"--t-grid {ns.t_grid} {exc}") from exc
+        _emit_csv(header, lines, manifest, ns.out)
         return EXIT_OK
 
     if mode == "critical":
@@ -788,7 +775,7 @@ def _run_region(ns: argparse.Namespace) -> int:
     total = a_axis.size * b_axis.size * c_axis.size
     log.info("region grid %dx%dx%d = %d points", *shape, total)
     header = ["a", "b", "c", "membership", "min_abs_re_lambda", "margin"]
-    rows = []
+    lines = []
     for start in range(0, total, _REGION_BLOCK):
         ia, ib, ic = np.unravel_index(np.arange(start, min(start + _REGION_BLOCK, total)), shape)
         a, b, c = a_axis[ia], b_axis[ib], c_axis[ic]
@@ -804,8 +791,9 @@ def _run_region(ns: argparse.Namespace) -> int:
         a_col, b_col, c_col, min_col, margin_col = (
             map(repr, column.tolist()) for column in (a, b, c, min_re, grid.margin)
         )
-        rows.extend(zip(a_col, b_col, c_col, grid.membership.tolist(), min_col, margin_col))
-    _emit_csv(header, rows, manifest, ns.out)
+        cells = zip(a_col, b_col, c_col, grid.membership.tolist(), min_col, margin_col)
+        lines.extend(",".join(row) + "\n" for row in cells)
+    _emit_csv(header, lines, manifest, ns.out)
     return EXIT_OK
 
 
@@ -813,6 +801,8 @@ def _run_region(ns: argparse.Namespace) -> int:
 # entry point
 
 
+# Built once per process: parse_args reads the parser and leaves no state on it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamriccati",
@@ -918,8 +908,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
         return ns.run(ns)
     except InputError as exc:

@@ -468,34 +468,54 @@ def _cluster_counts(
 
 
 def _inertia_jumps(arr: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jumps of the negative count of S(w) = J (arr - i w I) across ``heights``.
+    """Jumps of the negative count of S(w) = J (arr - i w I) across ``heights``,
+    for each Hamiltonian of the stack ``arr`` (m, 2n, 2n).
 
-    For a Hamiltonian ``arr`` the matrix S(w) is Hermitian and singular
-    exactly where ``i w`` is an eigenvalue.  As w passes the height of a
-    semisimple axis eigenvalue whose form i v^H J v is positive (negative),
-    one eigenvalue of S(w) crosses zero downwards (upwards), so the jump
-    across a cluster is n_plus - n_minus summed over the axis eigenvalues
-    between its neighbouring midpoints; a Jordan block of even size adds
-    nothing.  S(w) tends to -i w J as |w| grows, so the count is n at both
-    ends and only the midpoints between consecutive ``heights`` (sorted
-    ascending) take one ``eigvalsh`` each.
+    For a Hamiltonian the matrix S(w) is Hermitian and singular exactly
+    where ``i w`` is an eigenvalue.  As w passes the height of a semisimple
+    axis eigenvalue whose form i v^H J v is positive (negative), one
+    eigenvalue of S(w) crosses zero downwards (upwards), so the jump across
+    a cluster is n_plus - n_minus summed over the axis eigenvalues between
+    its neighbouring midpoints; a Jordan block of even size adds nothing.
+    S(w) tends to -i w J as |w| grows, so the count is n at both ends and
+    only the midpoints between consecutive heights need an ``eigvalsh``.
 
-    Returns the jump per height and its clearance: the smallest |eigenvalue|
-    of S at the two midpoints around it (inf beyond the outer heights).
+    Row i of ``heights`` (m, K) holds the heights of matrix i in ascending
+    order, padded at the end with NaN; a single matrix takes a 1-D row.
+    Every midpoint of the stack, J arr_i - i w J, goes into one stacked
+    ``eigvalsh``.  Returns the jump per height and its clearance, the
+    smallest |eigenvalue| of S at the two midpoints around it (inf beyond
+    the outer heights), shaped like ``heights``; a padded height reads
+    jump 0 and clearance inf.
     """
-    if heights.size == 0:
-        return np.zeros(0, dtype=int), np.zeros(0)
-    n = arr.shape[0] // 2
+    if arr.ndim == 2:
+        jumps, clearance = _inertia_jumps(arr[None], heights[None])
+        return jumps[0], clearance[0]
+    m, size = heights.shape
+    n = arr.shape[-1] // 2
     j = j_matrix(n)
-    s = j @ arr  # J h, Hermitian
-    counts, gaps = [n], [np.inf]
-    for w in 0.5 * (heights[:-1] + heights[1:]):
-        vals = np.linalg.eigvalsh(s - 1j * w * j)
-        counts.append(int(np.sum(vals < 0.0)))
-        gaps.append(float(np.min(np.abs(vals))))
-    counts.append(n)
-    gaps.append(np.inf)
-    return np.diff(counts), np.minimum(gaps[:-1], gaps[1:])
+    mids = 0.5 * (heights[:, :-1] + heights[:, 1:])
+    rows, cols = np.nonzero(~np.isnan(mids))  # each row's midpoints, ascending
+    counts = np.full((m, size + 1), n)
+    gaps = np.full((m, size + 1), np.inf)
+    if rows.size:
+        s = np.empty((rows.size, 2 * n, 2 * n), dtype=complex)
+        s[...] = j
+        s *= (1j * mids[rows, cols])[:, None, None]  # in place: no broadcast temporary
+        bounds = np.searchsorted(rows, np.arange(m + 1))
+        for i in np.flatnonzero(np.diff(bounds)):
+            block = s[bounds[i] : bounds[i + 1]]
+            np.subtract(j @ arr[i], block, out=block)
+        vals = np.linalg.eigvalsh(s)
+        counts[rows, cols + 1] = np.sum(vals < 0.0, axis=1)
+        gaps[rows, cols + 1] = np.min(np.abs(vals), axis=1)
+    return np.diff(counts, axis=1), np.minimum(gaps[:, :-1], gaps[:, 1:])
+
+
+def _definite(jumps, multiplicities, clearance, form_band):
+    """Whether inertia alone decides a cluster: its jump is plus or minus its
+    multiplicity and its clearance is above ``form_band``.  Elementwise."""
+    return (np.abs(jumps) == multiplicities) & (clearance > form_band)
 
 
 def _axis_band(arr: np.ndarray, tol):
@@ -536,18 +556,22 @@ def _classify_clusters(
     :func:`~hamriccati.perturbation.spectrum_snapshot`): the clusters are
     those of :func:`_axis_members`, a cluster whose inertia jump
     (:func:`_inertia_jumps`) is plus or minus its multiplicity is
-    definite, and every other one is counted on a Schur form of ``arr``
-    (``s`` when the caller has one, else one is made).
+    definite (:func:`_definite`), and every other one is counted on a
+    Schur form of ``arr`` (``s`` when the caller has one, else one is
+    made).  :func:`_axis_counts` applies this rule to a stack: it decides
+    in bulk only the matrices whose every cluster takes the definite
+    branch here, and sends every other matrix to this function.
     """
     groups = _axis_members(arr, eigs, axis_tol)
     if not groups:
         return []
-    jumps, clearance = _inertia_jumps(arr, np.array([alpha for alpha, _, _ in groups]))
-    form_band = _axis_band(arr, _FORM_BAND)
+    alphas, _, mults = zip(*groups)
+    jumps, clearance = _inertia_jumps(arr, np.array(alphas))
+    definite = _definite(jumps, mults, clearance, _axis_band(arr, _FORM_BAND))
     clusters = []
     band = None
-    for (alpha, radius, m), jump, gap in zip(groups, jumps, clearance):
-        if abs(jump) == m and gap > form_band:
+    for (alpha, radius, m), jump, sure in zip(groups, jumps, definite):
+        if sure:
             counts = (m, 0, 0, True) if jump < 0 else (0, m, 0, True)
         else:
             if band is None:
@@ -559,6 +583,45 @@ def _classify_clusters(
             counts = _cluster_counts(s, members, band)
         clusters.append((alpha, m, *counts))
     return clusters
+
+
+def _axis_counts(arr: np.ndarray, eigs: np.ndarray, axis_tol: float) -> np.ndarray:
+    """``(n_axis, n_minus, n_plus, n_zero)``, summed over the axis clusters of
+    :func:`_classify_clusters`, of each Hamiltonian of the stack ``arr``
+    (m, 2n, 2n), whose eigenvalues are the rows of ``eigs``; shape (m, 4).
+
+    A matrix is counted here only where that rule is certain to decide
+    every cluster by inertia: its seeded heights are all farther apart
+    than the merge band, so each cluster is one seed with the radius that
+    gives, and every cluster is definite, with the jumps of all such
+    matrices from one :func:`_inertia_jumps` call.  Every other matrix (a
+    merged or lone cluster, or one that is not definite) goes to
+    :func:`_classify_clusters` on its own.  The bands are those of
+    :func:`_axis_members`, from one 2-D ``_norm`` per matrix, since the
+    stacked norm differs from it in the last bit.
+    """
+    scale = np.array([_axis_band(a, 1.0) for a in arr])
+    seeded = np.abs(eigs.real) <= (axis_tol * scale)[:, None]
+    seeds = np.sum(seeded, axis=1)
+    heights = np.sort(np.where(seeded, eigs.imag, np.nan), axis=1)[:, : np.max(seeds, initial=0)]
+    merged = np.any(np.diff(heights, axis=1) <= (_CLUSTER_MERGE_TOL * scale)[:, None], axis=1)
+    # A lone cluster's jump is 0, so it is never definite.  The heights of
+    # the matrices left to the rule are dropped: they take no midpoints.
+    bulk = ~merged & (seeds != 1)
+    heights[~bulk] = np.nan
+    radius = np.maximum(axis_tol * scale, _CLUSTER_MERGE_TOL * scale / 2)[:, None, None]
+    mults = np.sum(np.abs(eigs[:, None, :] - 1j * heights[:, :, None]) <= radius, axis=2)
+    jumps, clearance = _inertia_jumps(arr, heights)
+    # A padded height has multiplicity 0, jump 0 and clearance inf.
+    definite = _definite(jumps, mults, clearance, (_FORM_BAND * scale)[:, None])
+    counts = np.zeros((arr.shape[0], 4), dtype=int)
+    counts[:, 0] = np.sum(mults, axis=1)
+    counts[:, 1] = np.sum(mults * (jumps < 0), axis=1)
+    counts[:, 2] = np.sum(mults * (jumps > 0), axis=1)
+    for i in np.flatnonzero(~(bulk & np.all(definite, axis=1))):
+        clusters = _classify_clusters(arr[i], eigs[i], axis_tol)
+        counts[i] = [sum(c[k] for c in clusters) for k in range(1, 5)]
+    return counts
 
 
 def _isotropic_selection(

@@ -20,12 +20,13 @@ from hamriccati import (
     PerturbationDirection,
     __version__,
     cli,
+    perturbation,
     perturbed_hamiltonian,
     solve_extremal,
     spectrum_snapshot,
 )
 from hamriccati.forms import RiccatiData
-from hamriccati.perturbation import _perturbed_array, _snapshot, region_grid
+from hamriccati.perturbation import _perturbed_array, _snapshot, critical_time, region_grid
 
 from helpers import (
     example3x3,
@@ -469,19 +470,40 @@ class TestCsvBytes:
         assert text == reference_csv(header, rows)
         assert read_csv(text)[7][2] == "-0.0"
 
-    @pytest.mark.parametrize("grid", ["0:1:5", "0:-0:2"])
-    def test_t_grid_rows_match_the_cell_by_cell_writer(self, report_inputs, tmp_path, grid):
+    @pytest.mark.parametrize(
+        "tag, grid",
+        [
+            ("n20", "0:1:5"),
+            ("n20", "0:-0:2"),
+            # 201 rows, not a multiple of the block; the t = 4 collision takes
+            # the rule's Schur form.
+            ("lab", "0:8:201"),
+            # 37 rows across the first crossing, at twice its t.
+            ("n20", "crossing"),
+        ],
+        ids=["0:1:5", "0:-0:2", "lab-0:8:201", "n20-crossing"],
+    )
+    def test_t_grid_rows_match_the_cell_by_cell_writer(
+        self, report_inputs, tmp_path, schur_calls, eigvals_calls, tag, grid
+    ):
         _, files = report_inputs
+        data, _ = cli._load_triple(files[tag]["problem"], state_space=False)
+        direction, _ = cli._load_direction(files[tag]["delta"])
+        if grid == "crossing":
+            grid = f"0:{2 * critical_time(data, direction).t0!r}:37"
         out = tmp_path / "grid.csv"
-        argv = ["perturb", files["n20"]["problem"], files["n20"]["delta"], "--t-grid", grid]
+        argv = ["perturb", files[tag]["problem"], files[tag]["delta"], "--t-grid", grid]
+        del eigvals_calls[:], schur_calls[:]
         assert cli.main(argv + ["--out", str(out)]) == 0
-        data, _ = cli._load_triple(files["n20"]["problem"], state_space=False)
-        direction, _ = cli._load_direction(files["n20"]["delta"])
+        ts = cli._parse_axis(grid, "--t-grid")
+        # One stacked eigvals per block of rows.
+        assert 0 < len(eigvals_calls) <= -(-ts.size // perturbation._T_GRID_BLOCK)
+        stacked_schur = len(schur_calls)
         header, rows = ["t"], []
         for i in range(2 * data.n):
             header += [f"eig{i}_re", f"eig{i}_im"]
         header += ["n_axis", "inertia_minus", "inertia_plus", "inertia_zero"]
-        for t in cli._parse_axis(grid, "--t-grid"):
+        for t in ts:
             snap = _snapshot(_perturbed_array(data, direction, float(t)), 1e-8)
             row = [t]
             for v in snap.eigenvalues:
@@ -492,10 +514,33 @@ class TestCsvBytes:
             rows.append(row)
         text = out.read_text(encoding="utf-8")
         assert text == reference_csv(header, rows)
-        # Both rows of 0:-0:2 lie at t = 0; the second keeps its sign.
-        assert [row[0] for row in read_csv(text)[1:3]] == (
-            ["0.0", "-0.0"] if grid == "0:-0:2" else ["0.0", "0.25"]
-        )
+        # The row-by-row rule factorizes exactly where the stacked rows did.
+        assert len(schur_calls) == 2 * stacked_schur
+        n_axis = {row[-4] for row in rows}
+        if tag == "lab":
+            assert stacked_schur > 0 and n_axis == {0, 2}
+        if ts.size == 37:
+            assert 0 in n_axis and len(n_axis) > 1
+        if tag == "n20" and ts.size < 37:
+            # Both rows of 0:-0:2 lie at t = 0; the second keeps its sign.
+            assert [row[0] for row in read_csv(text)[1:3]] == (
+                ["0.0", "-0.0"] if grid == "0:-0:2" else ["0.0", "0.25"]
+            )
+
+
+def gap_ray_files(tmp_path, n):
+    """Problem and direction files of the gap ray of a solvable triple: the
+    weight bump D G D with D = X+ - X- its extremal gap (the lab problem
+    for n = 2)."""
+    f, g, k = lab2x2() if n == 2 else rand_solvable_triple(make_rng(0), n)[:3]
+    ext = solve_extremal(RiccatiData(f, g, k))
+    gap = ext.x_plus - ext.x_minus
+    path = tmp_path / f"gap{n}.json"
+    path.write_text(
+        json.dumps({"F": mat_json(f, "F"), "G": mat_json(g, "G"), "K": mat_json(k, "K")})
+    )
+    delta = gap @ g @ gap
+    return str(path), write_direction(tmp_path, 0.5 * (delta + delta.conj().T), f"dgd{n}.json")
 
 
 def traced_peak(call) -> int:
@@ -1137,6 +1182,35 @@ class TestPerturb:
             checked += n_axis > 0
         assert checked > 40
 
+    @pytest.mark.parametrize("n", [2, 10, 20])
+    def test_t_grid_inertia_on_the_gap_ray(self, tmp_path, n):
+        # Along K + t D G D, with D = X+ - X- the extremal gap, no eigenvalue
+        # is on the axis before t = 1/4 and every one is after it, half of
+        # each sign (the closed form of the gap ray).
+        problem, delta = gap_ray_files(tmp_path, n)
+        out = tmp_path / "grid.csv"
+        assert cli.main(["perturb", problem, delta, "--t-grid", "0:1:101", "--out", str(out)]) == 0
+        rows = read_csv(out.read_text())[1:]
+        assert [row[-4:] for row in rows[:25]] == [["0", "0", "0", "0"]] * 25
+        assert [row[-4:] for row in rows[26:]] == [[str(2 * n), str(n), str(n), "0"]] * 75
+
+    def test_t_grid_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # Past t = 1/4 every row of the n = 20 gap ray has 40 axis
+        # eigenvalues, so 39 inertia midpoints: a block's midpoint stack is
+        # the largest array, and a stack over the whole grid would hold
+        # 1001 * 39 matrices of 40 x 40 (1 GB).
+        problem, delta = gap_ray_files(tmp_path, 20)
+        block = perturbation._T_GRID_BLOCK * 39 * 40 * 40 * 16
+        peaks, sizes = [], []
+        for grid in (f"0.3:1:{2 * perturbation._T_GRID_BLOCK}", "0:1:1001"):
+            out = tmp_path / "grid.csv"
+            argv = ["perturb", problem, delta, "--t-grid", grid, "--out", str(out)]
+            peaks.append(traced_peak(lambda: cli.main(argv)))
+            sizes.append(out.stat().st_size)
+        assert peaks[1] < block + 2 * sizes[1] + 2**20
+        # Only the rows' text, held until the CSV is written, grows.
+        assert peaks[1] - peaks[0] < 1.5 * (sizes[1] - sizes[0])
+
     def test_vertex_walk_reaches_the_unique_solution(self, ex2_file, tmp_path):
         out = tmp_path / "walk.json"
         assert cli.main(["perturb", ex2_file, "--vertex", "--out", str(out)]) == 0
@@ -1545,6 +1619,42 @@ class TestHarness:
                 "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
                 "cpu_count": os.cpu_count(),
             }
+
+    def test_one_parser_serves_every_call(self, ex2_file, tmp_path, capsys):
+        # The parser is built once per process; a call, a parse error
+        # included, leaves nothing on it that a later call sees.
+        delta = write_direction(tmp_path, np.eye(2))
+        calls = [
+            ["perturb", ex2_file, delta, "--t-grid", "0:8:9", "--seed", "3", "--out", "{out}"],
+            ["region", ex2_file, "--grid", "0:5:3,0:10:3,-4:4:3"],
+            ["perturb", ex2_file, delta, "--t-grid", "0:8:9", "--tol", "nan"],
+            ["solve", ex2_file, "--extremal", "--verify", delta],
+            ["perturb", ex2_file, delta, "--t-grid", "0:8:9", "--out", "{out}"],
+            ["solve", ex2_file, "--extremal"],
+        ]
+
+        def run(fresh):
+            results = []
+            for i, argv in enumerate(calls):
+                out = tmp_path / f"{fresh}-{i}.csv"
+                if fresh:
+                    cli._build_parser.cache_clear()
+                try:
+                    code = cli.main([arg.format(out=out) for arg in argv])
+                except SystemExit as exc:
+                    code = exc.code
+                streams = capsys.readouterr()
+                files = [p.read_text() for p in (out, tmp_path / f"{out.name}.manifest.json")
+                         if p.exists()]
+                results.append((code, streams.out, streams.err, files))
+            return results
+
+        once = run(fresh=False)
+        assert [code for code, *_ in once] == [0, 0, 2, 2, 0, 0]
+        assert "--tol" in once[2][2] and "not allowed with argument" in once[3][2]
+        assert json.loads(once[0][3][1])["seed"] == 3 and json.loads(once[4][3][1])["seed"] is None
+        assert once == run(fresh=True)
+        assert cli._build_parser() is cli._build_parser()
 
     def test_argparse_errors_use_exit_code_two(self):
         proc = subprocess.run(
