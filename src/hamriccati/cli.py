@@ -876,7 +876,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     perturb.add_argument(
         "--t-max", type=_positive_float, default=None,
-        help="scan limit for --critical when no certified bound exists",
+        help="range limit for --critical when no certified bound exists",
     )
     perturb.add_argument(
         "--seed", type=int, default=None,

@@ -107,9 +107,9 @@ _TINY = float(np.finfo(float).tiny)
 # A batched region rule decides a point only when every quantity it reads
 # clears region_membership's threshold by this factor.
 _BATCH_MARGIN = 100.0
-# A vertex-walk leg end: the relative width of its solvability bisection,
-# and how far past the detector's t0 the bracket may grow before the
-# detector's value is kept.
+# A vertex-walk leg end: the width of its solvability bisection, relative
+# to max(1, t), and how far past the level set's t0 (relative) its bracket
+# may grow before t0 is kept.
 _LEG_RTOL = 1e-13
 _LEG_EXPAND_CAP = 1e-3
 # The level-set crossing: eigenvalues of delta below this fraction of its
@@ -118,12 +118,14 @@ _LEG_EXPAND_CAP = 1e-3
 # checked bracket and a first leg's solvability search start
 # _CROSSING_RTOL (relative) either side of the crossing; the bracket's ends
 # widen a hundredfold at a time, _CROSSING_STEPS times at most (up to
-# _LEG_EXPAND_CAP).
+# _LEG_EXPAND_CAP).  A bracket whose ends cannot be placed is bisected on
+# the axis count to the relative width _BAND_RTOL instead.
 _LEVEL_RANK_RTOL = 1e-14
 _LEVEL_RTOL = 1e-12
 _LEVEL_MAX_STEPS = 30
 _CROSSING_RTOL = 10.0 * _LEVEL_RTOL
 _CROSSING_STEPS = 5
+_BAND_RTOL = 1e-10
 # Rows of a t-grid computed per stacked block.  The block's arrays (its
 # Hamiltonians and their inertia midpoints, up to 2n - 1 a row) are the
 # command's largest: 16-row blocks raised a process's peak RSS by 0.3 to
@@ -158,8 +160,9 @@ class PerturbationDirection:
     zero only the weight ``k`` moves (:attr:`is_weight_only`); the
     boundedness certificate of :func:`critical_time` and the walks of
     :func:`vertex_path` require this.  ``psd_margin`` is the smallest
-    eigenvalue of the assembled form; it is negative for invalid
-    directions kept for scanning purposes (``validate=False``).
+    eigenvalue of the assembled form; it is negative for the invalid
+    bumps that the region rules classify (``validate=False``), which
+    :func:`critical_time` and :func:`vertex_path` reject.
     """
 
     delta11: np.ndarray
@@ -191,12 +194,10 @@ class PerturbationDirection:
             raise ValueError("all direction blocks must share one square dimension")
         full = _block2x2(d11, d21.conj().T, d21, d22)
         margin = float(np.min(np.linalg.eigvalsh(full))) if n else np.inf
-        if validate and _not_psd(margin, _norm(full)):
-            raise ValueError(
-                "direction is not positive semidefinite "
-                f"(smallest eigenvalue {margin:.3e})"
-            )
-        return cls(_frozen(d11), _frozen(d21), _frozen(d22), margin, _frozen(full))
+        d = cls(_frozen(d11), _frozen(d21), _frozen(d22), margin, _frozen(full))
+        if validate:
+            _require_psd(d)
+        return d
 
     @classmethod
     def from_full(cls, delta):
@@ -228,6 +229,15 @@ def _not_psd(margin, size):
     Frobenius norm ``size`` is not positive semidefinite: ``margin`` is
     below ``-_PSD_TOL * (1 + size)``.  Elementwise on arrays."""
     return margin < -_PSD_TOL * (1.0 + size)
+
+
+def _require_psd(d: PerturbationDirection) -> None:
+    """Raise ValueError when the direction ``d`` is not positive semidefinite."""
+    if _not_psd(d.psd_margin, _norm(d.full)):
+        raise ValueError(
+            "direction is not positive semidefinite "
+            f"(smallest eigenvalue {d.psd_margin:.3e})"
+        )
 
 
 def _as_data(h) -> RiccatiData:
@@ -268,8 +278,8 @@ def _bumped(data: RiccatiData, d11, d21, d22, t: float):
 
 
 def _perturbed_array(data: RiccatiData, d: PerturbationDirection, t: float):
-    """Raw 2n x 2n array of ``h0 + t J delta``, unvalidated, so indefinite
-    scan directions pass.  At ``t = 0`` it equals ``data.hamiltonian`` bit
+    """Raw 2n x 2n array of ``h0 + t J delta``, unvalidated, so the indefinite
+    bumps of the region rules pass.  At ``t = 0`` it equals ``data.hamiltonian`` bit
     for bit."""
     return _hamiltonian_array(*_bumped(data, d.delta11, d.delta21, d.delta22, t))
 
@@ -792,12 +802,19 @@ def fractional_split_verify(case: JordanTestCase, *, t_grid=None) -> FractionalF
 class CriticalTime:
     """Result of locating the first axis arrival along a ray.
 
-    ``t0`` is None when no arrival was found below the scan limit.
-    ``bracket`` is ``(lo, hi)`` with the axis count (|Re| within the
-    ``imag_tol`` band) equal to ``n_axis_start`` at ``lo`` and above it at
-    ``hi``; ``lo <= t0 <= hi``.  ``bound`` is the certified ray length
-    beyond which no Hermitian solution can exist (available for
-    weight-only directions with extremal solutions at the base point).
+    ``t0`` is the level set's crossing (:func:`critical_time`), or None
+    when no arrival was found in the range.  ``bracket`` is ``(lo, hi)``
+    with the axis count (|Re| within the ``imag_tol`` band) zero at ``lo``
+    and positive at ``hi``: it locates where that count rises, which is
+    not always around ``t0``.  The count rises a little before the exact
+    crossing, so usually ``lo <= t0 <= hi``; when the band is wide
+    relative to the problem it rises earlier, and the whole bracket can
+    lie below ``t0``.  The bracket is None when the count does not rise
+    up to ``t0 (1 + 1e-3)``.  From a base point with ``n_axis_start``
+    axis eigenvalues ``t0`` is 0 and the bracket ``(0, 0)``.  ``bound`` is
+    the certified ray length beyond which no Hermitian solution can exist
+    (available for weight-only directions with extremal solutions at the
+    base point).
     """
 
     t0: float | None
@@ -837,23 +854,25 @@ def critical_time(
     eigenvalue solve) split the frequency line, ``M`` is evaluated at the
     midpoints between consecutive heights, and ``gamma`` steps to the
     largest value found until it rises by less than ``1e-12`` (relative).
-    The ``bracket`` around ``t0`` is checked with the axis count (|Re|
-    within the ``imag_tol`` relative band): each end starts
-    ``1e-11 * t0`` away and widens a hundredfold at a time.  The count
-    rises a little before the exact crossing, by about the band's square,
-    so ``lo`` is often further from ``t0`` than ``hi``.
+    When ``M`` has no positive eigenvalue at the start frequencies (it
+    can be indefinite when ``delta`` is not weight-only, and positive
+    only elsewhere), the iteration starts at the end ``t_end`` of the
+    range, ``gamma = 1 / t_end``: ``h(t_end)`` has axis eigenvalues
+    exactly when ``lambda_max(M)`` exceeds that level somewhere, so a
+    level that never rises above it means no crossing in the range.
 
-    Directions that are not positive semidefinite, rays on which ``M``
-    has no positive eigenvalue at the start frequencies (``M`` can be
-    indefinite when ``delta`` is not weight-only, and positive only
-    elsewhere), and crossings whose bracket does not show within a
-    relative width of ``1e-3``, are scanned instead: 96 equal steps look
-    for the first increase of the axis count, and the bracketing interval
-    is bisected to relative width ``1e-10``; ``t0`` is then the bracket's
-    upper end.
+    The ``bracket`` is where the axis count (|Re| within the ``imag_tol``
+    relative band) rises.  Each end starts ``1e-11 * t0`` away from
+    ``t0`` and widens a hundredfold at a time, up to ``1e-3 * t0``.  The
+    count rises a little before the exact crossing, by about the band's
+    square, so ``lo`` is often further from ``t0`` than ``hi``.  When an
+    end cannot be placed, the count is bisected on
+    ``[0, min(t_end, t0 (1 + 1e-3))]`` to relative width ``1e-10``
+    instead; close to a crossing the band can hold eigenvalues well
+    before it, and that bracket then lies below ``t0``.
 
-    The range is ``[0, min(t_max, 2 * bound)]`` where ``bound``
-    is the certified no-solution threshold
+    The range is ``[0, t_end]`` with ``t_end = min(t_max, 2 * bound)``,
+    where ``bound`` is the certified no-solution threshold
     ``(2 |f| beta + |g| beta^2) / |d11|`` with
     ``beta = |x_plus| + |x_plus - x_minus|`` from the extremal solutions
     at the base point (weight-only directions only, see
@@ -862,18 +881,17 @@ def critical_time(
     pair, so beyond the bound the residual norm identity is violated).
     With neither a bound nor ``t_max`` available a range cannot be chosen
     and a ValueError is raised, as it is for a ``t_max`` that is not
-    finite and positive; a crossing beyond the range is reported as none.
-    When the base point already has axis eigenvalues, ``t0`` is 0 and
-    nothing is scanned.  That answer is this function's alone: a
-    direction supplied to :func:`vertex_path` must freeze the base point's
-    standing axis eigenvalues, and its leg is scanned for *new* arrivals
-    only.
+    finite and positive and for a direction that is not positive
+    semidefinite; a crossing beyond the range is reported as none.  When
+    the base point already has axis eigenvalues, ``t0`` is 0 and nothing
+    is searched.
     """
     if t_max is not None and not (np.isfinite(t_max) and t_max > 0.0):
         raise ValueError("t_max must be finite and positive")
     data = _as_data(h0)
     if d.n != data.n:
         raise ValueError("direction and Hamiltonian dimensions differ")
+    _require_psd(d)
     arr0 = _perturbed_array(data, d, 0.0)
     eigs0 = np.linalg.eigvals(arr0)
     n_axis0 = _axis_count(arr0, imag_tol, eigs0)
@@ -904,10 +922,11 @@ def _critical_time(
     t_max: float | None,
     imag_tol: float,
 ) -> CriticalTime:
-    """:func:`critical_time` given the base point's Hamiltonian ``arr0``, its
-    eigenvalues ``eigs0``, its axis count ``n_axis0`` (by ``_axis_count``) and
-    its extremal pair ``ext`` (None when there is none).  The base point's
-    axis eigenvalues are the baseline: only new arrivals count."""
+    """:func:`critical_time` of a positive semidefinite direction given the
+    base point's Hamiltonian ``arr0``, its eigenvalues ``eigs0``, its axis
+    count ``n_axis0`` (by ``_axis_count``) and its extremal pair ``ext``
+    (None when there is none).  The base point has no axis eigenvalue
+    unless ``d`` is zero, which crosses nowhere."""
     bound = None
 
     def none_found() -> CriticalTime:
@@ -935,47 +954,26 @@ def _critical_time(
             "no scan range: pass t_max or use a weight-only direction with "
             "extremal solutions at the base point"
         )
+    t0 = _level_set_time(data, d, arr0, eigs0, imag_tol, hi)
+    if t0 > hi:
+        return none_found()
 
     def count(t: float) -> int:
         return _axis_count(_perturbed_array(data, d, t), imag_tol)
 
-    if n_axis0 == 0 and not _not_psd(d.psd_margin, _norm(d.full)):
-        # An infinite t0 only says that M has no positive eigenvalue at the
-        # start frequencies; an indefinite M can still rise above zero
-        # elsewhere, so that ray is scanned.
-        t0 = _level_set_time(data, d, arr0, eigs0, imag_tol)
-        if np.isfinite(t0):
-            if t0 > hi:
-                return none_found()
-            bracket = _crossing_bracket(count, t0)
-            if bracket is not None:
-                return CriticalTime(
-                    t0=t0, bracket=bracket, bound=bound, status="crossed", n_axis_start=0
-                )
-
-    def crossed(t: float) -> bool:
-        return count(t) > n_axis0
-
-    ts = np.linspace(0.0, hi, 97)
-    lo = 0.0
-    hit = None
-    for t in ts[1:]:
-        if crossed(float(t)):
-            hit = float(t)
-            break
-        lo = float(t)
-    if hit is None:
-        return none_found()
-    hi_b = hit
-    while hi_b - lo > 1e-10 * max(1.0, hi_b):
-        mid = 0.5 * (lo + hi_b)
-        if crossed(mid):
-            hi_b = mid
-        else:
-            lo = mid
-    return CriticalTime(
-        t0=hi_b, bracket=(lo, hi_b), bound=bound, status="crossed", n_axis_start=n_axis0
-    )
+    bracket = _crossing_bracket(count, t0)
+    if bracket is None:
+        up = min(hi, t0 * (1.0 + _LEG_EXPAND_CAP))
+        if count(up):
+            lo = 0.0
+            while up - lo > _BAND_RTOL * up:
+                mid = 0.5 * (lo + up)
+                if count(mid):
+                    up = mid
+                else:
+                    lo = mid
+            bracket = (lo, up)
+    return CriticalTime(t0=t0, bracket=bracket, bound=bound, status="crossed", n_axis_start=0)
 
 
 def _level_set_time(
@@ -984,9 +982,11 @@ def _level_set_time(
     arr0: np.ndarray,
     eigs0: np.ndarray,
     imag_tol: float,
+    t_end: float,
 ) -> float:
-    """``1 / sup_w lambda_max(M(w))`` by the level-set iteration; inf when
-    ``M`` has no positive eigenvalue at the start frequencies."""
+    """``1 / sup_w lambda_max(M(w))`` by the level-set iteration.  When ``M``
+    has no positive eigenvalue at the start frequencies the iteration starts
+    at the level ``1 / t_end``, and inf means that no level rose above it."""
     j = j_matrix(data.n)
     s = j @ arr0  # J h0, Hermitian
     vals, vecs = np.linalg.eigh(d.full)
@@ -1004,9 +1004,10 @@ def _level_set_time(
             best = max(best, float(np.linalg.eigvalsh(hermitian_part(m))[-1]))
         return best
 
+    floor = 1.0 / t_end
     gamma = level(np.unique(np.append(eigs0.imag, 0.0)))
     if gamma <= 0.0:
-        return np.inf
+        gamma = floor
     for _ in range(_LEVEL_MAX_STEPS):
         arr = _perturbed_array(data, d, 1.0 / gamma)
         eigs = np.linalg.eigvals(arr)
@@ -1018,7 +1019,7 @@ def _level_set_time(
         gamma = max(gamma, step)
         if done:
             break
-    return 1.0 / gamma
+    return 1.0 / gamma if gamma > floor else np.inf
 
 
 def _crossing_bracket(count, t0: float) -> tuple[float, float] | None:
@@ -1046,7 +1047,8 @@ def _crossing_bracket(count, t0: float) -> tuple[float, float] | None:
 class PathLeg:
     """One ray of a vertex walk, followed from the walk's current point to
     ``t_end``, with the number of axis eigenvalues there.  A supplied
-    direction's leg ends at its first new axis arrival, counted by a
+    direction's leg ends at its first axis arrival, polished onto the
+    solvability boundary (:func:`_refine_leg_end`) and counted by a
     snapshot; the closing leg ``D g D``, from a point whose extremal pair
     has the gap ``D``, ends at ``t_end = 1/4`` with all ``2 n`` eigenvalues
     on the axis by the terminal's certificate."""
@@ -1086,57 +1088,35 @@ class PerturbationPath:
     blocking: SpectrumSnapshot | None = None
 
 
-def _freezes(d11: np.ndarray, arr: np.ndarray, snap: SpectrumSnapshot) -> bool:
-    """Whether the weight bump ``d11`` annihilates the upper halves of the
-    geometric eigenvectors of every axis cluster of ``arr`` (``snap``), so
-    that they stay eigenvectors along the ray and their eigenvalues stand."""
-    n = d11.shape[0]
-    moved = 0.0
-    for cluster in snap.imaginary_groups:
-        _, sv, vh = np.linalg.svd(arr - 1j * cluster.alpha * np.eye(2 * n))
-        kernel = vh.conj().T[:, sv <= 1e-8 * (sv[0] if sv[0] > 0 else 1.0)]
-        moved = np.hypot(moved, _norm(d11 @ kernel[:n]))
-    return moved <= 1e-8 * (1.0 + _norm(d11))
-
-
 def _refine_leg_end(
-    cur: RiccatiData, d: PerturbationDirection, ct: CriticalTime
+    cur: RiccatiData, d: PerturbationDirection, t0: float
 ) -> tuple[float, ExtremalSolutions | None]:
-    """Polish a leg end onto the solvability boundary.
+    """Polish the level set's crossing ``t0`` of the weight bump ``d`` from
+    ``cur`` onto the solvability boundary.
 
-    The scan's eigenvalue detector blurs a crossing over a band of width
-    ~imag_tol^2, because eigenvalues approach a collision like the square
-    root of the parameter distance.  Solvability of the bumped equation,
-    by contrast, switches exactly at the boundary, so the bracket is
-    re-bisected with a solvability oracle.  A crossing from the level set
-    is exact, and the search starts ``_CROSSING_RTOL`` either side of it
-    instead; it is told apart by lying below its bracket's upper end, which
-    the scan's ``t0`` equals.  Returns
-    the largest parameter still certified solvable with the extremal pair
-    solved there, or the detector's ``t0`` and None when the boundary
-    cannot be bracketed.
+    Solvability of the bumped equation switches exactly at the boundary,
+    and the boundary sits at or a little past the first axis arrival, so
+    it is bisected with a solvability oracle from
+    ``t0 (1 +- _CROSSING_RTOL)``; the upper end grows until the equation
+    is unsolvable there, up to ``t0 (1 + _LEG_EXPAND_CAP)``.  Returns the
+    largest parameter still certified solvable with the extremal pair
+    solved there, or ``t0`` and None when the boundary cannot be
+    bracketed.
     """
 
     def pair(tv: float) -> ExtremalSolutions | None:
-        try:  # an indefinite supplied direction can leave k indefinite
-            point = RiccatiData(*_bumped(cur, d.delta11, d.delta21, d.delta22, tv))
-        except ValueError:
-            return None
-        return _extremal_or_none(point)
+        return _extremal_or_none(RiccatiData(*_bumped(cur, d.delta11, d.delta21, d.delta22, tv)))
 
-    if ct.t0 < ct.bracket[1]:
-        lo, hi = ct.t0 * (1.0 - _CROSSING_RTOL), ct.t0 * (1.0 + _CROSSING_RTOL)
-    else:
-        lo, hi = ct.bracket
-    ext = pair(lo) if lo > 0.0 else None
+    lo, hi = t0 * (1.0 - _CROSSING_RTOL), t0 * (1.0 + _CROSSING_RTOL)
+    ext = pair(lo)
     if ext is None:
-        return float(ct.t0), None
+        return float(t0), None
     width = max(hi - lo, _LEG_RTOL * max(1.0, hi))
     while pair(hi) is not None:
         hi += width
         width *= 4.0
-        if hi > ct.t0 * (1.0 + _LEG_EXPAND_CAP):
-            return float(ct.t0), None
+        if hi > t0 * (1.0 + _LEG_EXPAND_CAP):
+            return float(t0), None
     while hi - lo > _LEG_RTOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         at_mid = pair(mid)
@@ -1205,28 +1185,28 @@ def vertex_path(
     similar to a skew-Hermitian matrix, so that Hamiltonian's whole
     spectrum is on the axis and ``x`` is its only solution.  Without a
     ``direction`` the walk solves the base point's pair once and takes
-    that closing leg, ``D g D`` to ``t = 1/4``: nothing is scanned or
-    solved at the all-axis end.  A supplied weight-only ``direction``
-    must freeze the base point's standing axis eigenvalues; it is
-    followed to its first new axis arrival (:func:`critical_time`),
-    polished onto the solvability boundary, and the walk closes from the
-    pair certified there (solved afresh when none was).  A point whose
-    midpoint already solves the equation with the bump it carries
-    (residual ratio within ``1e-8``) takes no closing leg, so a base
-    point that is already a vertex closes with no legs.
+    that closing leg, ``D g D`` to ``t = 1/4``: nothing is searched or
+    solved at the all-axis end.  A supplied weight-only ``direction`` is
+    followed from a base point with no axis eigenvalue to its first axis
+    arrival (:func:`critical_time`), polished onto the solvability
+    boundary, and the walk closes from the pair certified there (solved
+    afresh when none was).  A point whose midpoint already solves the
+    equation with the bump it carries (residual ratio within ``1e-8``)
+    takes no closing leg, so a base point that is already a vertex closes
+    with no legs.
 
     Every terminal is certified: ``x`` is Hermitian by construction, the
     accumulated bump is positive semidefinite (smallest eigenvalue above
     ``-1e-8 * (1 + |bump|)``), the residual ratio is within ``1e-8`` and
     the closed-loop ratio within ``imag_tol`` (:class:`VertexRecord`).
     ``status`` is ``"vertex"`` then, and ``"blocked"`` with the snapshot of
-    the last walk point when that point has no extremal pair, the supplied
-    direction finds no arrival (the walk then blocks at the base point
-    with no legs), or the terminal fails its certificate.  A walk takes
-    two legs at most: the supplied direction's and the closing leg.  A
-    supplied direction that is not weight-only, does not match the
-    dimension, or does not freeze the standing axis eigenvalues raises
-    ValueError.
+    the last walk point when that point has no extremal pair or the
+    terminal fails its certificate.  A walk with a supplied direction
+    also blocks at the base point, with no legs, when the base point has
+    axis eigenvalues or the direction finds no arrival.  A walk takes two
+    legs at most: the supplied direction's and the closing leg.  A
+    supplied direction that is not weight-only, not positive
+    semidefinite, or does not match the dimension raises ValueError.
     """
     data = _as_data(h)
     n = data.n
@@ -1238,6 +1218,7 @@ def vertex_path(
             )
         if direction.n != n:
             raise ValueError("direction and Hamiltonian dimensions differ")
+        _require_psd(direction)
     ext = _extremal_or_none(data)
     x = None if ext is None else hermitian_part(0.5 * (ext.x_minus + ext.x_plus))
     at_vertex = x is not None and _residual_ratio(data, x, 0.0) <= _RESIDUAL_TOL
@@ -1245,21 +1226,16 @@ def vertex_path(
     if direction is not None and not at_vertex:
         arr = data.hamiltonian
         snap = _snapshot(arr, imag_tol)
-        if not _freezes(direction.delta11, arr, snap):
-            raise ValueError(
-                "the supplied direction does not freeze the standing axis eigenvalues"
-            )
         ct = None
-        if ext is not None:  # only an extremal pair at the base point bounds the scan
-            n_axis0 = _axis_count(arr, imag_tol, snap.eigenvalues)
+        # Only an extremal pair at the base point bounds the range.
+        if ext is not None and snap.n_axis == 0:
             ct = _critical_time(
-                data, direction, arr, snap.eigenvalues, n_axis0, ext, t_max=None,
-                imag_tol=imag_tol,
+                data, direction, arr, snap.eigenvalues, 0, ext, t_max=None, imag_tol=imag_tol
             )
         if ct is None or ct.t0 is None:
             ext = None  # blocked at the base point, not closed from its pair
         else:
-            t_leg, ext = _refine_leg_end(data, direction, ct)
+            t_leg, ext = _refine_leg_end(data, direction, ct.t0)
             # The walk closes from the point _refine_leg_end certified, rounded
             # as it was there: on the solvability boundary a last-digit change
             # can lose the solution.  The accumulated bump is read back off it.

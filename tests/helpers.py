@@ -615,10 +615,11 @@ def reference_critical_time(
     """First new axis arrival by a 96-step scan and a 1e-10 bisection.
 
     The oracle for ``hamriccati.perturbation.critical_time``: its body
-    before that function found crossings from a base point without axis
-    eigenvalues with the frequency-domain level set.  Its ``t0`` is where
-    the axis count in the ``imag_tol`` band rises, which precedes the
-    exact crossing by about the band's square.
+    before that function found crossings with the frequency-domain level
+    set alone.  It is now the only fixed-grid scan anywhere; nothing in
+    the library scans a ray.  Its ``t0`` is where the axis count in the
+    ``imag_tol`` band rises, which precedes the exact crossing by about
+    the band's square.
     """
     data = _as_data(h0)
     if d.n != data.n:

@@ -1035,23 +1035,24 @@ class TestPerturb:
         assert report["blocking"]
         assert report["terminal"] is None
 
-    def test_vertex_walk_with_a_non_freezing_direction_is_invalid_input(self, tmp_path, capsys):
-        # K + diag(4, 0) has two axis eigenvalues; the weight bump diag(1, 0)
-        # moves them, so the walk refuses it before taking a leg.
+    @pytest.mark.parametrize("d11", [[1.0, 0.0], [0.0, 1.0]])
+    def test_vertex_walk_from_axis_eigenvalues_with_a_direction_is_blocked(self, tmp_path, d11):
+        # K + diag(4, 0) has two axis eigenvalues; a supplied direction is
+        # followed only from a point without them.
         f, g, k = lab2x2()
         path = tmp_path / "face.json"
         path.write_text(json.dumps({
             "F": mat_json(f, "F"), "G": mat_json(g, "G"),
             "K": mat_json(k + np.diag([4.0, 0.0]), "K"),
         }))
-        delta = write_direction(tmp_path, np.diag([1.0, 0.0]))
+        delta = write_direction(tmp_path, np.diag(d11))
         out = tmp_path / "report.json"
-        assert cli.main(["perturb", str(path), delta, "--vertex", "--out", str(out)]) == 2
-        assert not out.exists()
-        assert (
-            "the supplied direction does not freeze the standing axis eigenvalues"
-            in capsys.readouterr().err
-        )
+        assert cli.main(["perturb", str(path), delta, "--vertex", "--out", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert report["status"] == "blocked"
+        assert report["legs"] == []
+        assert report["blocking"]
+        assert report["terminal"] is None
 
     def test_zero_direction_reports_no_crossing(self, ex2_file, tmp_path):
         delta = write_direction(tmp_path, np.zeros((2, 2)))
@@ -1284,7 +1285,8 @@ class TestPerturb:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_vertex_walk_from_near_the_boundary_reaches_the_vertex(self, tmp_path):
-        # 1e-9 short of the face a = 4, where the scan supplies the crossing.
+        # 1e-9 short of the face a = 4, where the level set's bracket check
+        # fails.
         f, g, k = lab2x2()
         near = np.diag([4.0 - 1e-9, 0.0])
         path = tmp_path / "near.json"

@@ -32,7 +32,6 @@ from hamriccati.forms import (
 )
 from hamriccati.linalg import OrderingBreakdown, hermitian_part, loewner_leq, schur_decompose
 from hamriccati.perturbation import (
-    CriticalTime,
     PerturbationDirection,
     PerturbationError,
     _bumped,
@@ -574,13 +573,34 @@ class TestCriticalTime:
         assert ct.t0 is None
         assert ct.status == "none_below_t_max"
 
-    def test_a_scan_that_finds_nothing_matches_the_reference(self):
-        # An indefinite direction is scanned, and no axis count rises
-        # below t_max.
+    @pytest.mark.parametrize("t_max", [None, 2.0, 8.0])
+    def test_an_indefinite_direction_is_rejected(self, t_max):
         d = dir_abc(1.0, -0.5, 0.0, validate=False)
-        ct = critical_time(lab_base(), d, t_max=2.0)
-        assert ct.status == "none_below_t_max"
-        assert ct == reference_critical_time(lab_base(), d, t_max=2.0)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            critical_time(lab_base(), d, t_max=t_max)
+
+    @pytest.mark.parametrize("s", [1e-4, 1e-6, 1e-7])
+    def test_the_identity_ray_crosses_at_four_below_unit_scale(self, s):
+        # From 1e-6 down the absolute band holds the arriving pair well
+        # before t = 4, so the band's bracket lies below t0; t0 stays the
+        # level set's.
+        ct = critical_time(scaled_lab_base(s), dir_abc(s, s, 0.0))
+        assert ct.status == "crossed"
+        assert abs(ct.t0 - 4.0) <= 1e-12
+        assert ct.bracket[0] < ct.bracket[1] <= 4.0 + 1e-10
+
+    def test_a_crossing_close_to_the_base_point_has_a_relative_bracket(self):
+        # 1e-9 short of the face a = 4 the band holds the arriving pair
+        # before the crossing, the bracket check fails, and the band count
+        # is bisected to a width relative to the bracket.  t0 is the level
+        # set's, whose heights come from the same absolute band.
+        f, g, k = lab2x2()
+        data = RiccatiData(f, g, k + np.diag([4.0 - 1e-9, 0.0]))
+        ct = critical_time(data, PerturbationDirection.from_blocks(np.eye(2)))
+        assert ct.status == "crossed" and ct.n_axis_start == 0
+        assert abs(ct.t0 - 1e-9) <= 1e-5 * 1e-9
+        lo, hi = ct.bracket
+        assert 0.0 < hi - lo <= 1e-9 * hi
 
 
 # Rays from base points without axis eigenvalues: four lab rays and
@@ -692,13 +712,20 @@ class TestLevelSetCrossing:
         assert abs(ct.t0 - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize(
-        "case", [*LAB_RAYS, *(c for c in TRIPLE_RAYS if not c.startswith("n3-"))]
+        "case", [*LAB_RAYS, *(c for c in TRIPLE_RAYS if not c.startswith("n3-")), *FULL_RAYS]
     )
     def test_takes_few_eigenvalue_solves(self, case, eigvals_calls):
-        # The scan took 36 to 41 here.
-        data, d = critical_ray(case)
-        critical_time(data, d)
-        assert len(eigvals_calls) <= 10
+        # The scan took 36 to 41 on the rays of critical_ray, and 35 and 41
+        # on the full rays whose M is negative at the start frequencies,
+        # where the level set now starts at the end of the range.
+        if case in FULL_RAYS:
+            data, d = full_ray(case)
+            critical_time(data, d, t_max=50.0)
+            assert len(eigvals_calls) <= 16
+        else:
+            data, d = critical_ray(case)
+            critical_time(data, d)
+            assert len(eigvals_calls) <= 10
 
     @pytest.mark.parametrize("seed", range(4))
     def test_first_leg_end_takes_few_extremal_solves(self, seed, monkeypatch):
@@ -715,7 +742,7 @@ class TestLevelSetCrossing:
             return solve_extremal(triple)
 
         monkeypatch.setattr(perturbation, "solve_extremal", counted)
-        t_end, pair = _refine_leg_end(data, d, ct)
+        t_end, pair = _refine_leg_end(data, d, ct.t0)
         assert len(calls) <= 12
         # Certified solvable, and within the search's width of the crossing
         # (solvability ends a little past it, inside the isotropy tolerance).
@@ -728,7 +755,7 @@ class TestLevelSetCrossing:
         data = RiccatiData(f, g, k)
         d = PerturbationDirection.from_blocks(np.eye(20))
         ct = critical_time(data, d)
-        t_end, pair = _refine_leg_end(data, d, ct)
+        t_end, pair = _refine_leg_end(data, d, ct.t0)
         assert t_end != ct.t0
         point = RiccatiData(data.f, data.g, hermitian_part(data.k + t_end * d.delta11))
         fresh = solve_extremal(point)
@@ -736,32 +763,20 @@ class TestLevelSetCrossing:
         assert pair.x_plus.tobytes() == fresh.x_plus.tobytes()
 
     @pytest.mark.parametrize(
-        "t0, bracket",
-        [(6.0, (5.0, 6.0)), (1.0, (2.0, 2.0 + 1e-12)), (1.0, (1.0, 1.0 + 1e-12))],
-        ids=["unsolvable-lo", "beyond-the-expansion-cap", "expansion-cap-from-t0"],
+        "t0", [6.0, 2.0, 1.0], ids=["unsolvable-lo", "beyond-the-expansion-cap", "expansion-cap-from-t0"]
     )
-    def test_uncertified_leg_end_has_no_pair(self, t0, bracket):
-        # On the lab ray delta = I solvability ends at t = 4: from 5 the
-        # search cannot start, and a solvable bracket end at 2 is further
-        # past t0 = 1 than the search may grow.  From a bracket at t0 the
-        # growing end stops at t0 (1 + 1e-3) instead of running on to 4.
+    def test_uncertified_leg_end_has_no_pair(self, t0):
+        # On the lab ray delta = I solvability ends at t = 4: from 6 the
+        # search cannot start, and from 2 or 1 the growing end stops at
+        # t0 (1 + 1e-3) instead of running on to 4.
         d = PerturbationDirection.from_blocks(np.eye(2))
-        ct = CriticalTime(
-            t0=t0, bracket=bracket, bound=None, status="crossed", n_axis_start=2
-        )
-        assert _refine_leg_end(lab_base(), d, ct) == (t0, None)
+        assert _refine_leg_end(lab_base(), d, t0) == (t0, None)
 
     @pytest.mark.parametrize("t_max", [-8.0, 0.0, np.nan, np.inf])
     def test_scan_limit_must_be_finite_and_positive(self, t_max):
         d = PerturbationDirection.from_blocks(np.eye(2))
         with pytest.raises(ValueError, match="finite and positive"):
             critical_time(lab_base(), d, t_max=t_max)
-
-    def test_indefinite_direction_is_scanned(self):
-        d = dir_abc(1.0, -0.5, 0.0, validate=False)
-        ct = critical_time(lab_base(), d, t_max=8.0)
-        ref = reference_critical_time(lab_base(), d, t_max=8.0)
-        assert ct == ref
 
     @pytest.mark.parametrize("case", FULL_RAYS)
     def test_full_directions_match_the_scan_oracle(self, case):
@@ -785,11 +800,22 @@ class TestLevelSetCrossing:
         ell = np.array([[1.0], [-0.1 + 1j]])
         full = ell @ ell.conj().T
         d = PerturbationDirection.from_blocks(full[:1, :1], full[1:, :1], full[1:, 1:])
-        ct = critical_time(data, d, t_max=50.0)
         exact = 0.1 + np.sqrt(1.01)
-        assert ct.status == "crossed"
-        assert abs(ct.t0 - exact) <= 1e-8 * exact
-        assert ct == reference_critical_time(data, d, t_max=50.0)
+        # The level set starts at the end of the range, 1 / t_max: below the
+        # crossing no level rises above it.
+        for t_max in (1.0, 1.1, 1.105, 1.2, 50.0):
+            ct = critical_time(data, d, t_max=t_max)
+            ref = reference_critical_time(data, d, t_max=t_max)
+            assert ct.status == ref.status
+            if t_max < exact:
+                assert ct.status == "none_below_t_max" and ct.t0 is None
+                continue
+            assert ct.status == "crossed"
+            assert abs(ct.t0 - exact) <= 1e-13
+            lo, hi = ct.bracket
+            assert 0.0 < lo <= ct.t0 <= hi
+            assert independent_axis_count(data, d, lo) == 0
+            assert independent_axis_count(data, d, hi) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -929,18 +955,18 @@ class TestVertexPath:
         )
 
     def test_a_supplied_walk_from_near_the_boundary_reaches_the_vertex(self):
-        # 1e-9 short of the face a = 4 the level set's bracket check fails,
-        # and the scan's t0, its bracket's upper end, is past the crossing:
-        # the leg end is searched for inside the bracket instead.
+        # 1e-9 short of the face a = 4 the level set's bracket check fails
+        # and the band's bracket lies below t0; the leg end is searched for
+        # from t0 alone, and the walk closes from the pair solved there.
         f, g, k = lab2x2()
         near = np.diag([4.0 - 1e-9, 0.0])
         data = RiccatiData(f, g, k + near)
         d = PerturbationDirection.from_blocks(np.eye(2))
         ct = critical_time(data, d)
-        assert ct.n_axis_start == 0 and ct.t0 == ct.bracket[1]
+        assert ct.n_axis_start == 0 and ct.bracket[1] < ct.t0
         path = vertex_path(data, direction=d)
         assert path.status == "vertex" and len(path.legs) == 2
-        assert ct.bracket[0] <= path.legs[0].t_end < ct.t0
+        assert abs(path.legs[0].t_end - 1e-9) <= 1e-5 * 1e-9
         assert path.legs[1].t_end == 0.25
         np.testing.assert_allclose(path.terminal.x, [[3.0, 1.0], [1.0, 5.0]], atol=1e-12)
         np.testing.assert_allclose(
@@ -954,13 +980,19 @@ class TestVertexPath:
         assert path.status == "blocked" and path.legs == () and path.terminal is None
         assert path.blocking.n_axis == 0
 
-    def test_non_freezing_direction_is_rejected(self):
+    @pytest.mark.parametrize("abc", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+    def test_a_supplied_walk_from_axis_eigenvalues_blocks_at_the_base_point(self, abc):
+        # K + diag(4, 0) has two axis eigenvalues and an extremal pair: a
+        # supplied direction is followed only from a point without them.
         f, g, k = lab2x2()
-        h = RiccatiData(
-            f, g, k + np.array([[4.0, 0.0], [0.0, 0.0]])
-        )
-        with pytest.raises(ValueError, match="freeze"):
-            vertex_path(h, direction=dir_abc(1.0, 0.0, 0.0))
+        h = RiccatiData(f, g, k + np.diag([4.0, 0.0]))
+        path = vertex_path(h, direction=dir_abc(*abc))
+        assert path.status == "blocked" and path.legs == () and path.terminal is None
+        assert path.blocking.n_axis == 2
+
+    def test_indefinite_direction_is_rejected(self):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            vertex_path(lab_base(), direction=dir_abc(1.0, -0.5, 0.0, validate=False))
 
     def test_full_direction_is_rejected(self):
         d = PerturbationDirection.from_blocks(np.eye(2), None, np.eye(2))
@@ -979,7 +1011,7 @@ class TestVertexPath:
     def test_a_bad_direction_raises_before_a_missing_pair_blocks(self, blocks, message):
         # The mode f = 1 is uncontrolled (g = 0 on it), so there is no
         # extremal pair; the mode f = -1 puts two eigenvalues on the axis,
-        # which diag(1, 0) freezes.
+        # so a supplied direction is not followed either.
         data = RiccatiData(np.diag([1.0, -1.0]), np.diag([0.0, 1.0]), np.eye(2))
         with pytest.raises(ValueError, match=message):
             vertex_path(data, direction=PerturbationDirection.from_blocks(*blocks))
@@ -1063,8 +1095,8 @@ class TestVertexPath:
     @pytest.mark.parametrize("s", [1e-7, 1e-6, 1e-4, 1.0, 1e4, 1e100, 1e300])
     def test_a_supplied_lab_walk_closes_at_its_vertex_from_scale_1e_7_up(self, s):
         # Below, at 1e-8 and 1e-12, the base point's absolute axis band
-        # 1e-7 (1 + |H|) holds the whole spectrum, the direction's scan
-        # finds no crossing, and the walk ends blocked.
+        # 1e-7 (1 + |H|) holds the whole spectrum, so the direction is not
+        # followed and the walk ends blocked.
         d = PerturbationDirection.from_blocks(s * weighted_identity(make_rng(0), 2))
         assert_lab_vertex(vertex_path(scaled_lab_base(s), direction=d), s, legs=2)
 
