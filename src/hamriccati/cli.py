@@ -521,7 +521,6 @@ def _run_solve(ns: argparse.Namespace) -> int:
         report.update(
             {
                 "verdict": "accepted" if accepted else "rejected",
-                "x": _matrix_to_json(x, "x"),
                 "residual": _matrix_to_json(residual, "residual"),
                 "residual_eigenvalues": [float(v) for v in verdict.eigenvalues],
                 "residual_norm": _norm(residual),

@@ -62,6 +62,18 @@ _SELECT_BAND = 1e-8
 _FORM_BAND = 1e-8
 # Axis clusters: heights within _CLUSTER_MERGE_TOL * (1 + |H|) merge.
 _CLUSTER_MERGE_TOL = 1e-6
+# Bytes of the largest stack of 2n x 2n complex matrices that one stacked
+# kernel call holds: the rows of a perturb --t-grid block with their
+# temporaries (perturbation._t_grid_rows, four matrices a row) and a chunk
+# of the inertia midpoints of _inertia_jumps.  It is 8 rows at n = 20, as
+# many as the fixed 8-row blocks it replaces, 32 at n = 10 and 800 on the
+# lab problem; from n = 41 on a row is a block of its own.  The fixed blocks
+# held every midpoint of their rows at once: 17 gap-ray rows on [0.3, 0.5],
+# all on the axis, raised the peak RSS by 29 MB at n = 30 and 108 MB at
+# n = 50, and by 1.0 and 0.9 MB under this budget.  Twice this budget raised
+# the peak RSS of a process running the perturb-walk benchmark's commands by
+# about 0.9 MB, in its n = 10 grid; this one leaves it level.
+_STACK_BYTES = 8 * 4 * 16 * 40**2
 
 
 class LagrangianConditionError(RuntimeError):
@@ -482,33 +494,37 @@ def _inertia_jumps(arr: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np
 
     Row i of ``heights`` (m, K) holds the heights of matrix i in ascending
     order, padded at the end with NaN; a single matrix takes a 1-D row.
-    Every midpoint of the stack, J arr_i - i w J, goes into one stacked
-    ``eigvalsh``.  Returns the jump per height and its clearance, the
-    smallest |eigenvalue| of S at the two midpoints around it (inf beyond
-    the outer heights), shaped like ``heights``; a padded height reads
-    jump 0 and clearance inf.
+    The midpoints of the stack, J arr_i - i w J, go into stacked
+    ``eigvalsh`` calls of at most ``_STACK_BYTES`` each.  Returns the jump
+    per height and its clearance, the smallest |eigenvalue| of S at the
+    two midpoints around it (inf beyond the outer heights), shaped like
+    ``heights``; a padded height reads jump 0 and clearance inf.
     """
     if arr.ndim == 2:
         jumps, clearance = _inertia_jumps(arr[None], heights[None])
         return jumps[0], clearance[0]
     m, size = heights.shape
     n = arr.shape[-1] // 2
-    j = j_matrix(n)
     mids = 0.5 * (heights[:, :-1] + heights[:, 1:])
     rows, cols = np.nonzero(~np.isnan(mids))  # each row's midpoints, ascending
     counts = np.full((m, size + 1), n)
     gaps = np.full((m, size + 1), np.inf)
     if rows.size:
-        s = np.empty((rows.size, 2 * n, 2 * n), dtype=complex)
-        s[...] = j
-        s *= (1j * mids[rows, cols])[:, None, None]  # in place: no broadcast temporary
-        bounds = np.searchsorted(rows, np.arange(m + 1))
-        for i in np.flatnonzero(np.diff(bounds)):
-            block = s[bounds[i] : bounds[i + 1]]
-            np.subtract(j @ arr[i], block, out=block)
-        vals = np.linalg.eigvalsh(s)
-        counts[rows, cols + 1] = np.sum(vals < 0.0, axis=1)
-        gaps[rows, cols + 1] = np.min(np.abs(vals), axis=1)
+        # J arr = [[arr21, arr22], [-arr11, -arr12]]; J has 1 at (k, n + k)
+        # and -1 at (n + k, k).
+        jarr = np.concatenate((arr[:, n:], -arr[:, :n]), axis=1)
+        k = np.arange(n)
+        chunk = max(1, _STACK_BYTES // (64 * n * n))
+        buffer = np.empty((min(chunk, rows.size), 2 * n, 2 * n), dtype=complex)
+        for start in range(0, rows.size, chunk):
+            r, c = rows[start : start + chunk], cols[start : start + chunk]
+            s = np.take(jarr, r, axis=0, out=buffer[: r.size], mode="clip")  # unbuffered
+            iw = (1j * mids[r, c])[:, None]
+            s[:, k, n + k] -= iw
+            s[:, n + k, k] += iw
+            vals = np.linalg.eigvalsh(s)
+            counts[r, c + 1] = np.sum(vals < 0.0, axis=1)
+            gaps[r, c + 1] = np.min(np.abs(vals), axis=1)
     return np.diff(counts, axis=1), np.minimum(gaps[:, :-1], gaps[:, 1:])
 
 
@@ -597,10 +613,9 @@ def _axis_counts(arr: np.ndarray, eigs: np.ndarray, axis_tol: float) -> np.ndarr
     matrices from one :func:`_inertia_jumps` call.  Every other matrix (a
     merged or lone cluster, or one that is not definite) goes to
     :func:`_classify_clusters` on its own.  The bands are those of
-    :func:`_axis_members`, from one 2-D ``_norm`` per matrix, since the
-    stacked norm differs from it in the last bit.
+    :func:`_axis_members` bit for bit, from one stacked ``_norm``.
     """
-    scale = np.array([_axis_band(a, 1.0) for a in arr])
+    scale = _axis_band(arr, 1.0)
     seeded = np.abs(eigs.real) <= (axis_tol * scale)[:, None]
     seeds = np.sum(seeded, axis=1)
     heights = np.sort(np.where(seeded, eigs.imag, np.nan), axis=1)[:, : np.max(seeds, initial=0)]

@@ -81,30 +81,51 @@ def _unit(a: np.ndarray):
     return np.ldexp(1.0, -np.frexp(peak)[1])
 
 
+def _sum_of_squares(a: np.ndarray):
+    """The sum of |entries|^2 of a matrix, or of each matrix of a stack.
+
+    A matrix is flattened in memory order, as ``np.linalg.norm`` does, a
+    stack into C-contiguous rows, and the real and imaginary parts are
+    summed by one BLAS ``ddot`` each (``np.vecdot`` is the same ``ddot``
+    per row), exactly as ``np.linalg.norm`` sums a single matrix.  So a
+    matrix of a C-contiguous stack gets the bits it gets alone.
+    """
+    if a.ndim == 2:
+        flat, dot = a.ravel(order="K"), np.ndarray.dot
+    else:
+        flat = np.ascontiguousarray(a).reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+        dot = np.vecdot
+    if flat.dtype.kind != "c":
+        return dot(flat, flat)
+    re, im = flat.real, flat.imag
+    return dot(re, re) + dot(im, im)
+
+
 def _norm(a: np.ndarray):
     """Frobenius norm of a matrix, or an array of the norms of each matrix
     of a stack.
 
-    Where NumPy's ``np.linalg.norm`` (over the last two axes of a stack)
-    is finite it is returned bit for bit.  Where its sum of squares
-    overflows on finite entries, the matrix is divided by the power of two
-    of :func:`_unit` first and the norm multiplied back, so the result is
-    infinite only when the norm itself exceeds the float range.  Matrices
-    with a non-finite entry keep NumPy's inf or nan.  No RuntimeWarning
-    is emitted.
+    Where NumPy's ``np.linalg.norm`` of a matrix is finite it is returned
+    bit for bit, for a matrix alone or in a stack (:func:`_sum_of_squares`).
+    Where the sum of squares overflows on finite entries, the matrix is
+    divided by the power of two of :func:`_unit` first and the norm
+    multiplied back, so the result is infinite only when the norm itself
+    exceeds the float range.  Matrices with a non-finite entry keep
+    NumPy's inf or nan.  No RuntimeWarning is emitted.
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt(_sum_of_squares(a))
         if a.ndim == 2:
-            norm = float(np.linalg.norm(a))
+            norm = float(norm)
             if math.isfinite(norm) or not np.isfinite(a).all():
                 return norm
             unit = float(_unit(a))
-            return float(np.linalg.norm(a * unit)) / unit
-        norm = np.linalg.norm(a, axis=(-2, -1))
-        redo = ~np.isfinite(norm) & np.isfinite(a).all(axis=(-2, -1))
+            return float(np.sqrt(_sum_of_squares(a * unit))) / unit
+        redo = ~np.isfinite(norm)
         if redo.any():
+            redo &= np.isfinite(a).all(axis=(-2, -1))
             unit = _unit(a[redo])
-            norm[redo] = np.linalg.norm(a[redo] * unit[..., None, None], axis=(-2, -1)) / unit
+            norm[redo] = np.sqrt(_sum_of_squares(a[redo] * unit[..., None, None])) / unit
         return norm
 
 

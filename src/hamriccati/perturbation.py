@@ -43,6 +43,7 @@ from .forms import (
     _ISO_TOL,
     _PSD_TOL,
     _SELECT_BAND,
+    _STACK_BYTES,
     LagrangianConditionError,
     RiccatiData,
     _axis_band,
@@ -69,7 +70,7 @@ from .linalg import (
     hermitian_part,
     schur_decompose,
 )
-from .riccati import _GRAPH_RCOND, _equation_residual, _graph_solution
+from .riccati import _GRAPH_RCOND, _equation_residual, _extremal_from_schur, _graph_solution
 from .riccati import ExtremalSolutions, solve_extremal
 
 __all__ = [
@@ -126,12 +127,6 @@ _LEVEL_MAX_STEPS = 30
 _CROSSING_RTOL = 10.0 * _LEVEL_RTOL
 _CROSSING_STEPS = 5
 _BAND_RTOL = 1e-10
-# Rows of a t-grid computed per stacked block.  The block's arrays (its
-# Hamiltonians and their inertia midpoints, up to 2n - 1 a row) are the
-# command's largest: 16-row blocks raised a process's peak RSS by 0.3 to
-# 0.6 MB on n = 20 grids, where 8-row blocks keep it level for about 3%
-# more time.
-_T_GRID_BLOCK = 8
 
 
 class PerturbationError(RuntimeError):
@@ -379,9 +374,19 @@ def _snapshot(arr: np.ndarray, axis_tol: float) -> SpectrumSnapshot:
     return SpectrumSnapshot(eigenvalues=_frozen(eigs), imaginary_groups=clusters)
 
 
+def _t_grid_rows(n: int) -> int:
+    """Rows of a ``perturb --t-grid`` block of 2n x 2n Hamiltonians: as many
+    as ``_STACK_BYTES`` holds at four 2n x 2n complex matrices a row, and at
+    least one.  A row's Hamiltonian and the block's temporaries peaked at
+    2.3 to 3.4 such matrices a row (tracemalloc, n = 10 and 20); its inertia
+    midpoints, up to 2n - 1, are chunked under the same budget by
+    :func:`~hamriccati.forms._inertia_jumps`."""
+    return max(1, _STACK_BYTES // (4 * 16 * max(2 * n, 1) ** 2))
+
+
 def _t_grid_blocks(data: RiccatiData, d: PerturbationDirection, ts: np.ndarray, axis_tol: float):
     """The rows of ``perturb --t-grid``: yields ``(t, eigenvalues, counts)``
-    for blocks of ``_T_GRID_BLOCK`` consecutive values of ``ts``.
+    for blocks of ``_t_grid_rows(n)`` consecutive values of ``ts``.
 
     Row i holds what :func:`_snapshot` gives for ``_perturbed_array(data,
     d, t[i])`` with the axis band ``axis_tol``, bit for bit: its
@@ -394,8 +399,9 @@ def _t_grid_blocks(data: RiccatiData, d: PerturbationDirection, ts: np.ndarray, 
     with a non-finite entry raises a ``ValueError`` that names its t.
     """
     base = data.hamiltonian
-    for start in range(0, ts.size, _T_GRID_BLOCK):
-        t = ts[start : start + _T_GRID_BLOCK]
+    rows = _t_grid_rows(data.n)
+    for start in range(0, ts.size, rows):
+        t = ts[start : start + rows]
         tt = t[:, None, None]
         with np.errstate(over="ignore", invalid="ignore"):
             arr = _hamiltonian_array(
@@ -848,18 +854,28 @@ def critical_time(
     ``M(w) = L^H (J (h0 - i w I))^{-1} L``, so from a base point with no
     axis eigenvalue the first crossing is
     ``t0 = 1 / sup_w lambda_max(M(w))``.  The supremum is found by the
-    level-set iteration of Boyd & Balakrishnan and Bruinsma & Steinbuch:
-    starting from the best of ``w = 0`` and the heights of the
-    eigenvalues of ``h0``, the axis heights of ``h(1/gamma)`` (one
-    eigenvalue solve) split the frequency line, ``M`` is evaluated at the
-    midpoints between consecutive heights, and ``gamma`` steps to the
-    largest value found until it rises by less than ``1e-12`` (relative).
-    When ``M`` has no positive eigenvalue at the start frequencies (it
-    can be indefinite when ``delta`` is not weight-only, and positive
-    only elsewhere), the iteration starts at the end ``t_end`` of the
-    range, ``gamma = 1 / t_end``: ``h(t_end)`` has axis eigenvalues
-    exactly when ``lambda_max(M)`` exceeds that level somewhere, so a
-    level that never rises above it means no crossing in the range.
+    level-set iteration of Boyd & Balakrishnan, which converges from any
+    start below it, so the start sets only the number of steps.  It
+    starts from the larger ``lambda_max`` at two frequencies (Bruinsma &
+    Steinbuch): ``w = 0`` and the height of the most lightly damped
+    eigenvalue of ``h0``, the one with the largest
+    ``|Im lambda| / (|lambda| |Re lambda|)``, computed as
+    ``(|Im lambda| / |lambda|) / |Re lambda|`` so that it cannot overflow.
+    Then the axis heights of ``h(1/gamma)`` (one eigenvalue solve) split
+    the frequency line, ``M`` is evaluated at the midpoints between
+    consecutive heights, and ``gamma`` steps to the largest value found
+    until it rises by less than ``1e-12`` (relative).  When ``M`` has no
+    positive eigenvalue at the start frequencies (it can be indefinite
+    when ``delta`` is not weight-only, and positive only elsewhere), the
+    iteration starts at the end ``t_end`` of the range,
+    ``gamma = 1 / t_end``: ``h(t_end)`` has axis eigenvalues exactly when
+    ``lambda_max(M)`` exceeds that level somewhere, so a level that never
+    rises above it means no crossing in the range.
+
+    ``h0`` is factorized once, ``h0 = Q T Q^H`` (complex Schur form), and
+    that form gives the base eigenvalues (its diagonal), the extremal pair
+    behind ``bound``, and every ``M(w) = (L^H Q) (T - i w I)^{-1}
+    (Q^H J^{-1} L)``, one triangular solve per frequency.
 
     The ``bracket`` is where the axis count (|Re| within the ``imag_tol``
     relative band) rises.  Each end starts ``1e-11 * t0`` away from
@@ -892,21 +908,22 @@ def critical_time(
     if d.n != data.n:
         raise ValueError("direction and Hamiltonian dimensions differ")
     _require_psd(d)
-    arr0 = _perturbed_array(data, d, 0.0)
-    eigs0 = np.linalg.eigvals(arr0)
-    n_axis0 = _axis_count(arr0, imag_tol, eigs0)
+    arr0 = data.hamiltonian
+    s0 = schur_decompose(arr0)
+    n_axis0 = _axis_count(arr0, imag_tol, s0.t.diagonal())
     if n_axis0 and not d.is_zero:
         return CriticalTime(
             t0=0.0, bracket=(0.0, 0.0), bound=None, status="crossed", n_axis_start=n_axis0
         )
-    ext = _extremal_or_none(data) if d.is_weight_only and not d.is_zero else None
-    return _critical_time(data, d, arr0, eigs0, n_axis0, ext, t_max=t_max, imag_tol=imag_tol)
+    ext = _extremal_or_none(data, s0) if d.is_weight_only and not d.is_zero else None
+    return _critical_time(data, d, s0, n_axis0, ext, t_max=t_max, imag_tol=imag_tol)
 
 
-def _extremal_or_none(data: RiccatiData) -> ExtremalSolutions | None:
-    """The extremal pair of ``data``, or None when it has none."""
+def _extremal_or_none(data: RiccatiData, s: SchurForm | None = None) -> ExtremalSolutions | None:
+    """The extremal pair of ``data``, read off ``s`` when that Schur form of
+    its Hamiltonian is given, or None when it has none."""
     try:
-        return solve_extremal(data)
+        return solve_extremal(data) if s is None else _extremal_from_schur(data, s)
     except (SolvabilityError, LagrangianConditionError):
         return None
 
@@ -914,19 +931,18 @@ def _extremal_or_none(data: RiccatiData) -> ExtremalSolutions | None:
 def _critical_time(
     data: RiccatiData,
     d: PerturbationDirection,
-    arr0: np.ndarray,
-    eigs0: np.ndarray,
+    s0: SchurForm,
     n_axis0: int,
     ext: ExtremalSolutions | None,
     *,
     t_max: float | None,
     imag_tol: float,
 ) -> CriticalTime:
-    """:func:`critical_time` of a positive semidefinite direction given the
-    base point's Hamiltonian ``arr0``, its eigenvalues ``eigs0``, its axis
-    count ``n_axis0`` (by ``_axis_count``) and its extremal pair ``ext``
-    (None when there is none).  The base point has no axis eigenvalue
-    unless ``d`` is zero, which crosses nowhere."""
+    """:func:`critical_time` of a positive semidefinite direction given a
+    Schur form ``s0`` of the base point's Hamiltonian, its axis count
+    ``n_axis0`` (by ``_axis_count``) and its extremal pair ``ext`` (None
+    when there is none).  The base point has no axis eigenvalue unless
+    ``d`` is zero, which crosses nowhere."""
     bound = None
 
     def none_found() -> CriticalTime:
@@ -954,7 +970,7 @@ def _critical_time(
             "no scan range: pass t_max or use a weight-only direction with "
             "extremal solutions at the base point"
         )
-    t0 = _level_set_time(data, d, arr0, eigs0, imag_tol, hi)
+    t0 = _level_set_time(data, d, s0, imag_tol, hi)
     if t0 > hi:
         return none_found()
 
@@ -979,33 +995,43 @@ def _critical_time(
 def _level_set_time(
     data: RiccatiData,
     d: PerturbationDirection,
-    arr0: np.ndarray,
-    eigs0: np.ndarray,
+    s0: SchurForm,
     imag_tol: float,
     t_end: float,
 ) -> float:
-    """``1 / sup_w lambda_max(M(w))`` by the level-set iteration.  When ``M``
-    has no positive eigenvalue at the start frequencies the iteration starts
-    at the level ``1 / t_end``, and inf means that no level rose above it."""
-    j = j_matrix(data.n)
-    s = j @ arr0  # J h0, Hermitian
+    """``1 / sup_w lambda_max(M(w))`` by the level-set iteration, with ``M``
+    evaluated on the Schur form ``s0`` of ``h0``.  When ``M`` has no positive
+    eigenvalue at the start frequencies the iteration starts at the level
+    ``1 / t_end``, and inf means that no level rose above it."""
+    n = data.n
     vals, vecs = np.linalg.eigh(d.full)
     keep = vals > _LEVEL_RANK_RTOL * max(vals[-1], 0.0)
     if not keep.any():
         return np.inf
     ell = vecs[:, keep] * np.sqrt(vals[keep])
+    # M(w) = L^H (h0 - i w I)^{-1} J^{-1} L with h0 = Q T Q^H and J^{-1} L = [-L2; L1].
+    left = ell.conj().T @ s0.q
+    right = s0.q.conj().T @ np.concatenate((-ell[n:], ell[:n]))
+    diag = np.diag_indices(2 * n)
 
-    def level(omegas: np.ndarray) -> float:
-        # One frequency at a time: a stack of 2n x 2n systems for every
-        # start frequency would raise the peak memory by megabytes at n = 20.
+    def level(omegas) -> float:
         best = -np.inf
         for w in omegas:
-            m = ell.conj().T @ np.linalg.solve(s - 1j * w * j, ell)
+            shifted = s0.t.copy()
+            shifted[diag] -= 1j * w
+            x, info = sla.lapack.ztrtrs(shifted, right)
+            if info:  # an exact zero pivot: i w is an eigenvalue of h0
+                raise LinalgError(f"h0 - i w I is singular at w = {w!r}")
+            m = left @ x
             best = max(best, float(np.linalg.eigvalsh(hermitian_part(m))[-1]))
         return best
 
+    eigs0 = s0.t.diagonal()
+    # The Bruinsma-Steinbuch start, divided in an order that cannot overflow.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        damping = np.abs(eigs0.imag) / np.abs(eigs0) / np.abs(eigs0.real)
     floor = 1.0 / t_end
-    gamma = level(np.unique(np.append(eigs0.imag, 0.0)))
+    gamma = level(np.unique([0.0, eigs0.imag[np.argmax(damping)]]))
     if gamma <= 0.0:
         gamma = floor
     for _ in range(_LEVEL_MAX_STEPS):
@@ -1229,9 +1255,8 @@ def vertex_path(
         ct = None
         # Only an extremal pair at the base point bounds the range.
         if ext is not None and snap.n_axis == 0:
-            ct = _critical_time(
-                data, direction, arr, snap.eigenvalues, 0, ext, t_max=None, imag_tol=imag_tol
-            )
+            s0 = schur_decompose(arr)
+            ct = _critical_time(data, direction, s0, 0, ext, t_max=None, imag_tol=imag_tol)
         if ct is None or ct.t0 is None:
             ext = None  # blocked at the base point, not closed from its pair
         else:

@@ -170,8 +170,15 @@ def solve_extremal(data: RiccatiData, *, iso_tol: float = _ISO_TOL) -> ExtremalS
         If a selected subspace is not a graph, i.e. W1 is singular; the
         message reports the reciprocal condition number.
     """
+    return _extremal_from_schur(data, schur_decompose(data.hamiltonian), iso_tol=iso_tol)
+
+
+def _extremal_from_schur(
+    data: RiccatiData, s: SchurForm, *, iso_tol: float = _ISO_TOL
+) -> ExtremalSolutions:
+    """:func:`solve_extremal` on an existing Schur form ``s`` of the
+    Hamiltonian of ``data``."""
     h_arr = data.hamiltonian
-    s = schur_decompose(h_arr)
     sub_minus = _lagrangian_from_schur(h_arr, s, "stable", iso_tol=iso_tol)
     sub_plus = _lagrangian_from_schur(h_arr, s, "antistable", iso_tol=iso_tol)
     x_minus = _graph_solution(sub_minus.w1, sub_minus.w2)

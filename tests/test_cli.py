@@ -25,7 +25,7 @@ from hamriccati import (
     solve_extremal,
     spectrum_snapshot,
 )
-from hamriccati.forms import RiccatiData
+from hamriccati.forms import _STACK_BYTES, RiccatiData
 from hamriccati.perturbation import _perturbed_array, _snapshot, critical_time, region_grid
 
 from helpers import (
@@ -496,8 +496,9 @@ class TestCsvBytes:
         del eigvals_calls[:], schur_calls[:]
         assert cli.main(argv + ["--out", str(out)]) == 0
         ts = cli._parse_axis(grid, "--t-grid")
-        # One stacked eigvals per block of rows.
-        assert 0 < len(eigvals_calls) <= -(-ts.size // perturbation._T_GRID_BLOCK)
+        # One stacked eigvals per block of rows, as many rows as the byte
+        # budget holds.
+        assert 0 < len(eigvals_calls) <= -(-ts.size // perturbation._t_grid_rows(data.n))
         stacked_schur = len(schur_calls)
         header, rows = ["t"], []
         for i in range(2 * data.n):
@@ -1198,19 +1199,28 @@ class TestPerturb:
     def test_t_grid_memory_does_not_grow_with_the_rows(self, tmp_path):
         # Past t = 1/4 every row of the n = 20 gap ray has 40 axis
         # eigenvalues, so 39 inertia midpoints: a block's midpoint stack is
-        # the largest array, and a stack over the whole grid would hold
-        # 1001 * 39 matrices of 40 x 40 (1 GB).
+        # the largest array, held under the byte budget, and a stack over
+        # the whole grid would hold 1001 * 39 matrices of 40 x 40 (1 GB).
         problem, delta = gap_ray_files(tmp_path, 20)
-        block = perturbation._T_GRID_BLOCK * 39 * 40 * 40 * 16
         peaks, sizes = [], []
-        for grid in (f"0.3:1:{2 * perturbation._T_GRID_BLOCK}", "0:1:1001"):
+        for grid in (f"0.3:1:{2 * perturbation._t_grid_rows(20)}", "0:1:1001"):
             out = tmp_path / "grid.csv"
             argv = ["perturb", problem, delta, "--t-grid", grid, "--out", str(out)]
             peaks.append(traced_peak(lambda: cli.main(argv)))
             sizes.append(out.stat().st_size)
-        assert peaks[1] < block + 2 * sizes[1] + 2**20
+        assert peaks[1] < _STACK_BYTES + 2 * sizes[1] + 2**20
         # Only the rows' text, held until the CSV is written, grows.
         assert peaks[1] - peaks[0] < 1.5 * (sizes[1] - sizes[0])
+
+    def test_t_grid_memory_is_bounded_by_the_budget_at_n30(self, tmp_path):
+        # Every row of the n = 30 gap ray past t = 1/4 has 59 inertia
+        # midpoints of 60 x 60 (3.4 MB a row); blocks of 8 such rows held
+        # them all at once, 27 MB.
+        problem, delta = gap_ray_files(tmp_path, 30)
+        out = tmp_path / "grid.csv"
+        argv = ["perturb", problem, delta, "--t-grid", "0.3:0.5:17", "--out", str(out)]
+        peak = traced_peak(lambda: cli.main(argv))
+        assert peak < _STACK_BYTES + 2 * out.stat().st_size + 2**20
 
     def test_vertex_walk_reaches_the_unique_solution(self, ex2_file, tmp_path):
         out = tmp_path / "walk.json"

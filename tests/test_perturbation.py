@@ -817,6 +817,23 @@ class TestLevelSetCrossing:
             assert independent_axis_count(data, d, lo) == 0
             assert independent_axis_count(data, d, hi) > 0
 
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e100, 1e300])
+    @pytest.mark.parametrize("n", [2, 10, 20, 50])
+    def test_the_gap_ray_crosses_at_a_quarter(self, n, scale):
+        # Scaling (F, G, K) keeps the extremal pair, so along K + t D G D,
+        # D = X+ - X- from solve_extremal alone, all 2n eigenvalues reach the
+        # axis at t = 1/4 at every scale.  Below 1e-4 the absolute axis band
+        # already holds the base point's eigenvalues.
+        f, g, k = lab2x2() if n == 2 else rand_solvable_triple(make_rng(0), n)[:3]
+        data = RiccatiData(scale * f, scale * g, scale * k)
+        ext = solve_extremal(data)
+        gap = ext.x_plus - ext.x_minus
+        ct = critical_time(data, PerturbationDirection.from_blocks(gap @ data.g @ gap))
+        assert ct.status == "crossed" and ct.n_axis_start == 0
+        assert abs(ct.t0 - 0.25) <= 1e-11 * 0.25
+        lo, hi = ct.bracket
+        assert 0.0 < lo <= ct.t0 <= hi
+
 
 # ---------------------------------------------------------------------------
 # vertex walks
