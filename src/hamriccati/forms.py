@@ -397,26 +397,6 @@ class LagrangianSubspace:
     w2: np.ndarray
 
 
-def _axis_clusters(eigs: np.ndarray, imag_tol: float, merge_tol: float):
-    """Group eigenvalues near the imaginary axis into (alpha, indices) clusters.
-
-    Eigenvalues with |Re| <= ``imag_tol`` are sorted by height and split
-    wherever two neighbours differ by more than ``merge_tol``; ``alpha`` is
-    the mean height of a cluster.
-    """
-    idx = np.where(np.abs(eigs.real) <= imag_tol)[0]
-    if idx.size == 0:
-        return []
-    order = idx[np.argsort(eigs[idx].imag)]
-    clusters = [[order[0]]]
-    for i in order[1:]:
-        if eigs[i].imag - eigs[clusters[-1][-1]].imag <= merge_tol:
-            clusters[-1].append(int(i))
-        else:
-            clusters.append([int(i)])
-    return [(float(np.mean(eigs[c].imag)), c) for c in clusters]
-
-
 def _cluster_form(s: SchurForm, members) -> tuple[SchurForm, np.ndarray]:
     """Reorder ``s`` so the ``members`` diagonal entries lead; form i V^H J V.
 
@@ -528,12 +508,6 @@ def _inertia_jumps(arr: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np
     return np.diff(counts, axis=1), np.minimum(gaps[:, :-1], gaps[:, 1:])
 
 
-def _definite(jumps, multiplicities, clearance, form_band):
-    """Whether inertia alone decides a cluster: its jump is plus or minus its
-    multiplicity and its clearance is above ``form_band``.  Elementwise."""
-    return (np.abs(jumps) == multiplicities) & (clearance > form_band)
-
-
 def _axis_band(arr: np.ndarray, tol):
     """``tol * (1 + |arr|)``, the axis band ``tol`` of the Hamiltonian ``arr``
     (one per matrix of a stack): the package's one scale for axis bands and
@@ -543,100 +517,100 @@ def _axis_band(arr: np.ndarray, tol):
 
 def _axis_members(
     arr: np.ndarray, eigs: np.ndarray, axis_tol: float
-) -> list[tuple[float, float, int]]:
-    """``(alpha, radius, multiplicity)`` of every axis cluster of the
-    Hamiltonian ``arr``, whose eigenvalues are ``eigs``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(alpha, radius, multiplicity)`` of the axis clusters of each
+    Hamiltonian of the stack ``arr`` (m, 2n, 2n), whose eigenvalues are the
+    rows of ``eigs``: arrays (m, K) whose row i holds matrix i's clusters in
+    ascending height, padded at the end with NaN, NaN and 0.
 
-    The eigenvalues in the band ``axis_tol`` seed the clusters, grouped by
-    height; a cluster's members are then every eigenvalue within ``radius``
-    of ``i alpha``, so a mirrored pair that straddles the band counts whole.
+    The eigenvalues in the band ``axis_tol`` seed the clusters: sorted by
+    height and split wherever two neighbours differ by more than the merge
+    band.  ``alpha`` is a cluster's mean height, bit for bit ``np.mean`` of
+    its seeds, whose sum starts from +0.0.  A cluster's members are every
+    eigenvalue within ``radius`` of ``i alpha``, so a mirrored pair that
+    straddles the band counts whole.
     """
     scale = _axis_band(arr, 1.0)  # every band below is a multiple of it
-    members = []
-    for alpha, idx in _axis_clusters(eigs, axis_tol * scale, _CLUSTER_MERGE_TOL * scale):
-        radius = max(
-            np.max(np.abs(eigs[idx].imag - alpha)) + axis_tol * scale,
-            _CLUSTER_MERGE_TOL * scale / 2,
-        )
-        members.append((alpha, radius, int(np.sum(np.abs(eigs - 1j * alpha) <= radius))))
-    return members
+    r, c = np.nonzero(np.abs(eigs.real) <= (axis_tol * scale)[:, None])
+    h = eigs.imag[r, c]
+    # The seeds by matrix, then by height: each cluster's are consecutive.
+    order = np.lexsort((h, r))
+    r, h = r[order], h[order]
+    opens = np.ones(h.size, dtype=bool)
+    opens[1:] = (r[1:] != r[:-1]) | (h[1:] - h[:-1] > _CLUSTER_MERGE_TOL * scale[r[1:]])
+    # A seed closes its cluster where the next opens one; the first opens.
+    start, end = np.flatnonzero(opens), np.flatnonzero(np.roll(opens, -1))
+    size = end - start + 1
+    rows, first, last = r[start], h[start], h[end]
+    alpha = first + 0.0
+    pair = size == 2
+    alpha[pair] = (first[pair] + last[pair] + 0.0) / 2
+    for j in np.flatnonzero(size > 2):
+        alpha[j] = np.mean(h[start[j] : end[j] + 1])
+    s = scale[rows]
+    spread = np.maximum(np.abs(first - alpha), np.abs(last - alpha))
+    radius = np.maximum(spread + axis_tol * s, _CLUSTER_MERGE_TOL * s / 2)
+    mults = np.sum(np.abs(eigs[rows] - 1j * alpha[:, None]) <= radius[:, None], axis=1)
+    k = np.arange(rows.size) - np.searchsorted(rows, rows)  # the cluster's place in its row
+    shape = (eigs.shape[0], int(np.max(k, initial=-1)) + 1)
+    out = np.full(shape, np.nan), np.full(shape, np.nan), np.zeros(shape, dtype=int)
+    for table, values in zip(out, (alpha, radius, mults)):
+        table[rows, k] = values
+    return out
+
+
+def _axis_counts(
+    arr: np.ndarray, eigs: np.ndarray, axis_tol: float, s: SchurForm | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one imaginary-axis rule (see
+    :func:`~hamriccati.perturbation.spectrum_snapshot`), applied to each
+    Hamiltonian of the stack ``arr`` (m, 2n, 2n), whose eigenvalues are
+    the rows of ``eigs``.
+
+    Returns the clusters' heights ``alpha`` (m, K), as in
+    :func:`_axis_members`, and their ``(multiplicity, n_minus, n_plus,
+    n_zero, resolved)`` (m, K, 5), padded with zeros.  One
+    :func:`_inertia_jumps` call takes the jumps of every cluster of the
+    stack.  A cluster is definite, decided by inertia alone, when its jump
+    is plus or minus its multiplicity and its clearance is above the form
+    band.  A matrix with a cluster that is not takes one Schur form
+    (``s``, when the caller has one for a one-row stack), and only those
+    clusters are counted on it: their members are its diagonal entries
+    within ``radius`` of ``i alpha`` (:func:`_cluster_counts`).
+    """
+    alpha, radius, mults = _axis_members(arr, eigs, axis_tol)
+    jumps, clearance = _inertia_jumps(arr, alpha)
+    # A padded cluster has multiplicity 0, jump 0 and clearance inf: it is
+    # definite, with all counts 0.
+    definite = (np.abs(jumps) == mults) & (clearance > _axis_band(arr, _FORM_BAND)[:, None])
+    table = np.zeros(mults.shape + (5,), dtype=int)
+    table[..., 0] = mults
+    table[..., 1] = np.where(jumps < 0, mults, 0)
+    table[..., 2] = np.where(jumps > 0, mults, 0)
+    table[..., 4] = True
+    for i in np.flatnonzero(~np.all(definite, axis=1)):
+        si = schur_decompose(arr[i]) if s is None else s
+        diag = np.diag(si.t)
+        band = _FORM_BAND * (1.0 + float(np.max(np.abs(diag))))
+        for k in np.flatnonzero(~definite[i]):
+            members = np.abs(diag - 1j * alpha[i, k]) <= radius[i, k]
+            table[i, k] = (np.sum(members), *_cluster_counts(si, members, band))
+    return alpha, table
 
 
 def _classify_clusters(
     arr: np.ndarray, eigs: np.ndarray, axis_tol: float, s: SchurForm | None = None
 ) -> list[tuple[float, int, int, int, int, bool]]:
     """``(alpha, multiplicity, n_minus, n_plus, n_zero, resolved)`` of every
-    axis cluster of the Hamiltonian ``arr``, whose eigenvalues are ``eigs``.
-
-    The package's one imaginary-axis rule (see
-    :func:`~hamriccati.perturbation.spectrum_snapshot`): the clusters are
-    those of :func:`_axis_members`, a cluster whose inertia jump
-    (:func:`_inertia_jumps`) is plus or minus its multiplicity is
-    definite (:func:`_definite`), and every other one is counted on a
-    Schur form of ``arr`` (``s`` when the caller has one, else one is
-    made).  :func:`_axis_counts` applies this rule to a stack: it decides
-    in bulk only the matrices whose every cluster takes the definite
-    branch here, and sends every other matrix to this function.
-    """
-    groups = _axis_members(arr, eigs, axis_tol)
-    if not groups:
-        return []
-    alphas, _, mults = zip(*groups)
-    jumps, clearance = _inertia_jumps(arr, np.array(alphas))
-    definite = _definite(jumps, mults, clearance, _axis_band(arr, _FORM_BAND))
-    clusters = []
-    band = None
-    for (alpha, radius, m), jump, sure in zip(groups, jumps, definite):
-        if sure:
-            counts = (m, 0, 0, True) if jump < 0 else (0, m, 0, True)
-        else:
-            if band is None:
-                s = schur_decompose(arr) if s is None else s
-                diag = np.diag(s.t)
-                band = _FORM_BAND * (1.0 + float(np.max(np.abs(diag))))
-            members = np.abs(diag - 1j * alpha) <= radius
-            m = int(np.sum(members))
-            counts = _cluster_counts(s, members, band)
-        clusters.append((alpha, m, *counts))
-    return clusters
-
-
-def _axis_counts(arr: np.ndarray, eigs: np.ndarray, axis_tol: float) -> np.ndarray:
-    """``(n_axis, n_minus, n_plus, n_zero)``, summed over the axis clusters of
-    :func:`_classify_clusters`, of each Hamiltonian of the stack ``arr``
-    (m, 2n, 2n), whose eigenvalues are the rows of ``eigs``; shape (m, 4).
-
-    A matrix is counted here only where that rule is certain to decide
-    every cluster by inertia: its seeded heights are all farther apart
-    than the merge band, so each cluster is one seed with the radius that
-    gives, and every cluster is definite, with the jumps of all such
-    matrices from one :func:`_inertia_jumps` call.  Every other matrix (a
-    merged or lone cluster, or one that is not definite) goes to
-    :func:`_classify_clusters` on its own.  The bands are those of
-    :func:`_axis_members` bit for bit, from one stacked ``_norm``.
-    """
-    scale = _axis_band(arr, 1.0)
-    seeded = np.abs(eigs.real) <= (axis_tol * scale)[:, None]
-    seeds = np.sum(seeded, axis=1)
-    heights = np.sort(np.where(seeded, eigs.imag, np.nan), axis=1)[:, : np.max(seeds, initial=0)]
-    merged = np.any(np.diff(heights, axis=1) <= (_CLUSTER_MERGE_TOL * scale)[:, None], axis=1)
-    # A lone cluster's jump is 0, so it is never definite.  The heights of
-    # the matrices left to the rule are dropped: they take no midpoints.
-    bulk = ~merged & (seeds != 1)
-    heights[~bulk] = np.nan
-    radius = np.maximum(axis_tol * scale, _CLUSTER_MERGE_TOL * scale / 2)[:, None, None]
-    mults = np.sum(np.abs(eigs[:, None, :] - 1j * heights[:, :, None]) <= radius, axis=2)
-    jumps, clearance = _inertia_jumps(arr, heights)
-    # A padded height has multiplicity 0, jump 0 and clearance inf.
-    definite = _definite(jumps, mults, clearance, (_FORM_BAND * scale)[:, None])
-    counts = np.zeros((arr.shape[0], 4), dtype=int)
-    counts[:, 0] = np.sum(mults, axis=1)
-    counts[:, 1] = np.sum(mults * (jumps < 0), axis=1)
-    counts[:, 2] = np.sum(mults * (jumps > 0), axis=1)
-    for i in np.flatnonzero(~(bulk & np.all(definite, axis=1))):
-        clusters = _classify_clusters(arr[i], eigs[i], axis_tol)
-        counts[i] = [sum(c[k] for c in clusters) for k in range(1, 5)]
-    return counts
+    axis cluster of the Hamiltonian ``arr``, whose eigenvalues are ``eigs``:
+    :func:`_axis_counts` on a one-row stack, with ``s`` a Schur form of
+    ``arr`` when the caller has one."""
+    alpha, table = _axis_counts(arr[None], eigs[None], axis_tol, s)
+    return [
+        (float(a), *map(int, row[:4]), bool(row[4]))
+        for a, row in zip(alpha[0], table[0])
+        if not np.isnan(a)
+    ]
 
 
 def _isotropic_selection(

@@ -391,10 +391,12 @@ def _t_grid_blocks(data: RiccatiData, d: PerturbationDirection, ts: np.ndarray, 
     Row i holds what :func:`_snapshot` gives for ``_perturbed_array(data,
     d, t[i])`` with the axis band ``axis_tol``, bit for bit: its
     eigenvalues sorted by (real, imaginary) part, and ``counts[i]``, the
-    ``(n_axis, n_minus, n_plus, n_zero)`` of its axis clusters summed
-    (:func:`~hamriccati.forms._axis_counts`).  A block is assembled once,
-    its rows at t = 0 (either sign) being the base Hamiltonian, and takes
-    one stacked ``eigvals``.  With ``data`` and ``d`` validated, every row
+    ``(n_axis, n_minus, n_plus, n_zero)`` of its axis clusters summed.  A
+    block is assembled once, its rows at t = 0 (either sign) being the
+    base Hamiltonian, and takes one stacked ``eigvals`` and one pass of
+    the axis rule (:func:`~hamriccati.forms._axis_counts`), in which only
+    a row with a cluster that inertia leaves undecided takes a Schur
+    form.  With ``data`` and ``d`` validated, every row
     is Hamiltonian by assembly and only overflow is left: the first row
     with a non-finite entry raises a ``ValueError`` that names its t.
     """
@@ -413,7 +415,7 @@ def _t_grid_blocks(data: RiccatiData, d: PerturbationDirection, ts: np.ndarray, 
             bad = float(t[np.argmin(finite)])
             raise ValueError(f"at t={bad!r}: the bumped Hamiltonian has non-finite entries")
         eigs = _sorted_eigenvalues(arr)
-        yield t, eigs, _axis_counts(arr, eigs, axis_tol)
+        yield t, eigs, _axis_counts(arr, eigs, axis_tol)[1][..., :4].sum(axis=1)
 
 
 def first_order_slopes(h, d: PerturbationDirection, alpha: float) -> np.ndarray:
@@ -832,11 +834,12 @@ class CriticalTime:
 
 def _axis_count(arr: np.ndarray, imag_tol: float, eigs: np.ndarray | None = None) -> int:
     """Eigenvalues of ``arr`` (``eigs`` when given) in its axis clusters of the
-    band ``imag_tol`` (:func:`~hamriccati.forms._axis_members`), the members
-    a snapshot's definite clusters count."""
+    band ``imag_tol``: the multiplicities of
+    :func:`~hamriccati.forms._axis_members`, the members a snapshot's
+    definite clusters count."""
     if eigs is None:
         eigs = np.linalg.eigvals(arr)
-    return sum(m for _, _, m in _axis_members(arr, eigs, imag_tol))
+    return int(np.sum(_axis_members(arr[None], eigs[None], imag_tol)[2]))
 
 
 def critical_time(

@@ -18,7 +18,8 @@ read off the same Schur form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -139,15 +140,33 @@ class ExtremalSolutions:
     the semidefinite order.  The closed loop F + G X has its spectrum in
     the closed left half plane for ``x_minus`` and in the closed right
     half plane for ``x_plus``; ``closed_loop_spectra`` records both
-    spectra in that order, and the ``residual_*`` fields the Frobenius
-    norms of the equation residuals.
+    spectra in that order, and ``residual_minus`` and ``residual_plus``
+    the Frobenius norms of the equation residuals.  These three are
+    computed from the coefficient triple on first access.
     """
 
     x_minus: np.ndarray
     x_plus: np.ndarray
-    closed_loop_spectra: tuple[np.ndarray, np.ndarray]
-    residual_minus: float
-    residual_plus: float
+    _data: RiccatiData = field(repr=False)
+
+    @cached_property
+    def closed_loop_spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        f, g = self._data.f, self._data.g
+        return (
+            _frozen(np.linalg.eigvals(f + g @ self.x_minus)),
+            _frozen(np.linalg.eigvals(f + g @ self.x_plus)),
+        )
+
+    @cached_property
+    def residual_minus(self) -> float:
+        return self._residual(self.x_minus)
+
+    @cached_property
+    def residual_plus(self) -> float:
+        return self._residual(self.x_plus)
+
+    def _residual(self, x: np.ndarray) -> float:
+        return float(_norm(_equation_residual(self._data.f, self._data.g, self._data.k, x)))
 
 
 def solve_extremal(data: RiccatiData, *, iso_tol: float = _ISO_TOL) -> ExtremalSolutions:
@@ -183,17 +202,7 @@ def _extremal_from_schur(
     sub_plus = _lagrangian_from_schur(h_arr, s, "antistable", iso_tol=iso_tol)
     x_minus = _graph_solution(sub_minus.w1, sub_minus.w2)
     x_plus = _graph_solution(sub_plus.w1, sub_plus.w2)
-    f, g, k = data.f, data.g, data.k
-    return ExtremalSolutions(
-        x_minus=_frozen(x_minus),
-        x_plus=_frozen(x_plus),
-        closed_loop_spectra=(
-            _frozen(np.linalg.eigvals(f + g @ x_minus)),
-            _frozen(np.linalg.eigvals(f + g @ x_plus)),
-        ),
-        residual_minus=float(_norm(_equation_residual(f, g, k, x_minus))),
-        residual_plus=float(_norm(_equation_residual(f, g, k, x_plus))),
-    )
+    return ExtremalSolutions(x_minus=_frozen(x_minus), x_plus=_frozen(x_plus), _data=data)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from hamriccati.forms import (
     LagrangianConditionError,
     LagrangianSubspace,
     RiccatiData,
-    _axis_clusters,
     _ham_array,
     j_matrix,
     lagrangian_subspace,
@@ -561,6 +560,26 @@ def reference_snapshot(
         eigenvalues=_frozen(eigs),
         imaginary_groups=tuple(clusters),
     )
+
+
+def _axis_clusters(eigs: np.ndarray, imag_tol: float, merge_tol: float):
+    """Group eigenvalues near the imaginary axis into (alpha, indices) clusters.
+
+    Eigenvalues with |Re| <= ``imag_tol`` are sorted by height and split
+    wherever two neighbours differ by more than ``merge_tol``; ``alpha`` is
+    the mean height of a cluster.
+    """
+    idx = np.where(np.abs(eigs.real) <= imag_tol)[0]
+    if idx.size == 0:
+        return []
+    order = idx[np.argsort(eigs[idx].imag)]
+    clusters = [[order[0]]]
+    for i in order[1:]:
+        if eigs[i].imag - eigs[clusters[-1][-1]].imag <= merge_tol:
+            clusters[-1].append(int(i))
+        else:
+            clusters.append([int(i)])
+    return [(float(np.mean(eigs[c].imag)), c) for c in clusters]
 
 
 def reference_spectrum_snapshot(h, *, axis_tol: float = 1e-8) -> SpectrumSnapshot:

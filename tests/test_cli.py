@@ -1543,6 +1543,84 @@ class TestRegion:
 
 
 # ---------------------------------------------------------------------------
+# malformed inputs, one per rejection of the file loaders and validators
+
+
+def write_json(tmp_path, name, obj) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+class TestInvalidInputs:
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (3, "matrix 'x' must be a JSON object"),
+            ({"rows": -1, "cols": 0, "data": []}, "matrix 'x' has negative dimensions"),
+            ({"rows": 0, "cols": -2, "data": []}, "matrix 'x' has negative dimensions"),
+        ],
+        ids=["not-an-object", "negative-rows", "negative-cols"],
+    )
+    def test_malformed_matrix_exits_two(self, ex2_file, tmp_path, capsys, matrix, message):
+        x = write_json(tmp_path, "x.json", matrix)
+        assert cli.main(["solve", ex2_file, "--verify", x]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "keys, flags, message",
+        [
+            (None, [], "must hold a JSON object"),
+            ("FG", [], "is missing ['K']; a problem file needs F, G, K"),
+            ("AB", ["--state-space"], "is missing ['C', 'D']; expected A, B, C, D"),
+        ],
+        ids=["not-an-object", "no-K", "no-C-D"],
+    )
+    def test_malformed_problem_file_exits_two(self, tmp_path, capsys, keys, flags, message):
+        content = [1.0] if keys is None else {key: mat_json(np.eye(2), key) for key in keys}
+        problem = write_json(tmp_path, "problem.json", content)
+        assert cli.main(["solve", problem, "--extremal", *flags]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [([], "must hold a JSON object"), ({"delta": 1}, "must hold either a matrix object")],
+        ids=["not-an-object", "neither-format"],
+    )
+    def test_malformed_direction_file_exits_two(self, ex2_file, tmp_path, capsys, content, message):
+        delta = write_json(tmp_path, "delta.json", content)
+        assert cli.main(["perturb", ex2_file, delta, "--critical"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_numeric_tolerance_exits_two(self, ex2_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", ex2_file, "--extremal", "--tol", "abc"])
+        assert exc.value.code == 2
+        assert "'abc' is not a number" in capsys.readouterr().err
+
+    def test_verify_of_a_non_hermitian_candidate_exits_two(self, ex2_file, tmp_path, capsys):
+        x = write_json(tmp_path, "x.json", mat_json([[1.0, 2.0], [0.0, 1.0]], "x"))
+        assert cli.main(["solve", ex2_file, "--verify", x]) == 2
+        assert "x must be Hermitian" in capsys.readouterr().err
+
+    def test_passivity_file_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        problem = write_json(tmp_path, "ss.json", [1.0])
+        assert cli.main(["passivity", problem]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    def test_vertex_walk_along_a_full_direction_exits_two(self, ex2_file, tmp_path, capsys):
+        delta = write_json(tmp_path, "full.json", {
+            "delta11": mat_json(np.eye(2), "delta11"),
+            "delta21": mat_json(0.1 * np.eye(2), "delta21"),
+            "delta22": mat_json(np.eye(2), "delta22"),
+        })
+        out = tmp_path / "report.json"
+        assert cli.main(["perturb", ex2_file, delta, "--vertex", "--out", str(out)]) == 2
+        assert "must be weight-only" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # logging and entry point
 
 

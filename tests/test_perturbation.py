@@ -15,14 +15,15 @@ import types
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 
-from hamriccati import perturbation
+from hamriccati import forms, perturbation
 from hamriccati.forms import (
     LagrangianConditionError,
     RiccatiData,
     _axis_band,
-    _axis_clusters,
+    _axis_members,
     _cluster_counts,
     _cluster_form,
     _hamiltonian_array,
@@ -40,6 +41,7 @@ from hamriccati.perturbation import (
     _refine_leg_end,
     _snapshot,
     _sorted_eigenvalues,
+    _t_grid_blocks,
     _has_stable_solution,
     critical_time,
     first_order_slopes,
@@ -55,6 +57,7 @@ from hamriccati.perturbation import (
 from hamriccati.riccati import solve_extremal
 
 from helpers import (
+    _axis_clusters,
     _cluster_counts as reference_cluster_counts,
     jordan_block_structure,
     lab2x2,
@@ -1187,6 +1190,17 @@ class TestRegionMembership:
         v = region_membership(lab_base(), dir_abc(0.0, 0.0, 0.0, validate=False))
         assert v.membership == "interior"
 
+    def test_a_stable_selection_with_no_graph_is_exterior(self):
+        # F's unstable mode is uncontrollable (G = diag(0, 1)), so the stable
+        # eigenvector of its block, at -1, has a zero upper entry: W1 is
+        # singular and the stable selection has no graph.
+        base = RiccatiData(np.diag([1.0, -2.0]), np.diag([0.0, 1.0]), np.eye(2))
+        d = dir_abc(0.0, 0.0, 0.0, validate=False)
+        arr = _perturbed_array(base, d, 1.0)
+        assert not _has_stable_solution(base, d, arr, schur_decompose(arr))
+        assert region_membership(base, d).membership == "exterior"
+        assert region_grid(base, d.full[None]).membership.tolist() == ["exterior"]
+
     def test_grid_sample_matches_closed_form_region(self):
         rng = make_rng(31)
         base = lab_base()
@@ -1735,6 +1749,86 @@ class TestOneAxisRule:
                     named = re.search(r"cluster\(s\) at alpha=(.*) carry", str(exc))
                     assert (named.group(1).split(", ") if named else []) == definite
         assert raised >= 30
+
+
+def gap_ray_sum(seed: int, copies: int, n: int = 3):
+    """The gap ray K + t D G D of ``rand_solvable_triple(make_rng(seed), n)``
+    summed directly with itself ``copies`` times: each axis height of the
+    triple past t = 1/4 is a cluster of ``copies`` merged eigenvalues."""
+    f, g, k = rand_solvable_triple(make_rng(seed), n)[:3]
+    ext = solve_extremal(RiccatiData(f, g, k))
+    gap = ext.x_plus - ext.x_minus
+    dgd = gap @ g @ gap
+
+    def summed(m):
+        return block_diag(*[m] * copies)
+
+    data = RiccatiData(summed(f), summed(g), summed(k))
+    return data, PerturbationDirection.from_blocks(summed(0.5 * (dgd + dgd.conj().T)))
+
+
+def cluster_counts_summed(snap) -> list[int]:
+    fields = ("multiplicity", "n_minus", "n_plus", "n_zero")
+    return [sum(getattr(c, name) for c in snap.imaginary_groups) for name in fields]
+
+
+class TestMergedClusters:
+    @pytest.mark.parametrize("copies", [2, 3, 5, 9])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_merged_clusters_match_the_schur_snapshot(self, schur_calls, seed, copies):
+        # Every cluster merges one height of each copy and is definite, so
+        # inertia decides it; its height is np.mean's, bit for bit.
+        data, d = gap_ray_sum(seed, copies)
+        del schur_calls[:]  # the extremal solve's
+        for t in (0.3, 0.6, 1.0):
+            arr = _perturbed_array(data, d, t)
+            got = _snapshot(arr, 1e-8)
+            assert schur_calls == []
+            ref = reference_spectrum_snapshot(arr)
+            assert [(c.alpha.hex(), *cluster_record(c)[1:]) for c in got.imaginary_groups] == [
+                (c.alpha.hex(), *cluster_record(c)[1:]) for c in ref.imaginary_groups
+            ]
+            assert {c.multiplicity for c in got.imaginary_groups} == {copies}
+            assert all(definite_sign(c) for c in got.imaginary_groups)
+
+    @pytest.mark.parametrize("copies", [2, 3, 5, 9])
+    def test_t_grid_rows_are_the_snapshot_sums(self, copies):
+        ts = np.array([0.0, 0.2, 0.25, 0.3, 0.6, 1.0])
+        for seed in range(3):
+            data, d = gap_ray_sum(seed, copies)
+            rows = np.concatenate([c for _, _, c in _t_grid_blocks(data, d, ts, 1e-8)])
+            for t, row in zip(ts, rows.tolist()):
+                assert row == cluster_counts_summed(_snapshot(_perturbed_array(data, d, t), 1e-8))
+
+    def test_a_direct_sum_grid_takes_one_inertia_pass_per_block(self, monkeypatch, schur_calls):
+        # F + F of an n = 5 gap ray: 41 rows, 32 to a block.  Only the
+        # collision row at t = 1/4 may need a Schur form.
+        calls = []
+
+        def counted(arr, heights):
+            calls.append(arr.shape[0])
+            return _inertia_jumps(arr, heights)
+
+        monkeypatch.setattr(forms, "_inertia_jumps", counted)
+        data, d = gap_ray_sum(0, 2, n=5)
+        del schur_calls[:]
+        blocks = list(_t_grid_blocks(data, d, np.linspace(0.0, 1.0, 41), 1e-8))
+        assert calls == [len(ts) for ts, _, _ in blocks] == [32, 9]
+        assert len(schur_calls) <= 1
+
+    def test_cluster_heights_are_np_mean_bit_for_bit(self):
+        # np.mean sums from +0.0: a lone height -0.0 reads 0.0, and a pair
+        # whose sum is a negative subnormal keeps its sign when halved.
+        rng = make_rng(48)
+        groups = [[-0.0], [-0.0, -0.0], [-5e-324, 0.0], [-0.0, 4.0]]
+        groups += [list(1.0 + 1e-9 * rng.standard_normal(rng.integers(3, 8))) for _ in range(200)]
+        arr = np.zeros((1, 2, 2), dtype=complex)
+        for heights in groups:
+            eigs = np.zeros(len(heights), dtype=complex)
+            eigs.imag = heights
+            alpha = _axis_members(arr, eigs[None], 1e-8)[0][0]
+            want = [a for a, _ in _axis_clusters(eigs, 1e-8, 1e-6)]
+            assert [a.hex() for a in alpha.tolist()] == [a.hex() for a in want]
 
 
 # ---------------------------------------------------------------------------
